@@ -11,14 +11,14 @@ map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .base import factor_int
-from .dynamics import Report, brute_amap_graph, nu_series, predicted_graph
+from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
+                       nu_series, predicted_graph)
 from .finitefield import GF, field, quadratic_character
-from .graphs import (DEFAULT_MAX_NODES, GraphSizeError, brute_graph, cyc,
-                     decompose_successors, disjoint_sum)
+from .graphs import (DEFAULT_MAX_NODES, GraphSizeError, brute_graph,
+                     decompose_successors)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain
 from .quadorder import QuadInt, QuadOrder
@@ -99,8 +99,10 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
 # ---- Chebyshev polynomials ----
 
 @dataclass
-class ChebyshevReport:
+class ChebyshevReport(JsonReport):
     """Generic-tree check for one Chebyshev polynomial over one field."""
+
+    family = "chebyshev"
 
     q: int
     n: int
@@ -111,19 +113,6 @@ class ChebyshevReport:
     periodic_checked: int
     skipped: list[int]
     mismatches: list[dict]
-
-    def as_dict(self) -> dict:
-        return {
-            "family": "chebyshev", "q": self.q, "n": self.n, "ok": self.ok,
-            "tree_plus_code": self.tree_plus_code,
-            "tree_minus_code": self.tree_minus_code,
-            "node_count": self.node_count,
-            "periodic_checked": self.periodic_checked,
-            "skipped": self.skipped, "mismatches": self.mismatches,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def _generic_tree(m: int, n: int) -> RootedTree:
@@ -186,8 +175,10 @@ def chebyshev_check(q: int, n: int,
 # ---- linearized polynomials ----
 
 @dataclass
-class LinearizedReport:
+class LinearizedReport(JsonReport):
     """Three-way agreement check for one q-associate map."""
+
+    family = "linearized"
 
     q: int
     n: int
@@ -198,19 +189,6 @@ class LinearizedReport:
     brute_quotient_code: str
     node_count: int
     summands: list
-
-    def as_dict(self) -> dict:
-        return {
-            "family": "linearized", "q": self.q, "n": self.n, "f": self.f,
-            "isomorphic": self.isomorphic,
-            "predicted_code": self.predicted_code,
-            "brute_field_code": self.brute_field_code,
-            "brute_quotient_code": self.brute_quotient_code,
-            "node_count": self.node_count, "summands": self.summands,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def linearized_check(q: int, n: int, f: Poly | list[int],
@@ -258,7 +236,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     modulus = Poly.x_pow_minus_one(F, n)
     brute_quotient = brute_amap_graph(D, f, modulus, max_nodes=max_nodes)
 
-    # predicted decomposition
+    # predicted decomposition: n0 = h^(p^t), n1 = ((x^u - 1)/h)^(p^t)
     t, u = 0, n
     while u % p == 0:
         u //= p
@@ -266,21 +244,8 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     pt = p**t
     xu1 = Poly.x_pow_minus_one(F, u)
     h = f.gcd(xu1)
-    s_f = xu1 // h
-    if h.degree == 0:
-        tree = LEAF
-    else:
-        tree = elementary_tree(nu_series(D, f, D.principal(h**pt)))
-    n1 = (s_f**pt).monic()
-    parts = []
-    summands = []
-    for g in D.divisors(n1):
-        phi = D.euler_phi(g)
-        r = D.mult_order(f, g)
-        parts.extend([cyc(r, tree)] * (phi // r))
-        summands.append({"divisor": D.describe_ideal(g),
-                         "cycle_len": r, "multiplicity": phi // r})
-    predicted = disjoint_sum(parts)
+    prediction = assemble_prediction(D, f, h**pt, (xu1 // h)**pt)
+    predicted = prediction.graph
 
     return LinearizedReport(
         q=q, n=n, f=list(f.coeffs),
@@ -289,15 +254,17 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
         brute_field_code=brute_field.code,
         brute_quotient_code=brute_quotient.code,
         node_count=brute_field.node_count,
-        summands=summands,
+        summands=list(prediction.summands),
     )
 
 
 # ---- elliptic-curve endomorphisms ----
 
 @dataclass
-class ECTreesReport:
+class ECTreesReport(JsonReport):
     """Generic trees of an endomorphism given by quadratic-order data."""
+
+    family = "ec-trees"
 
     d: int
     a: list[int]
@@ -309,20 +276,6 @@ class ECTreesReport:
     tree_minus_nodes: int
     nu_plus: list[int]
     nu_minus: list[int]
-
-    def as_dict(self) -> dict:
-        return {
-            "family": "ec-trees", "d": self.d, "a": self.a, "pi": self.pi,
-            "n": self.n,
-            "tree_plus_code": self.tree_plus_code,
-            "tree_minus_code": self.tree_minus_code,
-            "tree_plus_nodes": self.tree_plus_nodes,
-            "tree_minus_nodes": self.tree_minus_nodes,
-            "nu_plus": self.nu_plus, "nu_minus": self.nu_minus,
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def ec_generic_trees(d: int, a: QuadInt, pi: QuadInt, n: int) -> ECTreesReport:

@@ -47,9 +47,6 @@ class Factorization:
                 return e
         return 0
 
-    def primes(self) -> list[Any]:
-        return [p for p, _ in self.factors]
-
     def as_dict(self) -> dict[Any, int]:
         return dict(self.factors)
 

@@ -60,6 +60,14 @@ def _parse_ints(s: str) -> list[int]:
         raise ParseError(f"bad integer list {s!r}") from exc
 
 
+def _parse_coeffs(s: str, q: int) -> list[int]:
+    coeffs = _parse_ints(s)
+    for c in coeffs:
+        if not 0 <= c < q:
+            raise ParseError(f"coefficient {c} is not a field element code in [0, {q})")
+    return coeffs
+
+
 def _parse_element(dom: Domain, s: str):
     if isinstance(dom, IntegerDomain):
         try:
@@ -67,7 +75,7 @@ def _parse_element(dom: Domain, s: str):
         except ValueError as exc:
             raise ParseError(f"bad integer {s!r}") from exc
     if isinstance(dom, PolyDomain):
-        return Poly(dom.field, _parse_ints(s))
+        return Poly(dom.field, _parse_coeffs(s, dom.field.q))
     if isinstance(dom, QuadOrder):
         coords = _parse_ints(s)
         if len(coords) != 2:
@@ -209,7 +217,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     if cmd == "linpoly":
-        report = linearized_check(args.q, args.n, _parse_ints(args.f),
+        report = linearized_check(args.q, args.n, _parse_coeffs(args.f, args.q),
                                   max_nodes=args.max_nodes)
         print(report.to_json(indent=2))
         return 0 if report.isomorphic else 1

@@ -11,15 +11,16 @@ and is the independent oracle the prediction is verified against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 from .base import Domain
 from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                      brute_graph, cyc, disjoint_sum)
 from .trees import LEAF, RootedTree, elementary_tree
 
-__all__ = ["nu_series", "predicted_graph", "brute_amap_graph", "verify",
-           "Prediction", "Report"]
+__all__ = ["nu_series", "assemble_prediction", "predicted_graph",
+           "brute_amap_graph", "verify", "Prediction", "JsonReport", "Report"]
 
 
 def nu_series(dom: Domain, a, n0) -> tuple[int, ...]:
@@ -43,7 +44,8 @@ def nu_series(dom: Domain, a, n0) -> tuple[int, ...]:
         rem = dom.ideal_div(rem, g)
         if len(norms) > max_steps:
             raise RuntimeError("nu-series failed to terminate")
-    assert all(norms[i] >= norms[i + 1] for i in range(len(norms) - 1))
+    if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
+        raise RuntimeError("nu-series is not non-increasing")
     return tuple(norms)
 
 
@@ -56,11 +58,13 @@ class Prediction:
     summands: tuple[dict, ...]  # {"divisor", "cycle_len", "multiplicity"}
 
 
-def predicted_graph(dom: Domain, a, n) -> Prediction:
-    """Structure-theorem graph of x -> a*x on D/n."""
-    if dom.is_zero(a):
-        raise ValueError("the prediction requires a nonzero element")
-    n0, n1 = dom.a_decomposition(a, n)
+def assemble_prediction(dom: Domain, a, n0, n1) -> Prediction:
+    """Structure-theorem graph of x -> a*x on D/(n0*n1).
+
+    n0 must carry exactly the primes dividing <a> and n1 none of them: the
+    elementary tree of n0 hangs on every cycle node, and each divisor m of
+    n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).
+    """
     if n0 == dom.unit_ideal:
         tree = LEAF
     else:
@@ -77,8 +81,16 @@ def predicted_graph(dom: Domain, a, n) -> Prediction:
                          "cycle_len": r, "multiplicity": mult})
         parts.extend([cyc(r, tree)] * mult)
     graph = disjoint_sum(parts)
-    assert graph.node_count == dom.norm(n), "predicted node count mismatch"
+    if graph.node_count != dom.norm(n0) * dom.norm(n1):
+        raise RuntimeError("predicted node count mismatch")
     return Prediction(graph=graph, tree=tree, summands=tuple(summands))
+
+
+def predicted_graph(dom: Domain, a, n) -> Prediction:
+    """Structure-theorem graph of x -> a*x on D/n."""
+    if dom.is_zero(a):
+        raise ValueError("the prediction requires a nonzero element")
+    return assemble_prediction(dom, a, *dom.a_decomposition(a, n))
 
 
 def brute_amap_graph(dom: Domain, a, n,
@@ -94,8 +106,26 @@ def brute_amap_graph(dom: Domain, a, n,
     return brute_graph(size, succ, max_nodes=max_nodes)
 
 
+class JsonReport:
+    """JSON form of a report dataclass.
+
+    The dict starts with the class's ``family`` tag when it has one, then
+    lists the fields in declaration order, leaving out fields set to None.
+    """
+
+    family: ClassVar[str | None] = None
+
+    def as_dict(self) -> dict:
+        out = {"family": self.family} if self.family is not None else {}
+        out.update((k, v) for k, v in asdict(self).items() if v is not None)
+        return out
+
+    def to_json(self, indent: int | None = None) -> str:
+        return json.dumps(self.as_dict(), indent=indent)
+
+
 @dataclass
-class Report:
+class Report(JsonReport):
     """Outcome of checking a prediction against the brute-force graph."""
 
     domain: dict
@@ -107,24 +137,6 @@ class Report:
     node_count: int
     summands: list = field(default_factory=list)
     params: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "domain": self.domain,
-            "a": self.a,
-            "n": self.n,
-            "isomorphic": self.isomorphic,
-            "predicted_code": self.predicted_code,
-            "brute_code": self.brute_code,
-            "node_count": self.node_count,
-            "summands": self.summands,
-        }
-        if self.params is not None:
-            out["params"] = self.params
-        return out
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def _corrupt(graph: FunctionalGraph) -> FunctionalGraph:

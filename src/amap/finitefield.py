@@ -7,7 +7,8 @@ of its polynomial representative, lowest degree first.  This makes
 For k > 1 arithmetic a monic irreducible modulus of degree k over F_p is
 required; if none is supplied the constructor picks the first irreducible
 polynomial in lexicographic coefficient order (constant coefficient most
-significant), so field construction is reproducible.  GF(2^k) arithmetic
+significant), so field construction is reproducible.  Moduli are tested
+with the Rabin test ``polynomials.is_irreducible``.  GF(2^k) arithmetic
 runs on bit operations; other extensions use digit vectors.
 """
 
@@ -53,64 +54,6 @@ def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     return _fp_trim(a)
 
 
-def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _fp_mod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _fp_trim(out)
-
-
-def _fp_is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p."""
-    k = len(f) - 1
-    if k < 1:
-        return False
-    x = [0, 1]
-    for r in sorted({r for r, _ in _int_factor(k)}):
-        h = _fp_powmod(x, p ** (k // r), f, p)
-        if len(_fp_gcd(_fp_sub(h, x, p), f, p)) > 1:
-            return False
-    return _fp_powmod(x, p**k, f, p) == _fp_mod(x, f, p)
-
-
-def _int_factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 class GF:
     """The finite field with p^k elements."""
 
@@ -135,7 +78,9 @@ class GF:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {k}")
-            if not _fp_is_irreducible(list(modulus), p):
+            from .polynomials import Poly, is_irreducible
+
+            if not is_irreducible(Poly(field(p), modulus)):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._modbits = (sum(c << i for i, c in enumerate(self.modulus))
@@ -153,13 +98,16 @@ class GF:
 
     @staticmethod
     def _find_modulus(p: int, k: int) -> tuple[int, ...]:
-        # first irreducible in lexicographic order of (c_0, ..., c_{k-1})
+        # first irreducible in lexicographic order of (c_0, ..., c_{k-1});
+        # c_0 starts at 1 because x divides every candidate with c_0 = 0 (k >= 2)
         import itertools
 
-        for tail in itertools.product(range(p), repeat=k):
-            cand = list(tail) + [1]
-            if _fp_is_irreducible(cand, p):
-                return tuple(cand)
+        from .polynomials import Poly, is_irreducible
+
+        for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+            cand = tail + (1,)
+            if is_irreducible(Poly(field(p), cand)):
+                return cand
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
     # ---- encoding ----
@@ -290,7 +238,8 @@ class GF:
                 if acc == 0:
                     root = x
                     break
-            assert root is not None, "subfield modulus has a root in any extension"
+            if root is None:
+                raise RuntimeError("subfield modulus has no root in the extension")
             table = []
             for s in range(sub.q):
                 acc = 0

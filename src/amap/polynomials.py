@@ -6,9 +6,7 @@ their monic generators.
 
 Factorization runs squarefree / distinct-degree / equal-degree splitting.
 The equal-degree stage derandomizes its splitting elements with a PRNG
-seeded from the polynomial itself, so results are reproducible.  A trial
-division fallback against low-degree irreducibles is provided for
-cross-checking at small degrees.
+seeded from the polynomial itself, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -17,11 +15,10 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator, Sequence
 
-from .base import Domain, Factorization, ZeroIdealError
+from .base import Domain, Factorization, ZeroIdealError, factor_int
 from .finitefield import GF
 
-__all__ = ["Poly", "PolyDomain", "factor_poly", "trial_division_factor",
-           "is_irreducible", "irreducibles"]
+__all__ = ["Poly", "PolyDomain", "factor_poly", "is_irreducible", "irreducibles"]
 
 
 class Poly:
@@ -194,13 +191,6 @@ class Poly:
             out.append(s)
         return Poly(F, out)
 
-    def evaluate(self, c: int) -> int:
-        F = self.field
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, c), a)
-        return acc
-
     # ---- identity and display ----
 
     def __eq__(self, other: object) -> bool:
@@ -349,17 +339,7 @@ def is_irreducible(f: Poly) -> bool:
     F = f.field
     n = f.degree
     x = Poly.x(F)
-    primes = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            primes.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
-    for r in sorted(primes):
+    for r, _ in factor_int(n):
         h = x.pow_mod(F.q ** (n // r), f)
         if f.gcd(h - x).degree != 0:
             return False
@@ -376,37 +356,6 @@ def irreducibles(field: GF, degree: int) -> Iterator[Poly]:
         f = Poly(field, list(tail) + [1])
         if is_irreducible(f):
             yield f
-
-
-def trial_division_factor(f: Poly, max_irreducible_degree: int = 4) -> list[tuple[Poly, int]]:
-    """Factor by dividing out low-degree irreducibles; valid for deg <= 9.
-
-    After removing every irreducible factor of degree at most
-    `max_irreducible_degree`, a nontrivial remainder of degree at most
-    2*max_irreducible_degree + 1 must itself be irreducible.
-    """
-    if f.is_zero:
-        raise ZeroIdealError("cannot factor the zero polynomial")
-    if f.degree > 2 * max_irreducible_degree + 1:
-        raise ValueError("degree too large for the trial-division fallback")
-    g = f.monic()
-    found: dict[Poly, int] = {}
-    for d in range(1, max_irreducible_degree + 1):
-        if g.degree < d:
-            break
-        for p in irreducibles(f.field, d):
-            e = 0
-            while True:
-                q, r = divmod(g, p)
-                if not r.is_zero:
-                    break
-                g = q
-                e += 1
-            if e:
-                found[p] = e
-    if g.degree > 0:
-        found[g] = found.get(g, 0) + 1
-    return sorted(found.items(), key=lambda pe: pe[0].sort_key())
 
 
 class PolyDomain(Domain):

@@ -215,10 +215,6 @@ class QuadOrder(Domain):
 
     # ---- prime splitting and factorization ----
 
-    def minimal_poly_of_w(self) -> tuple[int, int, int]:
-        """Coefficients (c0, c1, 1) of the minimal polynomial of w over Z."""
-        return (-self._s, -self._t, 1)
-
     def rational_prime_splitting(self, p: int) -> tuple[SplitType, list[QuadIdeal]]:
         """Primes above p, classified by the roots of w's minimal polynomial."""
         if not is_prime(p):
@@ -254,7 +250,8 @@ class QuadOrder(Domain):
         check = self.unit_ideal
         for prime, e in pairs:
             check = self.ideal_mul(check, self.ideal_pow(prime, e))
-        assert check == n, "factorization failed to reconstruct the ideal"
+        if check != n:
+            raise RuntimeError("factorization failed to reconstruct the ideal")
         n._fact = fact
         return fact
 

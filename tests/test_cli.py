@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from amap.cli import main
 
@@ -50,6 +51,16 @@ def test_parse_error_exits_two(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "verify", "--domain", "Z", "--a", "1", "--n", "0")
     assert code == 2
+    # coefficients outside [0, q) are not field element codes
+    for argv in (["predict", "--domain", "poly:2:2", "--a", "7", "--n", "1,1"],
+                 ["predict", "--domain", "poly:2:2", "--a", "1", "--n", "5,1"],
+                 ["predict", "--domain", "poly:3", "--a", "7", "--n", "1,1"],
+                 ["verify", "--domain", "poly:3", "--a", "-1", "--n", "1,1"],
+                 ["linpoly", "--q", "4", "--n", "2", "--f", "7"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_tree_subcommand(capsys):
@@ -147,3 +158,11 @@ def test_unknown_subcommand_exits_two():
         [sys.executable, "-m", "amap.cli", "frobnicate"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_cli_json_is_byte_identical(capsys):
+    """CLI stdout and exit codes match the recorded golden outputs exactly."""
+    golden = Path(__file__).parent / "data" / "cli_golden.json"
+    for case in json.loads(golden.read_text()):
+        code, out = run_cli(capsys, *case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 from amap.base import NotCoprimeError, ZeroIdealError
 from amap.finitefield import GF, field
 from amap.polynomials import (Poly, PolyDomain, factor_poly, irreducibles,
-                              is_irreducible, trial_division_factor)
+                              is_irreducible)
 
 F2 = field(2)
 F3 = field(3)
@@ -17,10 +18,50 @@ def poly(dom, *coeffs):
     return Poly(dom.field, coeffs)
 
 
+def trial_division_factor(f: Poly, max_irreducible_degree: int = 4) -> list[tuple[Poly, int]]:
+    """Factor by dividing out low-degree irreducibles; valid for deg <= 9.
+
+    After removing every irreducible factor of degree at most
+    `max_irreducible_degree`, a nontrivial remainder of degree at most
+    2*max_irreducible_degree + 1 must itself be irreducible.
+    """
+    if f.is_zero:
+        raise ZeroIdealError("cannot factor the zero polynomial")
+    if f.degree > 2 * max_irreducible_degree + 1:
+        raise ValueError("degree too large for the trial-division fallback")
+    g = f.monic()
+    found: dict[Poly, int] = {}
+    for d in range(1, max_irreducible_degree + 1):
+        if g.degree < d:
+            break
+        for p in irreducibles(f.field, d):
+            e = 0
+            while True:
+                q, r = divmod(g, p)
+                if not r.is_zero:
+                    break
+                g = q
+                e += 1
+            if e:
+                found[p] = e
+    if g.degree > 0:
+        found[g] = found.get(g, 0) + 1
+    return sorted(found.items(), key=lambda pe: pe[0].sort_key())
+
+
 class TestFieldConstruction:
     def test_default_modulus_is_first_irreducible(self):
         assert GF(2, 2).modulus == (1, 1, 1)
         assert GF(3, 2).modulus == (1, 0, 1)
+
+    def test_modulus_search_skips_multiples_of_x(self):
+        for p, ks in ((2, range(2, 11)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3))):
+            for k in ks:
+                first = next(irreducibles(field(p), k))
+                assert GF(p, k).modulus == first.coeffs, (p, k)
+        start = time.perf_counter()
+        GF(2, 18)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
