@@ -22,7 +22,7 @@ from .graphs import (DEFAULT_MAX_NODES, GraphSizeError, brute_graph,
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain
 from .quadorder import QuadInt, QuadOrder
-from .trees import LEAF, RootedTree, elementary_tree
+from .trees import RootedTree, elementary_tree
 
 __all__ = ["redei_check", "chebyshev_check", "linearized_check",
            "ec_generic_trees", "ChebyshevReport", "LinearizedReport",
@@ -118,7 +118,7 @@ class ChebyshevReport(JsonReport):
 def _generic_tree(m: int, n: int) -> RootedTree:
     """Elementary tree of the n-part of m (the tree hanging in x -> x^n)."""
     m0, _ = _Z.a_decomposition(n, m)
-    return LEAF if m0 == 1 else elementary_tree(nu_series(_Z, n, m0))
+    return elementary_tree(nu_series(_Z, n, m0))
 
 
 def chebyshev_check(q: int, n: int,
@@ -299,13 +299,9 @@ def ec_generic_trees(d: int, a: QuadInt, pi: QuadInt, n: int) -> ECTreesReport:
             raise ValueError("pi^n -+ 1 is zero; the quotient is not finite")
         ideal = order.principal(shifted)
         n0, _ = order.a_decomposition(a, ideal)
-        if n0 == order.unit_ideal:
-            series.append(())
-            trees.append(LEAF)
-        else:
-            nu = nu_series(order, a, n0)
-            series.append(nu)
-            trees.append(elementary_tree(nu))
+        nu = nu_series(order, a, n0)
+        series.append(nu)
+        trees.append(elementary_tree(nu))
     tree_plus, tree_minus = trees
     return ECTreesReport(
         d=d, a=[a.x, a.y], pi=[pi.x, pi.y], n=n,

@@ -5,7 +5,7 @@ and the four application checkers (redei / chebyshev / linpoly / ectrees).
 All output is JSON on stdout; --dot writes the graph as DOT to a file.
 
 Exit codes: 0 on success, 1 when a verification reports a mismatch,
-2 on unparseable input.
+2 on bad input, including a --dot path that cannot be written.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _parse_domain(spec: str, modulus: str | None = None) -> Domain:
             raise ParseError(f"bad domain {spec!r}; expected poly:p or poly:p:k")
         p = int(parts[1])
         k = int(parts[2]) if len(parts) == 3 else 1
-        mod = tuple(_parse_ints(modulus)) if modulus else None
+        mod = tuple(_parse_coeffs(modulus, p)) if modulus else None
         return PolyDomain(GF(p, k, mod))
     if kind == "quad":
         if len(parts) != 2:
@@ -121,8 +121,6 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", help="ideal generator (integer or coefficient list)")
     sub.add_argument("--n-gens", help="quadratic ideal generators 'x,y[;x,y...]'")
     sub.add_argument("--modulus", help="field modulus coefficients for poly:p:k")
-    sub.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
-                     help="cap on brute-force graph size")
     sub.add_argument("--dot", metavar="FILE", help="also write the graph as DOT")
 
 
@@ -136,6 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("predict", "brute", "verify"):
         sub = subs.add_parser(name)
         _add_instance_flags(sub)
+        if name != "predict":
+            sub.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES,
+                             help="cap on brute-force graph size")
         if name == "verify":
             sub.add_argument("--corrupt-cycle", action="store_true",
                              help="perturb the prediction (self-test hook)")
@@ -173,30 +174,30 @@ def _run(args: argparse.Namespace) -> int:
     cmd = args.command
 
     if cmd in ("predict", "brute", "verify"):
-        dom = _parse_domain(args.domain, getattr(args, "modulus", None))
+        dom = _parse_domain(args.domain, args.modulus)
         a = _parse_element(dom, args.a)
         n = _parse_ideal(dom, args.n, args.n_gens)
         if cmd == "predict":
             pred = predicted_graph(dom, a, n)
+            _write_dot(pred.graph, args.dot)
             _emit({"domain": dom.domain_json(), "a": dom.describe_element(a),
                    "n": dom.describe_ideal(n), "code": pred.graph.code,
                    "node_count": pred.graph.node_count,
                    "summands": list(pred.summands)})
-            _write_dot(pred.graph, args.dot)
             return 0
         if cmd == "brute":
             graph = brute_amap_graph(dom, a, n, max_nodes=args.max_nodes)
+            _write_dot(graph, args.dot)
             _emit({"domain": dom.domain_json(), "a": dom.describe_element(a),
                    "n": dom.describe_ideal(n), "code": graph.code,
                    "node_count": graph.node_count})
-            _write_dot(graph, args.dot)
             return 0
         report = verify(dom, a, n, max_nodes=args.max_nodes,
                         corrupt_cycle=args.corrupt_cycle)
-        print(report.to_json(indent=2))
         if args.dot:
             _write_dot(brute_amap_graph(dom, a, n, max_nodes=args.max_nodes),
                        args.dot)
+        print(report.to_json(indent=2))
         return 0 if report.isomorphic else 1
 
     if cmd == "tree":
@@ -223,8 +224,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if report.isomorphic else 1
 
     if cmd == "ectrees":
-        a = QuadInt(*_parse_ints(args.a))
-        pi = QuadInt(*_parse_ints(args.pi))
+        order = QuadOrder(args.d)
+        a = _parse_element(order, args.a)
+        pi = _parse_element(order, args.pi)
         report = ec_generic_trees(args.d, a, pi, args.n)
         print(report.to_json(indent=2))
         return 0
@@ -240,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

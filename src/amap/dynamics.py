@@ -17,7 +17,7 @@ from typing import ClassVar
 from .base import Domain
 from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                      brute_graph, cyc, disjoint_sum)
-from .trees import LEAF, RootedTree, elementary_tree
+from .trees import RootedTree, elementary_tree
 
 __all__ = ["nu_series", "assemble_prediction", "predicted_graph",
            "brute_amap_graph", "verify", "Prediction", "JsonReport", "Report"]
@@ -65,10 +65,7 @@ def assemble_prediction(dom: Domain, a, n0, n1) -> Prediction:
     elementary tree of n0 hangs on every cycle node, and each divisor m of
     n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).
     """
-    if n0 == dom.unit_ideal:
-        tree = LEAF
-    else:
-        tree = elementary_tree(nu_series(dom, a, n0))
+    tree = elementary_tree(nu_series(dom, a, n0))
     parts = []
     summands = []
     for m in dom.divisors(n1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .base import is_prime
+from .base import is_prime, power
 
 __all__ = ["GF", "field", "quadratic_character"]
 
@@ -184,14 +184,9 @@ class GF:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if self.k == 1:
+            return pow(a, e, self.p)
+        return power(a, e, self.mul, 1)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from .trees import LEAF, RootedTree
+from .trees import LEAF, Coded, RootedTree
 
 __all__ = [
     "Component",
@@ -52,10 +52,10 @@ def _min_rotation(codes: Sequence[str]) -> int:
     return min(range(m), key=lambda r: doubled[r:r + m])
 
 
-class Component:
+class Component(Coded):
     """One connected component: a cycle with hanging trees in cyclic order."""
 
-    __slots__ = ("cycle_len", "hanging", "code", "node_count")
+    __slots__ = ("cycle_len", "hanging")
 
     def __init__(self, cycle_len: int, hanging: Sequence[RootedTree]):
         if cycle_len < 1:
@@ -68,20 +68,11 @@ class Component:
         self.code = "C%d[%s]" % (cycle_len, ",".join(t.code for t in self.hanging))
         self.node_count = sum(t.node_count for t in self.hanging)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Component) and self.code == other.code
 
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __repr__(self) -> str:
-        return f"Component({self.code!r})"
-
-
-class FunctionalGraph:
+class FunctionalGraph(Coded):
     """Multiset of components; equality is graph isomorphism."""
 
-    __slots__ = ("components", "code", "node_count")
+    __slots__ = ("components",)
 
     def __init__(self, components: Iterable[Component] = ()):
         comps = tuple(sorted(components, key=lambda c: c.code))
@@ -89,19 +80,10 @@ class FunctionalGraph:
         self.code = ";".join(c.code for c in comps)
         self.node_count = sum(c.node_count for c in comps)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FunctionalGraph) and self.code == other.code
 
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __repr__(self) -> str:
-        return f"FunctionalGraph({self.code!r})"
-
-
-def canonical_code(obj: RootedTree | Component | FunctionalGraph) -> str:
+def canonical_code(obj: Coded) -> str:
     """Text encoding under which equality is exactly isomorphism."""
-    if isinstance(obj, (RootedTree, Component, FunctionalGraph)):
+    if isinstance(obj, Coded):
         return obj.code
     raise TypeError(f"no canonical code for {type(obj).__name__}")
 
@@ -121,6 +103,28 @@ def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
     for g in graphs:
         comps.extend(g.components)
     return FunctionalGraph(comps)
+
+
+def _build_tree(root, children) -> RootedTree:
+    """Tree of the nodes below `root`, where children[v] lists v's children."""
+    order = [root]
+    for v in order:  # breadth first: the loop also visits what it appends
+        order.extend(children[v])
+    built = {}
+    for v in reversed(order):
+        kids = children[v]
+        built[v] = RootedTree(built[c] for c in kids) if kids else LEAF
+    return built[root]
+
+
+def _append_tree(succ: list, tree: RootedTree, root: int) -> None:
+    """Append the nodes below the root of `tree` (at index `root`) depth first."""
+    stack = [(child, root) for child in reversed(tree.children)]
+    while stack:
+        sub, parent = stack.pop()
+        node_id = len(succ)
+        succ.append(parent)
+        stack.extend((child, node_id) for child in reversed(sub.children))
 
 
 def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[RootedTree]]]:
@@ -155,19 +159,7 @@ def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[Root
         if not on_cycle[v]:
             children[succ[v]].append(v)
 
-    def tree_at(root: int) -> RootedTree:
-        order = [root]
-        i = 0
-        while i < len(order):
-            order.extend(children[order[i]])
-            i += 1
-        built: dict[int, RootedTree] = {}
-        for v in reversed(order):
-            kids = children[v]
-            built[v] = RootedTree(built[c] for c in kids) if kids else LEAF
-        return built[root]
-
-    return [(cycle, [tree_at(c) for c in cycle]) for cycle in cycles]
+    return [(cycle, [_build_tree(c, children) for c in cycle]) for cycle in cycles]
 
 
 def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
@@ -203,12 +195,7 @@ def materialize(graph: FunctionalGraph) -> list[int]:
         for i in range(m):
             succ.append(base + (i + 1) % m)
         for i, tree in enumerate(comp.hanging):
-            stack = [(child, base + i) for child in reversed(tree.children)]
-            while stack:
-                sub, parent = stack.pop()
-                node_id = len(succ)
-                succ.append(parent)
-                stack.extend((child, node_id) for child in reversed(sub.children))
+            _append_tree(succ, tree, base + i)
     return succ
 
 
@@ -243,12 +230,7 @@ def _tree_successors(arg: RootedTree | FunctionalGraph) -> tuple[list[int | None
     else:
         raise TypeError("expected a RootedTree or an extended tree")
     succ: list[int | None] = [0 if looped else None]
-    stack = [(child, 0) for child in reversed(tree.children)]
-    while stack:
-        sub, parent = stack.pop()
-        node_id = len(succ)
-        succ.append(parent)
-        stack.extend((child, node_id) for child in reversed(sub.children))
+    _append_tree(succ, tree, 0)
     return succ, 0
 
 
@@ -273,22 +255,15 @@ def restricted_tensor(arg1: RootedTree | FunctionalGraph,
     for v, s in enumerate(s2):
         if s is not None:
             pre2[s].append(v)
-    # reverse BFS from the root pair; skip the self-loop when both are extended
-    root = (r1, r2)
-    order = [root]
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
-    i = 0
-    while i < len(order):
-        x, y = order[i]
-        kids = [(u, v) for u in pre1[x] for v in pre2[y] if (u, v) != (x, y)]
-        children[(x, y)] = kids
-        order.extend(kids)
-        i += 1
-    built: dict[tuple[int, int], RootedTree] = {}
-    for pair in reversed(order):
-        kids = children[pair]
-        built[pair] = RootedTree(built[c] for c in kids) if kids else LEAF
-    return built[root]
+    # preimage pairs; skip the self-loop when both are extended
+    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    stack = [(r1, r2)]
+    while stack:
+        x, y = pair = stack.pop()
+        kids = [(u, v) for u in pre1[x] for v in pre2[y] if (u, v) != pair]
+        children[pair] = kids
+        stack.extend(kids)
+    return _build_tree((r1, r2), children)
 
 
 def to_dot(graph: FunctionalGraph, name: str = "G") -> str:

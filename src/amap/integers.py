@@ -18,10 +18,6 @@ class IntegerDomain(Domain):
     """Z with ideals normalized to positive generators."""
 
     @property
-    def unit_ideal(self) -> int:
-        return 1
-
-    @property
     def one_element(self) -> int:
         return 1
 
@@ -61,9 +57,6 @@ class IntegerDomain(Domain):
     def residues(self, n: int) -> list[int]:
         return list(range(check_positive_int(n)))
 
-    def ideal_sort_key(self, n: int) -> int:
-        return n
-
     def describe_element(self, a: int) -> int:
         return a
 
@@ -75,9 +68,3 @@ class IntegerDomain(Domain):
 
     def __repr__(self) -> str:
         return "IntegerDomain()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntegerDomain)
-
-    def __hash__(self) -> int:
-        return hash("IntegerDomain")

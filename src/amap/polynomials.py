@@ -12,10 +12,11 @@ seeded from the polynomial itself, so results are reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections.abc import Iterable, Iterator, Sequence
 
-from .base import Domain, Factorization, ZeroIdealError, factor_int
+from .base import Domain, Factorization, ZeroIdealError, factor_int, power
 from .finitefield import GF
 
 __all__ = ["Poly", "PolyDomain", "factor_poly", "is_irreducible", "irreducibles"]
@@ -161,24 +162,11 @@ class Poly:
         return a.monic() if not a.is_zero else a
 
     def pow_mod(self, e: int, modulus: Poly) -> Poly:
-        result = Poly.one(self.field)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        return power(self % modulus, e, lambda u, v: (u * v) % modulus,
+                     Poly.one(self.field))
 
     def __pow__(self, e: int) -> Poly:
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul, Poly.one(self.field))
 
     def derivative(self) -> Poly:
         F = self.field
@@ -365,10 +353,6 @@ class PolyDomain(Domain):
         self.field = field
 
     @property
-    def unit_ideal(self) -> Poly:
-        return Poly.one(self.field)
-
-    @property
     def one_element(self) -> Poly:
         return Poly.one(self.field)
 
@@ -420,9 +404,6 @@ class PolyDomain(Domain):
         return [Poly(self.field, coeffs)
                 for coeffs in itertools.product(range(self.field.q), repeat=d)]
 
-    def ideal_sort_key(self, n: Poly):
-        return n.sort_key()
-
     def describe_element(self, a: Poly) -> list[int]:
         return list(a.coeffs)
 
@@ -440,9 +421,3 @@ class PolyDomain(Domain):
 
     def __repr__(self) -> str:
         return f"PolyDomain({self.field!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyDomain) and self.field == other.field
-
-    def __hash__(self) -> int:
-        return hash(("PolyDomain", self.field))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .base import (Domain, Factorization, ZeroIdealError, factor_int,
-                   is_prime)
+                   is_prime, power)
 
 __all__ = ["QuadInt", "QuadIdeal", "QuadOrder", "SplitType"]
 
@@ -164,14 +164,7 @@ class QuadOrder(Domain):
                        z1.x * z2.y + z1.y * z2.x + self._t * yy)
 
     def pow_element(self, z: QuadInt, e: int) -> QuadInt:
-        result = QuadInt(1, 0)
-        base = z
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(z, e, self.mul, self.one_element)
 
     def norm_element(self, z: QuadInt) -> int:
         if self._t:
@@ -224,7 +217,7 @@ class QuadOrder(Domain):
             return SplitType.INERT, [self.principal(QuadInt(p, 0))]
         primes = [self.ideal_from_generators([QuadInt(p, 0), QuadInt(-r, 1)])
                   for r in roots]
-        primes.sort(key=self.ideal_sort_key)
+        primes.sort(key=self._ideal_key)
         if len(roots) == 2:
             return SplitType.SPLIT, primes
         # single root: p divides the discriminant
@@ -239,13 +232,13 @@ class QuadOrder(Domain):
             _, primes = self.rational_prime_splitting(p)
             for prime in primes:
                 e = 0
-                power = self.ideal_mul(self.unit_ideal, prime)
-                while power.contains_ideal(n):
+                pk = self.ideal_mul(self.unit_ideal, prime)
+                while pk.contains_ideal(n):
                     e += 1
-                    power = self.ideal_mul(power, prime)
+                    pk = self.ideal_mul(pk, prime)
                 if e:
                     pairs.append((prime, e))
-        pairs.sort(key=lambda pe: self.ideal_sort_key(pe[0]))
+        pairs.sort(key=lambda pe: self._ideal_key(pe[0]))
         fact = Factorization(tuple(pairs))
         check = self.unit_ideal
         for prime, e in pairs:
@@ -256,10 +249,6 @@ class QuadOrder(Domain):
         return fact
 
     # ---- domain interface ----
-
-    @property
-    def unit_ideal(self) -> QuadIdeal:
-        return QuadIdeal(self.d, 1, 0, 1)
 
     @property
     def one_element(self) -> QuadInt:
@@ -323,9 +312,6 @@ class QuadOrder(Domain):
         self._check_pair(n, n)
         return [QuadInt(x, y) for y in range(n.c) for x in range(n.a)]
 
-    def ideal_sort_key(self, n: QuadIdeal):
-        return (n.norm, n.a, n.b, n.c)
-
     def describe_element(self, a: QuadInt) -> list[int]:
         return [a.x, a.y]
 
@@ -346,9 +332,3 @@ class QuadOrder(Domain):
 
     def __repr__(self) -> str:
         return f"QuadOrder({self.d})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuadOrder) and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash(("QuadOrder", self.d))

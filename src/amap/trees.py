@@ -14,25 +14,31 @@ from collections.abc import Iterable, Sequence
 __all__ = ["RootedTree", "LEAF", "elementary_tree", "partial_tree"]
 
 
-class RootedTree:
+class Coded:
+    """Value identified by its canonical code: equal codes, isomorphic values."""
+
+    __slots__ = ("code", "node_count")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.code == other.code
+
+    def __hash__(self) -> int:
+        return hash(self.code)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.code!r})"
+
+
+class RootedTree(Coded):
     """Immutable unlabeled rooted tree; equality is isomorphism."""
 
-    __slots__ = ("children", "code", "node_count")
+    __slots__ = ("children",)
 
     def __init__(self, children: Iterable[RootedTree] = ()):
         kids = tuple(sorted(children, key=lambda t: t.code))
         self.children = kids
         self.code = "(%s)" % "".join(t.code for t in kids)
         self.node_count = 1 + sum(t.node_count for t in kids)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootedTree) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __repr__(self) -> str:
-        return f"RootedTree({self.code!r})"
 
 
 #: The single-node tree.

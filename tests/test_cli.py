@@ -56,11 +56,48 @@ def test_parse_error_exits_two(capsys):
                  ["predict", "--domain", "poly:2:2", "--a", "1", "--n", "5,1"],
                  ["predict", "--domain", "poly:3", "--a", "7", "--n", "1,1"],
                  ["verify", "--domain", "poly:3", "--a", "-1", "--n", "1,1"],
-                 ["linpoly", "--q", "4", "--n", "2", "--f", "7"]):
+                 ["linpoly", "--q", "4", "--n", "2", "--f", "7"],
+                 ["predict", "--domain", "poly:2:2", "--modulus", "3,3,1",
+                  "--a", "1", "--n", "1,1"]):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def assert_one_line_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+    return captured
+
+
+def test_unwritable_dot_path_exits_two(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "graph.dot"):
+        for cmd in ("predict", "verify"):
+            captured = assert_one_line_error(
+                capsys, [cmd, "--domain", "Z", "--a", "2", "--n", "24",
+                         "--dot", str(target)])
+            assert captured.out == "", (cmd, target)
+
+
+def test_ectrees_parses_quadratic_elements(capsys):
+    for argv in (["ectrees", "--d", "-1", "--a=1,2,3", "--pi=1,1"],
+                 ["ectrees", "--d", "-1", "--a=1,1", "--pi=1"]):
+        captured = assert_one_line_error(capsys, argv)
+        assert "'x,y'" in captured.err, argv
+
+
+def test_max_nodes_only_on_enumerating_commands(capsys):
+    code = main(["predict", "--domain", "Z", "--a", "2", "--n", "24",
+                 "--max-nodes", "0"])
+    assert code == 2
+    assert "--max-nodes" in capsys.readouterr().err
+    assert_one_line_error(capsys, ["brute", "--domain", "Z", "--a", "2",
+                                   "--n", "24", "--max-nodes", "10"])
+    assert_one_line_error(capsys, ["verify", "--domain", "Z", "--a", "2",
+                                   "--n", "24", "--max-nodes", "10"])
 
 
 def test_tree_subcommand(capsys):
