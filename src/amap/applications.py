@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .base import factor_int
 from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
-                       nu_series, predicted_graph)
+                       predicted_graph)
 from .finitefield import GF, field, quadratic_character
 from .graphs import (DEFAULT_MAX_NODES, GraphSizeError, brute_graph,
                      decompose_successors)
@@ -83,17 +83,9 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
 
     m = q - chi
     prediction = predicted_graph(_Z, n, m)
-    return Report(
-        domain={"kind": "Z"},
-        a=n,
-        n=m,
-        isomorphic=prediction.graph.code == brute.code,
-        predicted_code=prediction.graph.code,
-        brute_code=brute.code,
-        node_count=brute.node_count,
-        summands=list(prediction.summands),
-        params={"family": "redei", "q": q, "a": a_code, "n": n, "chi": chi},
-    )
+    return Report.compare(
+        _Z, n, m, prediction.graph, prediction.summands, brute,
+        params={"family": "redei", "q": q, "a": a_code, "n": n, "chi": chi})
 
 
 # ---- Chebyshev polynomials ----
@@ -117,8 +109,7 @@ class ChebyshevReport(JsonReport):
 
 def _generic_tree(m: int, n: int) -> RootedTree:
     """Elementary tree of the n-part of m (the tree hanging in x -> x^n)."""
-    m0, _ = _Z.a_decomposition(n, m)
-    return elementary_tree(nu_series(_Z, n, m0))
+    return elementary_tree(_Z.gcd_chain(n, m)[0])
 
 
 def chebyshev_check(q: int, n: int,
@@ -297,9 +288,7 @@ def ec_generic_trees(d: int, a: QuadInt, pi: QuadInt, n: int) -> ECTreesReport:
     for shifted in (pin - one, pin + one):
         if shifted.is_zero:
             raise ValueError("pi^n -+ 1 is zero; the quotient is not finite")
-        ideal = order.principal(shifted)
-        n0, _ = order.a_decomposition(a, ideal)
-        nu = nu_series(order, a, n0)
+        nu = order.gcd_chain(a, order.principal(shifted))[0]
         series.append(nu)
         trees.append(elementary_tree(nu))
     tree_plus, tree_minus = trees

@@ -2,9 +2,15 @@
 
 A domain bundles the ideal arithmetic of one concrete ring: factorization
 into primes, gcd/exact division, residue enumeration and modular element
-arithmetic.  Everything derivable from those primitives (unit ideal, equality,
-powers, Euler phi, divisor lattices, multiplicative orders, a-decomposition,
-congruence counts) is computed here once and shared by all implementations.
+arithmetic.  Everything derivable from those primitives is computed here
+once and shared by all implementations:
+
+* the unit ideal, domain equality and hashing, the ideal order;
+* membership (a reduces to zero), modular products and ideal powers;
+* Euler phi, divisor lattices and multiplicative orders, from factorizations;
+* the gcd chain of an ideal against <a>, which alone gives both the
+  a-decomposition and the nu-series, with no factorization;
+* congruence solution counts.
 
 Ideals are represented by normalized values whose ``==`` is ideal equality:
 positive integers, monic polynomials, or Hermite-normal-form lattices.  All
@@ -91,10 +97,6 @@ class Domain(ABC):
         """gcd of two ideals (their sum)."""
 
     @abstractmethod
-    def element_in_ideal(self, a, n) -> bool:
-        """Membership a in n."""
-
-    @abstractmethod
     def reduce(self, a, n):
         """Canonical representative of a modulo n."""
 
@@ -138,6 +140,10 @@ class Domain(ABC):
     def __hash__(self) -> int:
         return hash(json.dumps(self.domain_json(), sort_keys=True))
 
+    def element_in_ideal(self, a, n) -> bool:
+        """Membership a in n."""
+        return self.is_zero(self.reduce(a, n))
+
     def mul_mod(self, a, b, n):
         return self.reduce(self.mul(a, b), n)
 
@@ -166,18 +172,34 @@ class Domain(ABC):
     def _ideal_key(self, n):
         return (self.norm(n), self.describe_ideal(n))
 
+    def gcd_chain(self, a, n):
+        """Norms of the gcd chain of n against <a>, and the ideal it stops at.
+
+        r_0 = n, g_i = gcd(r_(i-1), <a>), r_i = r_(i-1)/g_i until g_i is the
+        unit ideal.  The chain strips the primes dividing <a> from n, so it
+        stops at the n1 of the a-decomposition, and the norms of the g_i are
+        the nu-series of n0 = n/n1.
+        """
+        if self.is_zero(a):
+            raise ValueError("the gcd chain requires a nonzero element")
+        a_ideal = self.principal(a)
+        norms = []
+        rest, rest_norm = n, self.norm(n)
+        while True:
+            g = self.ideal_gcd(rest, a_ideal)
+            if g == self.unit_ideal:
+                return tuple(norms), rest
+            quotient = self.ideal_div(rest, g)
+            g_norm, q_norm = self.norm(g), self.norm(quotient)
+            if g_norm < 2 or rest_norm != g_norm * q_norm:
+                raise RuntimeError("gcd chain step does not shrink the ideal")
+            norms.append(g_norm)
+            rest, rest_norm = quotient, q_norm
+
     def a_decomposition(self, a, n):
         """Split n = n0 * n1 with n0 carrying exactly the primes dividing <a>."""
-        if self.is_zero(a):
-            raise ValueError("a-decomposition requires a nonzero element")
-        n0 = n1 = self.unit_ideal
-        for p, e in self.factor(n):
-            pk = self.ideal_pow(p, e)
-            if self.element_in_ideal(a, p):
-                n0 = self.ideal_mul(n0, pk)
-            else:
-                n1 = self.ideal_mul(n1, pk)
-        return n0, n1
+        n1 = self.gcd_chain(a, n)[1]
+        return self.ideal_div(n, n1), n1
 
     def congruence_solution_count(self, a, b, n) -> int:
         """Number of residues x mod n with a*x = b, per the gcd criterion."""
@@ -229,18 +251,7 @@ def check_positive_int(n: int, what: str = "ideal") -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factor_int(n) == [(n, 1)]
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:

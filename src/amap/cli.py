@@ -5,7 +5,8 @@ and the four application checkers (redei / chebyshev / linpoly / ectrees).
 All output is JSON on stdout; --dot writes the graph as DOT to a file.
 
 Exit codes: 0 on success, 1 when a verification reports a mismatch,
-2 on bad input, including a --dot path that cannot be written.
+2 on bad input, including a --dot path that cannot be written, and 3 on
+an internal error; errors print one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from .applications import (chebyshev_check, ec_generic_trees, linearized_check,
                            redei_check)
 from .base import Domain
-from .dynamics import brute_amap_graph, predicted_graph, verify
+from .dynamics import brute_amap_graph, predicted_graph, verify_with_brute
 from .finitefield import GF
 from .graphs import DEFAULT_MAX_NODES, to_dot
 from .integers import IntegerDomain
@@ -192,11 +193,9 @@ def _run(args: argparse.Namespace) -> int:
                    "n": dom.describe_ideal(n), "code": graph.code,
                    "node_count": graph.node_count})
             return 0
-        report = verify(dom, a, n, max_nodes=args.max_nodes,
-                        corrupt_cycle=args.corrupt_cycle)
-        if args.dot:
-            _write_dot(brute_amap_graph(dom, a, n, max_nodes=args.max_nodes),
-                       args.dot)
+        report, brute = verify_with_brute(dom, a, n, max_nodes=args.max_nodes,
+                                          corrupt_cycle=args.corrupt_cycle)
+        _write_dot(brute, args.dot)
         print(report.to_json(indent=2))
         return 0 if report.isomorphic else 1
 
@@ -245,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a library fault, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:  # console-script hook

@@ -20,7 +20,8 @@ from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeErr
 from .trees import RootedTree, elementary_tree
 
 __all__ = ["nu_series", "assemble_prediction", "predicted_graph",
-           "brute_amap_graph", "verify", "Prediction", "JsonReport", "Report"]
+           "brute_amap_graph", "verify", "verify_with_brute", "Prediction",
+           "JsonReport", "Report"]
 
 
 def nu_series(dom: Domain, a, n0) -> tuple[int, ...]:
@@ -30,23 +31,12 @@ def nu_series(dom: Domain, a, n0) -> tuple[int, ...]:
     empty sequence.  The result is non-increasing and its product is the
     norm of n0.
     """
-    if dom.is_zero(a):
-        raise ValueError("nu-series requires a nonzero element")
-    if dom.a_decomposition(a, n0)[1] != dom.unit_ideal:
+    norms, rest = dom.gcd_chain(a, n0)
+    if rest != dom.unit_ideal:
         raise ValueError("some prime of the ideal does not divide the element")
-    a_ideal = dom.principal(a)
-    max_steps = sum(e for _, e in dom.factor(n0))
-    norms: list[int] = []
-    rem = n0
-    while rem != dom.unit_ideal:
-        g = dom.ideal_gcd(rem, a_ideal)
-        norms.append(dom.norm(g))
-        rem = dom.ideal_div(rem, g)
-        if len(norms) > max_steps:
-            raise RuntimeError("nu-series failed to terminate")
     if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
         raise RuntimeError("nu-series is not non-increasing")
-    return tuple(norms)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -135,6 +125,15 @@ class Report(JsonReport):
     summands: list = field(default_factory=list)
     params: dict | None = None
 
+    @classmethod
+    def compare(cls, dom: Domain, a, n, predicted: FunctionalGraph, summands,
+                brute: FunctionalGraph, params: dict | None = None) -> Report:
+        """Report on a predicted graph of x -> a*x on D/n against the brute one."""
+        return cls(domain=dom.domain_json(), a=dom.describe_element(a),
+                   n=dom.describe_ideal(n), isomorphic=predicted.code == brute.code,
+                   predicted_code=predicted.code, brute_code=brute.code,
+                   node_count=brute.node_count, summands=list(summands), params=params)
+
 
 def _corrupt(graph: FunctionalGraph) -> FunctionalGraph:
     """Perturb the first component's cycle length by one (negative control)."""
@@ -145,6 +144,18 @@ def _corrupt(graph: FunctionalGraph) -> FunctionalGraph:
     return FunctionalGraph([longer] + comps[1:])
 
 
+def verify_with_brute(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,
+                      corrupt_cycle: bool = False) -> tuple[Report, FunctionalGraph]:
+    """`verify`, also returning the brute-force graph it enumerated."""
+    prediction = predicted_graph(dom, a, n)
+    predicted = prediction.graph
+    if corrupt_cycle:
+        predicted = _corrupt(predicted)
+    brute = brute_amap_graph(dom, a, n, max_nodes=max_nodes)
+    report = Report.compare(dom, a, n, predicted, prediction.summands, brute)
+    return report, brute
+
+
 def verify(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,
            corrupt_cycle: bool = False) -> Report:
     """Compare the predicted graph with the brute-force graph.
@@ -152,18 +163,4 @@ def verify(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,
     `corrupt_cycle` deliberately damages the prediction before comparing;
     it exists so the failure path can be exercised end to end.
     """
-    prediction = predicted_graph(dom, a, n)
-    predicted = prediction.graph
-    if corrupt_cycle:
-        predicted = _corrupt(predicted)
-    brute = brute_amap_graph(dom, a, n, max_nodes=max_nodes)
-    return Report(
-        domain=dom.domain_json(),
-        a=dom.describe_element(a),
-        n=dom.describe_ideal(n),
-        isomorphic=predicted.code == brute.code,
-        predicted_code=predicted.code,
-        brute_code=brute.code,
-        node_count=brute.node_count,
-        summands=list(prediction.summands),
-    )
+    return verify_with_brute(dom, a, n, max_nodes, corrupt_cycle)[0]

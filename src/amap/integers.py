@@ -45,9 +45,6 @@ class IntegerDomain(Domain):
     def ideal_gcd(self, m: int, n: int) -> int:
         return math.gcd(m, n)
 
-    def element_in_ideal(self, a: int, n: int) -> bool:
-        return a % check_positive_int(n) == 0
-
     def reduce(self, a: int, n: int) -> int:
         return a % check_positive_int(n)
 

@@ -38,20 +38,12 @@ class Poly:
     # ---- constructors ----
 
     @classmethod
-    def zero(cls, field: GF) -> Poly:
-        return cls(field)
-
-    @classmethod
     def one(cls, field: GF) -> Poly:
         return cls(field, (1,))
 
     @classmethod
     def x(cls, field: GF) -> Poly:
         return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, field: GF, c: int) -> Poly:
-        return cls(field, (c,))
 
     @classmethod
     def x_pow_minus_one(cls, field: GF, n: int) -> Poly:
@@ -386,12 +378,9 @@ class PolyDomain(Domain):
     def ideal_gcd(self, m: Poly, n: Poly) -> Poly:
         return m.gcd(n)
 
-    def element_in_ideal(self, a: Poly, n: Poly) -> bool:
-        if n.is_zero:
-            raise ZeroIdealError("membership in the zero ideal")
-        return (a % n).is_zero
-
     def reduce(self, a: Poly, n: Poly) -> Poly:
+        if n.is_zero:
+            raise ZeroIdealError("reduction modulo the zero ideal")
         return a % n
 
     def mul(self, a: Poly, b: Poly) -> Poly:

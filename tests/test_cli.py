@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from amap import cli, dynamics
 from amap.cli import main
 
 
@@ -203,3 +204,45 @@ def test_cli_json_is_byte_identical(capsys):
     for case in json.loads(golden.read_text()):
         code, out = run_cli(capsys, *case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_verify_dot_enumerates_once(tmp_path, monkeypatch, capsys):
+    """`verify --dot` writes the graph it verified against: one enumeration,
+    and the same DOT bytes as recorded when the CLI enumerated twice."""
+    calls = []
+    real = dynamics.brute_amap_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "brute_amap_graph", counting)
+    monkeypatch.setattr(cli, "brute_amap_graph", counting)
+    golden = Path(__file__).parent / "data" / "verify_dot_golden.json"
+    for case in json.loads(golden.read_text()):
+        calls.clear()
+        dot_file = tmp_path / "graph.dot"
+        code, out = run_cli(capsys, *case["argv"], "--dot", str(dot_file))
+        assert code == 0 and json.loads(out)["isomorphic"] is True
+        assert len(calls) == 1, case["argv"]
+        assert dot_file.read_text() == case["dot"], case["argv"]
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    for exc in (RuntimeError("gcd chain step does not shrink the ideal"),
+                KeyError("lost")):
+        def broken(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "predicted_graph", broken)
+        monkeypatch.setattr(dynamics, "predicted_graph", broken)
+        for cmd in ("predict", "verify"):
+            code = main([cmd, "--domain", "Z", "--a", "2", "--n", "24"])
+            captured = capsys.readouterr()
+            assert code == 3, (cmd, exc)
+            assert captured.out == ""
+            assert captured.err.startswith("internal error: ")
+            assert captured.err.count("\n") == 1
+            assert type(exc).__name__ in captured.err
+    # input errors keep exit 2
+    assert_one_line_error(capsys, ["verify", "--domain", "Z", "--a", "2", "--n", "0"])
