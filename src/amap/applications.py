@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .base import factor_int
 from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
-                       predicted_graph)
+                       nu_series, predicted_graph)
 from .finitefield import GF, field, quadratic_character
 from .graphs import (DEFAULT_MAX_NODES, GraphSizeError, brute_graph,
                      decompose_successors)
@@ -235,7 +235,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     pt = p**t
     xu1 = Poly.x_pow_minus_one(F, u)
     h = f.gcd(xu1)
-    prediction = assemble_prediction(D, f, h**pt, (xu1 // h)**pt)
+    prediction = assemble_prediction(D, f, nu_series(D, f, h**pt), (xu1 // h)**pt)
     predicted = prediction.graph
 
     return LinearizedReport(

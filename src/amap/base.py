@@ -7,7 +7,13 @@ once and shared by all implementations:
 
 * the unit ideal, domain equality and hashing, the ideal order;
 * membership (a reduces to zero), modular products and ideal powers;
-* Euler phi, divisor lattices and multiplicative orders, from factorizations;
+* Euler phi, from a factorization;
+* one divisor-lattice walk over the prime powers of one factorization, which
+  gives the divisors and, for an element a, every divisor's phi (a product)
+  and order of a (an lcm), with one order search per prime power;
+* multiplicative orders by stripping the primes of phi (Cohen, A Course in
+  Computational Algebraic Number Theory, Alg. 1.4.3), in
+  O(log phi * omega(phi)) modular products;
 * the gcd chain of an ideal against <a>, which alone gives both the
   a-decomposition and the nu-series, with no factorization;
 * congruence solution counts.
@@ -21,6 +27,7 @@ across threads.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -160,14 +167,35 @@ class Domain(ABC):
 
     def divisors(self, n) -> list:
         """All ideal divisors, sorted by norm then by canonical encoding."""
-        divs = [self.unit_ideal]
+        return [m for m, _, _ in self._divisor_walk(n, lambda pk, phi: 1)]
+
+    def divisor_table(self, a, n) -> list[tuple[Any, int, int]]:
+        """(m, phi(m), order of a mod m) for every divisor m, in `divisors` order.
+
+        n is factored once.  phi and the order are multiplicative over the
+        prime powers of m: phi is their product and the order their lcm, with
+        one order search per prime power of n.  Requires gcd(<a>, n) = 1.
+        """
+        self._check_coprime(a, n)
+        return self._divisor_walk(n, lambda pk, phi: self._order(a, pk, phi))
+
+    def _divisor_walk(self, n, order_at) -> list[tuple[Any, int, int]]:
+        """(m, phi(m), lcm of order_at(p^k, phi(p^k)) over the p^k || m) for
+        every divisor m of n, sorted by `_ideal_key`."""
+        one = self.unit_ideal
+        table = [(one, 1, 1)]
         for p, e in self.factor(n):
-            powers = [self.unit_ideal]
-            for _ in range(e):
-                powers.append(self.ideal_mul(powers[-1], p))
-            divs = [self.ideal_mul(d, pk) for d in divs for pk in powers]
-        divs.sort(key=self._ideal_key)
-        return divs
+            norm_p = self.norm(p)
+            powers = [(one, 1, 1)]
+            pk = one
+            for k in range(1, e + 1):
+                pk = self.ideal_mul(pk, p)
+                phi = norm_p**k - norm_p ** (k - 1)
+                powers.append((pk, phi, order_at(pk, phi)))
+            table = [(self.ideal_mul(m, pk), phi * phi_k, math.lcm(r, r_k))
+                     for m, phi, r in table for pk, phi_k, r_k in powers]
+        table.sort(key=lambda row: self._ideal_key(row[0]))
+        return table
 
     def _ideal_key(self, n):
         return (self.norm(n), self.describe_ideal(n))
@@ -178,7 +206,7 @@ class Domain(ABC):
         r_0 = n, g_i = gcd(r_(i-1), <a>), r_i = r_(i-1)/g_i until g_i is the
         unit ideal.  The chain strips the primes dividing <a> from n, so it
         stops at the n1 of the a-decomposition, and the norms of the g_i are
-        the nu-series of n0 = n/n1.
+        the nu-series of n0 = n/n1: non-increasing, since g_(i+1) divides g_i.
         """
         if self.is_zero(a):
             raise ValueError("the gcd chain requires a nonzero element")
@@ -193,6 +221,8 @@ class Domain(ABC):
             g_norm, q_norm = self.norm(g), self.norm(quotient)
             if g_norm < 2 or rest_norm != g_norm * q_norm:
                 raise RuntimeError("gcd chain step does not shrink the ideal")
+            if norms and g_norm > norms[-1]:
+                raise RuntimeError("nu-series is not non-increasing")
             norms.append(g_norm)
             rest, rest_norm = quotient, q_norm
 
@@ -207,21 +237,47 @@ class Domain(ABC):
         return self.norm(g) if self.element_in_ideal(b, g) else 0
 
     def mult_order(self, a, n) -> int:
-        """Order of a in the unit group mod n; requires gcd(<a>, n) = 1."""
+        """Order of a in the unit group mod n; requires gcd(<a>, n) = 1.
+
+        Strips the primes of phi(n) (see `_order`); raises NotCoprimeError
+        for a non-invertible a and RuntimeError unless a^phi(n) = 1 mod n.
+        """
+        self._check_coprime(a, n)
+        return self._order(a, n, self.euler_phi(n))
+
+    def _check_coprime(self, a, n) -> None:
         g = n if self.is_zero(a) else self.ideal_gcd(self.principal(a), n)
         if g != self.unit_ideal:
             raise NotCoprimeError(
                 f"element is not invertible modulo {self.describe_ideal(n)}")
-        bound = self.euler_phi(n)
-        one_r = self.reduce(self.one_element, n)
+
+    def _order(self, a, n, phi: int) -> int:
+        """Order of a unit a mod n whose phi(n) is phi (Cohen, Alg. 1.4.3).
+
+        Starting from phi, for each prime power q^v of phi the order is
+        divided by q^v and multiplied back by the least q^j with a^order = 1.
+        That makes at most 2*bit_length(phi)*(omega(phi) + 1) products.  Such
+        a j <= v exists for every q exactly when a^phi = 1; when it does not,
+        the arithmetic is broken and RuntimeError is raised.
+        """
+        def mul(x, y):
+            return self.mul_mod(x, y, n)
+
+        one = self.reduce(self.one_element, n)
         ar = self.reduce(a, n)
-        y = ar
-        order = 1
-        while y != one_r:
-            y = self.reduce(self.mul(y, ar), n)
-            order += 1
-            if order > bound:
-                raise RuntimeError("order exceeded Euler phi; broken arithmetic")
+        if phi == 1 and ar != one:
+            raise RuntimeError("a^phi is not 1; broken arithmetic")
+        order = phi
+        for q, v in factor_int(phi):
+            order //= q**v
+            y = power(ar, order, mul, one)
+            for _ in range(v):
+                if y == one:
+                    break
+                y = power(y, q, mul, one)
+                order *= q
+            if y != one:
+                raise RuntimeError("a^phi is not 1; broken arithmetic")
         return order
 
 

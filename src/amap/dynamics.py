@@ -11,6 +11,7 @@ and is the independent oracle the prediction is verified against.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
@@ -34,8 +35,6 @@ def nu_series(dom: Domain, a, n0) -> tuple[int, ...]:
     norms, rest = dom.gcd_chain(a, n0)
     if rest != dom.unit_ideal:
         raise ValueError("some prime of the ideal does not divide the element")
-    if any(norms[i] < norms[i + 1] for i in range(len(norms) - 1)):
-        raise RuntimeError("nu-series is not non-increasing")
     return norms
 
 
@@ -48,19 +47,18 @@ class Prediction:
     summands: tuple[dict, ...]  # {"divisor", "cycle_len", "multiplicity"}
 
 
-def assemble_prediction(dom: Domain, a, n0, n1) -> Prediction:
-    """Structure-theorem graph of x -> a*x on D/(n0*n1).
+def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
+    """Structure-theorem graph of x -> a*x on D/(n0*n1), given the nu-series
+    nu of n0.
 
     n0 must carry exactly the primes dividing <a> and n1 none of them: the
-    elementary tree of n0 hangs on every cycle node, and each divisor m of
+    elementary tree of nu hangs on every cycle node, and each divisor m of
     n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).
     """
-    tree = elementary_tree(nu_series(dom, a, n0))
+    tree = elementary_tree(nu)
     parts = []
     summands = []
-    for m in dom.divisors(n1):
-        phi = dom.euler_phi(m)
-        r = dom.mult_order(a, m)
+    for m, phi, r in dom.divisor_table(a, n1):
         if phi % r:
             raise RuntimeError("Euler phi not divisible by the order")
         mult = phi // r
@@ -68,16 +66,17 @@ def assemble_prediction(dom: Domain, a, n0, n1) -> Prediction:
                          "cycle_len": r, "multiplicity": mult})
         parts.extend([cyc(r, tree)] * mult)
     graph = disjoint_sum(parts)
-    if graph.node_count != dom.norm(n0) * dom.norm(n1):
+    if graph.node_count != math.prod(nu) * dom.norm(n1):
         raise RuntimeError("predicted node count mismatch")
     return Prediction(graph=graph, tree=tree, summands=tuple(summands))
 
 
 def predicted_graph(dom: Domain, a, n) -> Prediction:
-    """Structure-theorem graph of x -> a*x on D/n."""
+    """Structure-theorem graph of x -> a*x on D/n, from one gcd chain on n:
+    its norms are the nu-series of n0 and it stops at n1."""
     if dom.is_zero(a):
         raise ValueError("the prediction requires a nonzero element")
-    return assemble_prediction(dom, a, *dom.a_decomposition(a, n))
+    return assemble_prediction(dom, a, *dom.gcd_chain(a, n))
 
 
 def brute_amap_graph(dom: Domain, a, n,

@@ -62,10 +62,17 @@ class Component(Coded):
             raise ValueError("cycle length must be positive")
         if len(hanging) != cycle_len:
             raise ValueError("need one hanging tree per cycle node")
-        r = _min_rotation([t.code for t in hanging])
+        hanging = tuple(hanging)
+        codes = [t.code for t in hanging]
+        r = _min_rotation(codes)
+        if r:
+            hanging = hanging[r:] + hanging[:r]
+            codes = codes[r:] + codes[:r]
         self.cycle_len = cycle_len
-        self.hanging = tuple(hanging[r:]) + tuple(hanging[:r])
-        self.code = "C%d[%s]" % (cycle_len, ",".join(t.code for t in self.hanging))
+        self.hanging = hanging
+        joined = ",".join(codes)
+        del codes  # freed before the formatted copy, which keeps peak memory down
+        self.code = "C%d[%s]" % (cycle_len, joined)
         self.node_count = sum(t.node_count for t in self.hanging)
 
 

@@ -141,6 +141,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p, or None (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # r^2 = a*t, and t has order 2^i with i < m
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 class QuadOrder(Domain):
     """Ring of integers of Q(sqrt(d)) for squarefree d < 0."""
 
@@ -210,10 +235,20 @@ class QuadOrder(Domain):
     # ---- prime splitting and factorization ----
 
     def rational_prime_splitting(self, p: int) -> tuple[SplitType, list[QuadIdeal]]:
-        """Primes above p, classified by the roots of w's minimal polynomial."""
+        """Primes above p, classified by the roots of w's minimal polynomial.
+
+        For odd p the roots of x^2 - t*x - s are (t +- sqrt(D))/2 mod p, with
+        D = t^2 + 4s the discriminant; p = 2 is scanned.
+        """
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        roots = [r for r in range(p) if (r * r - self._t * r - self._s) % p == 0]
+        if p == 2:
+            roots = {r for r in range(2) if (r * r - self._t * r - self._s) % 2 == 0}
+        else:
+            root = _sqrt_mod(self.discriminant, p)
+            half = (p + 1) // 2  # the inverse of 2 mod p
+            roots = set() if root is None else {(self._t + root) * half % p,
+                                                (self._t - root) * half % p}
         if not roots:
             return SplitType.INERT, [self.principal(QuadInt(p, 0))]
         primes = [self.ideal_from_generators([QuadInt(p, 0), QuadInt(-r, 1)])
