@@ -10,7 +10,7 @@ imaginary quadratic fields.
 from .applications import (ChebyshevReport, ECTreesReport, LinearizedReport,
                            chebyshev_check, ec_generic_trees, linearized_check,
                            redei_check)
-from .base import Domain, Factorization, NotCoprimeError, ZeroIdealError
+from .base import Domain, NotCoprimeError, ZeroIdealError
 from .dynamics import (Prediction, Report, brute_amap_graph, nu_series,
                        predicted_graph, verify)
 from .finitefield import GF, field, quadratic_character
@@ -25,7 +25,7 @@ from .trees import LEAF, RootedTree, elementary_tree, partial_tree
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebyshevReport", "Component", "Domain", "ECTreesReport", "Factorization",
+    "ChebyshevReport", "Component", "Domain", "ECTreesReport",
     "FunctionalGraph", "GF", "GraphSizeError", "IntegerDomain", "LEAF",
     "LinearizedReport", "NotCoprimeError", "Poly", "PolyDomain", "Prediction",
     "QuadIdeal", "QuadInt", "QuadOrder", "Report", "RootedTree", "SplitType",

@@ -32,6 +32,8 @@ _Z = IntegerDomain()
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     fac = factor_int(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -194,6 +196,9 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     p, k = _prime_power(q)
     F = field(p, k)
     if isinstance(f, list):
+        for c in f:
+            if not 0 <= c < q:
+                raise ValueError(f"coefficient {c} is not a field element code in [0, {q})")
         f = Poly(F, f)
     if f.field != F:
         raise ValueError("f must have coefficients in F_q")

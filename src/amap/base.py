@@ -2,8 +2,10 @@
 
 A domain bundles the ideal arithmetic of one concrete ring: factorization
 into primes, gcd/exact division, residue enumeration and modular element
-arithmetic.  Everything derivable from those primitives is computed here
-once and shared by all implementations:
+arithmetic.  ``factor(n)`` returns a list of (prime, exponent) pairs, primes
+normalized and sorted by the ideal order, whose product is n; ``factor_int``
+keeps the same contract for positive integers.  Everything derivable from
+those primitives is computed here once and shared by all implementations:
 
 * the unit ideal, domain equality and hashing, the ideal order;
 * membership (a reduces to zero), modular products and ideal powers;
@@ -29,10 +31,9 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = ["Domain", "Factorization", "ZeroIdealError", "NotCoprimeError"]
+__all__ = ["Domain", "ZeroIdealError", "NotCoprimeError"]
 
 
 class ZeroIdealError(ValueError):
@@ -41,28 +42,6 @@ class ZeroIdealError(ValueError):
 
 class NotCoprimeError(ValueError):
     """A multiplicative order was requested for a non-invertible residue."""
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as (prime, exponent) pairs in a fixed order."""
-
-    factors: tuple[tuple[Any, int], ...]
-
-    def __iter__(self) -> Iterator[tuple[Any, int]]:
-        return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def exponent(self, prime: Any) -> int:
-        for p, e in self.factors:
-            if p == prime:
-                return e
-        return 0
-
-    def as_dict(self) -> dict[Any, int]:
-        return dict(self.factors)
 
 
 class Domain(ABC):
@@ -88,8 +67,8 @@ class Domain(ABC):
         """Cardinality of the residue ring modulo n."""
 
     @abstractmethod
-    def factor(self, n) -> Factorization:
-        """Prime factorization of a nonzero ideal, primes normalized."""
+    def factor(self, n) -> list[tuple[Any, int]]:
+        """(prime, exponent) pairs of a nonzero ideal, sorted by `_ideal_key`."""
 
     @abstractmethod
     def ideal_mul(self, m, n):

@@ -217,7 +217,7 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     if cmd == "linpoly":
-        report = linearized_check(args.q, args.n, _parse_coeffs(args.f, args.q),
+        report = linearized_check(args.q, args.n, _parse_ints(args.f),
                                   max_nodes=args.max_nodes)
         print(report.to_json(indent=2))
         return 0 if report.isomorphic else 1

@@ -5,11 +5,14 @@ of its polynomial representative, lowest degree first.  This makes
 ``range(q)`` the element enumeration and keeps elements hashable.
 
 For k > 1 arithmetic a monic irreducible modulus of degree k over F_p is
-required; if none is supplied the constructor picks the first irreducible
-polynomial in lexicographic coefficient order (constant coefficient most
-significant), so field construction is reproducible.  Moduli are tested
-with the Rabin test ``polynomials.is_irreducible``.  GF(2^k) arithmetic
-runs on bit operations; other extensions use digit vectors.
+required; if none is supplied the constructor takes the first one that
+``polynomials.irreducibles`` yields (lexicographic coefficient order,
+constant coefficient most significant), so field construction is
+reproducible.  Moduli are tested with the Rabin test
+``polynomials.is_irreducible``.  Prime-field products are integer products
+mod p.  Extension products come from tables when q <= 64, and otherwise from
+bit operations when p = 2 and from ``Poly`` products over F_p reduced by the
+modulus when p is odd.
 """
 
 from __future__ import annotations
@@ -17,47 +20,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .base import is_prime, power
+from .polynomials import Poly, irreducibles, is_irreducible
 
 __all__ = ["GF", "field", "quadratic_character"]
-
-
-# ---- polynomial helpers over the prime field, on plain digit lists ----
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[shift + j] = (a[shift + j] - c * m[j]) % p
-        a.pop()
-    return _fp_trim(a)
 
 
 class GF:
     """The finite field with p^k elements."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_modbits", "_mul_table",
+    __slots__ = ("p", "k", "q", "modulus", "_modpoly", "_modbits", "_mul_table",
                  "_inv_table", "_pow_tables", "_embed_cache")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
@@ -71,16 +42,15 @@ class GF:
         if k == 1:
             if modulus is not None:
                 raise ValueError("prime fields take no modulus")
-            self.modulus = None
+            self.modulus = self._modpoly = None
         else:
             if modulus is None:
-                modulus = self._find_modulus(p, k)
+                modulus = next(irreducibles(field(p), k)).coeffs
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {k}")
-            from .polynomials import Poly, is_irreducible
-
-            if not is_irreducible(Poly(field(p), modulus)):
+            self._modpoly = Poly(field(p), modulus)
+            if not is_irreducible(self._modpoly):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._modbits = (sum(c << i for i, c in enumerate(self.modulus))
@@ -95,20 +65,6 @@ class GF:
             self._inv_table = None
         self._pow_tables: dict[int, list[int]] = {}
         self._embed_cache: dict[tuple, list[int]] = {}
-
-    @staticmethod
-    def _find_modulus(p: int, k: int) -> tuple[int, ...]:
-        # first irreducible in lexicographic order of (c_0, ..., c_{k-1});
-        # c_0 starts at 1 because x divides every candidate with c_0 = 0 (k >= 2)
-        import itertools
-
-        from .polynomials import Poly, is_irreducible
-
-        for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-            cand = tail + (1,)
-            if is_irreducible(Poly(field(p), cand)):
-                return cand
-        raise RuntimeError("no irreducible polynomial found")  # unreachable
 
     # ---- encoding ----
 
@@ -130,10 +86,6 @@ class GF:
         return range(self.q)
 
     # ---- arithmetic ----
-
-    @property
-    def zero(self) -> int:
-        return 0
 
     @property
     def one(self) -> int:
@@ -172,9 +124,9 @@ class GF:
                 if (r >> i) & 1:
                     r ^= mb << (i - m)
             return r
-        prod = _fp_mul(list(self.decode(a)), list(self.decode(b)), self.p)
-        prod = _fp_mod(prod, list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.k - len(prod)))
+        fp = self._modpoly.field
+        prod = Poly(fp, self.decode(a)) * Poly(fp, self.decode(b)) % self._modpoly
+        return self.encode(prod.coeffs)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:

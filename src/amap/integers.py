@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .base import Domain, Factorization, check_positive_int, factor_int
+from .base import Domain, check_positive_int, factor_int
 
 __all__ = ["IntegerDomain"]
 
@@ -30,8 +30,8 @@ class IntegerDomain(Domain):
     def norm(self, n: int) -> int:
         return check_positive_int(n)
 
-    def factor(self, n: int) -> Factorization:
-        return Factorization(tuple(factor_int(n)))
+    def factor(self, n: int) -> list[tuple[int, int]]:
+        return factor_int(n)
 
     def ideal_mul(self, m: int, n: int) -> int:
         return m * n

@@ -14,10 +14,13 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-from .base import Domain, Factorization, ZeroIdealError, factor_int, power
-from .finitefield import GF
+from .base import Domain, ZeroIdealError, factor_int, power
+
+if TYPE_CHECKING:
+    from .finitefield import GF
 
 __all__ = ["Poly", "PolyDomain", "factor_poly", "is_irreducible", "irreducibles"]
 
@@ -162,14 +165,8 @@ class Poly:
 
     def derivative(self) -> Poly:
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            s = 0
-            for _ in range(i % F.p):
-                s = F.add(s, c)
-            out.append(s)
-        return Poly(F, out)
+        return Poly(F, (F.mul(c, i % F.p)
+                        for i, c in enumerate(self.coeffs) if i))
 
     # ---- identity and display ----
 
@@ -329,11 +326,14 @@ def is_irreducible(f: Poly) -> bool:
 def irreducibles(field: GF, degree: int) -> Iterator[Poly]:
     """Monic irreducibles of the given degree, in lexicographic order.
 
-    The order matches the modulus search: the constant coefficient is the
-    most significant position.
+    The constant coefficient is the most significant position.  For degree
+    >= 2 it starts at 1, since x divides every candidate with c_0 = 0.
     """
-    for tail in itertools.product(range(field.q), repeat=degree):
-        f = Poly(field, list(tail) + [1])
+    if degree < 1:
+        return
+    first = range(1 if degree >= 2 else 0, field.q)
+    for tail in itertools.product(first, *[range(field.q)] * (degree - 1)):
+        f = Poly(field, tail + (1,))
         if is_irreducible(f):
             yield f
 
@@ -361,10 +361,8 @@ class PolyDomain(Domain):
             raise ZeroIdealError("the zero ideal has no norm")
         return self.field.q**n.degree
 
-    def factor(self, n: Poly) -> Factorization:
-        if n.degree < 0:
-            raise ZeroIdealError("cannot factor the zero ideal")
-        return Factorization(tuple(factor_poly(n)))
+    def factor(self, n: Poly) -> list[tuple[Poly, int]]:
+        return factor_poly(n)
 
     def ideal_mul(self, m: Poly, n: Poly) -> Poly:
         return m * n
@@ -404,9 +402,6 @@ class PolyDomain(Domain):
         if self.field.k > 1:
             out["modulus"] = list(self.field.modulus)
         return out
-
-    def poly(self, coeffs: Sequence[int]) -> Poly:
-        return Poly(self.field, coeffs)
 
     def __repr__(self) -> str:
         return f"PolyDomain({self.field!r})"

@@ -19,8 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .base import (Domain, Factorization, ZeroIdealError, factor_int,
-                   is_prime, power)
+from .base import Domain, ZeroIdealError, factor_int, is_prime, power
 
 __all__ = ["QuadInt", "QuadIdeal", "QuadOrder", "SplitType"]
 
@@ -55,17 +54,14 @@ class SplitType(enum.Enum):
     INERT = "inert"
 
 
+@dataclass(frozen=True)
 class QuadIdeal:
     """Nonzero ideal in HNF: lattice basis {a, b + c*w}."""
 
-    __slots__ = ("d", "a", "b", "c", "_fact")
-
-    def __init__(self, d: int, a: int, b: int, c: int):
-        self.d = d
-        self.a = a
-        self.b = b
-        self.c = c
-        self._fact: Factorization | None = None
+    d: int
+    a: int
+    b: int
+    c: int
 
     @property
     def norm(self) -> int:
@@ -83,13 +79,6 @@ class QuadIdeal:
     def contains_ideal(self, other: QuadIdeal) -> bool:
         return (self.contains(QuadInt(other.a, 0))
                 and self.contains(QuadInt(other.b, other.c)))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, QuadIdeal) and self.d == other.d
-                and (self.a, self.b, self.c) == (other.a, other.b, other.c))
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.a, self.b, self.c))
 
     def __repr__(self) -> str:
         return f"QuadIdeal(d={self.d}, [[{self.a},{self.b}],[0,{self.c}]])"
@@ -259,10 +248,8 @@ class QuadOrder(Domain):
         # single root: p divides the discriminant
         return SplitType.RAMIFIED, primes
 
-    def factor(self, n: QuadIdeal) -> Factorization:
+    def factor(self, n: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
         self._check_pair(n, n)
-        if n._fact is not None:
-            return n._fact
         pairs: list[tuple[QuadIdeal, int]] = []
         for p, _ in factor_int(n.norm):
             _, primes = self.rational_prime_splitting(p)
@@ -275,14 +262,12 @@ class QuadOrder(Domain):
                 if e:
                     pairs.append((prime, e))
         pairs.sort(key=lambda pe: self._ideal_key(pe[0]))
-        fact = Factorization(tuple(pairs))
         check = self.unit_ideal
         for prime, e in pairs:
             check = self.ideal_mul(check, self.ideal_pow(prime, e))
         if check != n:
             raise RuntimeError("factorization failed to reconstruct the ideal")
-        n._fact = fact
-        return fact
+        return pairs
 
     # ---- domain interface ----
 

@@ -15,6 +15,20 @@ from amap.trees import LEAF, elementary_tree
 Z = IntegerDomain()
 
 
+@pytest.mark.parametrize("q", [-7, -2, 0, 1])
+def test_checkers_reject_q_below_two(q):
+    # factor_int takes |q|, so a negative q must not reach it
+    for check in (lambda: redei_check(q, 2, 3), lambda: chebyshev_check(q, 2),
+                  lambda: linearized_check(q, 2, [1, 1])):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            check()
+
+
+def test_linearized_rejects_non_field_codes():
+    with pytest.raises(ValueError, match="not a field element code"):
+        linearized_check(4, 2, [7])
+
+
 class TestRedei:
     def test_q7_nonresidue_single_tree(self):
         rep = redei_check(7, 2, 3)

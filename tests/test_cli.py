@@ -74,6 +74,15 @@ def assert_one_line_error(capsys, argv):
     return captured
 
 
+def test_checkers_reject_q_below_two(capsys):
+    for q in ("-7", "-2", "0", "1"):
+        for argv in (["redei", "--q", q, "--a", "3", "--n", "2"],
+                     ["chebyshev", "--q", q, "--n", "2"],
+                     ["linpoly", "--q", q, "--n", "2", "--f", "1,1"]):
+            captured = assert_one_line_error(capsys, argv)
+            assert "is not a prime power" in captured.err, argv
+
+
 def test_unwritable_dot_path_exits_two(tmp_path, capsys):
     for target in (tmp_path, tmp_path / "missing" / "graph.dot"):
         for cmd in ("predict", "verify"):

@@ -51,7 +51,7 @@ class ReferenceQuad(FactorReference, QuadOrder):
     def ideal_div(self, n: QuadIdeal, m: QuadIdeal) -> QuadIdeal:
         """Exact quotient via exponent subtraction on factorizations."""
         self._check_pair(n, m)
-        fn = dict(self.factor(n).factors)
+        fn = dict(self.factor(n))
         out = self.unit_ideal
         for p, e in self.factor(m):
             have = fn.pop(p, 0)
