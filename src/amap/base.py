@@ -2,9 +2,11 @@
 
 A domain bundles the ideal arithmetic of one concrete ring: factorization
 into primes, gcd/exact division, residue enumeration and modular element
-arithmetic.  ``factor(n)`` returns a list of (prime, exponent) pairs, primes
-normalized and sorted by the ideal order, whose product is n; ``factor_int``
-keeps the same contract for positive integers.  Everything derivable from
+arithmetic; for the brute-force oracle it also gives the successor table
+of x -> a*x, from the images of the additive generators of D/n.
+``factor(n)`` returns a list of (prime, exponent) pairs, primes normalized
+and sorted by the ideal order, whose product is n; ``factor_int`` keeps the
+same contract for positive integers.  Everything derivable from
 those primitives is computed here once and shared by all implementations:
 
 * the unit ideal, domain equality and hashing, the ideal order;
@@ -92,7 +94,7 @@ class Domain(ABC):
 
     @abstractmethod
     def residues(self, n) -> list:
-        """All canonical representatives modulo n, in a fixed order."""
+        """All canonical representatives modulo n, in index order."""
 
     @abstractmethod
     def describe_element(self, a):
@@ -105,6 +107,18 @@ class Domain(ABC):
     @abstractmethod
     def domain_json(self) -> dict:
         """JSON-able tag identifying the domain instance."""
+
+    # ---- the brute-force oracle's primitive: not abstract, since a domain
+    # that only predicts needs no enumeration ----
+
+    def successors(self, a, n) -> list[int]:
+        """Successor table of x -> a*x on D/n, in index order.
+
+        Entry i is the index in `residues(n)` of a*residues(n)[i].  The map
+        is additive, so it is fixed by the images of the additive generators
+        of D/n: one `mul_mod` per generator, the rest is index arithmetic.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no successor table")
 
     # ---- derived operations ----
 

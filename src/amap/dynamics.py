@@ -4,8 +4,13 @@ Given a domain, a nonzero element a and a nonzero ideal n, the functional
 graph of the multiplication map on D/n is predicted from the structure
 theorem: split n = n0*n1 by the a-decomposition, attach the elementary tree
 of the nu-series of n0 to every cycle node, and read the cycle lengths off
-the divisors of n1.  The brute-force construction enumerates all residues
-and is the independent oracle the prediction is verified against.
+the divisors of n1.  The brute-force construction builds the whole
+successor table of the map and is the independent oracle the prediction is
+verified against.  The map is additive, so the table comes from the images
+of the additive generators of D/n (`Domain.successors`) by linearity, and
+it is decomposed with interned trees (`graphs.decompose_successors`).  The
+oracle uses only additivity and `mul_mod`, never the structure theorem, so
+it stays independent of the prediction.
 """
 
 from __future__ import annotations
@@ -81,15 +86,12 @@ def predicted_graph(dom: Domain, a, n) -> Prediction:
 
 def brute_amap_graph(dom: Domain, a, n,
                      max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
-    """Functional graph of x -> a*x on D/n by full enumeration."""
+    """Functional graph of x -> a*x on D/n by full enumeration of its
+    successor table, which `dom.successors` builds by linearity."""
     size = dom.norm(n)
     if size > max_nodes:
         raise GraphSizeError(f"{size} residues exceed the cap of {max_nodes}")
-    residues = dom.residues(n)
-    index = {r: i for i, r in enumerate(residues)}
-    ar = dom.reduce(a, n)
-    succ = [index[dom.mul_mod(r, ar, n)] for r in residues]
-    return brute_graph(size, succ, max_nodes=max_nodes)
+    return brute_graph(size, dom.successors(a, n), max_nodes=max_nodes)
 
 
 class JsonReport:

@@ -8,11 +8,12 @@ For k > 1 arithmetic a monic irreducible modulus of degree k over F_p is
 required; if none is supplied the constructor takes the first one that
 ``polynomials.irreducibles`` yields (lexicographic coefficient order,
 constant coefficient most significant), so field construction is
-reproducible.  Moduli are tested with the Rabin test
-``polynomials.is_irreducible``.  Prime-field products are integer products
-mod p.  Extension products come from tables when q <= 64, and otherwise from
-bit operations when p = 2 and from ``Poly`` products over F_p reduced by the
-modulus when p is odd.
+reproducible.  A supplied modulus is tested with the Rabin test
+``polynomials.is_irreducible``; the default one is irreducible by
+construction and not tested again.  Prime-field products are integer
+products mod p.  Extension products come from tables when q <= 64, and
+otherwise from bit operations when p = 2 and from ``Poly`` products over F_p
+reduced by the modulus when p is odd.
 """
 
 from __future__ import annotations
@@ -44,15 +45,16 @@ class GF:
                 raise ValueError("prime fields take no modulus")
             self.modulus = self._modpoly = None
         else:
-            if modulus is None:
-                modulus = next(irreducibles(field(p), k)).coeffs
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {k}")
-            self._modpoly = Poly(field(p), modulus)
-            if not is_irreducible(self._modpoly):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-            self.modulus = modulus
+            if modulus is None:  # irreducible by construction
+                self._modpoly = next(irreducibles(field(p), k))
+            else:
+                modulus = tuple(c % p for c in modulus)
+                if len(modulus) != k + 1 or modulus[-1] != 1:
+                    raise ValueError(f"modulus must be monic of degree {k}")
+                self._modpoly = Poly(field(p), modulus)
+                if not is_irreducible(self._modpoly):
+                    raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            self.modulus = self._modpoly.coeffs
         self._modbits = (sum(c << i for i, c in enumerate(self.modulus))
                          if p == 2 and k > 1 else 0)
         if 1 < self.q <= 64 and k > 1:

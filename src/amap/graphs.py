@@ -8,14 +8,18 @@ minimal rotation of the hanging-tree codes, and a graph code joins the sorted
 component codes with ``;``.
 
 The one trusted primitive is :func:`brute_graph`, which decomposes an
-explicit successor map into cycles and hanging trees.  Tensor products are
-computed by materializing both operands as successor maps and decomposing
-the product map, never through algebraic identities.
+explicit successor map into cycles and hanging trees.  The decomposition
+peels nodes of in-degree zero and labels the trees bottom-up, building each
+distinct tree once, so isomorphic hanging trees are one interned object and
+no tree is built per node.  Tensor products are computed by materializing
+both operands as successor maps and decomposing the product map, never
+through algebraic identities.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import compress
 
 from .trees import LEAF, Coded, RootedTree
 
@@ -138,35 +142,79 @@ def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[Root
     """Split a successor map into (cycle nodes, hanging trees) per component.
 
     The i-th hanging tree is rooted at the i-th cycle node; cycle nodes are
-    listed in cycle order.
+    listed in cycle order.  Components come in the order of their least
+    node, and each cycle starts at the cycle node whose tree holds it.
+
+    Trees are labelled bottom-up (Aho, Hopcroft and Ullman, The Design and
+    Analysis of Computer Algorithms, 1974, 3.2).  Nodes of in-degree zero
+    are peeled off in rounds.  A node's label is its number of leaf
+    children followed by the sorted labels of its other children, and each
+    distinct label is built into a RootedTree once, so isomorphic trees are
+    one shared object.
     """
     n = len(succ)
-    state = bytearray(n)  # 0 unseen, 1 on current walk, 2 finished
-    on_cycle = bytearray(n)
-    cycles: list[list[int]] = []
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
+    indeg = [0] * n
+    for s in succ:
+        indeg[s] += 1
+    children = indeg[:]  # on a cycle, one of these is the cycle predecessor
+    low = [n] * n  # least node strictly below each node
+    inner: dict[int, list[int]] = {}  # node -> labels of its peeled inner children
+    trees = [LEAF]
+    label_of: dict[tuple[int, ...], int] = {(0,): 0}
+
+    def label(v: int) -> int:
+        kids = sorted(inner.pop(v, ()))
+        key = (children[v] - len(kids), *kids)
+        t = label_of.get(key)
+        if t is None:
+            t = label_of[key] = len(trees)
+            trees.append(RootedTree([LEAF] * key[0] + [trees[k] for k in kids]))
+        return t
+
+    leaves = [v for v in range(n) if not indeg[v]]
+    ready = []
+    for v in leaves:
+        s = succ[v]
+        if v < low[s]:
+            low[s] = v
+        indeg[s] -= 1
+        if not indeg[s]:
+            ready.append(s)
+    while ready:
+        frontier, ready = ready, []
+        for v in frontier:
+            t = label(v)
+            lv = low[v] if low[v] < v else v
+            s = succ[v]
+            if lv < low[s]:
+                low[s] = lv
+            got = inner.get(s)
+            if got is None:
+                inner[s] = [t]
+            else:
+                got.append(t)
+            indeg[s] -= 1
+            if not indeg[s]:
+                ready.append(s)
+
+    # what is left is on cycles, each node with its cycle predecessor unpeeled
+    cycles: list[tuple[int, list[int]]] = []
+    for start in compress(range(n), indeg):
+        if not indeg[start]:
+            continue  # on a cycle already walked
+        cycle = []
         v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
+        while indeg[v]:
+            indeg[v] = 0
+            children[v] -= 1  # the cycle predecessor
+            cycle.append(v)
             v = succ[v]
-        if state[v] == 1:
-            cycle = path[path.index(v):]
-            cycles.append(cycle)
-            for u in cycle:
-                on_cycle[u] = 1
-        for u in path:
-            state[u] = 2
-
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if not on_cycle[v]:
-            children[succ[v]].append(v)
-
-    return [(cycle, [_build_tree(c, children) for c in cycle]) for cycle in cycles]
+        lows = [low[v] if low[v] < v else v for v in cycle]
+        first = lows.index(min(lows))
+        cycles.append((lows[first], cycle[first:] + cycle[:first]))
+    cycles.sort()
+    return [(cycle, [trees[label(v)] if children[v] else LEAF for v in cycle])
+            for _, cycle in cycles]
 
 
 def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
@@ -180,9 +228,10 @@ def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
         succ = [successor(i) for i in range(size)]
     else:
         succ = list(successor[:size])
-    for i, s in enumerate(succ):
-        if not 0 <= s < size:
-            raise ValueError(f"successor({i}) = {s} out of range")
+    if succ and not (0 <= min(succ) and max(succ) < size):
+        for i, s in enumerate(succ):
+            if not 0 <= s < size:
+                raise ValueError(f"successor({i}) = {s} out of range")
     comps = [Component(len(cycle), trees)
              for cycle, trees in decompose_successors(succ)]
     return FunctionalGraph(comps)

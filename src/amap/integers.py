@@ -52,7 +52,14 @@ class IntegerDomain(Domain):
         return a * b
 
     def residues(self, n: int) -> list[int]:
+        """Residue i is the integer i."""
         return list(range(check_positive_int(n)))
+
+    def successors(self, a: int, n: int) -> list[int]:
+        """a*i mod n, from the image of the one generator 1."""
+        n = check_positive_int(n)
+        ar = self.mul_mod(1, a, n)
+        return [i * ar % n for i in range(n)]
 
     def describe_element(self, a: int) -> int:
         return a

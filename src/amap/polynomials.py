@@ -107,6 +107,13 @@ class Poly:
         if not a or not b:
             return Poly(F)
         out = [0] * (len(a) + len(b) - 1)
+        if F.k == 1:  # integers mod p, reduced once at the end
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        out[j] += ai * bj
+            p = F.p
+            return Poly(F, [c % p for c in out])
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -124,6 +131,16 @@ class Poly:
         dd = len(dv) - 1
         inv_lead = F.inv(dv[-1])
         quot = [0] * max(len(rem) - dd, 0)
+        if F.k == 1:  # integers mod p; a remainder digit is reduced when read
+            p = F.p
+            for i in range(len(rem) - 1, dd - 1, -1):
+                c = rem[i] % p
+                if c:
+                    q = c * inv_lead % p
+                    quot[i - dd] = q
+                    for j, dj in enumerate(dv, i - dd):
+                        rem[j] -= q * dj
+            return Poly(F, quot), Poly(F, [c % p for c in rem])
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
@@ -338,6 +355,49 @@ def irreducibles(field: GF, degree: int) -> Iterator[Poly]:
             yield f
 
 
+def _fp_linear_table(images: list[int], p: int) -> list[int]:
+    """Table of the F_p-linear map of [0, p^r) that sends p^m to images[m].
+
+    An index is read as the vector of its r base-p digits.  The table grows
+    one digit at a time: once it covers the indices below p^m, index
+    i + c*p^m maps to table[i] plus c*images[m], added digitwise mod p.  For
+    p = 2 that sum is XOR.  For odd p the digits are split into two chunks;
+    each chunk of the table is built on its own, adding a fixed chunk g by
+    one lookup in a row of the p^width sums v + g, and the chunks are then
+    put together.
+    """
+    if p == 2:
+        table = [0]
+        for img in images:
+            table += [s ^ img for s in table]
+        return table
+    r = len(images)
+    table = [0] * p**r
+    width = max(1, (r + 1) // 2)
+    for low in range(0, r, width):
+        chunk = [0]
+        for img in images:
+            row = _digit_sums(img // p**low, p, min(width, r - low))
+            block = chunk
+            for _ in range(p - 1):
+                block = [row[v] for v in block]
+                chunk += block
+        scale = p**low
+        table = [t + v * scale for t, v in zip(table, chunk)]
+    return table
+
+
+def _digit_sums(g: int, p: int, width: int) -> list[int]:
+    """row[v] = v + g digitwise mod p, over the low `width` base-p digits."""
+    row = [0]
+    step = 1
+    for _ in range(width):
+        g, digit = divmod(g, p)
+        row = [x + (v + digit) % p * step for v in range(p) for x in row]
+        step *= p
+    return row
+
+
 class PolyDomain(Domain):
     """F_q[x] with ideals normalized to monic generators."""
 
@@ -385,11 +445,37 @@ class PolyDomain(Domain):
         return a * b
 
     def residues(self, n: Poly) -> list[Poly]:
+        """Residue i has the d base-q digits of i as its coefficients, the
+        constant coefficient most significant (see `_residue_index`)."""
         if n.is_zero:
             raise ZeroIdealError("cannot enumerate modulo the zero ideal")
         d = n.degree
         return [Poly(self.field, coeffs)
                 for coeffs in itertools.product(range(self.field.q), repeat=d)]
+
+    def _residue_index(self, r: Poly, n: Poly) -> int:
+        """Position of a canonical residue r in `residues(n)`."""
+        i = 0
+        for c in r.coeffs + (0,) * (n.degree - len(r.coeffs)):
+            i = i * self.field.q + c
+        return i
+
+    def successors(self, a: Poly, n: Poly) -> list[int]:
+        """The map is F_p-linear, and the base-p digits of an index are the
+        F_p coordinates of its residue, since a coefficient code has its
+        coordinates as base-p digits.  Index digit m = e*k + t belongs to
+        the generator p^t * x^(d-1-e), where the code p^t is the t-th basis
+        element of F_q over F_p; so d*k products fix the table."""
+        if n.is_zero:
+            raise ZeroIdealError("cannot enumerate modulo the zero ideal")
+        F = self.field
+        d = n.degree
+        images = []
+        for m in range(d * F.k):
+            e, t = divmod(m, F.k)
+            gen = Poly(F, (0,) * (d - 1 - e) + (F.p**t,))
+            images.append(self._residue_index(self.mul_mod(gen, a, n), n))
+        return _fp_linear_table(images, F.p)
 
     def describe_element(self, a: Poly) -> list[int]:
         return list(a.coeffs)

@@ -325,8 +325,27 @@ class QuadOrder(Domain):
         return QuadInt(x, y)
 
     def residues(self, n: QuadIdeal) -> list[QuadInt]:
+        """Residue i = y*a + x is x + y*w, for the HNF {a, b + c*w} of n."""
         self._check_pair(n, n)
         return [QuadInt(x, y) for y in range(n.c) for x in range(n.a)]
+
+    def successors(self, a: QuadInt, n: QuadIdeal) -> list[int]:
+        """The map is Z-linear: the image of x + y*w is x*(a*1) + y*(a*w).
+        Reduced multiples of the images of 1 and w are added coordinatewise,
+        with the carry c*w = -b mod n when the w-coordinates reach c."""
+        self._check_pair(n, n)
+        A, B, C = n.a, n.b, n.c
+
+        def multiples(z: QuadInt, count: int) -> list[tuple[int, int]]:
+            # (x, y) of k*z reduced mod n, for k < count, as `reduce` does
+            return [((k * z.x - k * z.y // C * B) % A, k * z.y % C)
+                    for k in range(count)]
+
+        xs = multiples(self.mul_mod(QuadInt(1, 0), a, n), A)
+        ys = multiples(self.mul_mod(QuadInt(0, 1), a, n), C)
+        return [(v + vy - C) * A + (u + uy - B) % A if v + vy >= C
+                else (v + vy) * A + (u + uy) % A
+                for uy, vy in ys for u, v in xs]
 
     def describe_element(self, a: QuadInt) -> list[int]:
         return [a.x, a.y]
