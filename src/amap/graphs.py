@@ -11,9 +11,12 @@ The one trusted primitive is :func:`brute_graph`, which decomposes an
 explicit successor map into cycles and hanging trees.  The decomposition
 peels nodes of in-degree zero and labels the trees bottom-up, building each
 distinct tree once, so isomorphic hanging trees are one interned object and
-no tree is built per node.  Tensor products are computed by materializing
-both operands as successor maps and decomposing the product map, never
-through algebraic identities.
+no tree is built per node; every tree built from a map comes from this
+decomposition.  Both tensor products materialize their operands as
+successor maps and decompose one product map on the pairs, never using
+algebraic identities.  For the restricted product the root of a bare tree
+is unmapped: every pair with an unmapped side goes to one looping sink,
+the root pair is made a fixed point, and its hanging tree is the result.
 """
 
 from __future__ import annotations
@@ -67,17 +70,25 @@ class Component(Coded):
         if len(hanging) != cycle_len:
             raise ValueError("need one hanging tree per cycle node")
         hanging = tuple(hanging)
-        codes = [t.code for t in hanging]
-        r = _min_rotation(codes)
-        if r:
-            hanging = hanging[r:] + hanging[:r]
-            codes = codes[r:] + codes[:r]
+        first = hanging[0]
+        if hanging.count(first) == cycle_len:
+            # one tree all round: every rotation is minimal.  On an a-map
+            # cycle the trees are one shared object, which `count` matches
+            # by identity, so no Python step is taken per node
+            joined = ",".join([first.code] * cycle_len)
+            self.node_count = cycle_len * first.node_count
+        else:
+            codes = [t.code for t in hanging]
+            r = _min_rotation(codes)
+            if r:
+                hanging = hanging[r:] + hanging[:r]
+                codes = codes[r:] + codes[:r]
+            joined = ",".join(codes)
+            del codes  # freed before the formatted copy, which keeps peak memory down
+            self.node_count = sum(t.node_count for t in hanging)
         self.cycle_len = cycle_len
         self.hanging = hanging
-        joined = ",".join(codes)
-        del codes  # freed before the formatted copy, which keeps peak memory down
         self.code = "C%d[%s]" % (cycle_len, joined)
-        self.node_count = sum(t.node_count for t in self.hanging)
 
 
 class FunctionalGraph(Coded):
@@ -114,28 +125,6 @@ def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
     for g in graphs:
         comps.extend(g.components)
     return FunctionalGraph(comps)
-
-
-def _build_tree(root, children) -> RootedTree:
-    """Tree of the nodes below `root`, where children[v] lists v's children."""
-    order = [root]
-    for v in order:  # breadth first: the loop also visits what it appends
-        order.extend(children[v])
-    built = {}
-    for v in reversed(order):
-        kids = children[v]
-        built[v] = RootedTree(built[c] for c in kids) if kids else LEAF
-    return built[root]
-
-
-def _append_tree(succ: list, tree: RootedTree, root: int) -> None:
-    """Append the nodes below the root of `tree` (at index `root`) depth first."""
-    stack = [(child, root) for child in reversed(tree.children)]
-    while stack:
-        sub, parent = stack.pop()
-        node_id = len(succ)
-        succ.append(parent)
-        stack.extend((child, node_id) for child in reversed(sub.children))
 
 
 def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[RootedTree]]]:
@@ -227,7 +216,10 @@ def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
     if callable(successor):
         succ = [successor(i) for i in range(size)]
     else:
-        succ = list(successor[:size])
+        succ = successor
+        if len(succ) != size:
+            raise ValueError(f"successor sequence has length {len(succ)}, "
+                             f"not the size {size}")
     if succ and not (0 <= min(succ) and max(succ) < size):
         for i, s in enumerate(succ):
             if not 0 <= s < size:
@@ -248,46 +240,55 @@ def materialize(graph: FunctionalGraph) -> list[int]:
     for comp in graph.components:
         base = len(succ)
         m = comp.cycle_len
-        for i in range(m):
-            succ.append(base + (i + 1) % m)
+        succ.extend(base + (i + 1) % m for i in range(m))
         for i, tree in enumerate(comp.hanging):
-            _append_tree(succ, tree, base + i)
+            stack = [(child, base + i) for child in reversed(tree.children)]
+            while stack:
+                sub, parent = stack.pop()
+                node_id = len(succ)
+                succ.append(parent)
+                stack.extend((child, node_id) for child in reversed(sub.children))
+    return succ
+
+
+def _product_map(s1: Sequence[int | None], s2: Sequence[int | None],
+                 max_nodes: int) -> list[int]:
+    """Successor map of the product of two maps, on the pairs i*n2 + j.
+
+    A None entry leaves a node unmapped, as the root of a bare tree is.
+    Every pair with an unmapped side goes to one extra sink node, which
+    loops; without unmapped nodes there is no sink.
+    """
+    n1, n2 = len(s1), len(s2)
+    size = n1 * n2
+    if size > max_nodes:
+        raise GraphSizeError(f"product would have {size} nodes (cap {max_nodes})")
+    sink = size
+    succ = [sink if t1 is None or t2 is None else t1 * n2 + t2 for t1 in s1 for t2 in s2]
+    if None in s1 or None in s2:
+        succ.append(sink)
     return succ
 
 
 def tensor(g1: FunctionalGraph, g2: FunctionalGraph,
            max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
     """Functional graph of the product map, built by brute enumeration."""
-    s1, s2 = materialize(g1), materialize(g2)
-    n1, n2 = len(s1), len(s2)
-    if n1 * n2 > max_nodes:
-        raise GraphSizeError(f"product would have {n1 * n2} nodes (cap {max_nodes})")
-    succ = [0] * (n1 * n2)
-    for i in range(n1):
-        row = i * n2
-        ti = s1[i] * n2
-        for j in range(n2):
-            succ[row + j] = ti + s2[j]
-    return brute_graph(n1 * n2, succ, max_nodes=max_nodes)
+    succ = _product_map(materialize(g1), materialize(g2), max_nodes)
+    return brute_graph(len(succ), succ, max_nodes=max_nodes)
 
 
-def _tree_successors(arg: RootedTree | FunctionalGraph) -> tuple[list[int | None], int]:
-    """Partial successor map of a tree (root unmapped) or extended tree {T}.
-
-    Returns (succ, root) with node 0 the root; succ[root] is None for a bare
-    tree and root itself for an extended tree.
-    """
+def _tree_successors(arg: RootedTree | FunctionalGraph) -> list[int | None]:
+    """`materialize` of the extended tree {T}, root 0; for a bare tree T the
+    root is unmapped (None)."""
     if isinstance(arg, RootedTree):
-        tree, looped = arg, False
-    elif isinstance(arg, FunctionalGraph):
+        succ: list[int | None] = materialize(extended_tree(arg))
+        succ[0] = None
+        return succ
+    if isinstance(arg, FunctionalGraph):
         if len(arg.components) != 1 or arg.components[0].cycle_len != 1:
             raise ValueError("extended-tree argument must be a single Cyc(1, T)")
-        tree, looped = arg.components[0].hanging[0], True
-    else:
-        raise TypeError("expected a RootedTree or an extended tree")
-    succ: list[int | None] = [0 if looped else None]
-    _append_tree(succ, tree, 0)
-    return succ, 0
+        return materialize(arg)
+    raise TypeError("expected a RootedTree or an extended tree")
 
 
 def restricted_tensor(arg1: RootedTree | FunctionalGraph,
@@ -298,28 +299,10 @@ def restricted_tensor(arg1: RootedTree | FunctionalGraph,
     Each argument is either a rooted tree or an extended tree {T}; the result
     is the connected component of the root pair, as a tree rooted there.
     """
-    s1, r1 = _tree_successors(arg1)
-    s2, r2 = _tree_successors(arg2)
-    n1, n2 = len(s1), len(s2)
-    if n1 * n2 > max_nodes:
-        raise GraphSizeError(f"product would have {n1 * n2} nodes (cap {max_nodes})")
-    pre1: list[list[int]] = [[] for _ in range(n1)]
-    pre2: list[list[int]] = [[] for _ in range(n2)]
-    for v, s in enumerate(s1):
-        if s is not None:
-            pre1[s].append(v)
-    for v, s in enumerate(s2):
-        if s is not None:
-            pre2[s].append(v)
-    # preimage pairs; skip the self-loop when both are extended
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    stack = [(r1, r2)]
-    while stack:
-        x, y = pair = stack.pop()
-        kids = [(u, v) for u in pre1[x] for v in pre2[y] if (u, v) != pair]
-        children[pair] = kids
-        stack.extend(kids)
-    return _build_tree((r1, r2), children)
+    succ = _product_map(_tree_successors(arg1), _tree_successors(arg2), max_nodes)
+    succ[0] = 0  # the root pair is fixed, so its component is a loop and its tree
+    (_, trees), *_ = decompose_successors(succ)
+    return trees[0]
 
 
 def to_dot(graph: FunctionalGraph, name: str = "G") -> str:

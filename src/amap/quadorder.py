@@ -331,21 +331,35 @@ class QuadOrder(Domain):
 
     def successors(self, a: QuadInt, n: QuadIdeal) -> list[int]:
         """The map is Z-linear: the image of x + y*w is x*(a*1) + y*(a*w).
-        Reduced multiples of the images of 1 and w are added coordinatewise,
-        with the carry c*w = -b mod n when the w-coordinates reach c."""
+
+        Row y of the table holds the images of x + y*w for x < a.  Row 0 is
+        the multiples k*z of z = a*1 as indices: with k = c*m + j, k*z is
+        m*(c*z) + j*z, and c*z has no w-coordinate by the carry c*w = -b,
+        so each stride j of the row is one progression mod a.  Row y + 1 is
+        row y plus a*w, with the same carry where the w-coordinates reach c.
+        """
         self._check_pair(n, n)
         A, B, C = n.a, n.b, n.c
-
-        def multiples(z: QuadInt, count: int) -> list[tuple[int, int]]:
-            # (x, y) of k*z reduced mod n, for k < count, as `reduce` does
-            return [((k * z.x - k * z.y // C * B) % A, k * z.y % C)
-                    for k in range(count)]
-
-        xs = multiples(self.mul_mod(QuadInt(1, 0), a, n), A)
-        ys = multiples(self.mul_mod(QuadInt(0, 1), a, n), C)
-        return [(v + vy - C) * A + (u + uy - B) % A if v + vy >= C
-                else (v + vy) * A + (u + uy) % A
-                for uy, vy in ys for u, v in xs]
+        z = self.mul_mod(QuadInt(1, 0), a, n)
+        s = C * z.x - z.y * B  # c*z = s + 0*w
+        row = [0] * A
+        for j in range(C):
+            y = j * z.y
+            base, x = y % C * A, j * z.x - y // C * B
+            row[j::C] = [base + (m * s + x) % A for m in range(A // C)]
+        # index i = y*a + x plus a*w: from i = (c - w.y)*a on, y + w.y reaches
+        # c and the carry takes b off x; x wraps at a either way
+        w = self.mul_mod(QuadInt(0, 1), a, n)
+        top = (C - w.y) * A
+        step, wrap = w.y * A + w.x, A - w.x
+        carried = (w.x - B) % A
+        cstep, cwrap = (w.y - C) * A + carried, A - carried
+        table = row  # extended in place; `row` is rebound to each new row
+        for _ in range(1, C):
+            row = [(i + step - A if i % A >= wrap else i + step) if i < top
+                   else (i + cstep - A if i % A >= cwrap else i + cstep) for i in row]
+            table += row
+        return table
 
     def describe_element(self, a: QuadInt) -> list[int]:
         return [a.x, a.y]

@@ -18,12 +18,11 @@ from amap import finitefield
 from amap.base import Domain
 from amap.dynamics import brute_amap_graph
 from amap.finitefield import GF, field
-from amap.graphs import Component, FunctionalGraph, _build_tree, brute_graph, \
-    decompose_successors
+from amap.graphs import Component, FunctionalGraph, brute_graph, decompose_successors
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import RootedTree
+from amap.trees import LEAF, RootedTree
 
 
 def reference_successors(dom, a, n):
@@ -31,6 +30,18 @@ def reference_successors(dom, a, n):
     index = {r: i for i, r in enumerate(residues)}
     ar = dom.reduce(a, n)
     return [index[dom.mul_mod(r, ar, n)] for r in residues]
+
+
+def _build_tree(root, children) -> RootedTree:
+    """Tree of the nodes below `root`, where children[v] lists v's children."""
+    order = [root]
+    for v in order:  # breadth first: the loop also visits what it appends
+        order.extend(children[v])
+    built = {}
+    for v in reversed(order):
+        kids = children[v]
+        built[v] = RootedTree(built[c] for c in kids) if kids else LEAF
+    return built[root]
 
 
 def reference_decompose(succ):

@@ -28,3 +28,22 @@ def test_library_has_no_function_level_imports():
                 found.extend(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
                              if isinstance(inner, (ast.Import, ast.ImportFrom)))
     assert not found, found
+
+
+def test_trees_are_built_only_from_a_nu_series_or_a_map():
+    # trees.py builds trees from a nu-series and graphs.decompose_successors
+    # builds them from a map; a third tree builder would fail this check
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "trees.py":
+            allowed = set(ast.walk(module))
+        elif path.name == "graphs.py":
+            allowed = {node for f in ast.walk(module)
+                       if isinstance(f, ast.FunctionDef) and f.name == "decompose_successors"
+                       for node in ast.walk(f)}
+        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(module)
+                     if isinstance(node, ast.Call) and node not in allowed
+                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RootedTree")
+    assert not found, found
