@@ -22,7 +22,7 @@ from typing import ClassVar
 
 from .base import Domain
 from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
-                     brute_graph, cyc, disjoint_sum)
+                     _counted, brute_graph)
 from .trees import RootedTree, elementary_tree
 
 __all__ = ["nu_series", "assemble_prediction", "predicted_graph",
@@ -58,10 +58,11 @@ def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
 
     n0 must carry exactly the primes dividing <a> and n1 none of them: the
     elementary tree of nu hangs on every cycle node, and each divisor m of
-    n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).
+    n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).  Each divisor
+    gives one component with its multiplicity, never one per cycle.
     """
     tree = elementary_tree(nu)
-    parts = []
+    rows = []
     summands = []
     for m, phi, r in dom.divisor_table(a, n1):
         if phi % r:
@@ -69,8 +70,8 @@ def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
         mult = phi // r
         summands.append({"divisor": dom.describe_ideal(m),
                          "cycle_len": r, "multiplicity": mult})
-        parts.extend([cyc(r, tree)] * mult)
-    graph = disjoint_sum(parts)
+        rows.append((Component(r, (tree,) * r), mult))
+    graph = _counted(rows)
     if graph.node_count != math.prod(nu) * dom.norm(n1):
         raise RuntimeError("predicted node count mismatch")
     return Prediction(graph=graph, tree=tree, summands=tuple(summands))
@@ -137,12 +138,11 @@ class Report(JsonReport):
 
 
 def _corrupt(graph: FunctionalGraph) -> FunctionalGraph:
-    """Perturb the first component's cycle length by one (negative control)."""
-    comps = list(graph.components)
-    first = comps[0]
-    longer = Component(first.cycle_len + 1,
-                       tuple(first.hanging) + (first.hanging[0],))
-    return FunctionalGraph([longer] + comps[1:])
+    """Perturb one copy of the first component: its cycle is one node
+    longer (negative control)."""
+    (first, count), *rest = graph.classes
+    longer = Component(first.cycle_len + 1, first.hanging + (first.hanging[0],))
+    return _counted([(longer, 1), (first, count - 1), *rest])
 
 
 def verify_with_brute(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,

@@ -1,11 +1,14 @@
 """Functional graphs of self-maps on finite sets.
 
-A functional graph is stored as a multiset of components; each component is
-a directed cycle together with the rooted trees hanging at its cycle nodes,
-recorded in cyclic order.  Canonical codes make equality coincide with graph
-isomorphism: a component code is ``C<len>[...]`` around the lexicographically
-minimal rotation of the hanging-tree codes, and a graph code joins the sorted
-component codes with ``;``.
+A functional graph is stored as its distinct components with counts; each
+component is a directed cycle together with the rooted trees hanging at its
+cycle nodes, recorded in cyclic order.  Canonical codes make equality
+coincide with graph isomorphism: a component code is ``C<len>[...]`` around
+the lexicographically minimal rotation of the hanging-tree codes (Booth's
+least-rotation algorithm), and a graph code joins the sorted component
+codes with ``;``, each repeated by its count.  The graph code is rendered
+eagerly, by one join, but a graph with many equal components, such as a
+prediction, is assembled in one step per distinct component.
 
 The one trusted primitive is :func:`brute_graph`, which decomposes an
 explicit successor map into cycles and hanging trees.  The decomposition
@@ -22,7 +25,7 @@ the root pair is made a fixed point, and its hanging tree is the result.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from itertools import compress
+from itertools import compress, repeat
 
 from .trees import LEAF, Coded, RootedTree
 
@@ -51,12 +54,36 @@ class GraphSizeError(ValueError):
 
 
 def _min_rotation(codes: Sequence[str]) -> int:
-    """Index of the lexicographically minimal rotation of a code sequence."""
+    """Index of a lexicographically minimal rotation of a code sequence.
+
+    Booth's least-rotation algorithm (Booth 1980), linear in the length:
+    a failure function over the doubled sequence, with the candidate start
+    k moved past every mismatch that shows a smaller rotation.  The codes
+    are compared by their rank among the distinct codes.
+    """
     m = len(codes)
-    if m == 1 or len(set(codes)) == 1:
+    distinct = set(codes)
+    if m == 1 or len(distinct) == 1:
         return 0
-    doubled = list(codes) + list(codes)
-    return min(range(m), key=lambda r: doubled[r:r + m])
+    rank = {c: i for i, c in enumerate(sorted(distinct))}
+    s = [rank[c] for c in codes]
+    s += s
+    fail = [-1] * (2 * m)
+    k = 0
+    for j in range(1, 2 * m):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:  # here i == -1
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 class Component(Coded):
@@ -92,15 +119,48 @@ class Component(Coded):
 
 
 class FunctionalGraph(Coded):
-    """Multiset of components; equality is graph isomorphism."""
+    """Multiset of components; equality is graph isomorphism.
 
-    __slots__ = ("components",)
+    `classes` holds one `(component, count)` pair per distinct component
+    code, sorted by code.
+    """
+
+    __slots__ = ("classes",)
 
     def __init__(self, components: Iterable[Component] = ()):
-        comps = tuple(sorted(components, key=lambda c: c.code))
-        self.components = comps
-        self.code = ";".join(c.code for c in comps)
-        self.node_count = sum(c.node_count for c in comps)
+        self._merge(zip(components, repeat(1)))
+
+    def _merge(self, pairs: Iterable[tuple[Component, int]]) -> None:
+        merged: dict[str, list] = {}
+        for comp, count in pairs:
+            code = comp.code
+            if code in merged:
+                merged[code][1] += count
+            else:
+                merged[code] = [comp, count]
+        self.classes = tuple((comp, count) for _, (comp, count) in sorted(merged.items())
+                             if count)
+        codes: list[str] = []
+        for comp, count in self.classes:
+            codes.extend(repeat(comp.code, count))
+        self.code = ";".join(codes)
+        self.node_count = sum(count * comp.node_count for comp, count in self.classes)
+
+    @property
+    def components(self) -> tuple[Component, ...]:
+        """Every component, one per copy, in sorted code order."""
+        comps: list[Component] = []
+        for comp, count in self.classes:
+            comps.extend(repeat(comp, count))
+        return tuple(comps)
+
+
+def _counted(pairs: Iterable[tuple[Component, int]]) -> FunctionalGraph:
+    """Graph of `count` copies of each `(component, count)` pair; pairs with
+    equal codes add up."""
+    graph = FunctionalGraph.__new__(FunctionalGraph)
+    graph._merge(pairs)
+    return graph
 
 
 def canonical_code(obj: Coded) -> str:
@@ -121,10 +181,7 @@ def extended_tree(tree: RootedTree) -> FunctionalGraph:
 
 
 def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
-    comps: list[Component] = []
-    for g in graphs:
-        comps.extend(g.components)
-    return FunctionalGraph(comps)
+    return _counted(pair for g in graphs for pair in g.classes)
 
 
 def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[RootedTree]]]:
@@ -285,7 +342,8 @@ def _tree_successors(arg: RootedTree | FunctionalGraph) -> list[int | None]:
         succ[0] = None
         return succ
     if isinstance(arg, FunctionalGraph):
-        if len(arg.components) != 1 or arg.components[0].cycle_len != 1:
+        classes = arg.classes
+        if len(classes) != 1 or classes[0][1] != 1 or classes[0][0].cycle_len != 1:
             raise ValueError("extended-tree argument must be a single Cyc(1, T)")
         return materialize(arg)
     raise TypeError("expected a RootedTree or an extended tree")
