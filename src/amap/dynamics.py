@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .base import Domain
@@ -70,7 +70,7 @@ def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
         mult = phi // r
         summands.append({"divisor": dom.describe_ideal(m),
                          "cycle_len": r, "multiplicity": mult})
-        rows.append((Component(r, (tree,) * r), mult))
+        rows.append((Component(r, (tree,)), mult))
     graph = _counted(rows)
     if graph.node_count != math.prod(nu) * dom.norm(n1):
         raise RuntimeError("predicted node count mismatch")
@@ -106,7 +106,8 @@ class JsonReport:
 
     def as_dict(self) -> dict:
         out = {"family": self.family} if self.family is not None else {}
-        out.update((k, v) for k, v in asdict(self).items() if v is not None)
+        out.update((f.name, v) for f in fields(self)
+                   if (v := getattr(self, f.name)) is not None)
         return out
 
     def to_json(self, indent: int | None = None) -> str:

@@ -57,14 +57,12 @@ class GF:
             self.modulus = self._modpoly.coeffs
         self._modbits = (sum(c << i for i, c in enumerate(self.modulus))
                          if p == 2 and k > 1 else 0)
-        if 1 < self.q <= 64 and k > 1:
-            self._mul_table = [[self._mul_raw(a, b) for b in range(self.q)]
+        self._mul_table = self._inv_table = None
+        if 1 < self.q <= 64 and k > 1:  # `mul` computes directly until its table is set
+            self._mul_table = [[self.mul(a, b) for b in range(self.q)]
                                for a in range(self.q)]
             self._inv_table = [0] + [self.pow(a, self.q - 2)
                                      for a in range(1, self.q)]
-        else:
-            self._mul_table = None
-            self._inv_table = None
         self._pow_tables: dict[int, list[int]] = {}
         self._embed_cache: dict[tuple, list[int]] = {}
 
@@ -110,7 +108,9 @@ class GF:
     def neg(self, a: int) -> int:
         return self.sub(0, a)
 
-    def _mul_raw(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
+        if self._mul_table is not None:
+            return self._mul_table[a][b]
         if self.k == 1:
             return (a * b) % self.p
         if self.p == 2:
@@ -129,11 +129,6 @@ class GF:
         fp = self._modpoly.field
         prod = Poly(fp, self.decode(a)) * Poly(fp, self.decode(b)) % self._modpoly
         return self.encode(prod.coeffs)
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -1,14 +1,15 @@
 """Functional graphs of self-maps on finite sets.
 
 A functional graph is stored as its distinct components with counts; each
-component is a directed cycle together with the rooted trees hanging at its
-cycle nodes, recorded in cyclic order.  Canonical codes make equality
-coincide with graph isomorphism: a component code is ``C<len>[...]`` around
-the lexicographically minimal rotation of the hanging-tree codes (Booth's
-least-rotation algorithm), and a graph code joins the sorted component
-codes with ``;``, each repeated by its count.  The graph code is rendered
-eagerly, by one join, but a graph with many equal components, such as a
-prediction, is assembled in one step per distinct component.
+component is a directed cycle together with one period of the rooted trees
+hanging at its cycle nodes, recorded in cyclic order (a cycle of an a-map
+carries one tree all round, a period of length one).  Canonical codes make
+equality coincide with graph isomorphism: a component code is
+``C<len>[...]`` around the lexicographically minimal rotation of the
+hanging-tree codes (Booth's least-rotation algorithm), and a graph code
+joins the sorted component codes with ``;``, each repeated by its count.
+Codes are rendered eagerly (a component repeats its period's text, a graph
+makes one join), but a prediction takes O(1) tree steps per distinct component.
 
 The one trusted primitive is :func:`brute_graph`, which decomposes an
 explicit successor map into cycles and hanging trees.  The decomposition
@@ -62,8 +63,7 @@ def _min_rotation(codes: Sequence[str]) -> int:
     are compared by their rank among the distinct codes.
     """
     m = len(codes)
-    distinct = set(codes)
-    if m == 1 or len(distinct) == 1:
+    if m == 1 or len(distinct := set(codes)) == 1:
         return 0
     rank = {c: i for i, c in enumerate(sorted(distinct))}
     s = [rank[c] for c in codes]
@@ -87,35 +87,38 @@ def _min_rotation(codes: Sequence[str]) -> int:
 
 
 class Component(Coded):
-    """One connected component: a cycle with hanging trees in cyclic order."""
+    """One connected component: a cycle with hanging trees in cyclic order.
 
-    __slots__ = ("cycle_len", "hanging")
+    The trees are given as any nonempty word whose length divides the cycle
+    length, one period of them; the full list is one such word.  `period`
+    keeps the word turned to its least rotation and `hanging` repeats it
+    round the cycle.  The code joins the period's codes once and repeats
+    that text, so a cycle with one tree all round takes O(1) tree steps.
+    """
+
+    __slots__ = ("cycle_len", "period")
 
     def __init__(self, cycle_len: int, hanging: Sequence[RootedTree]):
         if cycle_len < 1:
             raise ValueError("cycle length must be positive")
-        if len(hanging) != cycle_len:
-            raise ValueError("need one hanging tree per cycle node")
+        if not hanging or cycle_len % len(hanging):
+            raise ValueError(f"{len(hanging)} hanging trees do not repeat evenly "
+                             f"round a cycle of length {cycle_len}")
         hanging = tuple(hanging)
-        first = hanging[0]
-        if hanging.count(first) == cycle_len:
-            # one tree all round: every rotation is minimal.  On an a-map
-            # cycle the trees are one shared object, which `count` matches
-            # by identity, so no Python step is taken per node
-            joined = ",".join([first.code] * cycle_len)
-            self.node_count = cycle_len * first.node_count
-        else:
-            codes = [t.code for t in hanging]
-            r = _min_rotation(codes)
-            if r:
-                hanging = hanging[r:] + hanging[:r]
-                codes = codes[r:] + codes[:r]
-            joined = ",".join(codes)
-            del codes  # freed before the formatted copy, which keeps peak memory down
-            self.node_count = sum(t.node_count for t in hanging)
+        codes = [t.code for t in hanging]
+        r = _min_rotation(codes)
+        # the least rotation of w^k is (least rotation of w)^k
+        self.period = hanging[r:] + hanging[:r]
+        body = ",".join(codes[r:] + codes[:r])
+        reps = cycle_len // len(hanging)
         self.cycle_len = cycle_len
-        self.hanging = hanging
-        self.code = "C%d[%s]" % (cycle_len, joined)
+        self.node_count = reps * sum([t.node_count for t in self.period])
+        self.code = "C%d[%s%s]" % (cycle_len, body, ("," + body) * (reps - 1))
+
+    @property
+    def hanging(self) -> tuple[RootedTree, ...]:
+        """The tree at every cycle node, in cyclic order from the least rotation."""
+        return self.period * (self.cycle_len // len(self.period))
 
 
 class FunctionalGraph(Coded):
@@ -172,7 +175,7 @@ def canonical_code(obj: Coded) -> str:
 
 def cyc(m: int, tree: RootedTree = LEAF) -> FunctionalGraph:
     """Cycle of length m with a copy of `tree` hanging at every cycle node."""
-    return FunctionalGraph([Component(m, (tree,) * m)])
+    return FunctionalGraph([Component(m, (tree,))])
 
 
 def extended_tree(tree: RootedTree) -> FunctionalGraph:

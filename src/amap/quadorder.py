@@ -288,16 +288,14 @@ class QuadOrder(Domain):
         return n.norm
 
     def ideal_mul(self, m: QuadIdeal, n: QuadIdeal) -> QuadIdeal:
+        """Z-span of the four products of the HNF bases; it is closed under w,
+        as w*(u*v) = (w*u)*v with w*u in m, so it needs no w-multiples."""
         self._check_pair(m, n)
-        basis_m = [QuadInt(m.a, 0), QuadInt(m.b, m.c)]
-        basis_n = [QuadInt(n.a, 0), QuadInt(n.b, n.c)]
         vectors = []
-        for u in basis_m:
-            for v in basis_n:
+        for u in (QuadInt(m.a, 0), QuadInt(m.b, m.c)):
+            for v in (QuadInt(n.a, 0), QuadInt(n.b, n.c)):
                 uv = self.mul(u, v)
-                wuv = self.mul(QuadInt(0, 1), uv)
                 vectors.append((uv.x, uv.y))
-                vectors.append((wuv.x, wuv.y))
         return self._make_ideal(*_hnf_from_vectors(vectors))
 
     def ideal_div(self, n: QuadIdeal, m: QuadIdeal) -> QuadIdeal:

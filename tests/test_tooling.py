@@ -47,3 +47,16 @@ def test_trees_are_built_only_from_a_nu_series_or_a_map():
                      if isinstance(node, ast.Call) and node not in allowed
                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RootedTree")
     assert not found, found
+
+
+def test_no_caller_spells_out_a_uniform_cycle():
+    # a Component takes one period of its trees, so a cycle with one tree
+    # all round is passed as (tree,), never as an r-fold repetition
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Component"
+                    and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
+                            for arg in node.args[1:])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
