@@ -245,7 +245,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
 
     return LinearizedReport(
         q=q, n=n, f=list(f.coeffs),
-        isomorphic=(predicted.code == brute_field.code == brute_quotient.code),
+        isomorphic=(predicted == brute_field == brute_quotient),
         predicted_code=predicted.code,
         brute_field_code=brute_field.code,
         brute_quotient_code=brute_quotient.code,

@@ -3,6 +3,10 @@
 Subcommands cover the generic machinery (predict / brute / verify / tree)
 and the four application checkers (redei / chebyshev / linpoly / ectrees).
 All output is JSON on stdout; --dot writes the graph as DOT to a file.
+predict, brute and tree print the canonical code up to
+DEFAULT_MAX_CODE_BYTES; above that they print the compact structure of
+`graphs.compact` instead, with a note that says so.  --dot refuses a graph
+above its node cap.
 
 Exit codes: 0 on success, 1 when a verification reports a mismatch,
 2 on bad input, including a --dot path that cannot be written, and 3 on
@@ -20,7 +24,8 @@ from .applications import (chebyshev_check, ec_generic_trees, linearized_check,
 from .base import Domain
 from .dynamics import brute_amap_graph, predicted_graph, verify_with_brute
 from .finitefield import GF
-from .graphs import DEFAULT_MAX_NODES, to_dot
+from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, GraphSizeError, compact,
+                     render, to_dot)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain
 from .quadorder import QuadInt, QuadOrder
@@ -108,10 +113,24 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _write_dot(graph, path: str | None) -> None:
+def _code_or_compact(obj, key: str) -> dict:
+    """{"code": ...} up to DEFAULT_MAX_CODE_BYTES, else the compact
+    structure under `key` and a note."""
+    try:
+        return {"code": render(obj, DEFAULT_MAX_CODE_BYTES)}
+    except GraphSizeError:
+        return {key: compact(obj),
+                "note": f"code omitted: {obj.code_bytes} bytes is over the cap of "
+                        f"{DEFAULT_MAX_CODE_BYTES}; '{key}' lists each distinct tree as "
+                        "its [child index, count] pairs, and a graph's classes as "
+                        "[cycle_len, period tree indices, count] rows"}
+
+
+def _write_dot(graph, path: str | None, max_nodes: int = DEFAULT_MAX_NODES) -> None:
     if path:
+        text = to_dot(graph, max_nodes=max_nodes)
         with open(path, "w") as fh:
-            fh.write(to_dot(graph) + "\n")
+            fh.write(text + "\n")
 
 
 def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
@@ -182,27 +201,27 @@ def _run(args: argparse.Namespace) -> int:
             pred = predicted_graph(dom, a, n)
             _write_dot(pred.graph, args.dot)
             _emit({"domain": dom.domain_json(), "a": dom.describe_element(a),
-                   "n": dom.describe_ideal(n), "code": pred.graph.code,
+                   "n": dom.describe_ideal(n), **_code_or_compact(pred.graph, "graph"),
                    "node_count": pred.graph.node_count,
                    "summands": list(pred.summands)})
             return 0
         if cmd == "brute":
             graph = brute_amap_graph(dom, a, n, max_nodes=args.max_nodes)
-            _write_dot(graph, args.dot)
+            _write_dot(graph, args.dot, args.max_nodes)
             _emit({"domain": dom.domain_json(), "a": dom.describe_element(a),
-                   "n": dom.describe_ideal(n), "code": graph.code,
+                   "n": dom.describe_ideal(n), **_code_or_compact(graph, "graph"),
                    "node_count": graph.node_count})
             return 0
         report, brute = verify_with_brute(dom, a, n, max_nodes=args.max_nodes,
                                           corrupt_cycle=args.corrupt_cycle)
-        _write_dot(brute, args.dot)
+        _write_dot(brute, args.dot, args.max_nodes)
         print(report.to_json(indent=2))
         return 0 if report.isomorphic else 1
 
     if cmd == "tree":
         series = _parse_ints(args.series)
         tree = elementary_tree(series)
-        _emit({"series": series, "code": tree.code,
+        _emit({"series": series, **_code_or_compact(tree, "tree"),
                "node_count": tree.node_count})
         return 0
 

@@ -59,7 +59,8 @@ def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
     n0 must carry exactly the primes dividing <a> and n1 none of them: the
     elementary tree of nu hangs on every cycle node, and each divisor m of
     n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).  Each divisor
-    gives one component with its multiplicity, never one per cycle.
+    gives one component with its multiplicity, never one per cycle, and no
+    code text is rendered.
     """
     tree = elementary_tree(nu)
     rows = []
@@ -131,18 +132,24 @@ class Report(JsonReport):
     @classmethod
     def compare(cls, dom: Domain, a, n, predicted: FunctionalGraph, summands,
                 brute: FunctionalGraph, params: dict | None = None) -> Report:
-        """Report on a predicted graph of x -> a*x on D/n against the brute one."""
+        """Report on a predicted graph of x -> a*x on D/n against the brute one.
+
+        The verdict compares the graphs' keys; the codes are rendered for
+        the report."""
         return cls(domain=dom.domain_json(), a=dom.describe_element(a),
-                   n=dom.describe_ideal(n), isomorphic=predicted.code == brute.code,
+                   n=dom.describe_ideal(n), isomorphic=predicted == brute,
                    predicted_code=predicted.code, brute_code=brute.code,
                    node_count=brute.node_count, summands=list(summands), params=params)
 
 
 def _corrupt(graph: FunctionalGraph) -> FunctionalGraph:
-    """Perturb one copy of the first component: its cycle is one node
-    longer (negative control)."""
+    """Perturb one copy of the first component in code order: its cycle is
+    one node longer (negative control)."""
     (first, count), *rest = graph.classes
-    longer = Component(first.cycle_len + 1, first.hanging + (first.hanging[0],))
+    if len(first.root) == 1:  # one tree all round: the longer cycle is too
+        longer = Component(first.cycle_len + 1, first.root)
+    else:
+        longer = Component(first.cycle_len + 1, first.hanging + first.hanging[:1])
     return _counted([(longer, 1), (first, count - 1), *rest])
 
 

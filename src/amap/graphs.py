@@ -3,13 +3,19 @@
 A functional graph is stored as its distinct components with counts; each
 component is a directed cycle together with one period of the rooted trees
 hanging at its cycle nodes, recorded in cyclic order (a cycle of an a-map
-carries one tree all round, a period of length one).  Canonical codes make
-equality coincide with graph isomorphism: a component code is
+carries one tree all round, a period of length one).  Identity works on
+keys made of tree ids, never on text: a component key is its cycle length
+and the least rotation, in id order, of the primitive root of its period;
+a graph key is the set of its (component key, count) pairs.  So a
+prediction costs O(divisor rows) whatever the number of nodes.
+
+Canonical codes are rendered when read, and memoised: a component code is
 ``C<len>[...]`` around the lexicographically minimal rotation of the
 hanging-tree codes (Booth's least-rotation algorithm), and a graph code
 joins the sorted component codes with ``;``, each repeated by its count.
-Codes are rendered eagerly (a component repeats its period's text, a graph
-makes one join), but a prediction takes O(1) tree steps per distinct component.
+Equal codes and equal keys both mean isomorphic graphs.  A code's length is
+known from the key, so :func:`render` refuses an oversized one before
+building it; :func:`compact` gives the structure instead.
 
 The one trusted primitive is :func:`brute_graph`, which decomposes an
 explicit successor map into cycles and hanging trees.  The decomposition
@@ -26,16 +32,20 @@ the root pair is made a fixed point, and its hanging tree is the result.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
-from .trees import LEAF, Coded, RootedTree
+from .trees import LEAF, Keyed, RootedTree, _bottom_up
 
 __all__ = [
     "Component",
     "FunctionalGraph",
     "GraphSizeError",
     "DEFAULT_MAX_NODES",
+    "DEFAULT_MAX_CODE_BYTES",
     "canonical_code",
+    "compact",
+    "render",
     "cyc",
     "extended_tree",
     "disjoint_sum",
@@ -48,26 +58,27 @@ __all__ = [
 ]
 
 DEFAULT_MAX_NODES = 10**6
+DEFAULT_MAX_CODE_BYTES = 2**24
 
 
 class GraphSizeError(ValueError):
-    """Raised when a brute-force construction would exceed the node cap."""
+    """Raised when a construction or a rendering would exceed its size cap."""
 
 
-def _min_rotation(codes: Sequence[str]) -> int:
-    """Index of a lexicographically minimal rotation of a code sequence.
+def _check_size(size: int, max_nodes: int) -> None:
+    if size > max_nodes:
+        raise GraphSizeError(f"{size} nodes exceeds the cap of {max_nodes}")
+
+
+def _min_rotation(items: Sequence) -> int:
+    """Index of a least rotation of a sequence of comparable items.
 
     Booth's least-rotation algorithm (Booth 1980), linear in the length:
     a failure function over the doubled sequence, with the candidate start
-    k moved past every mismatch that shows a smaller rotation.  The codes
-    are compared by their rank among the distinct codes.
+    k moved past every mismatch that shows a smaller rotation.
     """
-    m = len(codes)
-    if m == 1 or len(distinct := set(codes)) == 1:
-        return 0
-    rank = {c: i for i, c in enumerate(sorted(distinct))}
-    s = [rank[c] for c in codes]
-    s += s
+    m = len(items)
+    s = list(items) * 2
     fail = [-1] * (2 * m)
     k = 0
     for j in range(1, 2 * m):
@@ -86,17 +97,37 @@ def _min_rotation(codes: Sequence[str]) -> int:
     return k
 
 
-class Component(Coded):
+def _primitive_length(word: Sequence) -> int:
+    """Length of the shortest u with word = u^k: the least period m - b,
+    from the last border b of the Knuth-Morris-Pratt failure function
+    (1977), when it divides m."""
+    m = len(word)
+    border = [0] * m  # border[j]: longest proper border of word[:j + 1]
+    b = 0
+    for j in range(1, m):
+        wj = word[j]
+        while b and wj != word[b]:
+            b = border[b - 1]
+        if wj == word[b]:
+            b += 1
+        border[j] = b
+    p = m - border[-1]
+    return p if m % p == 0 else m
+
+
+class Component(Keyed):
     """One connected component: a cycle with hanging trees in cyclic order.
 
     The trees are given as any nonempty word whose length divides the cycle
-    length, one period of them; the full list is one such word.  `period`
-    keeps the word turned to its least rotation and `hanging` repeats it
-    round the cycle.  The code joins the period's codes once and repeats
-    that text, so a cycle with one tree all round takes O(1) tree steps.
+    length, one period of them; the full list is one such word.  `root` is
+    the word's primitive root at its least rotation in id order, and the key
+    is `(cycle_len, ids of root)`, so powers and rotations of one word give
+    one key.  The views `period` (the given word at its least rotation in
+    code order) and `hanging` (that round the cycle) render tree codes when
+    the root has more than one tree.
     """
 
-    __slots__ = ("cycle_len", "period")
+    __slots__ = ("cycle_len", "root", "_given")
 
     def __init__(self, cycle_len: int, hanging: Sequence[RootedTree]):
         if cycle_len < 1:
@@ -105,72 +136,160 @@ class Component(Coded):
             raise ValueError(f"{len(hanging)} hanging trees do not repeat evenly "
                              f"round a cycle of length {cycle_len}")
         hanging = tuple(hanging)
-        codes = [t.code for t in hanging]
-        r = _min_rotation(codes)
-        # the least rotation of w^k is (least rotation of w)^k
-        self.period = hanging[r:] + hanging[:r]
-        body = ",".join(codes[r:] + codes[:r])
-        reps = cycle_len // len(hanging)
+        m = len(hanging)
+        if hanging.count(hanging[0]) == m:  # identical trees compare in C
+            root = hanging[:1]
+        else:
+            ids = [t.key for t in hanging]
+            p = _primitive_length(ids)
+            r = _min_rotation(ids[:p])
+            root = hanging[r:p] + hanging[:r]
         self.cycle_len = cycle_len
-        self.node_count = reps * sum([t.node_count for t in self.period])
-        self.code = "C%d[%s%s]" % (cycle_len, body, ("," + body) * (reps - 1))
+        self.root = root
+        self._given = m
+        self.key = (cycle_len, tuple([t.key for t in root]))
+        self.node_count = cycle_len // len(root) * sum([t.node_count for t in root])
+        self._code = None
+
+    def _ordered_root(self) -> tuple[RootedTree, ...]:
+        """`root` turned to its least rotation in code order."""
+        root = self.root
+        if len(root) == 1:
+            return root
+        r = _min_rotation([t.code for t in root])
+        return root[r:] + root[:r]
+
+    @property
+    def period(self) -> tuple[RootedTree, ...]:
+        """The given word turned to its least rotation in code order (the
+        least rotation of u^k is (least rotation of u)^k)."""
+        return self._ordered_root() * (self._given // len(self.root))
 
     @property
     def hanging(self) -> tuple[RootedTree, ...]:
         """The tree at every cycle node, in cyclic order from the least rotation."""
-        return self.period * (self.cycle_len // len(self.period))
+        return self._ordered_root() * (self.cycle_len // len(self.root))
+
+    @property
+    def code_bytes(self) -> int:
+        # "C<len>[", a tree text of 2 bytes a node, a comma between trees, "]"
+        return len(str(self.cycle_len)) + 2 + 2 * self.node_count + self.cycle_len
+
+    def __lt__(self, other: Component) -> bool:
+        """Code order.  A code starts ``C<len>[``, a prefix that decides
+        between two cycle lengths, so only equal lengths render codes."""
+        a, b = "%d[" % self.cycle_len, "%d[" % other.cycle_len
+        return a < b if a != b else self.code < other.code
+
+    def _render(self) -> str:
+        body = ",".join([t.code for t in self._ordered_root()])
+        reps = self.cycle_len // len(self.root)
+        return "C%d[%s%s]" % (self.cycle_len, body, ("," + body) * (reps - 1))
 
 
-class FunctionalGraph(Coded):
+class FunctionalGraph(Keyed):
     """Multiset of components; equality is graph isomorphism.
 
-    `classes` holds one `(component, count)` pair per distinct component
-    code, sorted by code.
+    `counted` holds one `(component, count)` pair per distinct component
+    key, in no fixed order, and the key is the set of `(component key,
+    count)` pairs.  `classes` is the same pairs sorted by code, and
+    `components` one entry per copy in that order.
     """
 
-    __slots__ = ("classes",)
+    __slots__ = ("counted", "_classes")
 
     def __init__(self, components: Iterable[Component] = ()):
         self._merge(zip(components, repeat(1)))
 
     def _merge(self, pairs: Iterable[tuple[Component, int]]) -> None:
-        merged: dict[str, list] = {}
+        merged: dict[tuple, list] = {}
         for comp, count in pairs:
-            code = comp.code
-            if code in merged:
-                merged[code][1] += count
+            got = merged.get(comp.key)
+            if got is None:
+                merged[comp.key] = [comp, count]
             else:
-                merged[code] = [comp, count]
-        self.classes = tuple((comp, count) for _, (comp, count) in sorted(merged.items())
-                             if count)
-        codes: list[str] = []
-        for comp, count in self.classes:
-            codes.extend(repeat(comp.code, count))
-        self.code = ";".join(codes)
-        self.node_count = sum(count * comp.node_count for comp, count in self.classes)
+                got[1] += count
+        self.counted = tuple((comp, count) for comp, count in merged.values() if count)
+        self.key = frozenset((comp.key, count) for comp, count in self.counted)
+        self.node_count = sum([count * comp.node_count for comp, count in self.counted])
+        self._code = None
+        self._classes = None
+
+    @property
+    def classes(self) -> tuple[tuple[Component, int], ...]:
+        if self._classes is None:
+            self._classes = tuple(sorted(self.counted, key=itemgetter(0)))
+        return self._classes
 
     @property
     def components(self) -> tuple[Component, ...]:
         """Every component, one per copy, in sorted code order."""
-        comps: list[Component] = []
-        for comp, count in self.classes:
-            comps.extend(repeat(comp, count))
-        return tuple(comps)
+        return tuple(chain.from_iterable(repeat(comp, count)
+                                         for comp, count in self.classes))
+
+    @property
+    def code_bytes(self) -> int:
+        # the component codes, with a ";" between two copies
+        copies = sum(count for _, count in self.counted)
+        texts = sum(count * comp.code_bytes for comp, count in self.counted)
+        return texts + max(copies - 1, 0)
+
+    def _render(self) -> str:
+        return ";".join(chain.from_iterable(repeat(comp.code, count)
+                                            for comp, count in self.classes))
 
 
 def _counted(pairs: Iterable[tuple[Component, int]]) -> FunctionalGraph:
     """Graph of `count` copies of each `(component, count)` pair; pairs with
-    equal codes add up."""
+    equal keys add up."""
     graph = FunctionalGraph.__new__(FunctionalGraph)
     graph._merge(pairs)
     return graph
 
 
-def canonical_code(obj: Coded) -> str:
+def render(obj: Keyed, max_bytes: int | None) -> str:
+    """Canonical code of a tree, component or graph.
+
+    Its length is known from the key, so a code longer than `max_bytes`
+    is refused with GraphSizeError before anything is allocated; None
+    renders whatever the length.
+    """
+    if not isinstance(obj, Keyed):
+        raise TypeError(f"no canonical code for {type(obj).__name__}")
+    if max_bytes is not None and obj.code_bytes > max_bytes:
+        raise GraphSizeError(f"code of {obj.code_bytes} bytes exceeds the cap "
+                             f"of {max_bytes}")
+    return obj.code
+
+
+def compact(obj: RootedTree | FunctionalGraph) -> dict:
+    """Structure of a tree or a graph in O(distinct trees + classes) space.
+
+    `trees` lists each distinct tree once, children before parents, as its
+    `[child index, count]` pairs.  A tree adds its `root` index; a graph
+    adds `classes`, one `[cycle_len, period, count]` row per distinct
+    component, the period as tree indices (the `root` of the component).
+    """
+    index: dict[int, int] = {}
+    trees: list[list] = []
+
+    def add(tree: RootedTree) -> int:
+        for t in _bottom_up(tree, lambda t: t.key in index):
+            index[t.key] = len(trees)
+            trees.append([[index[c.key], count] for c, count in t.counted])
+        return index[tree.key]
+
+    if isinstance(obj, RootedTree):
+        root = add(obj)
+        return {"trees": trees, "root": root}
+    rows = [[comp.cycle_len, [add(t) for t in comp.root], count]
+            for comp, count in sorted(obj.counted, key=lambda pair: pair[0].key)]
+    return {"trees": trees, "classes": rows}
+
+
+def canonical_code(obj: Keyed) -> str:
     """Text encoding under which equality is exactly isomorphism."""
-    if isinstance(obj, Coded):
-        return obj.code
-    raise TypeError(f"no canonical code for {type(obj).__name__}")
+    return render(obj, None)
 
 
 def cyc(m: int, tree: RootedTree = LEAF) -> FunctionalGraph:
@@ -184,7 +303,7 @@ def extended_tree(tree: RootedTree) -> FunctionalGraph:
 
 
 def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
-    return _counted(pair for g in graphs for pair in g.classes)
+    return _counted(pair for g in graphs for pair in g.counted)
 
 
 def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[RootedTree]]]:
@@ -271,8 +390,7 @@ def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
     """Functional graph of an arbitrary self-map on {0, ..., size-1}."""
     if size < 0:
         raise ValueError("size must be nonnegative")
-    if size > max_nodes:
-        raise GraphSizeError(f"{size} nodes exceeds the cap of {max_nodes}")
+    _check_size(size, max_nodes)
     if callable(successor):
         succ = [successor(i) for i in range(size)]
     else:
@@ -289,13 +407,15 @@ def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
     return FunctionalGraph(comps)
 
 
-def materialize(graph: FunctionalGraph) -> list[int]:
+def materialize(graph: FunctionalGraph, max_nodes: int = DEFAULT_MAX_NODES) -> list[int]:
     """Successor map realizing the graph, numbered by canonical traversal.
 
     Components are laid out in sorted code order; within a component the
     cycle nodes come first (in canonical rotation order), then each cycle
     node's tree in depth-first order with children in canonical order.
+    A graph of more than `max_nodes` nodes raises GraphSizeError first.
     """
+    _check_size(graph.node_count, max_nodes)
     succ: list[int] = []
     for comp in graph.components:
         base = len(succ)
@@ -321,8 +441,7 @@ def _product_map(s1: Sequence[int | None], s2: Sequence[int | None],
     """
     n1, n2 = len(s1), len(s2)
     size = n1 * n2
-    if size > max_nodes:
-        raise GraphSizeError(f"product would have {size} nodes (cap {max_nodes})")
+    _check_size(size, max_nodes)
     sink = size
     succ = [sink if t1 is None or t2 is None else t1 * n2 + t2 for t1 in s1 for t2 in s2]
     if None in s1 or None in s2:
@@ -332,23 +451,28 @@ def _product_map(s1: Sequence[int | None], s2: Sequence[int | None],
 
 def tensor(g1: FunctionalGraph, g2: FunctionalGraph,
            max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
-    """Functional graph of the product map, built by brute enumeration."""
-    succ = _product_map(materialize(g1), materialize(g2), max_nodes)
+    """Functional graph of the product map, built by brute enumeration.
+
+    The product's size is checked before either operand is materialized.
+    """
+    _check_size(g1.node_count * g2.node_count, max_nodes)
+    succ = _product_map(materialize(g1, max_nodes), materialize(g2, max_nodes), max_nodes)
     return brute_graph(len(succ), succ, max_nodes=max_nodes)
 
 
-def _tree_successors(arg: RootedTree | FunctionalGraph) -> list[int | None]:
+def _tree_successors(arg: RootedTree | FunctionalGraph,
+                     max_nodes: int) -> list[int | None]:
     """`materialize` of the extended tree {T}, root 0; for a bare tree T the
     root is unmapped (None)."""
     if isinstance(arg, RootedTree):
-        succ: list[int | None] = materialize(extended_tree(arg))
+        succ: list[int | None] = materialize(extended_tree(arg), max_nodes)
         succ[0] = None
         return succ
     if isinstance(arg, FunctionalGraph):
-        classes = arg.classes
-        if len(classes) != 1 or classes[0][1] != 1 or classes[0][0].cycle_len != 1:
+        counted = arg.counted
+        if len(counted) != 1 or counted[0][1] != 1 or counted[0][0].cycle_len != 1:
             raise ValueError("extended-tree argument must be a single Cyc(1, T)")
-        return materialize(arg)
+        return materialize(arg, max_nodes)
     raise TypeError("expected a RootedTree or an extended tree")
 
 
@@ -360,15 +484,20 @@ def restricted_tensor(arg1: RootedTree | FunctionalGraph,
     Each argument is either a rooted tree or an extended tree {T}; the result
     is the connected component of the root pair, as a tree rooted there.
     """
-    succ = _product_map(_tree_successors(arg1), _tree_successors(arg2), max_nodes)
+    succ = _product_map(_tree_successors(arg1, max_nodes),
+                        _tree_successors(arg2, max_nodes), max_nodes)
     succ[0] = 0  # the root pair is fixed, so its component is a loop and its tree
     (_, trees), *_ = decompose_successors(succ)
     return trees[0]
 
 
-def to_dot(graph: FunctionalGraph, name: str = "G") -> str:
-    """DOT source with one edge per node; numbering follows materialize()."""
-    succ = materialize(graph)
+def to_dot(graph: FunctionalGraph, name: str = "G",
+           max_nodes: int = DEFAULT_MAX_NODES) -> str:
+    """DOT source with one edge per node; numbering follows materialize().
+
+    A graph of more than `max_nodes` nodes raises GraphSizeError first.
+    """
+    succ = materialize(graph, max_nodes)
     lines = [f"digraph {name} {{"]
     lines.extend(f"  n{i};" for i in range(len(succ)))
     lines.extend(f"  n{i} -> n{s};" for i, s in enumerate(succ))

@@ -1,44 +1,121 @@
 """Unlabeled rooted trees and the elementary trees of non-increasing sequences.
 
-A tree is identified by the multiset of its child subtrees.  Children are
-kept sorted by canonical code at construction, so that two trees are equal
-(and hash equal) exactly when they are isomorphic.  The canonical code is
-the classic parenthesis encoding: a leaf is ``()``, an inner node wraps the
-concatenation of its children's codes in sorted order.
+Trees get integer ids from one process-wide table (AHU labelling, Aho,
+Hopcroft and Ullman 1974, with multiplicities): a node's id is that of the
+sorted pairs (child id, count) of its children, so ids are equal exactly
+when trees are isomorphic.  The table also holds each id's node count.  A
+tree keeps its distinct children with counts, so an elementary tree costs
+O(len(seq)^2) lookups whatever the product of its sequence.
+
+The canonical code is the classic parenthesis encoding: a leaf is ``()``,
+an inner node wraps the concatenation of its children's codes in sorted
+order.  It is rendered on demand and memoised; its length is 2 * node_count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
 
 __all__ = ["RootedTree", "LEAF", "elementary_tree", "partial_tree"]
 
 
 class Coded:
-    """Value identified by its canonical code: equal codes, isomorphic values."""
+    """Value with a canonical code (equal codes, isomorphic values) and a
+    node count."""
 
     __slots__ = ("code", "node_count")
 
+
+class Keyed(Coded):
+    """Coded value identified by a key made of tree ids, never by its text.
+
+    Equal keys mean isomorphic values.  `code` is rendered by `_render` on
+    first use and memoised; `code_bytes` is its length, known beforehand,
+    so a repr never renders a long code.
+    """
+
+    __slots__ = ("key", "_code")
+
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.code == other.code
+        return type(other) is type(self) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.code)
+        return hash(self.key)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.code!r})"
+        size = self.code_bytes
+        text = repr(self.code) if size <= 200 else f"<{size} code bytes>"
+        return f"{type(self).__name__}({text})"
+
+    @property
+    def code(self) -> str:
+        if self._code is None:
+            self._code = self._render()
+        return self._code
 
 
-class RootedTree(Coded):
-    """Immutable unlabeled rooted tree; equality is isomorphism."""
+# (child id, count) pairs sorted by child id -> tree id; node count by tree id
+_TREE_IDS: dict[tuple[tuple[int, int], ...], int] = {}
+_NODE_COUNTS: list[int] = []
 
-    __slots__ = ("children",)
 
-    def __init__(self, children: Iterable[RootedTree] = ()):
-        kids = tuple(sorted(children, key=lambda t: t.code))
-        self.children = kids
-        self.code = "(%s)" % "".join(t.code for t in kids)
-        self.node_count = 1 + sum(t.node_count for t in kids)
+class RootedTree(Keyed):
+    """Immutable unlabeled rooted tree; equality is isomorphism.
+
+    The children are given one per copy, or as a mapping from child tree to
+    its number of copies.  `key` is the tree's id; `counted` holds its
+    distinct children with their counts, in id order.
+    """
+
+    __slots__ = ("counted",)
+
+    def __init__(self, children: Iterable[RootedTree] | Mapping[RootedTree, int] = ()):
+        kids = sorted((tree.key, count, tree) for tree, count in Counter(children).items()
+                      if count)
+        self.counted = tuple((tree, count) for _, count, tree in kids)
+        key = tuple((k, count) for k, count, _ in kids)
+        tid = _TREE_IDS.get(key)
+        if tid is None:
+            tid = _TREE_IDS[key] = len(_NODE_COUNTS)
+            _NODE_COUNTS.append(1 + sum(count * _NODE_COUNTS[k] for k, count in key))
+        self.key = tid
+        self.node_count = _NODE_COUNTS[tid]
+        self._code = None
+
+    @property
+    def children(self) -> tuple[RootedTree, ...]:
+        """Every child, one per copy, in code order (renders their codes)."""
+        ordered = sorted(self.counted, key=lambda pair: pair[0].code)
+        return tuple(chain.from_iterable(repeat(t, count) for t, count in ordered))
+
+    @property
+    def code_bytes(self) -> int:
+        return 2 * self.node_count
+
+    def _render(self) -> str:
+        for tree in _bottom_up(self, lambda t: t._code is not None):
+            ordered = sorted(tree.counted, key=lambda pair: pair[0]._code)
+            tree._code = "(%s)" % "".join(t._code * count for t, count in ordered)
+        return self._code
+
+
+def _bottom_up(tree: RootedTree,
+               done: Callable[[RootedTree], bool]) -> Iterator[RootedTree]:
+    """The subtrees of `tree` not yet `done`, each once and children first;
+    the caller makes each one done.  The stack is explicit, as trees from a
+    map can be as deep as the map."""
+    stack = [tree]
+    while stack:
+        t = stack[-1]
+        if not done(t):
+            todo = [child for child, _ in t.counted if not done(child)]
+            if todo:
+                stack.extend(todo)
+                continue
+            yield t
+        stack.pop()
 
 
 #: The single-node tree.
@@ -55,13 +132,13 @@ def _validated(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 def _partials(seq: tuple[int, ...], upto: int) -> list[RootedTree]:
-    # trees[k] is the k-th partial tree of seq; trees[0] is the leaf
+    # trees[k] is the k-th partial tree of seq; trees[0] is the leaf.  Their
+    # heights differ, so the child mappings below never merge two keys.
     trees = [LEAF]
     for k in range(1, upto + 1):
-        forest = [trees[k - 1]] * seq[k - 1]
-        for i in range(1, k):
-            forest += [trees[i - 1]] * (seq[i - 1] - seq[i])
-        trees.append(RootedTree(forest))
+        kids = {trees[i - 1]: seq[i - 1] - seq[i] for i in range(1, k)}
+        kids[trees[k - 1]] = seq[k - 1]
+        trees.append(RootedTree(kids))
     return trees
 
 
@@ -76,10 +153,9 @@ def elementary_tree(seq: Sequence[int]) -> RootedTree:
     if d == 0:
         return LEAF
     trees = _partials(seq, d - 1)
-    forest = [trees[d - 1]] * (seq[d - 1] - 1)
-    for i in range(1, d):
-        forest += [trees[i - 1]] * (seq[i - 1] - seq[i])
-    return RootedTree(forest)
+    kids = {trees[i - 1]: seq[i - 1] - seq[i] for i in range(1, d)}
+    kids[trees[d - 1]] = seq[d - 1] - 1
+    return RootedTree(kids)
 
 
 def partial_tree(seq: Sequence[int], k: int) -> RootedTree:
