@@ -17,8 +17,8 @@ from .base import factor_int
 from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
                        nu_series, predicted_graph)
 from .finitefield import GF, field, quadratic_character
-from .graphs import (DEFAULT_MAX_NODES, GraphSizeError, brute_graph,
-                     decompose_successors)
+from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, _check_size, brute_graph,
+                     decompose_successors, render)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain
 from .quadorder import QuadInt, QuadOrder
@@ -66,6 +66,8 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
         raise ValueError("the degree n must be positive")
 
     chi = quadratic_character(F, a_code)
+    m = q - chi  # P^1(F_q) less the 1 + chi square roots of a
+    _check_size(m, max_nodes)
     excluded = {x for x in F.elements() if F.mul(x, x) == a_code}
     points: list[int | None] = [None]  # None encodes the point at infinity
     points.extend(x for x in F.elements() if x not in excluded)
@@ -83,7 +85,6 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
     succ = [index[None if pt is None else step(pt)] for pt in points]
     brute = brute_graph(len(points), succ, max_nodes=max_nodes)
 
-    m = q - chi
     prediction = predicted_graph(_Z, n, m)
     return Report.compare(
         _Z, n, m, prediction.graph, prediction.summands, brute,
@@ -137,8 +138,7 @@ def chebyshev_check(q: int, n: int,
             prev, cur = cur, F.sub(F.mul(c, cur), prev)
         return cur
 
-    if q > max_nodes:
-        raise GraphSizeError(f"{q} nodes exceeds the cap of {max_nodes}")
+    _check_size(q, max_nodes)
     succ = [cheb(c) for c in F.elements()]
     tree_plus = _generic_tree(q - 1, n)
     tree_minus = _generic_tree(q + 1, n)
@@ -206,8 +206,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
         raise ValueError("f must be nonzero")
     if n < 1:
         raise ValueError("n must be positive")
-    if q**n > max_nodes:
-        raise GraphSizeError(f"{q**n} nodes exceeds the cap of {max_nodes}")
+    _check_size(q**n, max_nodes)
 
     # brute force on the extension field
     E = field(p, k * n)
@@ -279,7 +278,8 @@ def ec_generic_trees(d: int, a: QuadInt, pi: QuadInt, n: int) -> ECTreesReport:
 
     The endomorphism is identified by its quadratic-order element a and the
     Frobenius element pi; the trees for character +1 / -1 come from the
-    a-decompositions of <pi^n - 1> and <pi^n + 1>.
+    a-decompositions of <pi^n - 1> and <pi^n + 1>.  A tree whose code
+    would pass DEFAULT_MAX_CODE_BYTES raises GraphSizeError unrendered.
     """
     order = QuadOrder(d)
     if a.is_zero or pi.is_zero:
@@ -299,7 +299,8 @@ def ec_generic_trees(d: int, a: QuadInt, pi: QuadInt, n: int) -> ECTreesReport:
     tree_plus, tree_minus = trees
     return ECTreesReport(
         d=d, a=[a.x, a.y], pi=[pi.x, pi.y], n=n,
-        tree_plus_code=tree_plus.code, tree_minus_code=tree_minus.code,
+        tree_plus_code=render(tree_plus, DEFAULT_MAX_CODE_BYTES),
+        tree_minus_code=render(tree_minus, DEFAULT_MAX_CODE_BYTES),
         tree_plus_nodes=tree_plus.node_count,
         tree_minus_nodes=tree_minus.node_count,
         nu_plus=list(series[0]), nu_minus=list(series[1]),

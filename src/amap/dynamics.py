@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .base import Domain
-from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
-                     _counted, brute_graph)
+from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, _check_size, _counted,
+                     brute_graph)
 from .trees import RootedTree, elementary_tree
 
 __all__ = ["nu_series", "assemble_prediction", "predicted_graph",
@@ -91,8 +91,7 @@ def brute_amap_graph(dom: Domain, a, n,
     """Functional graph of x -> a*x on D/n by full enumeration of its
     successor table, which `dom.successors` builds by linearity."""
     size = dom.norm(n)
-    if size > max_nodes:
-        raise GraphSizeError(f"{size} residues exceed the cap of {max_nodes}")
+    _check_size(size, max_nodes)
     return brute_graph(size, dom.successors(a, n), max_nodes=max_nodes)
 
 
@@ -142,14 +141,12 @@ class Report(JsonReport):
                    node_count=brute.node_count, summands=list(summands), params=params)
 
 
-def _corrupt(graph: FunctionalGraph) -> FunctionalGraph:
+def _corrupt(prediction: FunctionalGraph) -> FunctionalGraph:
     """Perturb one copy of the first component in code order: its cycle is
-    one node longer (negative control)."""
-    (first, count), *rest = graph.classes
-    if len(first.root) == 1:  # one tree all round: the longer cycle is too
-        longer = Component(first.cycle_len + 1, first.root)
-    else:
-        longer = Component(first.cycle_len + 1, first.hanging + first.hanging[:1])
+    one node longer (negative control).  Every component of a prediction
+    carries one tree all round, so the longer cycle does too."""
+    (first, count), *rest = prediction.classes
+    longer = Component(first.cycle_len + 1, first.root)
     return _counted([(longer, 1), (first, count - 1), *rest])
 
 

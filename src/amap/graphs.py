@@ -491,14 +491,13 @@ def restricted_tensor(arg1: RootedTree | FunctionalGraph,
     return trees[0]
 
 
-def to_dot(graph: FunctionalGraph, name: str = "G",
-           max_nodes: int = DEFAULT_MAX_NODES) -> str:
+def to_dot(graph: FunctionalGraph, max_nodes: int = DEFAULT_MAX_NODES) -> str:
     """DOT source with one edge per node; numbering follows materialize().
 
     A graph of more than `max_nodes` nodes raises GraphSizeError first.
     """
     succ = materialize(graph, max_nodes)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     lines.extend(f"  n{i};" for i in range(len(succ)))
     lines.extend(f"  n{i} -> n{s};" for i, s in enumerate(succ))
     lines.append("}")

@@ -3,8 +3,8 @@
 Trees get integer ids from one process-wide table (AHU labelling, Aho,
 Hopcroft and Ullman 1974, with multiplicities): a node's id is that of the
 sorted pairs (child id, count) of its children, so ids are equal exactly
-when trees are isomorphic.  The table also holds each id's node count.  A
-tree keeps its distinct children with counts, so an elementary tree costs
+when trees are isomorphic.  A tree keeps its distinct children with
+counts, and its node count from theirs, so an elementary tree costs
 O(len(seq)^2) lookups whatever the product of its sequence.
 
 The canonical code is the classic parenthesis encoding: a leaf is ``()``,
@@ -21,22 +21,15 @@ from itertools import chain, repeat
 __all__ = ["RootedTree", "LEAF", "elementary_tree", "partial_tree"]
 
 
-class Coded:
-    """Value with a canonical code (equal codes, isomorphic values) and a
-    node count."""
+class Keyed:
+    """Value identified by a key made of tree ids, never by its text.
 
-    __slots__ = ("code", "node_count")
-
-
-class Keyed(Coded):
-    """Coded value identified by a key made of tree ids, never by its text.
-
-    Equal keys mean isomorphic values.  `code` is rendered by `_render` on
-    first use and memoised; `code_bytes` is its length, known beforehand,
-    so a repr never renders a long code.
+    Equal keys mean isomorphic values, as do equal canonical codes.  `code`
+    is rendered by `_render` on first use and memoised; `code_bytes` is its
+    length, known beforehand, so a repr never renders a long code.
     """
 
-    __slots__ = ("key", "_code")
+    __slots__ = ("key", "node_count", "_code")
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.key == other.key
@@ -56,9 +49,8 @@ class Keyed(Coded):
         return self._code
 
 
-# (child id, count) pairs sorted by child id -> tree id; node count by tree id
+# (child id, count) pairs sorted by child id -> tree id
 _TREE_IDS: dict[tuple[tuple[int, int], ...], int] = {}
-_NODE_COUNTS: list[int] = []
 
 
 class RootedTree(Keyed):
@@ -76,12 +68,8 @@ class RootedTree(Keyed):
                       if count)
         self.counted = tuple((tree, count) for _, count, tree in kids)
         key = tuple((k, count) for k, count, _ in kids)
-        tid = _TREE_IDS.get(key)
-        if tid is None:
-            tid = _TREE_IDS[key] = len(_NODE_COUNTS)
-            _NODE_COUNTS.append(1 + sum(count * _NODE_COUNTS[k] for k, count in key))
-        self.key = tid
-        self.node_count = _NODE_COUNTS[tid]
+        self.key = _TREE_IDS.setdefault(key, len(_TREE_IDS))
+        self.node_count = 1 + sum([count * tree.node_count for tree, count in self.counted])
         self._code = None
 
     @property

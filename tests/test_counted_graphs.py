@@ -24,15 +24,15 @@ from amap.graphs import (Component, FunctionalGraph, _counted, _min_rotation, br
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import LEAF, Coded, elementary_tree, partial_tree
+from amap.trees import LEAF, elementary_tree, partial_tree
 
 Z = IntegerDomain()
 
 
-class ReferenceGraph(Coded):
+class ReferenceGraph:
     """Multiset of components; equality is graph isomorphism."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "code", "node_count")
 
     def __init__(self, components=()):
         comps = tuple(sorted(components, key=lambda c: c.code))

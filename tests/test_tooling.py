@@ -49,6 +49,21 @@ def test_trees_are_built_only_from_a_nu_series_or_a_map():
     assert not found, found
 
 
+def test_graph_size_errors_are_raised_only_in_graphs():
+    # graphs._check_size and graphs.render decide every size bound; a hand
+    # copy of either elsewhere would fail this check
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "GraphSizeError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_no_caller_spells_out_a_uniform_cycle():
     # a Component takes one period of its trees, so a cycle with one tree
     # all round is passed as (tree,), never as an r-fold repetition
