@@ -8,9 +8,11 @@ the divisors of n1.  The brute-force construction builds the whole
 successor table of the map and is the independent oracle the prediction is
 verified against.  The map is additive, so the table comes from the images
 of the additive generators of D/n (`Domain.successors`) by linearity, and
-it is decomposed with interned trees (`graphs.decompose_successors`).  The
-oracle uses only additivity and `mul_mod`, never the structure theorem, so
-it stays independent of the prediction.
+it is decomposed with interned trees (`graphs.decompose_successors`), one
+cycle at a time; `graphs.brute_graph` counts equal cycles into classes, so
+the oracle's graph holds one component per class, as a prediction does.
+The oracle uses only additivity and `mul_mod`, never the structure
+theorem, so it stays independent of the prediction.
 """
 
 from __future__ import annotations

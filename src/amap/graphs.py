@@ -22,18 +22,21 @@ explicit successor map into cycles and hanging trees.  The decomposition
 peels nodes of in-degree zero and labels the trees bottom-up, building each
 distinct tree once, so isomorphic hanging trees are one interned object and
 no tree is built per node; every tree built from a map comes from this
-decomposition.  Both tensor products materialize their operands as
-successor maps and decompose one product map on the pairs, never using
-algebraic identities.  For the restricted product the root of a bare tree
+decomposition.  It is a generator: it yields one cycle at a time, in the
+order of the least cycle node, so no list of cycles is kept.  `brute_graph`
+counts the cycles by length and word of tree ids and builds one Component
+per distinct word, not one per cycle.  Both tensor products materialize
+their operands as successor maps and decompose one product map on the
+pairs, never using algebraic identities.  For the restricted product the root of a bare tree
 is unmapped: every pair with an unmapped side goes to one looping sink,
 the root pair is made a fixed point, and its hanging tree is the result.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, repeat
-from operator import itemgetter
+from operator import itemgetter, not_
 
 from .trees import LEAF, Keyed, RootedTree, _bottom_up
 
@@ -306,12 +309,14 @@ def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
     return _counted(pair for g in graphs for pair in g.counted)
 
 
-def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[RootedTree]]]:
-    """Split a successor map into (cycle nodes, hanging trees) per component.
+def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[RootedTree]]]:
+    """Yield (cycle nodes, hanging trees) for each component of a successor map.
 
     The i-th hanging tree is rooted at the i-th cycle node; cycle nodes are
-    listed in cycle order.  Components come in the order of their least
-    node, and each cycle starts at the cycle node whose tree holds it.
+    listed in cycle order.  Components come lazily, one cycle at a time, in
+    the order of their least cycle node, and each cycle starts at that node.
+    Every node off the cycles is labelled before the first component is
+    yielded, and the cycle nodes of a component as it is yielded.
 
     Trees are labelled bottom-up (Aho, Hopcroft and Ullman, The Design and
     Analysis of Computer Algorithms, 1974, 3.2).  Nodes of in-degree zero
@@ -325,37 +330,30 @@ def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[Root
     for s in succ:
         indeg[s] += 1
     children = indeg[:]  # on a cycle, one of these is the cycle predecessor
-    low = [n] * n  # least node strictly below each node
     inner: dict[int, list[int]] = {}  # node -> labels of its peeled inner children
     trees = [LEAF]
     label_of: dict[tuple[int, ...], int] = {(0,): 0}
 
-    def label(v: int) -> int:
+    def label(v: int, tree_kids: int) -> int:
         kids = sorted(inner.pop(v, ()))
-        key = (children[v] - len(kids), *kids)
+        key = (tree_kids - len(kids), *kids)  # the leaf children come first
         t = label_of.get(key)
         if t is None:
             t = label_of[key] = len(trees)
             trees.append(RootedTree([LEAF] * key[0] + [trees[k] for k in kids]))
         return t
 
-    leaves = [v for v in range(n) if not indeg[v]]
+    # the successors of the leaves, listed before indeg changes
     ready = []
-    for v in leaves:
-        s = succ[v]
-        if v < low[s]:
-            low[s] = v
+    for s in list(map(succ.__getitem__, compress(range(n), map(not_, indeg)))):
         indeg[s] -= 1
         if not indeg[s]:
             ready.append(s)
     while ready:
         frontier, ready = ready, []
         for v in frontier:
-            t = label(v)
-            lv = low[v] if low[v] < v else v
+            t = label(v, children[v])
             s = succ[v]
-            if lv < low[s]:
-                low[s] = lv
             got = inner.get(s)
             if got is None:
                 inner[s] = [t]
@@ -365,29 +363,25 @@ def decompose_successors(succ: Sequence[int]) -> list[tuple[list[int], list[Root
             if not indeg[s]:
                 ready.append(s)
 
-    # what is left is on cycles, each node with its cycle predecessor unpeeled
-    cycles: list[tuple[int, list[int]]] = []
+    # what is left is on cycles; a walk zeroes the nodes compress has still to pass
     for start in compress(range(n), indeg):
-        if not indeg[start]:
-            continue  # on a cycle already walked
-        cycle = []
-        v = start
-        while indeg[v]:
+        cycle = [start]
+        v = succ[start]
+        while v != start:
             indeg[v] = 0
-            children[v] -= 1  # the cycle predecessor
             cycle.append(v)
             v = succ[v]
-        lows = [low[v] if low[v] < v else v for v in cycle]
-        first = lows.index(min(lows))
-        cycles.append((lows[first], cycle[first:] + cycle[:first]))
-    cycles.sort()
-    return [(cycle, [trees[label(v)] if children[v] else LEAF for v in cycle])
-            for _, cycle in cycles]
+        if max(map(children.__getitem__, cycle)) <= 1:  # only the cycle predecessor
+            yield cycle, [LEAF] * len(cycle)
+        else:
+            yield cycle, [trees[label(v, children[v] - 1)] if children[v] > 1 else LEAF
+                          for v in cycle]
 
 
 def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
                 max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
-    """Functional graph of an arbitrary self-map on {0, ..., size-1}."""
+    """Functional graph of an arbitrary self-map on {0, ..., size-1}, with one
+    Component built per distinct (cycle length, word of tree ids)."""
     if size < 0:
         raise ValueError("size must be nonnegative")
     _check_size(size, max_nodes)
@@ -402,9 +396,17 @@ def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
         for i, s in enumerate(succ):
             if not 0 <= s < size:
                 raise ValueError(f"successor({i}) = {s} out of range")
-    comps = [Component(len(cycle), trees)
-             for cycle, trees in decompose_successors(succ)]
-    return FunctionalGraph(comps)
+    counted: dict[tuple[int, ...], list] = {}  # (m, tree ids) -> [word, count]
+    for _, word in decompose_successors(succ):
+        m = len(word)
+        # identical trees compare in C, and int keys hash in C
+        key = (m, word[0].key) if word.count(word[0]) == m else (m, *[t.key for t in word])
+        got = counted.get(key)
+        if got is None:
+            counted[key] = [word, 1]
+        else:
+            got[1] += 1
+    return _counted((Component(len(word), word), count) for word, count in counted.values())
 
 
 def materialize(graph: FunctionalGraph, max_nodes: int = DEFAULT_MAX_NODES) -> list[int]:
@@ -487,7 +489,7 @@ def restricted_tensor(arg1: RootedTree | FunctionalGraph,
     succ = _product_map(_tree_successors(arg1, max_nodes),
                         _tree_successors(arg2, max_nodes), max_nodes)
     succ[0] = 0  # the root pair is fixed, so its component is a loop and its tree
-    (_, trees), *_ = decompose_successors(succ)
+    _, trees = next(decompose_successors(succ))  # the cycle of node 0 comes first
     return trees[0]
 
 
