@@ -14,9 +14,9 @@ from .base import Domain, NotCoprimeError, ZeroIdealError
 from .dynamics import (Prediction, Report, brute_amap_graph, nu_series,
                        predicted_graph, verify)
 from .finitefield import GF, field, quadratic_character
-from .graphs import (Component, FunctionalGraph, GraphSizeError, brute_graph,
-                     canonical_code, compact, cyc, disjoint_sum, extended_tree,
-                     render, restricted_tensor, tensor, to_dot)
+from .graphs import (Component, FunctionalGraph, GraphSizeError, brute_graph, compact,
+                     cyc, disjoint_sum, extended_tree, render, restricted_tensor,
+                     tensor, to_dot)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain, factor_poly, irreducibles, is_irreducible
 from .quadorder import QuadIdeal, QuadInt, QuadOrder, SplitType
@@ -29,10 +29,10 @@ __all__ = [
     "FunctionalGraph", "GF", "GraphSizeError", "IntegerDomain", "LEAF",
     "LinearizedReport", "NotCoprimeError", "Poly", "PolyDomain", "Prediction",
     "QuadIdeal", "QuadInt", "QuadOrder", "Report", "RootedTree", "SplitType",
-    "ZeroIdealError", "brute_amap_graph", "brute_graph", "canonical_code",
-    "chebyshev_check", "compact", "cyc", "disjoint_sum", "ec_generic_trees",
-    "elementary_tree", "extended_tree", "factor_poly", "field", "irreducibles",
-    "is_irreducible", "linearized_check", "nu_series", "partial_tree",
-    "predicted_graph", "quadratic_character", "redei_check", "render",
-    "restricted_tensor", "tensor", "to_dot", "verify",
+    "ZeroIdealError", "brute_amap_graph", "brute_graph", "chebyshev_check",
+    "compact", "cyc", "disjoint_sum", "ec_generic_trees", "elementary_tree",
+    "extended_tree", "factor_poly", "field", "irreducibles", "is_irreducible",
+    "linearized_check", "nu_series", "partial_tree", "predicted_graph",
+    "quadratic_character", "redei_check", "render", "restricted_tensor",
+    "tensor", "to_dot", "verify",
 ]

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from .base import Domain
-from .graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, _check_size, _counted,
-                     brute_graph)
+from .graphs import DEFAULT_MAX_NODES, Component, FunctionalGraph, _check_size, brute_graph
 from .trees import RootedTree, elementary_tree
 
 __all__ = ["nu_series", "assemble_prediction", "predicted_graph",
@@ -74,7 +73,7 @@ def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
         summands.append({"divisor": dom.describe_ideal(m),
                          "cycle_len": r, "multiplicity": mult})
         rows.append((Component(r, (tree,)), mult))
-    graph = _counted(rows)
+    graph = FunctionalGraph(rows)
     if graph.node_count != math.prod(nu) * dom.norm(n1):
         raise RuntimeError("predicted node count mismatch")
     return Prediction(graph=graph, tree=tree, summands=tuple(summands))
@@ -149,7 +148,7 @@ def _corrupt(prediction: FunctionalGraph) -> FunctionalGraph:
     carries one tree all round, so the longer cycle does too."""
     (first, count), *rest = prediction.classes
     longer = Component(first.cycle_len + 1, first.root)
-    return _counted([(longer, 1), (first, count - 1), *rest])
+    return FunctionalGraph([(longer, 1), (first, count - 1), *rest])
 
 
 def verify_with_brute(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,

@@ -9,16 +9,18 @@ and the least rotation, in id order, of the primitive root of its period;
 a graph key is the set of its (component key, count) pairs.  So a
 prediction costs O(divisor rows) whatever the number of nodes.
 
-Canonical codes are rendered when read, and memoised: a component code is
-``C<len>[...]`` around the lexicographically minimal rotation of the
-hanging-tree codes (Booth's least-rotation algorithm), and a graph code
-joins the sorted component codes with ``;``, each repeated by its count.
-Equal codes and equal keys both mean isomorphic graphs.  A code's length is
-known from the key, so :func:`render` refuses an oversized one before
-building it; :func:`compact` gives the structure instead.
+A graph is built from `(component, count)` pairs, the paper's sum of
+cycle classes with multiplicities.  Canonical codes are rendered when read,
+as ``obj.code``, and memoised: a component code is ``C<len>[...]`` around
+the lexicographically minimal rotation of the hanging-tree codes (Booth's
+least-rotation algorithm), and a graph code joins the sorted component
+codes with ``;``, each repeated by its count.  Equal codes and equal keys
+both mean isomorphic graphs.  A code's length is known from the key, so
+:func:`render` refuses an oversized one before building it; :func:`compact`
+gives the structure instead.
 
 The one trusted primitive is :func:`brute_graph`, which decomposes an
-explicit successor map into cycles and hanging trees.  The decomposition
+explicit successor sequence into cycles and hanging trees.  The decomposition
 peels nodes of in-degree zero and labels the trees bottom-up, building each
 distinct tree once, so isomorphic hanging trees are one interned object and
 no tree is built per node; every tree built from a map comes from this
@@ -34,7 +36,7 @@ the root pair is made a fixed point, and its hanging tree is the result.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_
 
@@ -46,7 +48,6 @@ __all__ = [
     "GraphSizeError",
     "DEFAULT_MAX_NODES",
     "DEFAULT_MAX_CODE_BYTES",
-    "canonical_code",
     "compact",
     "render",
     "cyc",
@@ -125,12 +126,12 @@ class Component(Keyed):
     length, one period of them; the full list is one such word.  `root` is
     the word's primitive root at its least rotation in id order, and the key
     is `(cycle_len, ids of root)`, so powers and rotations of one word give
-    one key.  The views `period` (the given word at its least rotation in
-    code order) and `hanging` (that round the cycle) render tree codes when
-    the root has more than one tree.
+    one key.  `hanging` is the tree at every cycle node, from the least
+    rotation in code order; it renders tree codes when the root has more
+    than one tree.
     """
 
-    __slots__ = ("cycle_len", "root", "_given")
+    __slots__ = ("cycle_len", "root")
 
     def __init__(self, cycle_len: int, hanging: Sequence[RootedTree]):
         if cycle_len < 1:
@@ -149,7 +150,6 @@ class Component(Keyed):
             root = hanging[r:p] + hanging[:r]
         self.cycle_len = cycle_len
         self.root = root
-        self._given = m
         self.key = (cycle_len, tuple([t.key for t in root]))
         self.node_count = cycle_len // len(root) * sum([t.node_count for t in root])
         self._code = None
@@ -161,12 +161,6 @@ class Component(Keyed):
             return root
         r = _min_rotation([t.code for t in root])
         return root[r:] + root[:r]
-
-    @property
-    def period(self) -> tuple[RootedTree, ...]:
-        """The given word turned to its least rotation in code order (the
-        least rotation of u^k is (least rotation of u)^k)."""
-        return self._ordered_root() * (self._given // len(self.root))
 
     @property
     def hanging(self) -> tuple[RootedTree, ...]:
@@ -193,20 +187,21 @@ class Component(Keyed):
 class FunctionalGraph(Keyed):
     """Multiset of components; equality is graph isomorphism.
 
-    `counted` holds one `(component, count)` pair per distinct component
-    key, in no fixed order, and the key is the set of `(component key,
-    count)` pairs.  `classes` is the same pairs sorted by code, and
-    `components` one entry per copy in that order.
+    Built from `(component, count)` pairs: `count` copies of each component,
+    pairs with equal keys adding up and zero counts dropped; a count that
+    is not a nonnegative integer raises ValueError.  `counted` holds one
+    such pair per distinct component key, in no fixed order, and the key is
+    the set of `(component key, count)` pairs.  `classes` is the same pairs
+    sorted by code, and `components` one entry per copy in that order.
     """
 
     __slots__ = ("counted", "_classes")
 
-    def __init__(self, components: Iterable[Component] = ()):
-        self._merge(zip(components, repeat(1)))
-
-    def _merge(self, pairs: Iterable[tuple[Component, int]]) -> None:
+    def __init__(self, pairs: Iterable[tuple[Component, int]] = ()):
         merged: dict[tuple, list] = {}
         for comp, count in pairs:
+            if not isinstance(count, int) or count < 0:
+                raise ValueError(f"count {count!r} is not a nonnegative integer")
             got = merged.get(comp.key)
             if got is None:
                 merged[comp.key] = [comp, count]
@@ -242,24 +237,15 @@ class FunctionalGraph(Keyed):
                                             for comp, count in self.classes))
 
 
-def _counted(pairs: Iterable[tuple[Component, int]]) -> FunctionalGraph:
-    """Graph of `count` copies of each `(component, count)` pair; pairs with
-    equal keys add up."""
-    graph = FunctionalGraph.__new__(FunctionalGraph)
-    graph._merge(pairs)
-    return graph
-
-
-def render(obj: Keyed, max_bytes: int | None) -> str:
-    """Canonical code of a tree, component or graph.
+def render(obj: Keyed, max_bytes: int) -> str:
+    """`obj.code` of a tree, component or graph, capped at `max_bytes`.
 
     Its length is known from the key, so a code longer than `max_bytes`
-    is refused with GraphSizeError before anything is allocated; None
-    renders whatever the length.
+    is refused with GraphSizeError before anything is allocated.
     """
     if not isinstance(obj, Keyed):
         raise TypeError(f"no canonical code for {type(obj).__name__}")
-    if max_bytes is not None and obj.code_bytes > max_bytes:
+    if obj.code_bytes > max_bytes:
         raise GraphSizeError(f"code of {obj.code_bytes} bytes exceeds the cap "
                              f"of {max_bytes}")
     return obj.code
@@ -285,19 +271,16 @@ def compact(obj: RootedTree | FunctionalGraph) -> dict:
     if isinstance(obj, RootedTree):
         root = add(obj)
         return {"trees": trees, "root": root}
+    if not isinstance(obj, FunctionalGraph):
+        raise TypeError(f"no compact form for {type(obj).__name__}")
     rows = [[comp.cycle_len, [add(t) for t in comp.root], count]
             for comp, count in sorted(obj.counted, key=lambda pair: pair[0].key)]
     return {"trees": trees, "classes": rows}
 
 
-def canonical_code(obj: Keyed) -> str:
-    """Text encoding under which equality is exactly isomorphism."""
-    return render(obj, None)
-
-
 def cyc(m: int, tree: RootedTree = LEAF) -> FunctionalGraph:
     """Cycle of length m with a copy of `tree` hanging at every cycle node."""
-    return FunctionalGraph([Component(m, (tree,))])
+    return FunctionalGraph([(Component(m, (tree,)), 1)])
 
 
 def extended_tree(tree: RootedTree) -> FunctionalGraph:
@@ -306,7 +289,7 @@ def extended_tree(tree: RootedTree) -> FunctionalGraph:
 
 
 def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
-    return _counted(pair for g in graphs for pair in g.counted)
+    return FunctionalGraph(pair for g in graphs for pair in g.counted)
 
 
 def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[RootedTree]]]:
@@ -378,20 +361,17 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
                           for v in cycle]
 
 
-def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
+def brute_graph(size: int, succ: Sequence[int],
                 max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
-    """Functional graph of an arbitrary self-map on {0, ..., size-1}, with one
-    Component built per distinct (cycle length, word of tree ids)."""
+    """Functional graph of a self-map on {0, ..., size-1}, given as its
+    sequence of `size` successors, with one Component built per distinct
+    (cycle length, word of tree ids)."""
     if size < 0:
         raise ValueError("size must be nonnegative")
     _check_size(size, max_nodes)
-    if callable(successor):
-        succ = [successor(i) for i in range(size)]
-    else:
-        succ = successor
-        if len(succ) != size:
-            raise ValueError(f"successor sequence has length {len(succ)}, "
-                             f"not the size {size}")
+    if len(succ) != size:
+        raise ValueError(f"successor sequence has length {len(succ)}, "
+                         f"not the size {size}")
     if succ and not (0 <= min(succ) and max(succ) < size):
         for i, s in enumerate(succ):
             if not 0 <= s < size:
@@ -406,7 +386,8 @@ def brute_graph(size: int, successor: Callable[[int], int] | Sequence[int],
             counted[key] = [word, 1]
         else:
             got[1] += 1
-    return _counted((Component(len(word), word), count) for word, count in counted.values())
+    return FunctionalGraph((Component(len(word), word), count)
+                           for word, count in counted.values())
 
 
 def materialize(graph: FunctionalGraph, max_nodes: int = DEFAULT_MAX_NODES) -> list[int]:

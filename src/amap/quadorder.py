@@ -212,11 +212,6 @@ class QuadOrder(Domain):
             raise ZeroIdealError("at least one nonzero generator required")
         return self._make_ideal(*_hnf_from_vectors(vectors))
 
-    def ideal_sum(self, i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
-        self._check_pair(i, j)
-        return self._make_ideal(*_hnf_from_vectors(
-            [(i.a, 0), (i.b, i.c), (j.a, 0), (j.b, j.c)]))
-
     def _check_pair(self, i: QuadIdeal, j: QuadIdeal) -> None:
         if i.d != self.d or j.d != self.d:
             raise ValueError("ideals from a different order")
@@ -313,7 +308,9 @@ class QuadOrder(Domain):
         return self._make_ideal(prod.a // k, prod.b // k, prod.c // k)
 
     def ideal_gcd(self, m: QuadIdeal, n: QuadIdeal) -> QuadIdeal:
-        return self.ideal_sum(m, n)
+        self._check_pair(m, n)
+        return self._make_ideal(*_hnf_from_vectors(
+            [(m.a, 0), (m.b, m.c), (n.a, 0), (n.b, n.c)]))
 
     def reduce(self, a: QuadInt, n: QuadIdeal) -> QuadInt:
         self._check_pair(n, n)

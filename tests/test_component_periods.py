@@ -108,8 +108,8 @@ def test_a_period_and_its_full_repetition_give_one_component():
             assert short.node_count == full.node_count
             assert short.hanging == full.hanging
             assert_same_component(full, ReferenceComponent(m * k, w * k))
-            assert len(short.period) == m
-            assert short.period * k == short.hanging
+            assert len(short.hanging) == m * k
+            assert short.hanging[:m] * k == short.hanging
     assert seen_nonprimitive > 50
 
 
@@ -118,14 +118,14 @@ def test_the_period_is_the_least_rotation_of_the_given_word():
     for w in _words(rng, 200):
         comp = Component(len(w) * 2, w)
         r = _min_rotation([t.code for t in w])
-        assert comp.period == w[r:] + w[:r]
-        assert comp.hanging == comp.period * 2
+        assert comp.hanging[:len(w)] == w[r:] + w[:r]
+        assert comp.hanging == (w[r:] + w[:r]) * 2
 
 
 def test_a_list_period_is_stored_as_a_tuple():
     t, u = LEAF, elementary_tree([2])
     comp = Component(4, [t, u])
-    assert comp.period == (u, t)  # "(" sorts before ")"
+    assert comp.hanging[:2] == (u, t)  # "(" sorts before ")"
     assert comp.hanging == (u, t, u, t)
     assert comp.code == "C4[(()),(),(()),()]"
     assert comp.node_count == 6
@@ -145,7 +145,7 @@ def test_cyc_and_the_extended_tree_store_one_tree():
     for m in (1, 2, 7, 10**6):
         (comp, count), = cyc(m, tree).classes
         assert count == 1
-        assert comp.period == (tree,)
+        assert comp.root == (tree,)
         assert comp.cycle_len == m
         assert comp.node_count == m * tree.node_count
     (comp, _), = cyc(3, tree).classes
@@ -193,8 +193,8 @@ def test_every_predicted_class_has_a_period_of_one_tree(dom):
     for a, n in _instances(dom, rng, 25):
         prediction = predicted_graph(dom, a, n)
         for comp, _ in prediction.graph.classes:
-            assert len(comp.period) == 1
-            assert comp.period == (prediction.tree,)
+            assert len(comp.root) == 1
+            assert comp.root == (prediction.tree,)
             assert_same_component(comp, ReferenceComponent(
                 comp.cycle_len, (prediction.tree,) * comp.cycle_len))
 
@@ -202,7 +202,7 @@ def test_every_predicted_class_has_a_period_of_one_tree(dom):
 def test_a_long_prediction_keeps_one_tree_per_class():
     # 2 is a primitive root mod the prime 1000003: one cycle through every unit
     prediction = predicted_graph(Z, 2, 1000003)
-    assert [(c.cycle_len, len(c.period), count) for c, count in prediction.graph.classes] \
+    assert [(c.cycle_len, len(c.root), count) for c, count in prediction.graph.classes] \
         == [(1000002, 1, 1), (1, 1, 1)]
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from amap.dynamics import _corrupt, predicted_graph
 from amap.finitefield import field
-from amap.graphs import (Component, FunctionalGraph, _counted, _min_rotation, brute_graph,
+from amap.graphs import (Component, FunctionalGraph, _min_rotation, brute_graph,
                          cyc, decompose_successors, disjoint_sum, extended_tree,
                          materialize, restricted_tensor, to_dot)
 from amap.integers import IntegerDomain
@@ -111,7 +111,7 @@ def test_sums_of_cycles_match_the_reference():
         comps = [_random_component(rng, trees) for _ in range(rng.randint(0, 8))]
         comps += rng.choices(comps, k=rng.randint(0, 5)) if comps else []
         rng.shuffle(comps)
-        assert_same(FunctionalGraph(comps), ReferenceGraph(comps))
+        assert_same(FunctionalGraph((c, 1) for c in comps), ReferenceGraph(comps))
         parts = [(cyc(c.cycle_len, c.hanging[0]), reference_cyc(c.cycle_len, c.hanging[0]))
                  for c in comps]
         parts += rng.choices(parts, k=3) if parts else []
@@ -136,7 +136,7 @@ def test_brute_graphs_of_random_maps_match_the_reference():
                              for cycle, trees in decompose_successors(succ))
         graph = brute_graph(size, succ)
         assert_same(graph, ref)
-        assert materialize(graph) == materialize(FunctionalGraph(ref.components))
+        assert materialize(graph) == materialize(FunctionalGraph((c, 1) for c in ref.components))
 
 
 DOMAINS = [Z, PolyDomain(field(2)), PolyDomain(field(3)), QuadOrder(-1), QuadOrder(-5)]
@@ -182,10 +182,18 @@ def test_large_predictions_match_the_reference():
 
 def test_counts_add_up_and_empty_classes_vanish():
     loop, pair = Component(1, (LEAF,)), Component(2, (LEAF, LEAF))
-    graph = _counted([(pair, 2), (loop, 3), (Component(1, (LEAF,)), 1), (pair, 0)])
+    graph = FunctionalGraph([(pair, 2), (loop, 3), (Component(1, (LEAF,)), 1), (pair, 0)])
     assert graph.classes == ((loop, 4), (pair, 2))
-    assert graph == FunctionalGraph([loop] * 4 + [pair] * 2)
-    assert _counted([(loop, 0)]) == FunctionalGraph()
+    assert graph == FunctionalGraph([(loop, 1)] * 4 + [(pair, 1)] * 2)
+    assert FunctionalGraph([(loop, 0)]) == FunctionalGraph()
+
+
+def test_a_negative_or_fractional_count_is_refused():
+    loop, pair = Component(1, (LEAF,)), Component(2, (LEAF, LEAF))
+    for pairs in ([(loop, -1)], [(loop, 2), (loop, -1)], [(pair, 1), (loop, -3)],
+                  [(loop, 1.5)], [(pair, 2.0)]):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            FunctionalGraph(pairs)
 
 
 def test_an_extended_tree_argument_is_one_class_of_one_copy():
@@ -200,7 +208,7 @@ def test_an_extended_tree_argument_is_one_class_of_one_copy():
 def test_dot_numbers_the_copies_of_a_class_in_turn():
     graph = disjoint_sum([cyc(2)] * 3)
     ref = reference_disjoint_sum([reference_cyc(2)] * 3)
-    assert to_dot(graph) == to_dot(FunctionalGraph(ref.components))
+    assert to_dot(graph) == to_dot(FunctionalGraph((c, 1) for c in ref.components))
     assert materialize(graph) == [1, 0, 3, 2, 5, 4]
 
 

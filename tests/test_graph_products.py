@@ -213,7 +213,7 @@ def test_brute_graph_reads_a_sequence_in_place(monkeypatch):
     assert len(seen) == 1 and seen[0] is succ
     assert graph.code == "C3[(()),(),()]"
     assert graph.code == brute_graph(4, list(succ)).code == \
-        brute_graph(4, succ.__getitem__).code
+        brute_graph(4, [succ[i] for i in range(4)]).code
     assert brute_graph(0, ()) == FunctionalGraph()
 
 

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from amap.graphs import (Component, FunctionalGraph, GraphSizeError, brute_graph,
-                         canonical_code, cyc, disjoint_sum, extended_tree,
-                         materialize, restricted_tensor, tensor, to_dot)
+from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, GraphSizeError,
+                         brute_graph, cyc, disjoint_sum, extended_tree, materialize,
+                         render, restricted_tensor, tensor, to_dot)
 from amap.trees import LEAF, RootedTree, elementary_tree, partial_tree
 
 
@@ -37,21 +37,21 @@ def test_disjoint_sum_multiset():
 
 
 def test_brute_identity_and_shift():
-    assert brute_graph(5, lambda x: x) == disjoint_sum([cyc(1)] * 5)
-    assert brute_graph(5, lambda x: (x + 1) % 5) == cyc(5)
+    assert brute_graph(5, list(range(5))) == disjoint_sum([cyc(1)] * 5)
+    assert brute_graph(5, [(x + 1) % 5 for x in range(5)]) == cyc(5)
 
 
 def test_brute_doubling_mod_24():
-    g = brute_graph(24, lambda x: 2 * x % 24)
+    g = brute_graph(24, [2 * x % 24 for x in range(24)])
     t = elementary_tree((2, 2, 2))
     assert g == disjoint_sum([cyc(1, t), cyc(2, t)])
 
 
 def test_brute_rejects_out_of_range():
     with pytest.raises(ValueError):
-        brute_graph(3, lambda x: 5)
+        brute_graph(3, [5] * 3)
     with pytest.raises(GraphSizeError):
-        brute_graph(100, lambda x: x, max_nodes=10)
+        brute_graph(100, list(range(100)), max_nodes=10)
 
 
 def test_brute_relabeling_invariance():
@@ -169,14 +169,13 @@ def test_restricted_tensor_rejects_non_extended_graph():
 
 
 def test_canonical_code_examples():
-    assert canonical_code(LEAF) == "()"
-    assert canonical_code(RootedTree([LEAF, LEAF])) == "(()())"
+    assert LEAF.code == "()"
+    assert RootedTree([LEAF, LEAF]).code == "(()())"
     t = elementary_tree((2,))
-    assert canonical_code(Component(2, (t, LEAF))) == \
-        canonical_code(Component(2, (LEAF, t)))
-    assert canonical_code(cyc(2)) == "C2[(),()]"
+    assert Component(2, (t, LEAF)).code == Component(2, (LEAF, t)).code
+    assert cyc(2).code == "C2[(),()]"
     with pytest.raises(TypeError):
-        canonical_code("nope")
+        render("nope", DEFAULT_MAX_CODE_BYTES)
 
 
 def test_dot_output_shape():

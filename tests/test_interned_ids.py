@@ -21,7 +21,7 @@ from amap import graphs
 from amap.cli import main
 from amap.dynamics import _corrupt, assemble_prediction, predicted_graph
 from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, GraphSizeError,
-                         _counted, brute_graph, compact, cyc, decompose_successors,
+                         brute_graph, compact, cyc, decompose_successors,
                          disjoint_sum, extended_tree, materialize, render,
                          restricted_tensor, tensor, to_dot)
 from amap.integers import IntegerDomain
@@ -101,7 +101,7 @@ def test_tree_ids_agree_with_eager_codes(shape_list):
     codes = [ref_tree_code(s) for s in shape_list]
     for tree, code in zip(trees, codes):
         assert tree.code == code
-        assert render(tree, None) == code
+        assert tree.code == code
         assert tree.code_bytes == len(code) == 2 * tree.node_count
         assert "".join(t.code for t in tree.children) == code[1:-1]
     for (t, c), (u, d) in combinations(zip(trees, codes), 2):
@@ -167,7 +167,7 @@ def test_component_keys_agree_with_eager_codes(specs):
         assert comp.code == code
         assert render(comp, len(code)) == code
         assert comp.code_bytes == len(code)
-        assert len(comp.period) == len(w) and len(comp.hanging) == m
+        assert comp.hanging[:len(w)] * reps == comp.hanging and len(comp.hanging) == m
         assert ",".join(t.code for t in comp.hanging) == code[code.index("[") + 1:-1]
         assert comp == Component(m, w * reps)
         comps.append(comp)
@@ -187,7 +187,7 @@ def test_graph_keys_agree_with_eager_codes(left, right):
             comp = Component(len(w) * reps, w)
             pairs.append((comp, count))
             comp_codes += [ref_component_code(len(w) * reps, [t.code for t in w])] * count
-        return _counted(pairs), ref_graph_code(comp_codes)
+        return FunctionalGraph(pairs), ref_graph_code(comp_codes)
 
     (g, x), (h, y) = graph_and_code(left), graph_and_code(right)
     for graph, code in ((g, x), (h, y)):
@@ -304,6 +304,12 @@ def test_compact_form_determines_the_code():
     assert _code_from_compact(compact(tree)) == tree.code
     # a tree of 10^18 nodes is three rows
     assert len(compact(elementary_tree([10**9, 10**9]))["trees"]) == 3
+
+
+@pytest.mark.parametrize("obj", [Component(1, (LEAF,)), "()", None])
+def test_compact_refuses_anything_but_a_tree_or_a_graph(obj):
+    with pytest.raises(TypeError, match="no compact form"):
+        compact(obj)
 
 
 def test_deep_trees_render_without_recursion():

@@ -75,10 +75,10 @@ class TestIdealFromGenerators:
 class TestIdealOps:
     def test_sum_examples(self):
         p2, p3 = Z5.rational_prime_splitting(3)[1]
-        assert Z5.ideal_sum(p2, p3) == Z5.unit_ideal
-        assert Z5.ideal_sum(p2, p2) == p2
+        assert Z5.ideal_gcd(p2, p3) == Z5.unit_ideal
+        assert Z5.ideal_gcd(p2, p2) == p2
         two = Z5.principal(QuadInt(2, 0))
-        p1 = Z5.ideal_sum(two, Z5.principal(QuadInt(1, 1)))
+        p1 = Z5.ideal_gcd(two, Z5.principal(QuadInt(1, 1)))
         assert p1.norm == 2
 
     def test_product_examples(self):

@@ -80,7 +80,7 @@ def reference_decompose(succ):
 
 
 def reference_code(succ):
-    return FunctionalGraph(Component(len(cycle), trees)
+    return FunctionalGraph((Component(len(cycle), trees), 1)
                            for cycle, trees in reference_decompose(succ)).code
 
 

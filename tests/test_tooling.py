@@ -1,6 +1,7 @@
 """Source-level checks on the library code."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import amap
@@ -74,4 +75,27 @@ def test_no_caller_spells_out_a_uniform_cycle():
                     and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
                             for arg in node.args[1:])):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_object_is_built_behind_its_constructor():
+    # X.__new__(X) skips X.__init__ and its checks; every object is built
+    # through its one constructor
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is gone breaks `import *`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "amap" if path.stem == "__init__" else f"amap.{path.stem}"
+        module = importlib.import_module(name)
+        found.extend(f"{name}.{export}" for export in getattr(module, "__all__", ())
+                     if not hasattr(module, export))
     assert not found, found
