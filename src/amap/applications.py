@@ -7,11 +7,18 @@ quadratic-order data, and linearized polynomials acting on extension
 fields.  Each checker derives the predicted structure from the generic
 machinery and verifies it against brute-force evaluation of the actual
 map.
+
+The Redei, Chebyshev and linearized maps are evaluated at every point, as
+whole tables: ``_BLOCK`` points at a time, with one ``GF`` list operation per
+arithmetic step.  The Redei and Chebyshev maps of degree n are built by
+doubling over the bits of n, so a table costs O(q log n) field operations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .base import factor_int
 from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
@@ -30,6 +37,17 @@ __all__ = ["redei_check", "chebyshev_check", "linearized_check",
 
 _Z = IntegerDomain()
 
+# points per list pass: bounds the temporaries, which a whole-field pass
+# would make as large as the field
+_BLOCK = 4096
+
+
+def _blocks(items) -> Iterator[list]:
+    """The items as consecutive lists of at most _BLOCK."""
+    it = iter(items)
+    while block := list(islice(it, _BLOCK)):
+        yield block
+
 
 def _prime_power(q: int) -> tuple[int, int]:
     if q < 2:
@@ -47,12 +65,64 @@ def _field_for(q: int) -> GF:
 
 # ---- Redei functions ----
 
+def _redei_pairs(F: GF, xs: list[int], squares: list[int], n: int,
+                 a: int) -> tuple[list[int], list[int]]:
+    """(u, v) with (x + sqrt(a))^n = u + v*sqrt(a), for each x in xs, given
+    x^2 for each.
+
+    Left to right over the bits of n: square, then multiply by x + sqrt(a)
+    on a one bit.  The first square is (x^2 + a) + 2x*sqrt(a).
+    """
+    if n == 1:
+        return xs, [1] * len(xs)
+    const_a = [a] * len(xs)
+    u, v = F.add_all(squares, const_a), F.add_all(xs, xs)
+    for i, bit in enumerate(bin(n)[3:]):
+        if i:
+            uv = F.mul_all(u, v)
+            u = F.add_all(F.mul_all(u, u), F.mul_all(const_a, F.mul_all(v, v)))
+            v = F.add_all(uv, uv)
+        if bit == "1":
+            u, v = (F.add_all(F.mul_all(u, xs), F.mul_all(const_a, v)),
+                    F.add_all(u, F.mul_all(v, xs)))
+    return u, v
+
+
+def _redei_successors(F: GF, n: int, a: int) -> Sequence[int]:
+    """Successor table of the Redei map on P^1(F_q) less the roots of a.
+
+    Point 0 is infinity and point i > 0 the i-th finite non-root.  A pole
+    goes to infinity; the roots of a are fixed points that nothing else
+    reaches, so dropping them leaves a closed map.
+    """
+    inv = F.inverse_table()
+    succ = F.code_array([0])  # infinity is absorbing; x is at x + 1 for now
+    roots = []
+    for xs in _blocks(range(F.q)):
+        squares = F.mul_all(xs, xs)
+        if a in squares:
+            roots.extend(x for x, y in zip(xs, squares) if y == a)
+        num, den = _redei_pairs(F, xs, squares, n, a)
+        ratio = F.mul_all(num, [inv[d] for d in den])
+        succ.extend([y + 1 if d else 0 for y, d in zip(ratio, den)])
+    if not roots:
+        return succ
+    i, j = sorted(r + 1 for r in roots)
+    del succ[j], succ[i]
+    out = F.code_array()
+    for block in _blocks(succ):
+        out.extend([s - (s > i) - (s > j) for s in block])
+    return out
+
+
 def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> Report:
     """Check the degree-n Redei map with parameter a over P^1(F_q).
 
     The map is evaluated through the pair recurrence for (x + sqrt(y))^n,
     so no square roots are needed; poles go to the absorbing point at
     infinity.  The domain drops the fixed points +-sqrt(a) when they exist.
+    All q finite points are evaluated as one table, at a cost of O(q log n)
+    field operations.
     """
     F = _field_for(q)
     if F.q % 2 == 0:
@@ -68,22 +138,7 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
     chi = quadratic_character(F, a_code)
     m = q - chi  # P^1(F_q) less the 1 + chi square roots of a
     _check_size(m, max_nodes)
-    excluded = {x for x in F.elements() if F.mul(x, x) == a_code}
-    points: list[int | None] = [None]  # None encodes the point at infinity
-    points.extend(x for x in F.elements() if x not in excluded)
-    index = {pt: i for i, pt in enumerate(points)}
-
-    def step(x: int) -> int | None:
-        num, den = x, F.one  # (x + sqrt(a))^1
-        for _ in range(n - 1):
-            num, den = (F.add(F.mul(num, x), F.mul(den, a_code)),
-                        F.add(num, F.mul(den, x)))
-        if den == 0:
-            return None
-        return F.div(num, den)
-
-    succ = [index[None if pt is None else step(pt)] for pt in points]
-    brute = brute_graph(len(points), succ, max_nodes=max_nodes)
+    brute = brute_graph(m, _redei_successors(F, n, a_code), max_nodes=max_nodes)
 
     prediction = predicted_graph(_Z, n, m)
     return Report.compare(
@@ -115,13 +170,42 @@ def _generic_tree(m: int, n: int) -> RootedTree:
     return elementary_tree(_Z.gcd_chain(n, m)[0])
 
 
+def _chebyshev_successors(F: GF, n: int) -> tuple[Sequence[int], bytearray]:
+    """T_n at every code of F, and a mark on every square.
+
+    The ladder keeps (T_k, T_k+1) from k = 1 and doubles over the bits of n
+    with T_2k = T_k^2 - 2 and T_2k+1 = T_k * T_k+1 - x.
+    """
+    two = F.add(F.one, F.one)
+    succ = F.code_array()
+    is_square = bytearray(F.q)
+    for xs in _blocks(range(F.q)):
+        squares = F.mul_all(xs, xs)
+        for y in squares:
+            is_square[y] = 1
+        twos = [two] * len(xs)
+        lo, hi = xs, F.sub_all(squares, twos)
+        bits = bin(n)[3:]
+        for i, bit in enumerate(bits, 1):
+            more = i < len(bits)  # after the last bit only T_n is needed
+            if bit == "1":
+                lo, hi = (F.sub_all(F.mul_all(lo, hi), xs),
+                          F.sub_all(F.mul_all(hi, hi), twos) if more else None)
+            else:
+                lo, hi = (F.sub_all(F.mul_all(lo, lo), twos),
+                          F.sub_all(F.mul_all(lo, hi), xs) if more else None)
+        succ.extend(lo)
+    return succ, is_square
+
+
 def chebyshev_check(q: int, n: int,
                     max_nodes: int = DEFAULT_MAX_NODES) -> ChebyshevReport:
     """Check the hanging trees at periodic points of T_n over F_q.
 
     Periodic points other than +-2 carry one of two trees, selected by the
     quadratic character of c^2 - 4; the components through +-2 are skipped
-    and reported, not predicted.
+    and reported, not predicted.  T_n is evaluated at all q points as one
+    table, at a cost of O(q log n) field operations.
     """
     F = _field_for(q)
     if F.q % 2 == 0:
@@ -132,26 +216,24 @@ def chebyshev_check(q: int, n: int,
     minus_two = F.neg(two)
     four = F.mul(two, two)
 
-    def cheb(c: int) -> int:
-        prev, cur = two, c  # T_0, T_1
-        for _ in range(n - 1):
-            prev, cur = cur, F.sub(F.mul(c, cur), prev)
-        return cur
-
     _check_size(q, max_nodes)
-    succ = [cheb(c) for c in F.elements()]
+    succ, is_square = _chebyshev_successors(F, n)
     tree_plus = _generic_tree(q - 1, n)
     tree_minus = _generic_tree(q + 1, n)
 
     checked = 0
     skipped: list[int] = []
     mismatches: list[dict] = []
-    for cycle, trees in decompose_successors(succ):
-        for c, tree in zip(cycle, trees):
+    periodic = ((c, tree) for cycle, trees in decompose_successors(succ)
+                for c, tree in zip(cycle, trees))
+    for block in _blocks(periodic):
+        points = [c for c, _ in block]
+        discriminants = F.sub_all(F.mul_all(points, points), [four] * len(points))
+        for (c, tree), disc in zip(block, discriminants):
             if c == two or c == minus_two:
                 skipped.append(c)
                 continue
-            chi = quadratic_character(F, F.sub(F.mul(c, c), four))
+            chi = 1 if is_square[disc] else -1  # disc is nonzero away from +-2
             expected = tree_plus if chi == 1 else tree_minus
             checked += 1
             if tree != expected:
@@ -184,6 +266,20 @@ class LinearizedReport(JsonReport):
     summands: list
 
 
+def _linearized_successors(E: GF, frob: Sequence[int], coeffs: list[int]) -> Sequence[int]:
+    """sum_i coeffs[i] * x^(q^i) at every code x of E, where frob is x -> x^q."""
+    succ = E.code_array()
+    for xs in _blocks(range(E.q)):
+        acc = [0] * len(xs)
+        for i, ai in enumerate(coeffs):
+            if i:
+                xs = [frob[x] for x in xs]
+            if ai:
+                acc = E.add_all(acc, E.mul_all([ai] * len(xs), xs))
+        succ.extend(acc)
+    return succ
+
+
 def linearized_check(q: int, n: int, f: Poly | list[int],
                      max_nodes: int = DEFAULT_MAX_NODES) -> LinearizedReport:
     """Check the functional graph of the q-associate of f on F_{q^n}.
@@ -191,7 +287,8 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     Three graphs must coincide: the brute-force graph of c -> L_f(c) on
     the extension field, the brute-force graph of multiplication by f on
     F_q[x] modulo x^n - 1, and the predicted decomposition built from
-    h = gcd(f, x^u - 1) with n = p^t * u.
+    h = gcd(f, x^u - 1) with n = p^t * u.  L_f is evaluated at all q^n
+    points as one table, one Frobenius pass and one product per coefficient.
     """
     p, k = _prime_power(q)
     F = field(p, k)
@@ -211,19 +308,8 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     # brute force on the extension field
     E = field(p, k * n)
     emb = E.embedding(F)
-    frob = E.power_table(q)
-    coeffs = [emb[c] for c in f.coeffs]
 
-    succ = []
-    for c in E.elements():
-        acc = 0
-        x = c
-        for i, ai in enumerate(coeffs):
-            if i:
-                x = frob[x]
-            if ai:
-                acc = E.add(acc, E.mul(ai, x))
-        succ.append(acc)
+    succ = _linearized_successors(E, E.power_table(q), [emb[c] for c in f.coeffs])
     brute_field = brute_graph(E.q, succ, max_nodes=max_nodes)
 
     # brute force on the quotient ring

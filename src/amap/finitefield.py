@@ -14,10 +14,17 @@ construction and not tested again.  Prime-field products are integer
 products mod p.  Extension products come from tables when q <= 64, and
 otherwise from bit operations when p = 2 and from ``Poly`` products over F_p
 reduced by the modulus when p is odd.
+
+Besides the scalar operations there are whole-table ones: ``add_all``,
+``sub_all`` and ``mul_all`` combine two equal-length lists of codes in one
+pass, and ``inverse_table`` lists every inverse at once.  A caller that
+evaluates a map at every field element makes one list pass per operation
+with them, not one method call per element.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .base import is_prime, power
@@ -148,6 +155,64 @@ class GF:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    # ---- whole tables ----
+
+    def add_all(self, xs, ys) -> list[int]:
+        """[x + y for each pair]; the inputs must have equal lengths."""
+        pairs = zip(xs, ys, strict=True)
+        if self.k == 1:
+            p = self.p
+            return [(x + y) % p for x, y in pairs]
+        if self.p == 2:
+            return [x ^ y for x, y in pairs]
+        add = self.add
+        return [add(x, y) for x, y in pairs]
+
+    def sub_all(self, xs, ys) -> list[int]:
+        """[x - y for each pair]; the inputs must have equal lengths."""
+        pairs = zip(xs, ys, strict=True)
+        if self.k == 1:
+            p = self.p
+            return [(x - y) % p for x, y in pairs]
+        if self.p == 2:
+            return [x ^ y for x, y in pairs]
+        sub = self.sub
+        return [sub(x, y) for x, y in pairs]
+
+    def mul_all(self, xs, ys) -> list[int]:
+        """[x * y for each pair]; the inputs must have equal lengths."""
+        pairs = zip(xs, ys, strict=True)
+        if self._mul_table is not None:
+            table = self._mul_table
+            return [table[x][y] for x, y in pairs]
+        if self.k == 1:
+            p = self.p
+            return [x * y % p for x, y in pairs]
+        mul = self.mul
+        return [mul(x, y) for x, y in pairs]
+
+    def code_array(self, codes=()) -> array:
+        """A compact array of element codes, or of indices up to q; 4 bytes
+        an entry while q < 2^32."""
+        return array("I" if self.q < 1 << 32 else "Q", codes)
+
+    def inverse_table(self) -> array:
+        """1/x at every code x, with 0 -> 0.
+
+        Built afresh on each call and not kept: a prime field's table has p
+        entries, and ``field`` keeps every field it has made.
+        """
+        if self._inv_table is not None:
+            return self.code_array(self._inv_table)
+        inv = self.code_array([0, 1])
+        if self.k == 1:
+            p = self.p
+            for i in range(2, p):  # from p = (p // i) * i + p % i
+                inv.append(-(p // i) * inv[p % i] % p)
+        else:
+            inv.extend(self.inv(x) for x in range(2, self.q))
+        return inv
 
     # ---- towers ----
 
