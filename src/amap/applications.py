@@ -288,7 +288,9 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     the extension field, the brute-force graph of multiplication by f on
     F_q[x] modulo x^n - 1, and the predicted decomposition built from
     h = gcd(f, x^u - 1) with n = p^t * u.  L_f is evaluated at all q^n
-    points as one table, one Frobenius pass and one product per coefficient.
+    points as one table, one Frobenius pass and one product per coefficient;
+    the Frobenius table and the products read the exp/log tables that the
+    extension field keeps, so no step makes a scalar field call per point.
     """
     p, k = _prime_power(q)
     F = field(p, k)

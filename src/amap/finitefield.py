@@ -10,34 +10,39 @@ required; if none is supplied the constructor takes the first one that
 constant coefficient most significant), so field construction is
 reproducible.  A supplied modulus is tested with the Rabin test
 ``polynomials.is_irreducible``; the default one is irreducible by
-construction and not tested again.  Prime-field products are integer
-products mod p.  Extension products come from tables when q <= 64, and
-otherwise from bit operations when p = 2 and from ``Poly`` products over F_p
-reduced by the modulus when p is odd.
+construction and not tested again.  Prime fields compute with ``% p``.
+Beyond q = 64 a scalar extension product reads no table: it takes bit
+operations when p = 2 and a ``Poly`` product reduced by the modulus when p is
+odd, and so referees the tables.
 
-Besides the scalar operations there are whole-table ones: ``add_all``,
-``sub_all`` and ``mul_all`` combine two equal-length lists of codes in one
-pass, and ``inverse_table`` lists every inverse at once.  A caller that
-evaluates a map at every field element makes one list pass per operation
-with them, not one method call per element.
+The whole-table operations ``add_all``, ``sub_all``, ``mul_all``,
+``inverse_table`` and ``power_table`` evaluate an operation at every element
+in one list pass.  An extension field serves them from one table set, built
+in O(q) steps by its first list operation (by the constructor when q <= 64,
+whose scalar ``mul`` and ``inv`` then read it) and kept: ``exp`` and ``log``
+from a primitive element, and for odd p the digitwise sums of codes with half
+the base-p digits.  Prime fields keep no table.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from operator import xor
 
-from .base import is_prime, power
+from .base import factor_int, is_prime, power
 from .polynomials import Poly, irreducibles, is_irreducible
 
 __all__ = ["GF", "field", "quadratic_character"]
+
+_SMALL_Q = 64  # extension fields up to this order build their tables at once
 
 
 class GF:
     """The finite field with p^k elements."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_modpoly", "_modbits", "_mul_table",
-                 "_inv_table", "_pow_tables", "_embed_cache")
+    __slots__ = ("p", "k", "q", "modulus", "_modpoly", "_modbits", "_tables",
+                 "_embed_cache")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -64,13 +69,9 @@ class GF:
             self.modulus = self._modpoly.coeffs
         self._modbits = (sum(c << i for i, c in enumerate(self.modulus))
                          if p == 2 and k > 1 else 0)
-        self._mul_table = self._inv_table = None
-        if 1 < self.q <= 64 and k > 1:  # `mul` computes directly until its table is set
-            self._mul_table = [[self.mul(a, b) for b in range(self.q)]
-                               for a in range(self.q)]
-            self._inv_table = [0] + [self.pow(a, self.q - 2)
-                                     for a in range(1, self.q)]
-        self._pow_tables: dict[int, list[int]] = {}
+        self._tables = None
+        if k > 1 and self.q <= _SMALL_Q:  # `mul` computes directly until the set is built
+            self._table_set()
         self._embed_cache: dict[tuple, list[int]] = {}
 
     # ---- encoding ----
@@ -116,10 +117,11 @@ class GF:
         return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
         if self.k == 1:
             return (a * b) % self.p
+        if self._tables is not None and self.q <= _SMALL_Q:
+            exp, log, _, _ = self._tables
+            return exp[(log[a] + log[b]) % (self.q - 1)] if a and b else 0
         if self.p == 2:
             r = 0
             while b:
@@ -147,16 +149,59 @@ class GF:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
+        if self._tables is not None and self.q <= _SMALL_Q:
+            exp, log, _, _ = self._tables
+            return exp[-log[a]]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     # ---- whole tables ----
+
+    def _table_set(self) -> tuple:
+        """(exp, log, half, neg) of an extension field, built on first use.
+
+        exp[i] = g^i for the least primitive g >= p, and log inverts it
+        (log[0] = 0).  For odd p and w = p^ceil(k/2), half[a * w + b] is the
+        digitwise sum of codes a, b < w and neg[a] the negative of a.  Each
+        step of exp adds the products by g of a code's two halves (x -> g*x is
+        F_p-linear), read from two w-entry tables.
+        """
+        if self._tables is not None:
+            return self._tables
+        p, q, m = self.p, self.q, self.q - 1
+        w = p ** ((self.k + 1) // 2)
+        half = neg = None
+        add = xor
+        if p > 2:
+            half, neg, n = self.code_array([0]), [0], 1
+            while n < w:  # from the sums of codes below n to those below n * p
+                prev, half = half, self.code_array()
+                for a in range(n * p):
+                    half.extend([prev[a // p * n + b // p] * p + (a + b) % p
+                                 for b in range(n * p)])
+                neg = [neg[a // p] * p + -a % p for a in range(n * p)]
+                n *= p
+            neg = self.code_array(neg)
+
+            def add(a: int, b: int) -> int:
+                return half[a // w * w + b // w] * w + half[a % w * w + b % w]
+
+        g = next(g for g in range(p, q)
+                 if all(self.pow(g, m // r) != 1 for r, _ in factor_int(m)))
+        low = [self.mul(v, g) for v in range(w)]
+        high = [self.mul(v * w, g) for v in range(q // w)]
+        exp, log = self.code_array([1]), self.code_array([0]) * q
+        v = 1
+        for i in range(1, m):
+            v = add(high[v // w], low[v % w])
+            exp.append(v)
+            log[v] = i
+        self._tables = (exp, log, half, neg)
+        return self._tables
 
     def add_all(self, xs, ys) -> list[int]:
         """[x + y for each pair]; the inputs must have equal lengths."""
@@ -166,8 +211,9 @@ class GF:
             return [(x + y) % p for x, y in pairs]
         if self.p == 2:
             return [x ^ y for x, y in pairs]
-        add = self.add
-        return [add(x, y) for x, y in pairs]
+        _, _, half, neg = self._table_set()
+        w = len(neg)
+        return [half[x // w * w + y // w] * w + half[x % w * w + y % w] for x, y in pairs]
 
     def sub_all(self, xs, ys) -> list[int]:
         """[x - y for each pair]; the inputs must have equal lengths."""
@@ -177,20 +223,20 @@ class GF:
             return [(x - y) % p for x, y in pairs]
         if self.p == 2:
             return [x ^ y for x, y in pairs]
-        sub = self.sub
-        return [sub(x, y) for x, y in pairs]
+        _, _, half, neg = self._table_set()
+        w = len(neg)
+        return [half[x // w * w + neg[y // w]] * w + half[x % w * w + neg[y % w]]
+                for x, y in pairs]
 
     def mul_all(self, xs, ys) -> list[int]:
         """[x * y for each pair]; the inputs must have equal lengths."""
         pairs = zip(xs, ys, strict=True)
-        if self._mul_table is not None:
-            table = self._mul_table
-            return [table[x][y] for x, y in pairs]
         if self.k == 1:
             p = self.p
             return [x * y % p for x, y in pairs]
-        mul = self.mul
-        return [mul(x, y) for x, y in pairs]
+        exp, log, _, _ = self._table_set()
+        m = self.q - 1
+        return [exp[(log[x] + log[y]) % m] if x and y else 0 for x, y in pairs]
 
     def code_array(self, codes=()) -> array:
         """A compact array of element codes, or of indices up to q; 4 bytes
@@ -198,31 +244,30 @@ class GF:
         return array("I" if self.q < 1 << 32 else "Q", codes)
 
     def inverse_table(self) -> array:
-        """1/x at every code x, with 0 -> 0.
-
-        Built afresh on each call and not kept: a prime field's table has p
-        entries, and ``field`` keeps every field it has made.
-        """
-        if self._inv_table is not None:
-            return self.code_array(self._inv_table)
-        inv = self.code_array([0, 1])
+        """1/x at every code x, with 0 -> 0; a new array on each call."""
         if self.k == 1:
             p = self.p
+            inv = self.code_array([0, 1])
             for i in range(2, p):  # from p = (p // i) * i + p % i
                 inv.append(-(p // i) * inv[p % i] % p)
-        else:
-            inv.extend(self.inv(x) for x in range(2, self.q))
+            return inv
+        exp, log, _, _ = self._table_set()
+        inv = self.code_array(exp[-i] for i in log)
+        inv[0] = 0
         return inv
 
-    # ---- towers ----
-
-    def power_table(self, e: int) -> list[int]:
-        """Cached table of x**e for every field element."""
-        table = self._pow_tables.get(e)
-        if table is None:
-            table = [self.pow(x, e) for x in range(self.q)]
-            self._pow_tables[e] = table
+    def power_table(self, e: int) -> array:
+        """x**e at every code x, with 0**0 = 1; a new array on each call."""
+        if self.k == 1:
+            p = self.p
+            return self.code_array(pow(x, e, p) for x in range(p))
+        exp, log, _, _ = self._table_set()
+        m = self.q - 1
+        table = self.code_array(exp[e * i % m] for i in log)
+        table[0] = 0**e
         return table
+
+    # ---- towers ----
 
     def embedding(self, sub: GF) -> list[int]:
         """Table embedding a subfield, mapping its codes into this field.
@@ -236,25 +281,18 @@ class GF:
         table = self._embed_cache.get(key)
         if table is not None:
             return table
-        if sub.k == 1:
-            table = list(range(sub.p))
-        else:
-            root = None
-            for x in range(self.q):
-                acc = 0
-                for c in reversed(sub.modulus):
-                    acc = self.add(self.mul(acc, x), c)
-                if acc == 0:
-                    root = x
-                    break
-            if root is None:
-                raise RuntimeError("subfield modulus has no root in the extension")
-            table = []
-            for s in range(sub.q):
-                acc = 0
-                for d in reversed(sub.decode(s)):
-                    acc = self.add(self.mul(acc, root), d)
-                table.append(acc)
+        table = list(range(sub.p))
+        if sub.k > 1:
+            # every root is in the copy of F_(sub.q), a power of g^((q-1)/(sub.q-1))
+            points = list(self._table_set()[0][::(self.q - 1) // (sub.q - 1)])
+            values = [0] * len(points)
+            for c in reversed(sub.modulus):  # Horner over the whole list
+                values = self.add_all(self.mul_all(values, points), [c] * len(points))
+            root = min(x for x, y in zip(points, values) if y == 0)
+            table = [0] * sub.q
+            for j in reversed(range(sub.k)):  # Horner over the digits of every code
+                table = self.add_all(self.mul_all(table, [root] * sub.q),
+                                     [s // sub.p**j % sub.p for s in range(sub.q)])
         self._embed_cache[key] = table
         return table
 

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from amap.base import power
 from amap.finitefield import GF, field
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
@@ -72,22 +73,27 @@ def full_scan(F: GF, degree: int) -> list[Poly]:
             if is_irreducible(f)]
 
 
+def held(F: GF) -> dict:
+    return {slot: repr(getattr(F, slot)) for slot in GF.__slots__}
+
+
 class TestOddExtensionProducts:
     @pytest.mark.parametrize("p,k", [(3, 3), (5, 2), (7, 2)])
     def test_all_pairs_and_tables(self, p, k):
         F = field(p, k)
-        for a in F.elements():
-            for b in F.elements():
-                assert F._mul_table[a][b] == digit_mul(F, a, b), (a, b)
-                assert F.mul(a, b) == digit_mul(F, a, b), (a, b)
+        pairs = [(a, b) for a in F.elements() for b in F.elements()]
+        want = [digit_mul(F, a, b) for a, b in pairs]
+        assert [F.mul(a, b) for a, b in pairs] == want
+        assert F.mul_all([a for a, _ in pairs], [b for _, b in pairs]) == want
+        inv = F.inverse_table()
         for a in range(1, F.q):
-            assert F.inv(a) == F._inv_table[a] == digit_pow(F, a, F.q - 2), a
+            assert F.inv(a) == inv[a] == digit_pow(F, a, F.q - 2), a
             assert digit_mul(F, a, F.inv(a)) == 1, a
 
     @pytest.mark.parametrize("p,k", [(3, 5), (3, 6), (5, 4), (7, 3), (11, 2)])
     def test_seeded_pairs(self, p, k):
-        F = field(p, k)
-        assert F._mul_table is None  # the Poly path, not the tables
+        F = GF(p, k)  # fresh, so a table would show; the Poly path builds none
+        before = held(F)
         rng = random.Random(p * 100 + k)
         for _ in range(300):
             a, b = rng.randrange(F.q), rng.randrange(F.q)
@@ -96,6 +102,81 @@ class TestOddExtensionProducts:
             a, e = rng.randrange(1, F.q), rng.randrange(40)
             assert F.pow(a, e) == digit_pow(F, a, e), (a, e)
             assert digit_mul(F, a, F.inv(a)) == 1, a
+        assert held(F) == before
+
+
+def poly_mul(F: GF, a: int, b: int) -> int:
+    """The direct product: a Poly product over F_p reduced by the modulus."""
+    fp = field(F.p)
+    prod = Poly(fp, F.decode(a)) * Poly(fp, F.decode(b)) % Poly(fp, F.modulus)
+    return F.encode(prod.coeffs + (0,) * (F.k - len(prod.coeffs)))
+
+
+def digit_sum(F: GF, a: int, b: int, sign: int = 1) -> int:
+    return F.encode(x + sign * y for x, y in zip(F.decode(a), F.decode(b)))
+
+
+class TestLogTables:
+    """The table-backed list ops of extension fields against the direct
+    product, `digit_mul` and digitwise sums; never against a scalar op that
+    reads the same tables."""
+
+    ALL_PAIRS = [(2, 3), (2, 7), (3, 2), (3, 5), (5, 3), (7, 2)]
+    SEEDED = [(2, 10), (3, 7), (5, 4)]
+
+    @staticmethod
+    def pairs(F: GF) -> list[tuple[int, int]]:
+        if F.q <= 243:
+            return [(a, b) for a in F.elements() for b in F.elements()]
+        rng = random.Random(F.q)
+        return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3000)]
+
+    @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
+    def test_list_ops_match_references(self, p, k):
+        F = GF(p, k)
+        pairs = self.pairs(F)
+        xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+        products = F.mul_all(xs, ys)
+        assert products == [digit_mul(F, a, b) for a, b in pairs]
+        assert products == [poly_mul(F, a, b) for a, b in pairs]
+        assert F.add_all(xs, ys) == [digit_sum(F, a, b) for a, b in pairs]
+        assert F.sub_all(xs, ys) == [digit_sum(F, a, b, -1) for a, b in pairs]
+
+    @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
+    def test_exp_is_a_bijection_onto_the_nonzero_codes(self, p, k):
+        F = GF(p, k)
+        exp, log, _, _ = F._table_set()
+        assert sorted(exp) == list(range(1, F.q))
+        g = exp[1]
+        assert all(exp[i] == poly_mul(F, exp[i - 1], g) for i in range(1, F.q - 1))
+        assert all(log[x] == i for i, x in enumerate(exp))
+
+    @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
+    def test_zero_cases(self, p, k):
+        F = GF(p, k)
+        xs = list(F.elements())
+        zeros = [0] * F.q
+        negatives = [digit_sum(F, 0, x, -1) for x in xs]
+        assert F.mul_all(zeros, xs) == F.mul_all(xs, zeros) == zeros
+        assert F.add_all(xs, negatives) == F.sub_all(xs, xs) == zeros
+        assert F.sub_all(zeros, xs) == negatives
+        assert F.add_all(xs, zeros) == F.sub_all(xs, zeros) == xs
+
+    @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
+    def test_inverse_and_power_tables(self, p, k):
+        F = GF(p, k)
+        inv = F.inverse_table()
+        assert len(inv) == F.q and inv[0] == 0
+        assert all(digit_mul(F, x, inv[x]) == 1 for x in range(1, F.q))
+        rng = random.Random(F.q)
+        points = list(F.elements()) if F.q <= 243 else [0, 1] + rng.sample(range(F.q), 40)
+        for e in (0, 1, 2, p, F.q - 1, F.q, F.q + 5, 3 * F.q + 1):
+            table = F.power_table(e)
+            assert len(table) == F.q
+            for x in points:  # 0^0 = 1, as the scalar pow gives
+                assert table[x] == power(x, e, lambda a, b: poly_mul(F, a, b), 1), (x, e)
+        assert F.power_table(0)[0] == F.pow(0, 0) == 1
+        assert list(F.power_table(F.q - 1)) == [0] + [1] * (F.q - 1)
 
 
 Z = IntegerDomain()

@@ -221,20 +221,56 @@ def test_checks_leave_no_table_on_the_field():
     assert held() == before
 
 
-def test_checks_make_few_scalar_field_calls(monkeypatch):
+def _count_scalar_calls(monkeypatch, least_k: int = 1) -> list[int]:
+    """Counts scalar op calls on fields of degree at least least_k."""
     calls = [0]
     for name in ("mul", "add", "sub", "div", "inv", "pow"):
         real = getattr(GF, name)
 
         def counting(self, *args, _real=real):
-            calls[0] += 1
+            calls[0] += self.k >= least_k
             return _real(self, *args)
 
         monkeypatch.setattr(GF, name, counting)
+    return calls
+
+
+def test_checks_make_few_scalar_field_calls(monkeypatch):
+    calls = _count_scalar_calls(monkeypatch)
     for check in (lambda: redei_check(1009, 6, 3), lambda: chebyshev_check(1009, 6)):
         calls[0] = 0
         check()
         assert calls[0] < 20
+
+
+def test_warm_linearized_checks_make_few_scalar_field_calls(monkeypatch):
+    # on a warm extension field every list op reads the field's tables; the
+    # Poly arithmetic of the quotient ring and the prediction still makes
+    # about a hundred scalar calls on the prime field, which are not counted
+    checks = (lambda: linearized_check(2, 10, [1, 1, 0, 1]),
+              lambda: linearized_check(3, 5, [2, 0, 1]))
+    for check in checks:
+        check()
+    calls = _count_scalar_calls(monkeypatch, least_k=2)
+    for check in checks:
+        calls[0] = 0
+        check()
+        assert calls[0] < 20
+
+
+@pytest.mark.parametrize("p,k", [(2, 7), (3, 5)])
+def test_power_tables_share_the_one_table_slot(p, k):
+    F = GF(p, k)  # fresh, so every slot it fills shows
+
+    def held():
+        return {slot: repr(getattr(F, slot)) for slot in GF.__slots__}
+
+    before = held()
+    F.power_table(2)
+    after = held()
+    assert [slot for slot in GF.__slots__ if before[slot] != after[slot]] == ["_tables"]
+    F.power_table(4)
+    assert held() == after  # no per-exponent entry
 
 
 def test_linearized_reports_agree_on_bitwise_fields():

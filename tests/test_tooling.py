@@ -99,3 +99,27 @@ def test_every_exported_name_resolves():
         found.extend(f"{name}.{export}" for export in getattr(module, "__all__", ())
                      if not hasattr(module, export))
     assert not found, found
+
+
+def test_whole_table_ops_map_no_scalar_op():
+    # a list op that maps a scalar op costs one method call per element; the
+    # table ops read the field's tables instead
+    scalar = {"add", "sub", "mul", "div", "inv", "pow"}
+    repeated = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    module = ast.parse((SRC / "finitefield.py").read_text())
+    gf = next(node for node in module.body if isinstance(node, ast.ClassDef) and node.name == "GF")
+    ops = [f for f in gf.body if isinstance(f, ast.FunctionDef)
+           and (f.name.endswith("_all") or f.name in ("inverse_table", "power_table"))]
+    assert len(ops) == 5
+    found = []
+    for op in ops:
+        called = {id(node.func) for node in ast.walk(op) if isinstance(node, ast.Call)}
+        in_loop = {id(node) for loop in ast.walk(op) if isinstance(loop, repeated)
+                   for node in ast.walk(loop)}
+        for node in ast.walk(op):
+            if (isinstance(node, ast.Attribute) and node.attr in scalar
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    # a bound scalar op may be mapped later, so it counts too
+                    and (id(node) in in_loop or id(node) not in called)):
+                found.append(f"{op.name}:{node.lineno}")
+    assert not found, found
