@@ -8,10 +8,12 @@ fields.  Each checker derives the predicted structure from the generic
 machinery and verifies it against brute-force evaluation of the actual
 map.
 
-The Redei, Chebyshev and linearized maps are evaluated at every point, as
-whole tables: ``_BLOCK`` points at a time, with one ``GF`` list operation per
-arithmetic step.  The Redei and Chebyshev maps of degree n are built by
-doubling over the bits of n, so a table costs O(q log n) field operations.
+The Redei and Chebyshev maps are evaluated at every point, as whole tables:
+``_BLOCK`` points at a time, with one ``GF`` list operation per arithmetic
+step.  They are built by doubling over the bits of the degree n, so a table
+costs O(q log n) field operations.  A linearized map is F_p-linear: it is
+evaluated at an F_p basis only, and ``polynomials._fp_linear_table`` fills in
+its table, as it does the quotient-ring successor table.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .base import factor_int
+from .base import factor_int, power
 from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
                        nu_series, predicted_graph)
 from .finitefield import GF, field, quadratic_character
 from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, _check_size, brute_graph,
                      decompose_successors, render)
 from .integers import IntegerDomain
-from .polynomials import Poly, PolyDomain
+from .polynomials import Poly, PolyDomain, _fp_linear_table
 from .quadorder import QuadInt, QuadOrder
 from .trees import RootedTree, elementary_tree
 
@@ -266,18 +268,17 @@ class LinearizedReport(JsonReport):
     summands: list
 
 
-def _linearized_successors(E: GF, frob: Sequence[int], coeffs: list[int]) -> Sequence[int]:
-    """sum_i coeffs[i] * x^(q^i) at every code x of E, where frob is x -> x^q."""
-    succ = E.code_array()
-    for xs in _blocks(range(E.q)):
-        acc = [0] * len(xs)
-        for i, ai in enumerate(coeffs):
-            if i:
-                xs = [frob[x] for x in xs]
-            if ai:
-                acc = E.add_all(acc, E.mul_all([ai] * len(xs), xs))
-        succ.extend(acc)
-    return succ
+def _linearized_successors(E: GF, q: int, coeffs: list[int]) -> Sequence[int]:
+    """sum_i coeffs[i] * x^(q^i) at every code x of E, from its images of the
+    basis codes p^j (the map is F_p-linear)."""
+    xs = [E.p**j for j in range(E.k)]
+    images = [0] * E.k
+    for i, ai in enumerate(coeffs):
+        if i:
+            xs = power(xs, q, E.mul_all, [1] * E.k)
+        if ai:
+            images = E.add_all(images, E.mul_all([ai] * E.k, xs))
+    return E.code_array(_fp_linear_table(images, E.p))
 
 
 def linearized_check(q: int, n: int, f: Poly | list[int],
@@ -287,10 +288,10 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     Three graphs must coincide: the brute-force graph of c -> L_f(c) on
     the extension field, the brute-force graph of multiplication by f on
     F_q[x] modulo x^n - 1, and the predicted decomposition built from
-    h = gcd(f, x^u - 1) with n = p^t * u.  L_f is evaluated at all q^n
-    points as one table, one Frobenius pass and one product per coefficient;
-    the Frobenius table and the products read the exp/log tables that the
-    extension field keeps, so no step makes a scalar field call per point.
+    h = gcd(f, x^u - 1) with n = p^t * u.  L_f is evaluated only at the
+    k*n basis codes p^j of F_{q^n}, by list operations of that length, and
+    its table over all q^n points is filled in from those images, so no step
+    passes over the whole field or makes a scalar field call per point.
     """
     p, k = _prime_power(q)
     F = field(p, k)
@@ -311,7 +312,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     E = field(p, k * n)
     emb = E.embedding(F)
 
-    succ = _linearized_successors(E, E.power_table(q), [emb[c] for c in f.coeffs])
+    succ = _linearized_successors(E, q, [emb[c] for c in f.coeffs])
     brute_field = brute_graph(E.q, succ, max_nodes=max_nodes)
 
     # brute force on the quotient ring

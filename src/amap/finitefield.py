@@ -21,17 +21,18 @@ in one list pass.  An extension field serves them from one table set, built
 in O(q) steps by its first list operation (by the constructor when q <= 64,
 whose scalar ``mul`` and ``inv`` then read it) and kept: ``exp`` and ``log``
 from a primitive element, and for odd p the digitwise sums of codes with half
-the base-p digits.  Prime fields keep no table.
+the base-p digits.  Its F_p-linear and digitwise-sum tables come from
+``polynomials._fp_linear_table`` and ``polynomials._digit_sums``.  Prime
+fields keep no table.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from operator import xor
 
 from .base import factor_int, is_prime, power
-from .polynomials import Poly, irreducibles, is_irreducible
+from .polynomials import Poly, _digit_sums, _fp_linear_table, irreducibles, is_irreducible
 
 __all__ = ["GF", "field", "quadratic_character"]
 
@@ -166,38 +167,28 @@ class GF:
 
         exp[i] = g^i for the least primitive g >= p, and log inverts it
         (log[0] = 0).  For odd p and w = p^ceil(k/2), half[a * w + b] is the
-        digitwise sum of codes a, b < w and neg[a] the negative of a.  Each
-        step of exp adds the products by g of a code's two halves (x -> g*x is
-        F_p-linear), read from two w-entry tables.
+        digitwise sum of codes a, b < w (rows of `_digit_sums`) and neg[a]
+        the negative of a.  x -> -x and x -> g*x are F_p-linear, so
+        `_fp_linear_table` builds them from the images of the basis codes
+        p^j, and exp walks the table of x -> g*x.
         """
         if self._tables is not None:
             return self._tables
-        p, q, m = self.p, self.q, self.q - 1
-        w = p ** ((self.k + 1) // 2)
+        p, k, q, m = self.p, self.k, self.q, self.q - 1
         half = neg = None
-        add = xor
         if p > 2:
-            half, neg, n = self.code_array([0]), [0], 1
-            while n < w:  # from the sums of codes below n to those below n * p
-                prev, half = half, self.code_array()
-                for a in range(n * p):
-                    half.extend([prev[a // p * n + b // p] * p + (a + b) % p
-                                 for b in range(n * p)])
-                neg = [neg[a // p] * p + -a % p for a in range(n * p)]
-                n *= p
-            neg = self.code_array(neg)
-
-            def add(a: int, b: int) -> int:
-                return half[a // w * w + b // w] * w + half[a % w * w + b % w]
-
+            width = (k + 1) // 2
+            half = self.code_array()
+            for a in range(p**width):
+                half.extend(_digit_sums(a, p, width))
+            neg = self.code_array(_fp_linear_table([(p - 1) * p**j for j in range(width)], p))
         g = next(g for g in range(p, q)
                  if all(self.pow(g, m // r) != 1 for r, _ in factor_int(m)))
-        low = [self.mul(v, g) for v in range(w)]
-        high = [self.mul(v * w, g) for v in range(q // w)]
+        times_g = _fp_linear_table([self.mul(p**j, g) for j in range(k)], p)
         exp, log = self.code_array([1]), self.code_array([0]) * q
         v = 1
         for i in range(1, m):
-            v = add(high[v // w], low[v % w])
+            v = times_g[v]
             exp.append(v)
             log[v] = i
         self._tables = (exp, log, half, neg)

@@ -129,14 +129,14 @@ class Poly:
         rem = list(self.coeffs)
         dv = other.coeffs
         dd = len(dv) - 1
-        inv_lead = F.inv(dv[-1])
+        inv_lead = 1 if dv[-1] == 1 else F.inv(dv[-1])  # no inverse for a monic divisor
         quot = [0] * max(len(rem) - dd, 0)
         if F.k == 1:  # integers mod p; a remainder digit is reduced when read
             p = F.p
             for i in range(len(rem) - 1, dd - 1, -1):
                 c = rem[i] % p
                 if c:
-                    q = c * inv_lead % p
+                    q = c if inv_lead == 1 else c * inv_lead % p
                     quot[i - dd] = q
                     for j, dj in enumerate(dv, i - dd):
                         rem[j] -= q * dj
@@ -144,7 +144,7 @@ class Poly:
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
-                q = F.mul(c, inv_lead)
+                q = c if inv_lead == 1 else F.mul(c, inv_lead)
                 quot[i - dd] = q
                 for j in range(dd + 1):
                     rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(q, dv[j]))
@@ -364,7 +364,9 @@ def _fp_linear_table(images: list[int], p: int) -> list[int]:
     p = 2 that sum is XOR.  For odd p the digits are split into two chunks;
     each chunk of the table is built on its own, adding a fixed chunk g by
     one lookup in a row of the p^width sums v + g, and the chunks are then
-    put together.
+    put together.  Callers: `PolyDomain.successors` (x -> a*x on F_q[x]/n),
+    `applications._linearized_successors` (a linearized map on F_{q^n}) and
+    `GF._table_set` (x -> -x and x -> g*x on F_{p^k}).
     """
     if p == 2:
         table = [0]
@@ -372,7 +374,7 @@ def _fp_linear_table(images: list[int], p: int) -> list[int]:
             table += [s ^ img for s in table]
         return table
     r = len(images)
-    table = [0] * p**r
+    table = [0]  # kept only when r = 0
     width = max(1, (r + 1) // 2)
     for low in range(0, r, width):
         chunk = [0]
@@ -383,7 +385,7 @@ def _fp_linear_table(images: list[int], p: int) -> list[int]:
                 block = [row[v] for v in block]
                 chunk += block
         scale = p**low
-        table = [t + v * scale for t, v in zip(table, chunk)]
+        table = chunk if low == 0 else [t + v * scale for t, v in zip(table, chunk)]
     return table
 
 

@@ -110,10 +110,12 @@ def test_linearized_table_matches_per_point_reference(q):
     E = _field_for(q)
     rng = random.Random(q)
     frob = E.power_table(E.p)
+    cases = [[3 % E.q, 0, 1, 2]]
     for length in range(1, E.k + 4):
         coeffs = [rng.choice((0, rng.randrange(E.q))) for _ in range(length - 1)]
-        coeffs.append(rng.randrange(1, E.q))
-        assert list(_linearized_successors(E, frob, coeffs)) == \
+        cases.append(coeffs + [rng.randrange(1, E.q)])
+    for coeffs in cases:
+        assert list(_linearized_successors(E, E.p, coeffs)) == \
             reference_linearized_successors(E, frob, coeffs), (q, coeffs)
 
 
@@ -122,18 +124,14 @@ def test_tables_split_into_blocks_match_reference(q, monkeypatch):
     # block sizes down to one point, and q = one block plus one
     F = _field_for(q)
     a = _redei_params(F)[1]
-    frob = F.power_table(F.p)
-    coeffs = [3 % F.q, 0, 1, 2]
     degrees = (1, 2, 6, 13)
     redei = [reference_redei_successors(F, n, a) for n in degrees]
     cheb = [reference_chebyshev_successors(F, n) for n in degrees]
-    linearized = reference_linearized_successors(F, frob, coeffs)
     for block in (q - 1, 4, 1):
         monkeypatch.setattr(applications, "_BLOCK", block)
         for n, want_redei, want_cheb in zip(degrees, redei, cheb):
             assert list(_redei_successors(F, n, a)) == want_redei
             assert list(_chebyshev_successors(F, n)[0]) == want_cheb
-        assert list(_linearized_successors(F, frob, coeffs)) == linearized
 
 
 def test_field_of_several_real_blocks_matches_reference():
@@ -256,6 +254,27 @@ def test_warm_linearized_checks_make_few_scalar_field_calls(monkeypatch):
         calls[0] = 0
         check()
         assert calls[0] < 20
+
+
+def test_warm_linearized_checks_evaluate_only_basis_codes(monkeypatch):
+    # L_f is F_p-linear: each list op spans the k basis codes of E, and no
+    # Frobenius table over the whole field is built
+    checks = ((2, 10, [1, 1, 0, 1]), (3, 5, [2, 0, 1]))
+    for q, n, f in checks:
+        linearized_check(q, n, f)
+    lengths, power_tables = [], []
+    for name in ("mul_all", "add_all"):
+        real = getattr(GF, name)
+        monkeypatch.setattr(GF, name, lambda self, xs, ys, _real=real:
+                            lengths.append(len(xs)) or _real(self, xs, ys))
+    real_power_table = GF.power_table
+    monkeypatch.setattr(GF, "power_table", lambda self, e:
+                        power_tables.append(e) or real_power_table(self, e))
+    for q, n, f in checks:
+        lengths.clear()
+        assert linearized_check(q, n, f).isomorphic
+        assert lengths and max(lengths) <= field(q).k * n, (q, n)
+    assert power_tables == []
 
 
 @pytest.mark.parametrize("p,k", [(2, 7), (3, 5)])

@@ -10,6 +10,8 @@ of `Poly.__mul__` and `Poly.__divmod__`, which call the field once per
 coefficient pair also over a prime field.
 """
 
+import itertools
+import operator
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from amap.dynamics import brute_amap_graph
 from amap.finitefield import GF, field
 from amap.graphs import Component, FunctionalGraph, brute_graph, decompose_successors
 from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain
+from amap.polynomials import Poly, PolyDomain, _digit_sums, _fp_linear_table
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, RootedTree
 
@@ -336,6 +338,61 @@ def test_prime_field_poly_arithmetic_matches_field_calls(p):
             q, r = divmod(a, b)
             rq, rr = reference_divmod(a, b)
             assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_division_by_a_monic_divisor_takes_no_inverse(p, k, monkeypatch):
+    F = GF(p, k)
+    rng = random.Random(p * k)
+    cases = []
+    for _ in range(60):
+        a = Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(0, 12))])
+        b = Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(0, 6))] + [1])
+        cases.append((a, b, reference_divmod(a, b)))
+    calls = []
+    real = GF.inv
+    monkeypatch.setattr(GF, "inv", lambda self, a: calls.append(a) or real(self, a))
+    for a, b, (rq, rr) in cases:
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree < b.degree
+        assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
+    assert calls == []
+
+
+# ---- the F_p-linear table builder ----
+
+def _digits(i, p, r):
+    return [i // p**m % p for m in range(r)]
+
+
+def _from_digits(digits, p):
+    return sum(d * p**m for m, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fp_linear_table_matches_digit_vector_reference(p):
+    rng = random.Random(p)
+    for r in range(7):  # r = 0: the one-entry table of the zero space
+        for images in ([p**m for m in range(r)], [rng.randrange(p**r) for _ in range(r)]):
+            # coordinate t of the image of i: the digits of i, most significant
+            # first as `product` yields them, dotted with column t
+            columns = list(zip(*(_digits(img, p, r) for img in reversed(images))))
+            want = [_from_digits([sum(map(operator.mul, digits, column)) % p
+                                  for column in columns], p)
+                    for digits in itertools.product(range(p), repeat=r)]
+            assert _fp_linear_table(images, p) == want, (r, images)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_sums_are_digitwise_sums(p):
+    rng = random.Random(p)
+    for width in range(1, 5):
+        # g above p^width: only its low `width` digits count
+        for g in [0, p**width - 1] + [rng.randrange(p**(width + 2)) for _ in range(4)]:
+            gd = _digits(g, p, width)
+            assert _digit_sums(g, p, width) == [
+                _from_digits([(x + y) % p for x, y in zip(_digits(v, p, width), gd)], p)
+                for v in range(p**width)], (width, g)
 
 
 def test_default_modulus_is_not_tested_again(monkeypatch):
