@@ -321,11 +321,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     brute_quotient = brute_amap_graph(D, f, modulus, max_nodes=max_nodes)
 
     # predicted decomposition: n0 = h^(p^t), n1 = ((x^u - 1)/h)^(p^t)
-    t, u = 0, n
-    while u % p == 0:
-        u //= p
-        t += 1
-    pt = p**t
+    pt, u = _Z.a_decomposition(p, n)  # n = p^t * u with p not dividing u
     xu1 = Poly.x_pow_minus_one(F, u)
     h = f.gcd(xu1)
     prediction = assemble_prediction(D, f, nu_series(D, f, h**pt), (xu1 // h)**pt)

@@ -15,13 +15,13 @@ Beyond q = 64 a scalar extension product reads no table: it takes bit
 operations when p = 2 and a ``Poly`` product reduced by the modulus when p is
 odd, and so referees the tables.
 
-The whole-table operations ``add_all``, ``sub_all``, ``mul_all``,
-``inverse_table`` and ``power_table`` evaluate an operation at every element
-in one list pass.  An extension field serves them from one table set, built
-in O(q) steps by its first list operation (by the constructor when q <= 64,
-whose scalar ``mul`` and ``inv`` then read it) and kept: ``exp`` and ``log``
-from a primitive element, and for odd p the digitwise sums of codes with half
-the base-p digits.  Its F_p-linear and digitwise-sum tables come from
+The whole-table operations ``add_all``, ``sub_all``, ``mul_all`` and
+``inverse_table`` evaluate an operation at every element in one list pass.
+An extension field serves them from one table set, built in O(q) steps by
+its first list operation (by the constructor when q <= 64, whose scalar
+``mul`` and ``inv`` then read it) and kept: ``exp`` and ``log`` from a
+primitive element, and for odd p the digitwise sums of codes with half the
+base-p digits.  Its F_p-linear and digitwise-sum tables come from
 ``polynomials._fp_linear_table`` and ``polynomials._digit_sums``.  Prime
 fields keep no table.
 """
@@ -246,17 +246,6 @@ class GF:
         inv = self.code_array(exp[-i] for i in log)
         inv[0] = 0
         return inv
-
-    def power_table(self, e: int) -> array:
-        """x**e at every code x, with 0**0 = 1; a new array on each call."""
-        if self.k == 1:
-            p = self.p
-            return self.code_array(pow(x, e, p) for x in range(p))
-        exp, log, _, _ = self._table_set()
-        m = self.q - 1
-        table = self.code_array(exp[e * i % m] for i in log)
-        table[0] = 0**e
-        return table
 
     # ---- towers ----
 

@@ -12,9 +12,10 @@ prediction costs O(divisor rows) whatever the number of nodes.
 A graph is built from `(component, count)` pairs, the paper's sum of
 cycle classes with multiplicities.  Canonical codes are rendered when read,
 as ``obj.code``, and memoised: a component code is ``C<len>[...]`` around
-the lexicographically minimal rotation of the hanging-tree codes (Booth's
-least-rotation algorithm), and a graph code joins the sorted component
-codes with ``;``, each repeated by its count.  Equal codes and equal keys
+the lexicographically minimal rotation of the hanging-tree codes, and a
+graph code joins the sorted component codes with ``;``, each repeated by its
+count.  One linear scan, Duval's Lyndon factorization, gives both the least
+rotation of a word and its primitive period.  Equal codes and equal keys
 both mean isomorphic graphs.  A code's length is known from the key, so
 :func:`render` refuses an oversized one before building it; :func:`compact`
 gives the structure instead.
@@ -74,49 +75,36 @@ def _check_size(size: int, max_nodes: int) -> None:
         raise GraphSizeError(f"{size} nodes exceeds the cap of {max_nodes}")
 
 
-def _min_rotation(items: Sequence) -> int:
-    """Index of a least rotation of a sequence of comparable items.
+def _least_root(items: Sequence) -> tuple[int, int]:
+    """(r, p): the least rotation of a nonempty sequence starts at index r
+    and is its first p items repeated, p the least period dividing the length.
 
-    Booth's least-rotation algorithm (Booth 1980), linear in the length:
-    a failure function over the doubled sequence, with the candidate start
-    k moved past every mismatch that shows a smaller rotation.
+    Duval's Lyndon factorization (Duval 1983) of the doubled sequence, each
+    factor compared over at most one rotation's length, linear in the length:
+    the least rotation starts the last group of equal Lyndon factors that
+    begins in the first copy, and one factor of that group is its period.
     """
     m = len(items)
     s = list(items) * 2
-    fail = [-1] * (2 * m)
-    k = 0
-    for j in range(1, 2 * m):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s[k + i + 1]:  # here i == -1
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
+    i = 0
+    while True:
+        r = k = i
+        # s[r:j] is a power of the Lyndon word s[r:r + j - k], then a prefix of it
+        for j in range(i + 1, i + m):
+            a = s[k]
+            b = s[j]
+            if a == b:
+                k += 1
+            elif a < b:
+                k = r
+            else:
+                break
         else:
-            fail[j - k] = i + 1
-    return k
-
-
-def _primitive_length(word: Sequence) -> int:
-    """Length of the shortest u with word = u^k: the least period m - b,
-    from the last border b of the Knuth-Morris-Pratt failure function
-    (1977), when it divides m."""
-    m = len(word)
-    border = [0] * m  # border[j]: longest proper border of word[:j + 1]
-    b = 0
-    for j in range(1, m):
-        wj = word[j]
-        while b and wj != word[b]:
-            b = border[b - 1]
-        if wj == word[b]:
-            b += 1
-        border[j] = b
-    p = m - border[-1]
-    return p if m % p == 0 else m
+            j = i + m
+        p = j - k
+        i += (k - r) // p * p + p
+        if i >= m:
+            return r, p
 
 
 class Component(Keyed):
@@ -144,10 +132,8 @@ class Component(Keyed):
         if hanging.count(hanging[0]) == m:  # identical trees compare in C
             root = hanging[:1]
         else:
-            ids = [t.key for t in hanging]
-            p = _primitive_length(ids)
-            r = _min_rotation(ids[:p])
-            root = hanging[r:p] + hanging[:r]
+            r, p = _least_root([t.key for t in hanging])
+            root = (hanging[r:] + hanging[:r])[:p]
         self.cycle_len = cycle_len
         self.root = root
         self.key = (cycle_len, tuple([t.key for t in root]))
@@ -159,7 +145,7 @@ class Component(Keyed):
         root = self.root
         if len(root) == 1:
             return root
-        r = _min_rotation([t.code for t in root])
+        r = _least_root([t.code for t in root])[0]
         return root[r:] + root[:r]
 
     @property

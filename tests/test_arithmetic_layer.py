@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from amap.base import power
 from amap.finitefield import GF, field
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
@@ -168,15 +167,6 @@ class TestLogTables:
         inv = F.inverse_table()
         assert len(inv) == F.q and inv[0] == 0
         assert all(digit_mul(F, x, inv[x]) == 1 for x in range(1, F.q))
-        rng = random.Random(F.q)
-        points = list(F.elements()) if F.q <= 243 else [0, 1] + rng.sample(range(F.q), 40)
-        for e in (0, 1, 2, p, F.q - 1, F.q, F.q + 5, 3 * F.q + 1):
-            table = F.power_table(e)
-            assert len(table) == F.q
-            for x in points:  # 0^0 = 1, as the scalar pow gives
-                assert table[x] == power(x, e, lambda a, b: poly_mul(F, a, b), 1), (x, e)
-        assert F.power_table(0)[0] == F.pow(0, 0) == 1
-        assert list(F.power_table(F.q - 1)) == [0] + [1] * (F.q - 1)
 
 
 Z = IntegerDomain()

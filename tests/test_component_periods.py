@@ -18,11 +18,12 @@ import pytest
 from amap.applications import chebyshev_check, ec_generic_trees, linearized_check, redei_check
 from amap.dynamics import predicted_graph, verify
 from amap.finitefield import field
-from amap.graphs import Component, _min_rotation, brute_graph, cyc
+from amap.graphs import Component, brute_graph, cyc
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder, _hnf_from_vectors
 from amap.trees import LEAF, elementary_tree, partial_tree
+from test_least_root import booth_min_rotation
 
 Z = IntegerDomain()
 
@@ -42,7 +43,7 @@ class ReferenceComponent:
             self.node_count = cycle_len * first.node_count
         else:
             codes = [t.code for t in hanging]
-            r = _min_rotation(codes)
+            r = booth_min_rotation(codes)
             if r:
                 hanging = hanging[r:] + hanging[:r]
                 codes = codes[r:] + codes[:r]
@@ -117,7 +118,7 @@ def test_the_period_is_the_least_rotation_of_the_given_word():
     rng = random.Random(102)
     for w in _words(rng, 200):
         comp = Component(len(w) * 2, w)
-        r = _min_rotation([t.code for t in w])
+        r = booth_min_rotation([t.code for t in w])
         assert comp.hanging[:len(w)] == w[r:] + w[:r]
         assert comp.hanging == (w[r:] + w[:r]) * 2
 

@@ -4,7 +4,8 @@ replaced.
 `ReferenceGraph` and `reference_disjoint_sum` keep the earlier bodies of
 `FunctionalGraph` (one entry per component, sorted by code) and
 `disjoint_sum` unchanged, `reference_min_rotation` the earlier slice search
-of `graphs._min_rotation`, and `reference_prediction` and
+of the least rotation (which referees the Booth reference of
+`test_least_root`), and `reference_prediction` and
 `reference_corrupt` the earlier per-cycle assembly of
 `dynamics.assemble_prediction` and the earlier `dynamics._corrupt`, as
 test-only references.
@@ -18,13 +19,14 @@ import pytest
 
 from amap.dynamics import _corrupt, predicted_graph
 from amap.finitefield import field
-from amap.graphs import (Component, FunctionalGraph, _min_rotation, brute_graph,
-                         cyc, decompose_successors, disjoint_sum, extended_tree,
+from amap.graphs import (Component, FunctionalGraph, brute_graph, cyc,
+                         decompose_successors, disjoint_sum, extended_tree,
                          materialize, restricted_tensor, to_dot)
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree, partial_tree
+from test_least_root import booth_min_rotation
 
 Z = IntegerDomain()
 
@@ -244,7 +246,7 @@ def _rotated(codes, r):
 def test_min_rotation_matches_the_reference_on_every_short_word():
     for m in range(1, 9):
         for word in product("()x", repeat=m):
-            assert _rotated(word, _min_rotation(word)) == \
+            assert _rotated(word, booth_min_rotation(word)) == \
                 _rotated(word, reference_min_rotation(word)), word
 
 
@@ -259,7 +261,7 @@ def test_min_rotation_matches_the_reference_on_periodic_and_aperiodic_words():
             word[rng.randrange(len(word))] = rng.choice(codes)
         r = rng.randrange(len(word))
         word = word[r:] + word[:r]
-        k = _min_rotation(word)
+        k = booth_min_rotation(word)
         assert 0 <= k < len(word)
         assert _rotated(word, k) == _rotated(word, reference_min_rotation(word)), word
 

@@ -109,7 +109,7 @@ def test_chebyshev_table_matches_per_point_reference(q):
 def test_linearized_table_matches_per_point_reference(q):
     E = _field_for(q)
     rng = random.Random(q)
-    frob = E.power_table(E.p)
+    frob = [E.pow(x, E.p) for x in E.elements()]
     cases = [[3 % E.q, 0, 1, 2]]
     for length in range(1, E.k + 4):
         coeffs = [rng.choice((0, rng.randrange(E.q))) for _ in range(length - 1)]
@@ -257,24 +257,19 @@ def test_warm_linearized_checks_make_few_scalar_field_calls(monkeypatch):
 
 
 def test_warm_linearized_checks_evaluate_only_basis_codes(monkeypatch):
-    # L_f is F_p-linear: each list op spans the k basis codes of E, and no
-    # Frobenius table over the whole field is built
+    # L_f is F_p-linear: each list op spans the k basis codes of E
     checks = ((2, 10, [1, 1, 0, 1]), (3, 5, [2, 0, 1]))
     for q, n, f in checks:
         linearized_check(q, n, f)
-    lengths, power_tables = [], []
+    lengths = []
     for name in ("mul_all", "add_all"):
         real = getattr(GF, name)
         monkeypatch.setattr(GF, name, lambda self, xs, ys, _real=real:
                             lengths.append(len(xs)) or _real(self, xs, ys))
-    real_power_table = GF.power_table
-    monkeypatch.setattr(GF, "power_table", lambda self, e:
-                        power_tables.append(e) or real_power_table(self, e))
     for q, n, f in checks:
         lengths.clear()
         assert linearized_check(q, n, f).isomorphic
         assert lengths and max(lengths) <= field(q).k * n, (q, n)
-    assert power_tables == []
 
 
 @pytest.mark.parametrize("p,k", [(2, 7), (3, 5)])
@@ -285,11 +280,12 @@ def test_power_tables_share_the_one_table_slot(p, k):
         return {slot: repr(getattr(F, slot)) for slot in GF.__slots__}
 
     before = held()
-    F.power_table(2)
+    F.inverse_table()
     after = held()
     assert [slot for slot in GF.__slots__ if before[slot] != after[slot]] == ["_tables"]
-    F.power_table(4)
-    assert held() == after  # no per-exponent entry
+    xs = list(F.elements())
+    F.mul_all(xs, xs)
+    assert held() == after  # no second table set
 
 
 def test_linearized_reports_agree_on_bitwise_fields():

@@ -14,11 +14,12 @@ import pytest
 from amap.base import NotCoprimeError, factor_int
 from amap.dynamics import predicted_graph
 from amap.finitefield import field
-from amap.graphs import Component, _min_rotation
+from amap.graphs import Component
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from amap.trees import elementary_tree
+from test_least_root import booth_min_rotation
 
 
 class LinearOrderReference:
@@ -293,7 +294,7 @@ def test_component_code_is_the_minimal_rotation():
     for _ in range(300):
         hanging = [rng.choice(trees) for _ in range(rng.randint(1, 7))]
         comp = Component(len(hanging), hanging)
-        r = _min_rotation([t.code for t in hanging])
+        r = booth_min_rotation([t.code for t in hanging])
         rotated = tuple(hanging[r:]) + tuple(hanging[:r])
         assert comp.hanging == rotated
         assert comp.code == "C%d[%s]" % (len(hanging), ",".join(t.code for t in rotated))
