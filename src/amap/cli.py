@@ -39,23 +39,25 @@ class ParseError(ValueError):
 
 
 def _parse_domain(spec: str, modulus: str | None = None) -> Domain:
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *parts = spec.split(":")
+    try:
+        nums = [int(part) for part in parts]
+    except ValueError:
+        raise ParseError(f"bad domain {spec!r}") from None
     if kind == "Z":
-        if len(parts) != 1:
+        if nums:
             raise ParseError(f"bad domain {spec!r}")
         return IntegerDomain()
     if kind == "poly":
-        if len(parts) not in (2, 3):
+        if len(nums) not in (1, 2):
             raise ParseError(f"bad domain {spec!r}; expected poly:p or poly:p:k")
-        p = int(parts[1])
-        k = int(parts[2]) if len(parts) == 3 else 1
+        p, k = nums[0], nums[1] if len(nums) == 2 else 1
         mod = tuple(_parse_coeffs(modulus, p)) if modulus else None
         return PolyDomain(GF(p, k, mod))
     if kind == "quad":
-        if len(parts) != 2:
+        if len(nums) != 1:
             raise ParseError(f"bad domain {spec!r}; expected quad:d")
-        return QuadOrder(int(parts[1]))
+        return QuadOrder(nums[0])
     raise ParseError(f"unknown domain kind {kind!r}")
 
 

@@ -8,7 +8,7 @@ For k > 1 arithmetic a monic irreducible modulus of degree k over F_p is
 required; if none is supplied the constructor takes the first one that
 ``polynomials.irreducibles`` yields (lexicographic coefficient order,
 constant coefficient most significant), so field construction is
-reproducible.  A supplied modulus is tested with the Rabin test
+reproducible.  A supplied modulus is tested with Ben-Or's test
 ``polynomials.is_irreducible``; the default one is irreducible by
 construction and not tested again.  Prime fields compute with ``% p``.
 Beyond q = 64 a scalar extension product reads no table: it takes bit

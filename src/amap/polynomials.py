@@ -17,7 +17,7 @@ import random
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from .base import Domain, ZeroIdealError, factor_int, power
+from .base import Domain, ZeroIdealError, power
 
 if TYPE_CHECKING:
     from .finitefield import GF
@@ -256,12 +256,14 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return parts
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Split squarefree monic f into products of irreducibles of equal degree."""
+def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
+    """Yield (part, d) for increasing d: part = gcd(g, x^(q^d) - x) for the
+    cofactor g of monic f not yet split off, and last the rest with d = deg g.
+    For squarefree f the parts multiply to f.  For any f the first part has
+    d = deg f exactly when f is irreducible (Ben-Or): a reducible f has a
+    factor of degree <= deg f / 2, which the loop reaches first."""
     F = f.field
-    out = []
-    h = Poly.x(F)
-    x = Poly.x(F)
+    h = x = Poly.x(F)
     g = f
     d = 0
     while g.degree > 2 * (d + 1) - 1 and g.degree > 0:
@@ -269,12 +271,11 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
         h = h.pow_mod(F.q, g)
         common = g.gcd(h - x)
         if common.degree > 0:
-            out.append((common, d))
+            yield common, d
             g = g // common
             h = h % g
     if g.degree > 0:
-        out.append((g, g.degree))
-    return out
+        yield g, g.degree
 
 
 def _edf_seed(f: Poly) -> int:
@@ -327,17 +328,9 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over F_q."""
-    if f.degree < 1:
-        return False
-    F = f.field
-    n = f.degree
-    x = Poly.x(F)
-    for r, _ in factor_int(n):
-        h = x.pow_mod(F.q ** (n // r), f)
-        if f.gcd(h - x).degree != 0:
-            return False
-    return x.pow_mod(F.q**n, f) == x % f
+    """Ben-Or's test over F_q, for any f, squarefree or not (see
+    `_distinct_degree`); constants are not irreducible."""
+    return f.degree >= 1 and next(_distinct_degree(f.monic()))[1] == f.degree
 
 
 def irreducibles(field: GF, degree: int) -> Iterator[Poly]:

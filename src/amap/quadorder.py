@@ -85,49 +85,20 @@ class QuadIdeal:
 
 
 def _hnf_from_vectors(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """HNF (a, b, c) of the lattice spanned by (x, y) coordinate vectors."""
-    xs = []
-    pivot = None  # (x, y) with minimal positive y reachable by combinations
+    """HNF (a, b, c) of the lattice spanned by (x, y) coordinate vectors: row
+    Euclid on the y-coordinates (Cohen, 2.4.2) swaps each vector with the pivot
+    (px, py) and reduces it until its y is 0; a is the gcd of the x-parts left."""
+    a = px = py = 0
     for vx, vy in vectors:
-        if vy == 0:
-            if vx:
-                xs.append(vx)
-            continue
-        if pivot is None:
-            pivot = (vx, vy)
-            continue
-        px, py = pivot
-        g, s, t = _xgcd(py, vy)
-        # s*py + t*vy = g; the combination keeps the lattice span
-        nx, ny = s * px + t * vx, g
-        q1, q2 = py // g, vy // g
-        xs.append(q2 * px - q1 * vx)  # y-part cancels
-        pivot = (nx, ny)
-    if pivot is None:
+        while vy:
+            k = py // vy
+            (px, py), (vx, vy) = (vx, vy), (px - k * vx, py - k * vy)
+        a = math.gcd(a, vx)
+    if a == 0 or py == 0:
         raise ZeroIdealError("vectors span a rank-deficient lattice")
-    px, py = pivot
     if py < 0:
         px, py = -px, -py
-    a = 0
-    for v in xs:
-        a = math.gcd(a, abs(v))
-    if a == 0:
-        raise ZeroIdealError("vectors span a rank-deficient lattice")
     return a, px % a, py
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -366,13 +337,17 @@ class QuadOrder(Domain):
         return {"kind": "quad", "d": self.d}
 
     def ideal_from_json(self, spec: dict) -> QuadIdeal:
-        """Parse {"d": int, "gens": [[x, y], ...]} into an ideal."""
-        if spec.get("d") != self.d:
-            raise ValueError(f"ideal JSON is for d={spec.get('d')}, order has d={self.d}")
-        if "gens" not in spec:
-            raise ValueError("ideal JSON needs a 'gens' list")
-        gens = [QuadInt(int(x), int(y)) for x, y in spec["gens"]]
-        return self.ideal_from_generators(gens)
+        """Parse {"d": int, "gens": [[x, y], ...]} into an ideal; a float, a
+        string or a bool is refused, never converted or truncated."""
+        d, gens = spec.get("d"), spec.get("gens")
+        if type(d) is not int or d != self.d:
+            raise ValueError(f"ideal JSON has d={d!r}, order has d={self.d}")
+        if type(gens) is not list:
+            raise ValueError(f"ideal JSON needs a 'gens' list of [x, y] pairs, got {gens!r}")
+        for g in gens:
+            if type(g) is not list or len(g) != 2 or any(type(c) is not int for c in g):
+                raise ValueError(f"ideal JSON generator {g!r} is not an [x, y] pair of ints")
+        return self.ideal_from_generators([QuadInt(x, y) for x, y in gens])
 
     def __repr__(self) -> str:
         return f"QuadOrder({self.d})"

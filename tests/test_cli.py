@@ -172,6 +172,22 @@ def test_quad_ideal_as_json(capsys):
     assert code == 2
 
 
+def test_quad_ideal_json_with_non_int_entries_exits_two(capsys):
+    for spec in ('{"d":-1,"gens":[[1.5,2]]}', '{"d":-1,"gens":[[true,3]]}',
+                 '{"d":-1,"gens":[["7","2"]]}', '{"d":-1.0,"gens":[[1,2]]}',
+                 '{"d":-1,"gens":[[1,2,3]]}', '{"d":-1,"gens":{"a":1}}'):
+        captured = assert_one_line_error(capsys, ["predict", "--domain", "quad:-1",
+                                                  "--a", "1,1", "--n-gens", spec])
+        assert "ideal JSON" in captured.err and captured.out == "", spec
+
+
+def test_domain_spec_with_non_integer_part_names_the_spec(capsys):
+    for spec in ("poly:x", "poly:2:x", "poly:2:", "quad:-1.5", "Z:", "Z:1"):
+        captured = assert_one_line_error(capsys, ["predict", "--domain", spec,
+                                                  "--a", "1", "--n", "1,1"])
+        assert f"bad domain {spec!r}" in captured.err, spec
+
+
 def test_poly_extension_field_domain(capsys):
     code, out = run_cli(capsys, "verify", "--domain", "poly:2:2",
                         "--a", "2,1", "--n", "1,1,1")

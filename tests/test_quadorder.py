@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -250,6 +251,24 @@ def test_ideal_json_round_trip():
     ideal = Z5.ideal_from_json(spec)
     assert ideal.hnf == ((2, 1), (0, 1))
     with pytest.raises(ValueError):
+        ZI.ideal_from_json(spec)
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"d": -1, "gens": [[1.5, 2]]}, "[1.5, 2]"),
+    ({"d": -1, "gens": [[True, 3]]}, "[True, 3]"),
+    ({"d": -1, "gens": [["7", "2"]]}, "['7', '2']"),
+    ({"d": -1, "gens": [[1, 2, 3]]}, "[1, 2, 3]"),
+    ({"d": -1, "gens": [[1, 0], 5]}, "5"),
+    ({"d": -1, "gens": {"a": 1}}, "{'a': 1}"),
+    ({"d": -1}, "None"),
+    ({"d": -1.0, "gens": [[1, 2]]}, "d=-1.0"),
+    ({"d": True, "gens": [[1, 2]]}, "d=True"),
+    ({"gens": [[1, 2]]}, "d=None"),
+])
+def test_ideal_json_is_parsed_strictly(spec, named):
+    # nothing is converted: int(1.5) would read <1 + 2i>, of norm 5
+    with pytest.raises(ValueError, match=re.escape(named)):
         ZI.ideal_from_json(spec)
 
 

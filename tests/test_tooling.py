@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import amap
@@ -122,4 +123,25 @@ def test_whole_table_ops_map_no_scalar_op():
                     # a bound scalar op may be mapped later, so it counts too
                     and (id(node) in in_loop or id(node) not in called)):
                 found.append(f"{op.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_every_private_definition_is_named_outside_itself():
+    # a `_`-prefixed function or class that nothing in the package names is
+    # dead, as a kernel left behind by its replacement would be; references
+    # inside its own body (recursion) do not count
+    modules = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+
+    def names(tree):
+        return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                       for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((names(module) for module in modules), Counter())
+    private = [node for module in modules for node in ast.walk(module)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert private
+    found = [f"{node.name}:{node.lineno}" for node in private
+             if everywhere[node.name] == names(node)[node.name]]
     assert not found, found
