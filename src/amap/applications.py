@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .base import factor_int, power
-from .dynamics import (JsonReport, Report, assemble_prediction, brute_amap_graph,
-                       nu_series, predicted_graph)
+from .dynamics import JsonReport, Report, brute_amap_graph, predicted_graph
 from .finitefield import GF, field, quadratic_character
-from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, _check_size, brute_graph,
-                     decompose_successors, render)
+from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, FunctionalGraph, _check_size,
+                     brute_graph, decompose_successors, render)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain, _fp_linear_table
 from .quadorder import QuadInt, QuadOrder
@@ -51,18 +50,11 @@ def _blocks(items) -> Iterator[list]:
         yield block
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    fac = factor_int(q)
+def _field_for(q: int) -> GF:
+    fac = factor_int(q) if q >= 2 else []  # factor_int reads -9 as 9
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return fac[0]
-
-
-def _field_for(q: int) -> GF:
-    p, k = _prime_power(q)
-    return field(p, k)
+    return field(*fac[0])
 
 
 # ---- Redei functions ----
@@ -261,9 +253,9 @@ class LinearizedReport(JsonReport):
     n: int
     f: list[int]
     isomorphic: bool
-    predicted_code: str
-    brute_field_code: str
-    brute_quotient_code: str
+    predicted: FunctionalGraph
+    brute_field: FunctionalGraph
+    brute_quotient: FunctionalGraph
     node_count: int
     summands: list
 
@@ -287,14 +279,14 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
 
     Three graphs must coincide: the brute-force graph of c -> L_f(c) on
     the extension field, the brute-force graph of multiplication by f on
-    F_q[x] modulo x^n - 1, and the predicted decomposition built from
-    h = gcd(f, x^u - 1) with n = p^t * u.  L_f is evaluated only at the
+    F_q[x] modulo x^n - 1, and the structure-theorem prediction on
+    F_q[x]/(x^n - 1), where L_f acts as multiplication by f (Lidl and
+    Niederreiter, *Finite Fields*, 3.4).  L_f is evaluated only at the
     k*n basis codes p^j of F_{q^n}, by list operations of that length, and
     its table over all q^n points is filled in from those images, so no step
     passes over the whole field or makes a scalar field call per point.
     """
-    p, k = _prime_power(q)
-    F = field(p, k)
+    F = _field_for(q)
     if isinstance(f, list):
         for c in f:
             if not 0 <= c < q:
@@ -309,7 +301,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     _check_size(q**n, max_nodes)
 
     # brute force on the extension field
-    E = field(p, k * n)
+    E = field(F.p, F.k * n)
     emb = E.embedding(F)
 
     succ = _linearized_successors(E, q, [emb[c] for c in f.coeffs])
@@ -320,21 +312,12 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     modulus = Poly.x_pow_minus_one(F, n)
     brute_quotient = brute_amap_graph(D, f, modulus, max_nodes=max_nodes)
 
-    # predicted decomposition: n0 = h^(p^t), n1 = ((x^u - 1)/h)^(p^t)
-    pt, u = _Z.a_decomposition(p, n)  # n = p^t * u with p not dividing u
-    xu1 = Poly.x_pow_minus_one(F, u)
-    h = f.gcd(xu1)
-    prediction = assemble_prediction(D, f, nu_series(D, f, h**pt), (xu1 // h)**pt)
-    predicted = prediction.graph
-
+    prediction = predicted_graph(D, f, modulus)
     return LinearizedReport(
         q=q, n=n, f=list(f.coeffs),
-        isomorphic=(predicted == brute_field == brute_quotient),
-        predicted_code=predicted.code,
-        brute_field_code=brute_field.code,
-        brute_quotient_code=brute_quotient.code,
-        node_count=brute_field.node_count,
-        summands=list(prediction.summands),
+        isomorphic=(prediction.graph == brute_field == brute_quotient),
+        predicted=prediction.graph, brute_field=brute_field, brute_quotient=brute_quotient,
+        node_count=brute_field.node_count, summands=list(prediction.summands),
     )
 
 

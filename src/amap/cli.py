@@ -22,7 +22,7 @@ import sys
 from .applications import (chebyshev_check, ec_generic_trees, linearized_check,
                            redei_check)
 from .base import Domain
-from .dynamics import brute_amap_graph, predicted_graph, verify_with_brute
+from .dynamics import brute_amap_graph, predicted_graph, verify
 from .finitefield import GF
 from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, GraphSizeError, compact,
                      render, to_dot)
@@ -62,8 +62,9 @@ def _parse_domain(spec: str, modulus: str | None = None) -> Domain:
 
 
 def _parse_ints(s: str) -> list[int]:
+    # an empty entry is refused: dropping it would shift every later one
     try:
-        return [int(tok) for tok in s.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in s.split(",")] if s.strip() else []
     except ValueError as exc:
         raise ParseError(f"bad integer list {s!r}") from exc
 
@@ -214,9 +215,8 @@ def _run(args: argparse.Namespace) -> int:
                    "n": dom.describe_ideal(n), **_code_or_compact(graph, "graph"),
                    "node_count": graph.node_count})
             return 0
-        report, brute = verify_with_brute(dom, a, n, max_nodes=args.max_nodes,
-                                          corrupt_cycle=args.corrupt_cycle)
-        _write_dot(brute, args.dot, args.max_nodes)
+        report = verify(dom, a, n, args.max_nodes, args.corrupt_cycle)
+        _write_dot(report.brute, args.dot, args.max_nodes)
         print(report.to_json(indent=2))
         return 0 if report.isomorphic else 1
 

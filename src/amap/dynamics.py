@@ -4,15 +4,18 @@ Given a domain, a nonzero element a and a nonzero ideal n, the functional
 graph of the multiplication map on D/n is predicted from the structure
 theorem: split n = n0*n1 by the a-decomposition, attach the elementary tree
 of the nu-series of n0 to every cycle node, and read the cycle lengths off
-the divisors of n1.  The brute-force construction builds the whole
-successor table of the map and is the independent oracle the prediction is
-verified against.  The map is additive, so the table comes from the images
-of the additive generators of D/n (`Domain.successors`) by linearity, and
-it is decomposed with interned trees (`graphs.decompose_successors`), one
-cycle at a time; `graphs.brute_graph` counts equal cycles into classes, so
-the oracle's graph holds one component per class, as a prediction does.
-The oracle uses only additivity and `mul_mod`, never the structure
-theorem, so it stays independent of the prediction.
+the divisors of n1.  `predicted_graph` is the one routine that does this,
+in every domain; the Redei and linearized checks predict through it.  The
+brute-force construction builds the whole successor table of the map and is
+the independent oracle the prediction is verified against.  The map is
+additive, so the table comes from the images of the additive generators of
+D/n (`Domain.successors`) by linearity, and it is decomposed with interned
+trees (`graphs.decompose_successors`), one cycle at a time;
+`graphs.brute_graph` counts equal cycles into classes, so the oracle's
+graph holds one component per class, as a prediction does.  The oracle uses
+only additivity and `mul_mod`, never the structure theorem, so it stays
+independent of the prediction.  A `Report` keeps both graphs; their codes
+are rendered only in its JSON.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from typing import ClassVar
 
 from .base import Domain
 from .graphs import DEFAULT_MAX_NODES, Component, FunctionalGraph, _check_size, brute_graph
-from .trees import RootedTree, elementary_tree
+from .trees import Keyed, RootedTree, elementary_tree
 
-__all__ = ["nu_series", "assemble_prediction", "predicted_graph",
-           "brute_amap_graph", "verify", "verify_with_brute", "Prediction",
-           "JsonReport", "Report"]
+__all__ = ["nu_series", "predicted_graph", "brute_amap_graph", "verify",
+           "Prediction", "JsonReport", "Report"]
 
 
 def nu_series(dom: Domain, a, n0) -> tuple[int, ...]:
@@ -53,16 +55,19 @@ class Prediction:
     summands: tuple[dict, ...]  # {"divisor", "cycle_len", "multiplicity"}
 
 
-def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
-    """Structure-theorem graph of x -> a*x on D/(n0*n1), given the nu-series
-    nu of n0.
+def predicted_graph(dom: Domain, a, n) -> Prediction:
+    """Structure-theorem graph of x -> a*x on D/n, from one gcd chain on n.
 
-    n0 must carry exactly the primes dividing <a> and n1 none of them: the
-    elementary tree of nu hangs on every cycle node, and each divisor m of
-    n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).  Each divisor
-    gives one component with its multiplicity, never one per cycle, and no
-    code text is rendered.
+    The chain's norms are the nu-series of n0 and it stops at n1, so n0
+    carries exactly the primes dividing <a> and n1 none of them: the
+    elementary tree of the nu-series hangs on every cycle node, and each
+    divisor m of n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).
+    Each divisor gives one component with its multiplicity, never one per
+    cycle, and no code text is rendered.
     """
+    if dom.is_zero(a):
+        raise ValueError("the prediction requires a nonzero element")
+    nu, n1 = dom.gcd_chain(a, n)
     tree = elementary_tree(nu)
     rows = []
     summands = []
@@ -79,14 +84,6 @@ def assemble_prediction(dom: Domain, a, nu, n1) -> Prediction:
     return Prediction(graph=graph, tree=tree, summands=tuple(summands))
 
 
-def predicted_graph(dom: Domain, a, n) -> Prediction:
-    """Structure-theorem graph of x -> a*x on D/n, from one gcd chain on n:
-    its norms are the nu-series of n0 and it stops at n1."""
-    if dom.is_zero(a):
-        raise ValueError("the prediction requires a nonzero element")
-    return assemble_prediction(dom, a, *dom.gcd_chain(a, n))
-
-
 def brute_amap_graph(dom: Domain, a, n,
                      max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
     """Functional graph of x -> a*x on D/n by full enumeration of its
@@ -101,14 +98,19 @@ class JsonReport:
 
     The dict starts with the class's ``family`` tag when it has one, then
     lists the fields in declaration order, leaving out fields set to None.
+    A graph or tree field ``x`` is written as ``x_code``, its canonical
+    code: codes are rendered here and nowhere else in a report.
     """
 
     family: ClassVar[str | None] = None
 
     def as_dict(self) -> dict:
         out = {"family": self.family} if self.family is not None else {}
-        out.update((f.name, v) for f in fields(self)
-                   if (v := getattr(self, f.name)) is not None)
+        for f in fields(self):
+            if isinstance(v := getattr(self, f.name), Keyed):
+                out[f"{f.name}_code"] = v.code
+            elif v is not None:
+                out[f.name] = v
         return out
 
     def to_json(self, indent: int | None = None) -> str:
@@ -123,8 +125,8 @@ class Report(JsonReport):
     a: object
     n: object
     isomorphic: bool
-    predicted_code: str
-    brute_code: str
+    predicted: FunctionalGraph
+    brute: FunctionalGraph
     node_count: int
     summands: list = field(default_factory=list)
     params: dict | None = None
@@ -134,11 +136,11 @@ class Report(JsonReport):
                 brute: FunctionalGraph, params: dict | None = None) -> Report:
         """Report on a predicted graph of x -> a*x on D/n against the brute one.
 
-        The verdict compares the graphs' keys; the codes are rendered for
-        the report."""
+        The verdict compares the graphs' keys, and the report keeps both
+        graphs; their codes are rendered only by `as_dict`."""
         return cls(domain=dom.domain_json(), a=dom.describe_element(a),
                    n=dom.describe_ideal(n), isomorphic=predicted == brute,
-                   predicted_code=predicted.code, brute_code=brute.code,
+                   predicted=predicted, brute=brute,
                    node_count=brute.node_count, summands=list(summands), params=params)
 
 
@@ -151,23 +153,15 @@ def _corrupt(prediction: FunctionalGraph) -> FunctionalGraph:
     return FunctionalGraph([(longer, 1), (first, count - 1), *rest])
 
 
-def verify_with_brute(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,
-                      corrupt_cycle: bool = False) -> tuple[Report, FunctionalGraph]:
-    """`verify`, also returning the brute-force graph it enumerated."""
-    prediction = predicted_graph(dom, a, n)
-    predicted = prediction.graph
-    if corrupt_cycle:
-        predicted = _corrupt(predicted)
-    brute = brute_amap_graph(dom, a, n, max_nodes=max_nodes)
-    report = Report.compare(dom, a, n, predicted, prediction.summands, brute)
-    return report, brute
-
-
 def verify(dom: Domain, a, n, max_nodes: int = DEFAULT_MAX_NODES,
            corrupt_cycle: bool = False) -> Report:
     """Compare the predicted graph with the brute-force graph.
 
+    The report keeps the enumerated graph as `report.brute`.
     `corrupt_cycle` deliberately damages the prediction before comparing;
     it exists so the failure path can be exercised end to end.
     """
-    return verify_with_brute(dom, a, n, max_nodes, corrupt_cycle)[0]
+    prediction = predicted_graph(dom, a, n)
+    predicted = _corrupt(prediction.graph) if corrupt_cycle else prediction.graph
+    brute = brute_amap_graph(dom, a, n, max_nodes=max_nodes)
+    return Report.compare(dom, a, n, predicted, prediction.summands, brute)

@@ -51,7 +51,7 @@ def test_criterion_1_worked_example_in_z_sqrt_minus_five():
         expected = disjoint_sum([cyc(1, t), cyc(2, t)])
         assert rep.isomorphic
         assert rep.node_count == 36
-        assert rep.predicted_code == expected.code
+        assert rep.predicted.code == expected.code
 
 
 def test_criterion_2_gaussian_endomorphism_example():
@@ -228,8 +228,8 @@ def test_criterion_8_linearized_suite():
             coeffs = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
             rep = linearized_check(q, n, coeffs)
             assert rep.isomorphic, (q, n, coeffs)
-            assert rep.predicted_code == rep.brute_field_code
-            assert rep.predicted_code == rep.brute_quotient_code
+            assert rep.predicted.code == rep.brute_field.code
+            assert rep.predicted.code == rep.brute_quotient.code
             p = 2 if q in (2, 4) else q
             if n % p == 0:
                 char_divides += 1

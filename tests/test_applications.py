@@ -5,10 +5,12 @@ import pytest
 
 from amap.applications import (chebyshev_check, ec_generic_trees,
                                linearized_check, redei_check)
-from amap.dynamics import nu_series
+from amap.base import factor_int
+from amap.dynamics import nu_series, predicted_graph
 from amap.finitefield import field, quadratic_character
-from amap.graphs import cyc
+from amap.graphs import Component, FunctionalGraph, cyc
 from amap.integers import IntegerDomain
+from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
 
@@ -34,14 +36,14 @@ class TestRedei:
         rep = redei_check(7, 2, 3)
         assert rep.isomorphic
         assert rep.node_count == 8  # chi(3) = -1 over F_7
-        assert rep.predicted_code == cyc(1, elementary_tree((2, 2, 2))).code
+        assert rep.predicted.code == cyc(1, elementary_tree((2, 2, 2))).code
 
     def test_q5_residue_permutation(self):
         rep = redei_check(5, 3, 4)
         assert rep.isomorphic
         assert rep.node_count == 4  # two excluded square roots
         # permutation: 2 fixed points and one 2-cycle
-        assert rep.brute_code == "C1[()];C1[()];C2[(),()]"
+        assert rep.brute.code == "C1[()];C1[()];C2[(),()]"
 
     def test_degree_one_is_identity(self):
         for q in (5, 7, 11):
@@ -49,7 +51,7 @@ class TestRedei:
                 rep = redei_check(q, 1, a)
                 assert rep.isomorphic
                 assert all(c.startswith("C1[()]")
-                           for c in rep.brute_code.split(";"))
+                           for c in rep.brute.code.split(";"))
 
     def test_node_count_matches_character(self):
         rng = random.Random(21)
@@ -116,19 +118,19 @@ class TestLinearized:
     def test_frobenius_on_f8(self):
         rep = linearized_check(2, 3, [0, 1])
         assert rep.isomorphic
-        codes = rep.predicted_code.split(";")
+        codes = rep.predicted.code.split(";")
         assert codes.count("C1[()]") == 2
         assert codes.count("C3[(),(),()]") == 2
 
     def test_x_plus_one_on_f4(self):
         rep = linearized_check(2, 2, [1, 1])
         assert rep.isomorphic
-        assert rep.predicted_code == cyc(1, elementary_tree((2, 2))).code
+        assert rep.predicted.code == cyc(1, elementary_tree((2, 2))).code
 
     def test_constant_one_is_identity(self):
         rep = linearized_check(2, 3, [1])
         assert rep.isomorphic
-        assert rep.predicted_code == ";".join(["C1[()]"] * 8)
+        assert rep.predicted.code == ";".join(["C1[()]"] * 8)
 
     def test_three_way_agreement_small_random(self):
         rng = random.Random(22)
@@ -138,13 +140,12 @@ class TestLinearized:
             n = rng.randint(1, 6)
             if q**n > 1024:
                 continue
-            F = field(*_pk(q))
             deg = rng.randint(0, n + 2)
             coeffs = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
             rep = linearized_check(q, n, coeffs)
             assert rep.isomorphic, (q, n, coeffs)
-            assert rep.predicted_code == rep.brute_field_code
-            assert rep.predicted_code == rep.brute_quotient_code
+            assert rep.predicted.code == rep.brute_field.code
+            assert rep.predicted.code == rep.brute_quotient.code
             cases += 1
 
     def test_char_divides_n(self):
@@ -163,9 +164,42 @@ class TestLinearized:
             linearized_check(2, 11, [0, 1], max_nodes=1000)
 
 
-def _pk(q):
-    from amap.applications import _prime_power
-    return _prime_power(q)
+# ---- the linearized prediction against the earlier closed-form split ----
+
+def reference_linearized_split(F, f, n):
+    """The earlier closed form of linearized_check, kept as a test-only
+    reference: with n = p^t * u and h = gcd(f, x^u - 1), the a-decomposition
+    of x^n - 1 against f is n0 = h^(p^t), n1 = ((x^u - 1)/h)^(p^t).  Returns
+    the graph, tree and summands that the structure theorem reads off it."""
+    D = PolyDomain(F)
+    pt, u = Z.a_decomposition(F.p, n)
+    xu1 = Poly.x_pow_minus_one(F, u)
+    h = f.gcd(xu1)
+    tree = elementary_tree(nu_series(D, f, h**pt))
+    rows, summands = [], []
+    for m, phi, r in D.divisor_table(f, (xu1 // h)**pt):
+        summands.append({"divisor": D.describe_ideal(m), "cycle_len": r,
+                         "multiplicity": phi // r})
+        rows.append((Component(r, (tree,)), phi // r))
+    return FunctionalGraph(rows), tree, tuple(summands)
+
+
+# 36 cases a field; the n range is trimmed on F_9 and F_25, where x^n - 1
+# factors into primes of large norm, so the whole test takes under 2 s
+@pytest.mark.parametrize("q, max_n", [(2, 12), (3, 12), (4, 12), (5, 12), (7, 12),
+                                      (8, 12), (9, 8), (25, 6)])
+def test_linearized_prediction_matches_the_closed_form_split(q, max_n):
+    rng = random.Random(q)
+    F = field(*factor_int(q)[0])
+    D = PolyDomain(F)
+    for _ in range(36):
+        n = rng.randint(1, max_n)
+        deg = rng.randint(0, n + 2)
+        f = Poly(F, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+        got = predicted_graph(D, f, Poly.x_pow_minus_one(F, n))
+        graph, tree, summands = reference_linearized_split(F, f, n)
+        assert got.graph.key == graph.key, (q, n, f)
+        assert got.tree == tree and got.summands == summands, (q, n, f)
 
 
 class TestECTrees:

@@ -99,6 +99,23 @@ def test_ectrees_parses_quadratic_elements(capsys):
         assert "'x,y'" in captured.err, argv
 
 
+def test_integer_lists_refuse_empty_entries(capsys):
+    # dropping an empty entry would shift every later coefficient down a degree
+    for bad in ("1,,1", "1, ,1", "1,0,", ",1"):
+        for argv in (["linpoly", "--q", "2", "--n", "3", "--f", bad],
+                     ["predict", "--domain", "poly:2", "--a", bad, "--n", "1,0,0,1"],
+                     ["predict", "--domain", "quad:-5", "--a", bad, "--n-gens", "6,0"],
+                     ["predict", "--domain", "poly:2:2", "--modulus", bad,
+                      "--a", "1", "--n", "1,1"],
+                     ["tree", bad]):
+            captured = assert_one_line_error(capsys, argv)
+            assert captured.err.startswith("error: bad integer list "), argv
+            assert captured.out == "", argv
+    code, out = run_cli(capsys, "tree", "")
+    assert code == 0
+    assert json.loads(out) == {"series": [], "code": "()", "node_count": 1}
+
+
 def test_max_nodes_only_on_enumerating_commands(capsys):
     code = main(["predict", "--domain", "Z", "--a", "2", "--n", "24",
                  "--max-nodes", "0"])

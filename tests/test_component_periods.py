@@ -5,8 +5,8 @@ replaced, and the shallow report dict and the four-product ideal product.
 list of hanging trees, a uniform branch and the least rotation otherwise),
 `reference_ideal_mul` the earlier eight-vector body of `QuadOrder.ideal_mul`
 (the four products of the HNF bases and their w-multiples), and
-`reference_as_dict` the earlier `JsonReport.as_dict` over `asdict`, as
-test-only references.
+`reference_as_dict` the earlier `JsonReport.as_dict` over `asdict` (with
+a graph field written as its code), as test-only references.
 """
 
 import json
@@ -22,7 +22,7 @@ from amap.graphs import Component, brute_graph, cyc
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder, _hnf_from_vectors
-from amap.trees import LEAF, elementary_tree, partial_tree
+from amap.trees import LEAF, Keyed, elementary_tree, partial_tree
 from test_least_root import booth_min_rotation
 
 Z = IntegerDomain()
@@ -70,7 +70,11 @@ def reference_ideal_mul(order, m, n):
 
 def reference_as_dict(report):
     out = {"family": report.family} if report.family is not None else {}
-    out.update((k, v) for k, v in asdict(report).items() if v is not None)
+    for k, v in asdict(report).items():
+        if isinstance(v, Keyed):  # a graph field is written as its code
+            out[f"{k}_code"] = v.code
+        elif v is not None:
+            out[k] = v
     return out
 
 
@@ -242,6 +246,7 @@ def _reports():
 
 
 def test_report_json_is_unchanged_and_the_dict_is_shallow():
+    graph_fields = 0
     for report in _reports():
         ref = reference_as_dict(report)
         got = report.as_dict()
@@ -249,5 +254,10 @@ def test_report_json_is_unchanged_and_the_dict_is_shallow():
         assert json.dumps(got) == json.dumps(ref)
         assert report.to_json(indent=2) == json.dumps(ref, indent=2)
         for key, value in got.items():
-            if key != "family":
+            graph = getattr(report, key.removesuffix("_code"), None)
+            if key.endswith("_code") and isinstance(graph, Keyed):
+                assert value == graph.code
+                graph_fields += 1
+            elif key != "family":
                 assert value is getattr(report, key)
+    assert graph_fields == 3 * 2 + 2 + 3  # verify x3, Redei, linearized

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from amap import graphs
 from amap.cli import main
-from amap.dynamics import _corrupt, assemble_prediction, predicted_graph
+from amap.applications import linearized_check, redei_check
+from amap.dynamics import _corrupt, predicted_graph, verify
 from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, GraphSizeError,
                          brute_graph, compact, cyc, decompose_successors,
                          disjoint_sum, extended_tree, materialize, render,
@@ -252,8 +253,15 @@ def test_predictions_merge_compare_and_corrupt_without_text(monkeypatch):
         assert _corrupt(graph) != graph
         assert disjoint_sum([graph, graph]).node_count == 2 * n
         assert compact(graph)["classes"]
-    nu, n1 = Z.gcd_chain(6, 10**12)
-    assert assemble_prediction(Z, 6, nu, n1).graph.node_count == 10**12
+    assert predicted_graph(Z, 6, 10**12).graph.node_count == 10**12
+
+
+def test_reports_are_built_without_text(monkeypatch):
+    # a report keeps its graphs; only its JSON renders their codes
+    _forbid_text(monkeypatch)
+    for report in (verify(Z, 2, 10**5), redei_check(1009, 6, 3),
+                   linearized_check(2, 10, [1, 1, 0, 1])):
+        assert report.isomorphic
 
 
 @pytest.mark.parametrize("a, n", SCALE)

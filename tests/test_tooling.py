@@ -1,7 +1,8 @@
-"""Source-level checks on the library code."""
+"""Source-level checks on the library code, and a run of its README example."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -145,3 +146,12 @@ def test_every_private_definition_is_named_outside_itself():
     found = [f"{node.name}:{node.lineno}" for node in private
              if everywhere[node.name] == names(node)[node.name]]
     assert not found, found
+
+
+def test_readme_python_blocks_run():
+    # the README's library example must track the API it shows
+    text = (SRC.parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
