@@ -20,7 +20,7 @@ from .graphs import (Component, FunctionalGraph, GraphSizeError, brute_graph, co
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain, factor_poly, irreducibles, is_irreducible
 from .quadorder import QuadIdeal, QuadInt, QuadOrder, SplitType
-from .trees import LEAF, RootedTree, elementary_tree, partial_tree
+from .trees import LEAF, RootedTree, elementary_tree, folded_tree, partial_tree
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "QuadIdeal", "QuadInt", "QuadOrder", "Report", "RootedTree", "SplitType",
     "ZeroIdealError", "brute_amap_graph", "brute_graph", "chebyshev_check",
     "compact", "cyc", "disjoint_sum", "ec_generic_trees", "elementary_tree",
-    "extended_tree", "factor_poly", "field", "irreducibles", "is_irreducible",
+    "extended_tree", "factor_poly", "field", "folded_tree", "irreducibles", "is_irreducible",
     "linearized_check", "nu_series", "partial_tree", "predicted_graph",
     "quadratic_character", "redei_check", "render", "restricted_tensor",
     "tensor", "to_dot", "verify",

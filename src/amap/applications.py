@@ -4,9 +4,9 @@ Four families are covered: degree-n rational maps on the projective line
 built from the binomial pair recurrence (Redei functions), Chebyshev
 polynomials, endomorphisms of ordinary elliptic curves given by their
 quadratic-order data, and linearized polynomials acting on extension
-fields.  Each checker derives the predicted structure from the generic
-machinery and verifies it against brute-force evaluation of the actual
-map.
+fields.  The Redei, Chebyshev and linearized checks predict a whole graph
+with the generic machinery, Chebyshev's as two folded torus a-maps glued,
+and compare its key with the brute-force graph of the actual map.
 
 The Redei and Chebyshev maps are evaluated at every point, as whole tables:
 ``_BLOCK`` points at a time, with one ``GF`` list operation per arithmetic
@@ -25,12 +25,12 @@ from itertools import islice
 from .base import factor_int, power
 from .dynamics import JsonReport, Report, brute_amap_graph, predicted_graph
 from .finitefield import GF, field, quadratic_character
-from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, FunctionalGraph, _check_size,
-                     brute_graph, decompose_successors, render)
+from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, Component, FunctionalGraph,
+                     _check_size, brute_graph, render)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain, _fp_linear_table
 from .quadorder import QuadInt, QuadOrder
-from .trees import RootedTree, elementary_tree
+from .trees import elementary_tree, folded_tree
 
 __all__ = ["redei_check", "chebyshev_check", "linearized_check",
            "ec_generic_trees", "ChebyshevReport", "LinearizedReport",
@@ -144,41 +144,32 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
 
 @dataclass
 class ChebyshevReport(JsonReport):
-    """Generic-tree check for one Chebyshev polynomial over one field."""
+    """Whole-graph check of one Chebyshev polynomial over one field: `ok` is key
+    equality; `periodic_checked` counts every periodic point, none `skipped`."""
 
     family = "chebyshev"
 
     q: int
     n: int
     ok: bool
-    tree_plus_code: str
-    tree_minus_code: str
+    predicted: FunctionalGraph
+    brute: FunctionalGraph
     node_count: int
     periodic_checked: int
     skipped: list[int]
-    mismatches: list[dict]
 
 
-def _generic_tree(m: int, n: int) -> RootedTree:
-    """Elementary tree of the n-part of m (the tree hanging in x -> x^n)."""
-    return elementary_tree(_Z.gcd_chain(n, m)[0])
-
-
-def _chebyshev_successors(F: GF, n: int) -> tuple[Sequence[int], bytearray]:
-    """T_n at every code of F, and a mark on every square.
+def _chebyshev_successors(F: GF, n: int) -> Sequence[int]:
+    """T_n at every code of F.
 
     The ladder keeps (T_k, T_k+1) from k = 1 and doubles over the bits of n
     with T_2k = T_k^2 - 2 and T_2k+1 = T_k * T_k+1 - x.
     """
     two = F.add(F.one, F.one)
     succ = F.code_array()
-    is_square = bytearray(F.q)
     for xs in _blocks(range(F.q)):
-        squares = F.mul_all(xs, xs)
-        for y in squares:
-            is_square[y] = 1
         twos = [two] * len(xs)
-        lo, hi = xs, F.sub_all(squares, twos)
+        lo, hi = xs, F.sub_all(F.mul_all(xs, xs), twos)
         bits = bin(n)[3:]
         for i, bit in enumerate(bits, 1):
             more = i < len(bits)  # after the last bit only T_n is needed
@@ -189,16 +180,38 @@ def _chebyshev_successors(F: GF, n: int) -> tuple[Sequence[int], bytearray]:
                 lo, hi = (F.sub_all(F.mul_all(lo, lo), twos),
                           F.sub_all(F.mul_all(lo, hi), xs) if more else None)
         succ.extend(lo)
-    return succ, is_square
+    return succ
+
+
+def _folded_torus(n: int, m: int) -> tuple[tuple[int, ...], list, int]:
+    """x -> n*x on Z/m, m even, folded by x ~ -x: its nu-series, the
+    (component, count) pairs of the divisor rows d > 2, and how many rows have
+    d | 2.  A cycle folds onto itself when -1 is in <n mod d>, else it meets
+    its negative; off d | 2 a point and its negative keep disjoint trees T(nu).
+    """
+    nu, m1 = _Z.gcd_chain(n, m)
+    tree = (elementary_tree(nu),)
+    rows = []
+    fixed = 0
+    for d, phi, o in _Z.divisor_table(n, m1):
+        if d <= 2:
+            fixed += 1
+        elif o % 2 == 0 and pow(n, o // 2, d) == d - 1:
+            rows.append((Component(o // 2, tree), phi // o))
+        else:
+            rows.append((Component(o, tree), phi // (2 * o)))
+    return nu, rows, fixed
 
 
 def chebyshev_check(q: int, n: int,
                     max_nodes: int = DEFAULT_MAX_NODES) -> ChebyshevReport:
-    """Check the hanging trees at periodic points of T_n over F_q.
+    """Check the whole functional graph of T_n over F_q, q odd.
 
-    Periodic points other than +-2 carry one of two trees, selected by the
-    quadratic character of c^2 - 4; the components through +-2 are skipped
-    and reported, not predicted.  T_n is evaluated at all q points as one
+    x = z + 1/z maps the tori z^(q-1) = 1 and z^(q+1) = 1 onto F_q, z and
+    1/z to one point, and T_n(z + 1/z) = z^n + z^-n.  So T_n is x -> n*x on
+    Z/(q-1) and on Z/(q+1), each folded by negation and the two glued at 0
+    (x = 2) and at the half point (x = -2) (Lidl, Mullen and Turnwald,
+    *Dickson Polynomials*, 1993).  T_n is evaluated at all q points as one
     table, at a cost of O(q log n) field operations.
     """
     F = _field_for(q)
@@ -206,38 +219,16 @@ def chebyshev_check(q: int, n: int,
         raise ValueError("q must be odd")
     if n < 1:
         raise ValueError("the degree n must be positive")
-    two = F.add(F.one, F.one)
-    minus_two = F.neg(two)
-    four = F.mul(two, two)
-
     _check_size(q, max_nodes)
-    succ, is_square = _chebyshev_successors(F, n)
-    tree_plus = _generic_tree(q - 1, n)
-    tree_minus = _generic_tree(q + 1, n)
+    brute = brute_graph(q, _chebyshev_successors(F, n), max_nodes=max_nodes)
 
-    checked = 0
-    skipped: list[int] = []
-    mismatches: list[dict] = []
-    periodic = ((c, tree) for cycle, trees in decompose_successors(succ)
-                for c, tree in zip(cycle, trees))
-    for block in _blocks(periodic):
-        points = [c for c, _ in block]
-        discriminants = F.sub_all(F.mul_all(points, points), [four] * len(points))
-        for (c, tree), disc in zip(block, discriminants):
-            if c == two or c == minus_two:
-                skipped.append(c)
-                continue
-            chi = 1 if is_square[disc] else -1  # disc is nonzero away from +-2
-            expected = tree_plus if chi == 1 else tree_minus
-            checked += 1
-            if tree != expected:
-                mismatches.append({"point": c, "chi": chi,
-                                   "tree": tree.code, "expected": expected.code})
+    (nu_plus, plus, fixed), (nu_minus, minus, _) = (_folded_torus(n, m) for m in (q - 1, q + 1))
+    glued = Component(1, (folded_tree([nu_plus, nu_minus]),))
+    predicted = FunctionalGraph(plus + minus + [(glued, fixed)])
     return ChebyshevReport(
-        q=q, n=n, ok=not mismatches,
-        tree_plus_code=tree_plus.code, tree_minus_code=tree_minus.code,
-        node_count=q, periodic_checked=checked,
-        skipped=skipped, mismatches=mismatches,
+        q=q, n=n, ok=predicted == brute, predicted=predicted, brute=brute, node_count=q,
+        periodic_checked=sum(count * comp.cycle_len for comp, count in brute.counted),
+        skipped=[],
     )
 
 
@@ -355,16 +346,11 @@ def ec_generic_trees(d: int, a: QuadInt, pi: QuadInt, n: int) -> ECTreesReport:
     if n < 1:
         raise ValueError("n must be positive")
     pin = order.pow_element(pi, n)
-    one = QuadInt(1, 0)
-    trees = []
-    series = []
-    for shifted in (pin - one, pin + one):
-        if shifted.is_zero:
-            raise ValueError("pi^n -+ 1 is zero; the quotient is not finite")
-        nu = order.gcd_chain(a, order.principal(shifted))[0]
-        series.append(nu)
-        trees.append(elementary_tree(nu))
-    tree_plus, tree_minus = trees
+    shifted = (pin - QuadInt(1, 0), pin + QuadInt(1, 0))
+    if any(s.is_zero for s in shifted):
+        raise ValueError("pi^n -+ 1 is zero; the quotient is not finite")
+    series = [order.gcd_chain(a, order.principal(s))[0] for s in shifted]
+    tree_plus, tree_minus = map(elementary_tree, series)
     return ECTreesReport(
         d=d, a=[a.x, a.y], pi=[pi.x, pi.y], n=n,
         tree_plus_code=render(tree_plus, DEFAULT_MAX_CODE_BYTES),

@@ -217,41 +217,28 @@ def _run(args: argparse.Namespace) -> int:
             return 0
         report = verify(dom, a, n, args.max_nodes, args.corrupt_cycle)
         _write_dot(report.brute, args.dot, args.max_nodes)
-        print(report.to_json(indent=2))
-        return 0 if report.isomorphic else 1
-
-    if cmd == "tree":
+    elif cmd == "tree":
         series = _parse_ints(args.series)
         tree = elementary_tree(series)
         _emit({"series": series, **_code_or_compact(tree, "tree"),
                "node_count": tree.node_count})
         return 0
-
-    if cmd == "redei":
+    elif cmd == "redei":
         report = redei_check(args.q, args.n, args.a)
-        print(report.to_json(indent=2))
-        return 0 if report.isomorphic else 1
-
-    if cmd == "chebyshev":
+    elif cmd == "chebyshev":
         report = chebyshev_check(args.q, args.n)
-        print(report.to_json(indent=2))
-        return 0 if report.ok else 1
-
-    if cmd == "linpoly":
+    elif cmd == "linpoly":
         report = linearized_check(args.q, args.n, _parse_ints(args.f),
                                   max_nodes=args.max_nodes)
-        print(report.to_json(indent=2))
-        return 0 if report.isomorphic else 1
-
-    if cmd == "ectrees":
+    elif cmd == "ectrees":
         order = QuadOrder(args.d)
-        a = _parse_element(order, args.a)
-        pi = _parse_element(order, args.pi)
-        report = ec_generic_trees(args.d, a, pi, args.n)
-        print(report.to_json(indent=2))
-        return 0
-
-    raise ParseError(f"unknown command {cmd!r}")  # pragma: no cover
+        report = ec_generic_trees(args.d, _parse_element(order, args.a),
+                                  _parse_element(order, args.pi), args.n)
+    else:
+        raise ParseError(f"unknown command {cmd!r}")  # pragma: no cover
+    print(report.to_json(indent=2))
+    # ectrees has no oracle to disagree with, so it never fails
+    return 0 if getattr(report, "isomorphic", getattr(report, "ok", True)) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -99,7 +99,8 @@ class JsonReport:
     The dict starts with the class's ``family`` tag when it has one, then
     lists the fields in declaration order, leaving out fields set to None.
     A graph or tree field ``x`` is written as ``x_code``, its canonical
-    code: codes are rendered here and nowhere else in a report.
+    code: codes are rendered here and nowhere else in a report, save that
+    `ECTreesReport` stores its tree codes, which the benchmark reads.
     """
 
     family: ClassVar[str | None] = None

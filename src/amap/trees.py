@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 
-__all__ = ["RootedTree", "LEAF", "elementary_tree", "partial_tree"]
+__all__ = ["RootedTree", "LEAF", "elementary_tree", "folded_tree", "partial_tree"]
 
 
 class Keyed:
@@ -143,6 +143,31 @@ def elementary_tree(seq: Sequence[int]) -> RootedTree:
     trees = _partials(seq, d - 1)
     kids = {trees[i - 1]: seq[i - 1] - seq[i] for i in range(1, d)}
     kids[trees[d - 1]] = seq[d - 1] - 1
+    return RootedTree(kids)
+
+
+def folded_tree(seqs: Iterable[Sequence[int]]) -> RootedTree:
+    """Tree at 0 of x -> a*x on Z/m folded by x ~ -x, for each nu-series of
+    Z/m0 in `seqs`, the folds glued at 0.
+
+    Negation pairs off the children of the root of T(nu), save the nonzero
+    2-torsion point when nu has e >= 1 even entries, whose subtree is the
+    (e-1)-th partial tree: one copy of it is taken out, the rest are halved.
+    The 2-torsion points glue into one more child, its children halved too;
+    any other node's orbit is free, so its subtree is not folded."""
+    kids: Counter = Counter()
+    torsion = None  # children of the glued 2-torsion point
+    for seq in map(_validated, seqs):
+        children = Counter(dict(elementary_tree(seq).counted))
+        if e := sum(v % 2 == 0 for v in seq):
+            half = _partials(seq, e - 1)[e - 1]
+            children[half] -= 1
+            torsion = (torsion or Counter()) + Counter(dict(half.counted))
+        if any(count % 2 for count in children.values()):  # a missing copy leaves -1
+            raise ValueError(f"negation does not pair off the children in T({seq})")
+        kids.update({t: count // 2 for t, count in children.items()})
+    if torsion is not None:
+        kids[RootedTree({t: count // 2 for t, count in torsion.items()})] += 1
     return RootedTree(kids)
 
 

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from amap import applications
 from amap.applications import (chebyshev_check, ec_generic_trees,
                                linearized_check, redei_check)
 from amap.base import factor_int
+from amap.cli import main
 from amap.dynamics import nu_series, predicted_graph
 from amap.finitefield import field, quadratic_character
 from amap.graphs import Component, FunctionalGraph, cyc
@@ -84,30 +86,70 @@ class TestRedei:
 class TestChebyshev:
     def test_q7_n2_trees(self):
         rep = chebyshev_check(7, 2)
-        assert rep.ok
-        assert rep.tree_plus_code == elementary_tree((2,)).code
-        assert rep.tree_minus_code == elementary_tree((2, 2, 2)).code
-        assert rep.periodic_checked >= 1
-        assert 2 in rep.skipped  # c = 2 is a fixed point, not predicted
+        assert rep.ok and rep.predicted == rep.brute
+        # -1 is a generic fixed point and carries T(2), the unfolded tree of
+        # the torus Z/6; 2 carries the folds of Z/6 and Z/8 glued at 0
+        generic = Component(1, (elementary_tree((2,)),))
+        assert (generic, 1) in rep.brute.counted
+        assert rep.brute.code == "C1[(((()())))];" + generic.code
+        assert rep.periodic_checked == 2 and rep.skipped == []
 
     def test_q5_n2_trees(self):
         rep = chebyshev_check(5, 2)
+        assert rep.ok and rep.predicted == rep.brute
+        assert (Component(1, (elementary_tree((2,)),)), 1) in rep.brute.counted
+        assert rep.brute.code == "C1[((()))];C1[(())]"
+
+    def test_glued_minus_two_is_a_leaf(self):
+        # T_4 on F_3: -2 = 1 is the glued 2-torsion child of 2 and has no children
+        rep = chebyshev_check(3, 4)
         assert rep.ok
-        assert rep.tree_plus_code == elementary_tree((2, 2)).code
-        assert rep.tree_minus_code == elementary_tree((2,)).code
+        assert rep.brute.code == rep.predicted.code == "C1[(()())]"
+
+    def test_degree_one_is_the_identity(self):
+        for q in (3, 7, 25):
+            rep = chebyshev_check(q, 1)
+            assert rep.ok and rep.brute == FunctionalGraph([(Component(1, (LEAF,)), q)])
+            assert rep.periodic_checked == q
 
     def test_permutation_case_leaf_trees(self):
-        # n coprime to q^2 - 1 and to p: both generic trees are leaves
-        rep = chebyshev_check(7, 5)
-        assert rep.ok
-        assert rep.tree_plus_code == LEAF.code
-        assert rep.tree_minus_code == LEAF.code
+        # n coprime to q^2 - 1 and to p: T_n permutes F_q, every tree a leaf
+        for q, n, code in ((7, 5, "C1[()];" * 5 + "C2[(),()]"),
+                           (11, 7, "C1[()];" * 5 + ";".join(["C2[(),()]"] * 3))):
+            rep = chebyshev_check(q, n)
+            assert rep.ok and rep.brute.code == code
+            assert all(comp.root == (LEAF,) for comp, _ in rep.predicted.counted)
+            assert rep.periodic_checked == q
 
     def test_small_sweep(self):
         for q in (3, 5, 7, 11, 13):
             for n in range(2, 7):
                 rep = chebyshev_check(q, n)
-                assert rep.ok, (q, n, rep.mismatches)
+                assert rep.ok and rep.skipped == [], (q, n)
+
+    def test_planted_corrupt_summand_fails(self, monkeypatch, capsys):
+        # the first row of the Z/(q-1) fold gets a cycle one node longer, as
+        # dynamics._corrupt does to a prediction
+        real = applications._folded_torus
+
+        def corrupt(n, m):
+            nu, rows, fixed = real(n, m)
+            if m == 12:
+                (comp, count), *rest = rows
+                rows = [(Component(comp.cycle_len + 1, comp.root), 1), (comp, count - 1), *rest]
+            return nu, rows, fixed
+
+        assert chebyshev_check(13, 2).ok
+        monkeypatch.setattr(applications, "_folded_torus", corrupt)
+        rep = chebyshev_check(13, 2)
+        assert not rep.ok and rep.predicted != rep.brute
+        assert main(["chebyshev", "--q", "13", "--n", "2"]) == 1
+        assert not json.loads(capsys.readouterr().out)["ok"]
+
+    def test_report_shape(self):
+        data = json.loads(chebyshev_check(7, 2).to_json())
+        assert list(data) == ["family", "q", "n", "ok", "predicted_code", "brute_code",
+                              "node_count", "periodic_checked", "skipped"]
 
     def test_rejects_even_q(self):
         with pytest.raises(ValueError):

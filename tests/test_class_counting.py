@@ -79,18 +79,19 @@ def test_redei_tables_match_the_reference_code(monkeypatch):
 
 def test_chebyshev_tables_match_the_reference_code(monkeypatch):
     seen = []
-    real = applications.decompose_successors
+    real = applications.brute_graph
 
-    def spy(succ):
-        seen.append(succ)
-        return real(succ)
+    def spy(size, succ, max_nodes):
+        graph = real(size, succ, max_nodes=max_nodes)
+        seen.append((succ, graph))
+        return graph
 
-    monkeypatch.setattr(applications, "decompose_successors", spy)
+    monkeypatch.setattr(applications, "brute_graph", spy)
     for q, n in ((101, 2), (101, 3), (243, 4), (625, 6), (1009, 5)):
         chebyshev_check(q, n)
     assert len(seen) == 5
-    for succ in seen:
-        assert brute_graph(len(succ), succ).code == reference_code(succ)
+    for succ, graph in seen:
+        assert graph.code == reference_code(succ)
 
 
 # ---- random maps, permutations and the identity ----
@@ -178,11 +179,16 @@ def test_root_pair_comes_first_before_a_smaller_tree_node():
             components[0][1][0]
 
 
-# ---- the Chebyshev report lists +-2 in ascending order ----
+# ---- the Chebyshev report skips no point: its skip list is empty ----
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 101])
 def test_chebyshev_skipped_points_ascend(q):
-    for n in (1, 3, 5, 7, 9):
-        skipped = chebyshev_check(q, n).skipped
-        assert len(skipped) == 2 and skipped == sorted(skipped), (q, n, skipped)
-    assert chebyshev_check(5, 3).skipped == [2, 3]
+    for n in (1, 2, 3, 5, 7, 9):
+        rep = chebyshev_check(q, n)
+        # the periodic points are the eventual image of the map
+        succ = applications._chebyshev_successors(applications._field_for(q), n)
+        image, points = set(succ), set(range(q))
+        while image != points:
+            image, points = {succ[x] for x in image}, image
+        assert rep.skipped == [] and rep.periodic_checked == len(image), (q, n)
+        assert sum(count * comp.cycle_len for comp, count in rep.brute.counted) == len(image)

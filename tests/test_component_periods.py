@@ -260,4 +260,4 @@ def test_report_json_is_unchanged_and_the_dict_is_shallow():
                 graph_fields += 1
             elif key != "family":
                 assert value is getattr(report, key)
-    assert graph_fields == 3 * 2 + 2 + 3  # verify x3, Redei, linearized
+    assert graph_fields == 3 * 2 + 2 + 2 + 3  # verify x3, Redei, Chebyshev, linearized

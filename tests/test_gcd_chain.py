@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from amap.applications import _generic_tree, chebyshev_check, ec_generic_trees
+from amap.applications import ec_generic_trees
 from amap.base import Domain, ZeroIdealError, check_positive_int, is_prime
 from amap.dynamics import nu_series
 from amap.finitefield import field
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadIdeal, QuadInt, QuadOrder
+from amap.trees import elementary_tree, folded_tree
 
 
 class FactorReference:
@@ -276,8 +277,11 @@ def test_no_factorization_on_the_chain_paths(monkeypatch):
     assert Z5.ideal_div(six, n1) == n0
     report = ec_generic_trees(-5, a, QuadInt(3, 2), 4)
     assert report.nu_plus == [6, 2, 2, 2, 2, 2, 2] and report.nu_minus == [2, 2]
-    assert _generic_tree(24, 2).node_count == 8
-    assert chebyshev_check(13, 2).ok
+    assert elementary_tree(Z.gcd_chain(2, 24)[0]).node_count == 8
+    # the trees of the Chebyshev prediction come from chains alone: here the
+    # fixed point 2 of T_2 on F_13, the folds of Z/12 and Z/14 glued; its cycle
+    # rows read a divisor table, which factors, as every prediction's does
+    assert folded_tree([Z.gcd_chain(2, 12)[0], Z.gcd_chain(2, 14)[0]]).code == "((()))"
 
 
 def test_zero_polynomial_ideal_raises_zero_ideal_error():

@@ -52,6 +52,23 @@ def test_trees_are_built_only_from_a_nu_series_or_a_map():
     assert not found, found
 
 
+def test_only_graphs_decomposes_a_map():
+    # graphs.brute_graph reads a decomposition into a whole graph, and every
+    # check compares whole graphs; a family check that walked the periodic
+    # points of a decomposition by hand would fail this check
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        module = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(module)
+                     if "decompose_successors" in {getattr(node, "id", None),
+                                                   getattr(node, "attr", None)}
+                     or isinstance(node, ast.ImportFrom)
+                     and any(a.name == "decompose_successors" for a in node.names))
+    assert not found, found
+
+
 def test_graph_size_errors_are_raised_only_in_graphs():
     # graphs._check_size and graphs.render decide every size bound; a hand
     # copy of either elsewhere would fail this check
