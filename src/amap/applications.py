@@ -122,8 +122,7 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
     if F.q % 2 == 0:
         raise ValueError("q must be odd")
     a_code = a % F.p if F.k == 1 else a
-    if not 0 <= a_code < F.q:
-        raise ValueError(f"{a} is not a field element code")
+    F.check_codes([a_code])
     if a_code == 0:
         raise ValueError("the parameter a must be nonzero")
     if n < 1:
@@ -279,9 +278,7 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     """
     F = _field_for(q)
     if isinstance(f, list):
-        for c in f:
-            if not 0 <= c < q:
-                raise ValueError(f"coefficient {c} is not a field element code in [0, {q})")
+        F.check_codes(f)
         f = Poly(F, f)
     if f.field != F:
         raise ValueError("f must have coefficients in F_q")

@@ -202,7 +202,7 @@ class Domain(ABC):
         the nu-series of n0 = n/n1: non-increasing, since g_(i+1) divides g_i.
         """
         if self.is_zero(a):
-            raise ValueError("the gcd chain requires a nonzero element")
+            raise ValueError("the element a must be nonzero")
         a_ideal = self.principal(a)
         norms = []
         rest, rest_norm = n, self.norm(n)

@@ -52,7 +52,7 @@ def _parse_domain(spec: str, modulus: str | None = None) -> Domain:
         if len(nums) not in (1, 2):
             raise ParseError(f"bad domain {spec!r}; expected poly:p or poly:p:k")
         p, k = nums[0], nums[1] if len(nums) == 2 else 1
-        mod = tuple(_parse_coeffs(modulus, p)) if modulus else None
+        mod = _parse_ints(modulus) if modulus else None
         return PolyDomain(GF(p, k, mod))
     if kind == "quad":
         if len(nums) != 1:
@@ -69,14 +69,6 @@ def _parse_ints(s: str) -> list[int]:
         raise ParseError(f"bad integer list {s!r}") from exc
 
 
-def _parse_coeffs(s: str, q: int) -> list[int]:
-    coeffs = _parse_ints(s)
-    for c in coeffs:
-        if not 0 <= c < q:
-            raise ParseError(f"coefficient {c} is not a field element code in [0, {q})")
-    return coeffs
-
-
 def _parse_element(dom: Domain, s: str):
     if isinstance(dom, IntegerDomain):
         try:
@@ -84,7 +76,9 @@ def _parse_element(dom: Domain, s: str):
         except ValueError as exc:
             raise ParseError(f"bad integer {s!r}") from exc
     if isinstance(dom, PolyDomain):
-        return Poly(dom.field, _parse_coeffs(s, dom.field.q))
+        coeffs = _parse_ints(s)
+        dom.field.check_codes(coeffs)
+        return Poly(dom.field, coeffs)
     if isinstance(dom, QuadOrder):
         coords = _parse_ints(s)
         if len(coords) != 2:

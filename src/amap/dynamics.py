@@ -65,8 +65,6 @@ def predicted_graph(dom: Domain, a, n) -> Prediction:
     Each divisor gives one component with its multiplicity, never one per
     cycle, and no code text is rendered.
     """
-    if dom.is_zero(a):
-        raise ValueError("the prediction requires a nonzero element")
     nu, n1 = dom.gcd_chain(a, n)
     tree = elementary_tree(nu)
     rows = []

@@ -8,9 +8,11 @@ For k > 1 arithmetic a monic irreducible modulus of degree k over F_p is
 required; if none is supplied the constructor takes the first one that
 ``polynomials.irreducibles`` yields (lexicographic coefficient order,
 constant coefficient most significant), so field construction is
-reproducible.  A supplied modulus is tested with Ben-Or's test
-``polynomials.is_irreducible``; the default one is irreducible by
-construction and not tested again.  Prime fields compute with ``% p``.
+reproducible.  A supplied modulus must list codes of F_p, each in [0, p),
+and is tested with Ben-Or's test ``polynomials.is_irreducible``; the
+default one is irreducible by construction and not tested again.  Prime
+fields compute with ``% p``.  ``check_codes`` states the one rule for a code
+that enters from outside: an int in [0, q).
 Beyond q = 64 a scalar extension product reads no table: it takes bit
 operations when p = 2 and a ``Poly`` product reduced by the modulus when p is
 odd, and so referees the tables.
@@ -42,8 +44,7 @@ _SMALL_Q = 64  # extension fields up to this order build their tables at once
 class GF:
     """The finite field with p^k elements."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_modpoly", "_modbits", "_tables",
-                 "_embed_cache")
+    __slots__ = ("p", "k", "q", "modulus", "_modpoly", "_modbits", "_tables")
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -61,7 +62,8 @@ class GF:
             if modulus is None:  # irreducible by construction
                 self._modpoly = next(irreducibles(field(p), k))
             else:
-                modulus = tuple(c % p for c in modulus)
+                modulus = tuple(modulus)
+                field(p).check_codes(modulus)
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise ValueError(f"modulus must be monic of degree {k}")
                 self._modpoly = Poly(field(p), modulus)
@@ -73,9 +75,14 @@ class GF:
         self._tables = None
         if k > 1 and self.q <= _SMALL_Q:  # `mul` computes directly until the set is built
             self._table_set()
-        self._embed_cache: dict[tuple, list[int]] = {}
 
     # ---- encoding ----
+
+    def check_codes(self, codes) -> None:
+        """Raise ValueError at the first entry that is not an element code."""
+        for c in codes:
+            if not 0 <= c < self.q:
+                raise ValueError(f"{c} is not a field element code in [0, {self.q})")
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Base-p digits of an element code, lowest degree first."""
@@ -257,10 +264,6 @@ class GF:
         """
         if sub.p != self.p or self.k % sub.k:
             raise ValueError(f"F_{sub.q} is not a subfield of F_{self.q}")
-        key = (sub.p, sub.k, sub.modulus)
-        table = self._embed_cache.get(key)
-        if table is not None:
-            return table
         table = list(range(sub.p))
         if sub.k > 1:
             # every root is in the copy of F_(sub.q), a power of g^((q-1)/(sub.q-1))
@@ -273,7 +276,6 @@ class GF:
             for j in reversed(range(sub.k)):  # Horner over the digits of every code
                 table = self.add_all(self.mul_all(table, [root] * sub.q),
                                      [s // sub.p**j % sub.p for s in range(sub.q)])
-        self._embed_cache[key] = table
         return table
 
     # ---- identity ----

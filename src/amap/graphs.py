@@ -181,7 +181,7 @@ class FunctionalGraph(Keyed):
     sorted by code, and `components` one entry per copy in that order.
     """
 
-    __slots__ = ("counted", "_classes")
+    __slots__ = ("counted",)
 
     def __init__(self, pairs: Iterable[tuple[Component, int]] = ()):
         merged: dict[tuple, list] = {}
@@ -197,13 +197,10 @@ class FunctionalGraph(Keyed):
         self.key = frozenset((comp.key, count) for comp, count in self.counted)
         self.node_count = sum([count * comp.node_count for comp, count in self.counted])
         self._code = None
-        self._classes = None
 
     @property
     def classes(self) -> tuple[tuple[Component, int], ...]:
-        if self._classes is None:
-            self._classes = tuple(sorted(self.counted, key=itemgetter(0)))
-        return self._classes
+        return tuple(sorted(self.counted, key=itemgetter(0)))
 
     @property
     def components(self) -> tuple[Component, ...]:

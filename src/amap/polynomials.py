@@ -28,7 +28,7 @@ __all__ = ["Poly", "PolyDomain", "factor_poly", "is_irreducible", "irreducibles"
 class Poly:
     """Polynomial over a fixed finite field."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: GF, coeffs: Iterable[int] = ()):
         coeffs = list(coeffs)
@@ -36,7 +36,6 @@ class Poly:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
-        self._hash = hash((field.p, field.k, self.coeffs))
 
     # ---- constructors ----
 
@@ -80,21 +79,16 @@ class Poly:
         if self.field != other.field:
             raise ValueError("mixed coefficient fields")
 
-    def __add__(self, other: Poly) -> Poly:
+    def _termwise(self, other: Poly, op) -> Poly:
         self._check(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(F, (F.add(a[i] if i < len(a) else 0,
-                              b[i] if i < len(b) else 0) for i in range(n)))
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly(self.field, itertools.starmap(op, pairs))
+
+    def __add__(self, other: Poly) -> Poly:
+        return self._termwise(other, self.field.add)
 
     def __sub__(self, other: Poly) -> Poly:
-        self._check(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(F, (F.sub(a[i] if i < len(a) else 0,
-                              b[i] if i < len(b) else 0) for i in range(n)))
+        return self._termwise(other, self.field.sub)
 
     def __neg__(self) -> Poly:
         F = self.field
@@ -148,6 +142,9 @@ class Poly:
                 quot[i - dd] = q
                 for j in range(dd + 1):
                     rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(q, dv[j]))
+                if rem[i]:  # exact arithmetic cancels the leading term
+                    F.check_codes(self.coeffs + dv)
+                    raise RuntimeError("division left a leading remainder term")
         return Poly(F, quot), Poly(F, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:
@@ -192,7 +189,7 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.field.p, self.field.k, self.coeffs))
 
     def sort_key(self) -> tuple:
         return (len(self.coeffs), self.coeffs)

@@ -31,6 +31,8 @@ def test_checkers_reject_q_below_two(q):
 def test_linearized_rejects_non_field_codes():
     with pytest.raises(ValueError, match="not a field element code"):
         linearized_check(4, 2, [7])
+    with pytest.raises(ValueError, match="^5 is not a field element code in \\[0, 3\\)$"):
+        linearized_check(3, 2, [5])
 
 
 class TestRedei:
@@ -75,6 +77,10 @@ class TestRedei:
             redei_check(8, 2, 1)  # even q
         with pytest.raises(ValueError):
             redei_check(7, 2, 0)  # a = 0
+        with pytest.raises(ValueError, match="^9 is not a field element code in \\[0, 9\\)$"):
+            redei_check(9, 2, 9)
+        # a prime field reads a as an integer mod p
+        assert redei_check(7, 2, -3).isomorphic
 
     def test_report_shape(self):
         data = json.loads(redei_check(7, 2, 3).to_json())

@@ -74,6 +74,12 @@ def assert_one_line_error(capsys, argv):
     return captured
 
 
+def test_predict_refuses_a_zero_element(capsys):
+    captured = assert_one_line_error(
+        capsys, ["predict", "--domain", "Z", "--a", "0", "--n", "12"])
+    assert captured.err == "error: the element a must be nonzero\n"
+
+
 def test_checkers_reject_q_below_two(capsys):
     for q in ("-7", "-2", "0", "1"):
         for argv in (["redei", "--q", q, "--a", "3", "--n", "2"],

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from amap.base import NotCoprimeError, ZeroIdealError
+from amap.dynamics import predicted_graph
 from amap.finitefield import GF, field
 from amap.polynomials import (Poly, PolyDomain, factor_poly, irreducibles,
                               is_irreducible)
@@ -75,6 +76,14 @@ class TestFieldConstruction:
         f = GF(2, 3, (1, 1, 0, 1))
         assert f.modulus == (1, 1, 0, 1)
 
+    def test_modulus_entries_are_codes_of_the_prime_field(self):
+        # an entry outside [0, p) is refused, not reduced mod p
+        with pytest.raises(ValueError, match="^3 is not a field element code in \\[0, 2\\)$"):
+            GF(2, 2, (3, 1, 1))
+        with pytest.raises(ValueError, match="^-1 is not a field element code"):
+            GF(3, 2, (-1, 0, 1))
+        assert GF(3, 2, (2, 1, 1)).modulus == (2, 1, 1)
+
 
 class TestPolyArithmetic:
     def test_strip_and_zero(self):
@@ -98,6 +107,27 @@ class TestPolyArithmetic:
         x = Poly.x(F3)
         m = poly(D3, 1, 0, 1)
         assert x.pow_mod(9, m) == x % m  # Frobenius fixes F_9 -> x^9 = x mod m
+
+    def test_add_and_sub_pad_the_shorter_operand(self):
+        F9 = field(3, 2)
+        f, g = Poly(F9, [1, 2, 5]), Poly(F9, [4])
+        assert (f + g).coeffs == (F9.add(1, 4), 2, 5)
+        assert (g - f).coeffs == (F9.sub(4, 1), F9.sub(0, 2), F9.sub(0, 5))
+        assert (f - f).is_zero
+
+    def test_hash_is_that_of_equal_polynomials(self):
+        assert hash(Poly(F3, [1, 2, 0])) == hash(Poly(F3, (1, 2)))
+        assert {Poly(F3, [1, 2, 0]): 1}[Poly(F3, (1, 2))] == 1
+
+    def test_codes_outside_the_field_stop_a_division(self):
+        # exact arithmetic cancels each leading term; a code >= q does not,
+        # and the division names it instead of returning a bad remainder
+        # (in Poly.gcd, under predicted_graph, it looped forever)
+        F = field(2, 7)
+        with pytest.raises(ValueError, match="^200 is not a field element code"):
+            Poly(F, [1, 200]) % Poly(F, [1, 1])
+        with pytest.raises(ValueError, match="^200 is not a field element code"):
+            predicted_graph(PolyDomain(F), Poly(F, [200, 1]), Poly(F, [1, 0, 1]))
 
 
 class TestFactorization:
@@ -131,6 +161,18 @@ class TestFactorization:
                 assert is_irreducible(p)
                 prod = prod * p**e
             assert prod == f.monic()
+
+    @pytest.mark.parametrize("p, k, coeffs, expected", [
+        (2, 2, [1, 0, 0, 0, 0, 1], [((1, 1), 1), ((1, 2, 1), 1), ((1, 3, 1), 1)]),
+        (3, 2, [2, 0, 0, 0, 1], [((1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((6, 1), 1)]),
+        (2, 3, [1, 0, 1, 0, 1], [((1, 1, 1), 2)]),
+        (5, 1, [1, 0, 0, 0, 1], [((2, 0, 1), 1), ((3, 0, 1), 1)]),
+    ])
+    def test_pinned_factorizations(self, p, k, coeffs, expected):
+        F = field(p, k)
+        got = factor_poly(Poly(F, coeffs))
+        assert [(f.coeffs, e) for f, e in got] == expected
+        assert dict(got) == {Poly(F, c): e for c, e in expected}
 
     def test_repeated_and_frobenius_powers(self):
         # (x+1)^4 over F_2 exercises the p-th-power path

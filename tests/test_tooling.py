@@ -84,6 +84,21 @@ def test_graph_size_errors_are_raised_only_in_graphs():
     assert not found, found
 
 
+def test_field_element_codes_are_checked_only_in_finitefield():
+    # GF.check_codes states the rule for an element code; a hand copy of
+    # the check elsewhere would fail this check
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "finitefield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(part, ast.Constant) and "field element code" in str(part.value)
+                    for part in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_no_caller_spells_out_a_uniform_cycle():
     # a Component takes one period of its trees, so a cycle with one tree
     # all round is passed as (tree,), never as an r-fold repetition
