@@ -19,13 +19,12 @@ odd, and so referees the tables.
 
 The whole-table operations ``add_all``, ``sub_all``, ``mul_all`` and
 ``inverse_table`` evaluate an operation at every element in one list pass.
-An extension field serves them from one table set, built in O(q) steps by
-its first list operation (by the constructor when q <= 64, whose scalar
-``mul`` and ``inv`` then read it) and kept: ``exp`` and ``log`` from a
-primitive element, and for odd p the digitwise sums of codes with half the
-base-p digits.  Its F_p-linear and digitwise-sum tables come from
-``polynomials._fp_linear_table`` and ``polynomials._digit_sums``.  Prime
-fields keep no table.
+An extension field serves them from one set of tables of at most q entries,
+built in O(q) steps by its first list operation (by the constructor when
+q <= 64, whose scalar ``mul`` and ``inv`` then read it) and kept: ``exp`` and
+``log`` from a primitive element g, and for odd p the Zech logarithms
+log(1 + g^i), through which x + y = x * (1 + y/x) is read as a product
+(Lidl-Niederreiter, *Finite Fields*).  Prime fields keep no table.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from array import array
 from functools import lru_cache
 
 from .base import factor_int, is_prime, power
-from .polynomials import Poly, _digit_sums, _fp_linear_table, irreducibles, is_irreducible
+from .polynomials import Poly, _fp_linear_table, irreducibles, is_irreducible
 
 __all__ = ["GF", "field", "quadratic_character"]
 
@@ -128,7 +127,7 @@ class GF:
         if self.k == 1:
             return (a * b) % self.p
         if self._tables is not None and self.q <= _SMALL_Q:
-            exp, log, _, _ = self._tables
+            exp, log, _ = self._tables
             return exp[(log[a] + log[b]) % (self.q - 1)] if a and b else 0
         if self.p == 2:
             r = 0
@@ -160,7 +159,7 @@ class GF:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         if self._tables is not None and self.q <= _SMALL_Q:
-            exp, log, _, _ = self._tables
+            exp, log, _ = self._tables
             return exp[-log[a]]
         return self.pow(a, self.q - 2)
 
@@ -170,25 +169,17 @@ class GF:
     # ---- whole tables ----
 
     def _table_set(self) -> tuple:
-        """(exp, log, half, neg) of an extension field, built on first use.
+        """(exp, log, zech) of an extension field, built on first use.
 
-        exp[i] = g^i for the least primitive g >= p, and log inverts it
-        (log[0] = 0).  For odd p and w = p^ceil(k/2), half[a * w + b] is the
-        digitwise sum of codes a, b < w (rows of `_digit_sums`) and neg[a]
-        the negative of a.  x -> -x and x -> g*x are F_p-linear, so
-        `_fp_linear_table` builds them from the images of the basis codes
-        p^j, and exp walks the table of x -> g*x.
+        exp[i] = g^i for the least primitive g >= p, walked through the
+        `_fp_linear_table` of x -> g*x, and log inverts it (log[0] = 0).  For
+        odd p, zech[i] = log(1 + g^i) (None for p = 2): adding 1 changes the
+        lowest base-p digit only, and at g^i = -1 the entry reads log[0] = 0,
+        which no nonzero sum has, so it marks a zero sum.
         """
         if self._tables is not None:
             return self._tables
         p, k, q, m = self.p, self.k, self.q, self.q - 1
-        half = neg = None
-        if p > 2:
-            width = (k + 1) // 2
-            half = self.code_array()
-            for a in range(p**width):
-                half.extend(_digit_sums(a, p, width))
-            neg = self.code_array(_fp_linear_table([(p - 1) * p**j for j in range(width)], p))
         g = next(g for g in range(p, q)
                  if all(self.pow(g, m // r) != 1 for r, _ in factor_int(m)))
         times_g = _fp_linear_table([self.mul(p**j, g) for j in range(k)], p)
@@ -198,32 +189,30 @@ class GF:
             v = times_g[v]
             exp.append(v)
             log[v] = i
-        self._tables = (exp, log, half, neg)
+        zech = self.code_array(log[v - v % p + (v + 1) % p] for v in exp) if p > 2 else None
+        self._tables = (exp, log, zech)
         return self._tables
 
     def add_all(self, xs, ys) -> list[int]:
         """[x + y for each pair]; the inputs must have equal lengths."""
-        pairs = zip(xs, ys, strict=True)
-        if self.k == 1:
-            p = self.p
-            return [(x + y) % p for x, y in pairs]
-        if self.p == 2:
-            return [x ^ y for x, y in pairs]
-        _, _, half, neg = self._table_set()
-        w = len(neg)
-        return [half[x // w * w + y // w] * w + half[x % w * w + y % w] for x, y in pairs]
+        return self._sum_all(xs, ys, 0)
 
     def sub_all(self, xs, ys) -> list[int]:
         """[x - y for each pair]; the inputs must have equal lengths."""
+        return self._sum_all(xs, ys, (self.q - 1) // 2)
+
+    def _sum_all(self, xs, ys, s: int) -> list[int]:
+        """[x + g^s * y for each pair], for s = 0 or (q - 1) / 2: g^s = +-1."""
         pairs = zip(xs, ys, strict=True)
         if self.k == 1:
             p = self.p
-            return [(x - y) % p for x, y in pairs]
+            return [(x - y) % p for x, y in pairs] if s else [(x + y) % p for x, y in pairs]
         if self.p == 2:
             return [x ^ y for x, y in pairs]
-        _, _, half, neg = self._table_set()
-        w = len(neg)
-        return [half[x // w * w + neg[y // w]] * w + half[x % w * w + neg[y % w]]
+        exp, log, zech = self._table_set()
+        m = self.q - 1
+        return [x if not y else exp[(log[y] + s) % m] if not x
+                else exp[(log[x] + z) % m] if (z := zech[(log[y] + s - log[x]) % m]) else 0
                 for x, y in pairs]
 
     def mul_all(self, xs, ys) -> list[int]:
@@ -232,7 +221,7 @@ class GF:
         if self.k == 1:
             p = self.p
             return [x * y % p for x, y in pairs]
-        exp, log, _, _ = self._table_set()
+        exp, log, _ = self._table_set()
         m = self.q - 1
         return [exp[(log[x] + log[y]) % m] if x and y else 0 for x, y in pairs]
 
@@ -249,7 +238,7 @@ class GF:
             for i in range(2, p):  # from p = (p // i) * i + p % i
                 inv.append(-(p // i) * inv[p % i] % p)
             return inv
-        exp, log, _, _ = self._table_set()
+        exp, log, _ = self._table_set()
         inv = self.code_array(exp[-i] for i in log)
         inv[0] = 0
         return inv

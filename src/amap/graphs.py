@@ -41,7 +41,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_
 
-from .trees import LEAF, Keyed, RootedTree, _bottom_up
+from .trees import LEAF, Keyed, RootedTree, _bottom_up, _checked_count
 
 __all__ = [
     "Component",
@@ -175,10 +175,11 @@ class FunctionalGraph(Keyed):
 
     Built from `(component, count)` pairs: `count` copies of each component,
     pairs with equal keys adding up and zero counts dropped; a count that
-    is not a nonnegative integer raises ValueError.  `counted` holds one
-    such pair per distinct component key, in no fixed order, and the key is
-    the set of `(component key, count)` pairs.  `classes` is the same pairs
-    sorted by code, and `components` one entry per copy in that order.
+    is not a nonnegative int raises ValueError (`trees._checked_count`).
+    `counted` holds one such pair per distinct component key, in no fixed
+    order, and the key is the set of `(component key, count)` pairs.
+    `classes` is the same pairs sorted by code, and `components` one entry
+    per copy in that order.
     """
 
     __slots__ = ("counted",)
@@ -186,13 +187,7 @@ class FunctionalGraph(Keyed):
     def __init__(self, pairs: Iterable[tuple[Component, int]] = ()):
         merged: dict[tuple, list] = {}
         for comp, count in pairs:
-            if not isinstance(count, int) or count < 0:
-                raise ValueError(f"count {count!r} is not a nonnegative integer")
-            got = merged.get(comp.key)
-            if got is None:
-                merged[comp.key] = [comp, count]
-            else:
-                got[1] += count
+            merged.setdefault(comp.key, [comp, 0])[1] += _checked_count(count)
         self.counted = tuple((comp, count) for comp, count in merged.values() if count)
         self.key = frozenset((comp.key, count) for comp, count in self.counted)
         self.node_count = sum([count * comp.node_count for comp, count in self.counted])

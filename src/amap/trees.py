@@ -49,6 +49,14 @@ class Keyed:
         return self._code
 
 
+def _checked_count(count) -> int:
+    """The number of copies of a child tree or a component: ValueError unless
+    it is a nonnegative int."""
+    if not isinstance(count, int) or count < 0:
+        raise ValueError(f"count {count!r} is not a nonnegative integer")
+    return count
+
+
 # (child id, count) pairs sorted by child id -> tree id
 _TREE_IDS: dict[tuple[tuple[int, int], ...], int] = {}
 
@@ -57,15 +65,17 @@ class RootedTree(Keyed):
     """Immutable unlabeled rooted tree; equality is isomorphism.
 
     The children are given one per copy, or as a mapping from child tree to
-    its number of copies.  `key` is the tree's id; `counted` holds its
-    distinct children with their counts, in id order.
+    its number of copies: zero counts are dropped, and a count that is not a
+    nonnegative int raises ValueError (`_checked_count`).  `key` is the
+    tree's id; `counted` holds its distinct children with their counts, in
+    id order.
     """
 
     __slots__ = ("counted",)
 
     def __init__(self, children: Iterable[RootedTree] | Mapping[RootedTree, int] = ()):
         kids = sorted((tree.key, count, tree) for tree, count in Counter(children).items()
-                      if count)
+                      if _checked_count(count))
         self.counted = tuple((tree, count) for _, count, tree in kids)
         key = tuple((k, count) for k, count, _ in kids)
         self.key = _TREE_IDS.setdefault(key, len(_TREE_IDS))

@@ -144,11 +144,28 @@ class TestLogTables:
     @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
     def test_exp_is_a_bijection_onto_the_nonzero_codes(self, p, k):
         F = GF(p, k)
-        exp, log, _, _ = F._table_set()
+        exp, log, _ = F._table_set()
         assert sorted(exp) == list(range(1, F.q))
         g = exp[1]
         assert all(exp[i] == poly_mul(F, exp[i - 1], g) for i in range(1, F.q - 1))
         assert all(log[x] == i for i, x in enumerate(exp))
+
+    @pytest.mark.parametrize("p,k", [(3, 4), (3, 5), (5, 3), (7, 3), (2, 7)])
+    def test_no_table_has_more_than_q_entries(self, p, k):
+        # a digitwise-sum table on half the digits has p*q entries at odd k
+        F = GF(p, k)
+        tables = [t for t in F._table_set() if t is not None]
+        assert [len(t) for t in tables if len(t) > F.q] == []
+        assert len(tables) == (2 if p == 2 else 3)
+
+    @pytest.mark.parametrize("p,k", [(p, k) for p, k in ALL_PAIRS + SEEDED if p > 2])
+    def test_zech_is_the_log_of_one_plus_exp(self, p, k):
+        F = GF(p, k)
+        exp, log, zech = F._table_set()
+        assert len(zech) == F.q - 1
+        for i, v in enumerate(exp):
+            assert zech[i] == log[digit_sum(F, 1, v)]
+            assert (zech[i] == 0) == (v == p - 1)  # 0 marks 1 + g^i = 0 only
 
     @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
     def test_zero_cases(self, p, k):

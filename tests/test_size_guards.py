@@ -2,7 +2,7 @@
 
 `graphs._check_size` is the one node guard and `graphs.render` the one text
 guard; these tests pin down that the Redei and elliptic-curve checkers
-reach them before any field element or code text exists.
+reach them before any field table or code text exists.
 """
 
 import subprocess
@@ -10,18 +10,20 @@ import sys
 
 import pytest
 
+from amap import applications
 from amap.applications import ec_generic_trees, redei_check
-from amap.finitefield import GF, field, quadratic_character
+from amap.finitefield import field, quadratic_character
 from amap.graphs import GraphSizeError
 from amap.quadorder import QuadInt
 
 
-def _no_scan(self):
+def _no_scan(*args):
     raise AssertionError("the field was enumerated")
 
 
 def test_redei_refuses_before_scanning_the_field(monkeypatch):
-    monkeypatch.setattr(GF, "elements", _no_scan)
+    # the successor table is the first thing that reads the whole field
+    monkeypatch.setattr(applications, "_redei_successors", _no_scan)
     with pytest.raises(GraphSizeError, match="exceeds the cap of 100"):
         redei_check(10007, 2, 3, max_nodes=100)
 
@@ -33,7 +35,7 @@ def test_redei_cap_is_the_exact_node_count(monkeypatch, a, chi):
     report = redei_check(q, 2, a, max_nodes=q - chi)
     assert report.isomorphic
     assert report.node_count == q - chi
-    monkeypatch.setattr(GF, "elements", _no_scan)
+    monkeypatch.setattr(applications, "_redei_successors", _no_scan)
     with pytest.raises(GraphSizeError, match=f"{q - chi} nodes exceeds the cap of {q - chi - 1}"):
         redei_check(q, 2, a, max_nodes=q - chi - 1)
 

@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+from amap import trees
 from amap.trees import LEAF, RootedTree, elementary_tree, partial_tree
 
 
@@ -20,6 +22,30 @@ def test_children_order_is_canonical():
     a = RootedTree([RootedTree([LEAF]), LEAF])
     b = RootedTree([LEAF, RootedTree([LEAF])])
     assert a == b and a.code == b.code
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, 2.0, "1", None])
+def test_a_child_count_must_be_a_nonnegative_int(count):
+    # RootedTree({LEAF: -1}) had LEAF's code but another id; 2.5 had a
+    # node count of 3.5 and no code
+    with pytest.raises(ValueError, match=re.escape(f"count {count!r} is not a nonnegative int")):
+        RootedTree({LEAF: count})
+    with pytest.raises(ValueError, match="not a nonnegative integer"):
+        RootedTree({LEAF: 1, RootedTree([LEAF]): count})
+
+
+def test_zero_child_counts_are_dropped():
+    t = RootedTree([LEAF])
+    assert RootedTree({LEAF: 0}) == LEAF
+    assert RootedTree({LEAF: 0, t: 2}) == RootedTree([t, t])
+    assert RootedTree({LEAF: 0, t: 2}).counted == ((t, 2),)
+
+
+def test_counts_are_checked_once_per_distinct_child(monkeypatch):
+    seen, t = [], RootedTree([LEAF])
+    monkeypatch.setattr(trees, "_checked_count", lambda count: seen.append(count) or count)
+    RootedTree([LEAF] * 1000 + [t] * 3)
+    assert sorted(seen) == [3, 1000]
 
 
 def test_elementary_22_matches_worked_example():
