@@ -22,11 +22,14 @@ gives the structure instead.
 
 The one trusted primitive is :func:`brute_graph`, which decomposes an
 explicit successor sequence into cycles and hanging trees.  The decomposition
-peels nodes of in-degree zero and labels the trees bottom-up, building each
-distinct tree once, so isomorphic hanging trees are one interned object and
-no tree is built per node; every tree built from a map comes from this
-decomposition.  It is a generator: it yields one cycle at a time, in the
-order of the least cycle node, so no list of cycles is kept.  `brute_graph`
+peels nodes of in-degree zero and labels the trees bottom-up, a star (a root
+over leaves only) by its leaf count, building each distinct tree once from
+child counts, so isomorphic hanging trees are one interned object and no
+tree is built per node; every tree built from a map comes from this
+decomposition.  All trees, the cycle nodes' too, are labelled before the
+first cycle is yielded; then it yields one cycle at a time, in the order of
+the least cycle node, so no list of cycles is kept, and when one tree hangs
+at every cycle node each word repeats it.  `brute_graph`
 counts the cycles by length and word of tree ids and builds one Component
 per distinct word, not one per cycle.  Both tensor products materialize
 their operands as successor maps and decompose one product map on the
@@ -37,6 +40,7 @@ the root pair is made a fixed point, and its hanging tree is the result.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_
@@ -276,32 +280,45 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
     The i-th hanging tree is rooted at the i-th cycle node; cycle nodes are
     listed in cycle order.  Components come lazily, one cycle at a time, in
     the order of their least cycle node, and each cycle starts at that node.
-    Every node off the cycles is labelled before the first component is
-    yielded, and the cycle nodes of a component as it is yielded.
+    Every tree is labelled before the first component is yielded, and an
+    entry outside [0, len(succ)) raises ValueError there, naming the first.
 
     Trees are labelled bottom-up (Aho, Hopcroft and Ullman, The Design and
     Analysis of Computer Algorithms, 1974, 3.2).  Nodes of in-degree zero
     are peeled off in rounds.  A node's label is its number of leaf
-    children followed by the sorted labels of its other children, and each
-    distinct label is built into a RootedTree once, so isomorphic trees are
-    one shared object.
+    children followed by the sorted labels of its other children, or the
+    leaf count alone for a star (no other children), and each distinct
+    label is built into a RootedTree once, from child counts, so isomorphic
+    trees are one shared object.  The cycle nodes' trees are labelled once
+    each, a star only for a leaf count that occurs; when one tree hangs at
+    every cycle node, every word repeats it.
     """
     n = len(succ)
+    if succ and not (0 <= min(succ) and max(succ) < n):
+        for i, s in enumerate(succ):
+            if not 0 <= s < n:
+                raise ValueError(f"successor({i}) = {s} out of range")
     indeg = [0] * n
     for s in succ:
         indeg[s] += 1
     children = indeg[:]  # on a cycle, one of these is the cycle predecessor
     inner: dict[int, list[int]] = {}  # node -> labels of its peeled inner children
     trees = [LEAF]
-    label_of: dict[tuple[int, ...], int] = {(0,): 0}
+    # a star's leaf count, or (leaf count, *sorted inner labels) -> label
+    label_of: dict[int | tuple[int, ...], int] = {0: 0}
 
-    def label(v: int, tree_kids: int) -> int:
-        kids = sorted(inner.pop(v, ()))
-        key = (tree_kids - len(kids), *kids)  # the leaf children come first
+    def label(kids: list[int] | None, tree_kids: int) -> int:
+        if kids is None:  # a star, keyed by its leaf count alone
+            key, kids = tree_kids, ()
+        else:
+            kids.sort()
+            key = (tree_kids - len(kids), *kids)  # the leaf children come first
         t = label_of.get(key)
         if t is None:
             t = label_of[key] = len(trees)
-            trees.append(RootedTree([LEAF] * key[0] + [trees[k] for k in kids]))
+            counts = Counter(map(trees.__getitem__, kids))
+            counts[LEAF] = tree_kids - len(kids)
+            trees.append(RootedTree(counts))
         return t
 
     # the successors of the leaves, listed before indeg changes
@@ -313,7 +330,7 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
     while ready:
         frontier, ready = ready, []
         for v in frontier:
-            t = label(v, children[v])
+            t = label(inner.pop(v, None), children[v])
             s = succ[v]
             got = inner.get(s)
             if got is None:
@@ -324,7 +341,16 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
             if not indeg[s]:
                 ready.append(s)
 
-    # what is left is on cycles; a walk zeroes the nodes compress has still to pass
+    # what is left is on cycles, and the inner lists left are the cycle nodes'
+    # with deeper trees: their children entries become those trees' labels,
+    # negated; any other cycle node's entry is one more than its leaf count
+    for v, kids in inner.items():
+        children[v] = -label(kids, children[v] - 1)
+    tree_at = {c: trees[-c] if c < 0 else trees[label(None, c - 1)]
+               for c in set(compress(children, indeg))}
+    # when one tree hangs at every cycle node, every word repeats it
+    shared = next(iter(tree_at.values())) if len(tree_at) == 1 else None
+    # a walk zeroes the nodes compress has still to pass
     for start in compress(range(n), indeg):
         cycle = [start]
         v = succ[start]
@@ -332,11 +358,10 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
             indeg[v] = 0
             cycle.append(v)
             v = succ[v]
-        if max(map(children.__getitem__, cycle)) <= 1:  # only the cycle predecessor
-            yield cycle, [LEAF] * len(cycle)
+        if shared is None:
+            yield cycle, list(map(tree_at.__getitem__, map(children.__getitem__, cycle)))
         else:
-            yield cycle, [trees[label(v, children[v] - 1)] if children[v] > 1 else LEAF
-                          for v in cycle]
+            yield cycle, [shared] * len(cycle)
 
 
 def brute_graph(size: int, succ: Sequence[int],
@@ -350,10 +375,6 @@ def brute_graph(size: int, succ: Sequence[int],
     if len(succ) != size:
         raise ValueError(f"successor sequence has length {len(succ)}, "
                          f"not the size {size}")
-    if succ and not (0 <= min(succ) and max(succ) < size):
-        for i, s in enumerate(succ):
-            if not 0 <= s < size:
-                raise ValueError(f"successor({i}) = {s} out of range")
     counted: dict[tuple[int, ...], list] = {}  # (m, tree ids) -> [word, count]
     for _, word in decompose_successors(succ):
         m = len(word)

@@ -63,6 +63,16 @@ class TestIdealFromGenerators:
         with pytest.raises(ZeroIdealError):
             Z5.ideal_from_generators([QuadInt(0, 0)])
 
+    def test_make_ideal_refuses_a_lattice_that_is_no_ideal(self):
+        # the HNF (a, b, c) spans a and b + c*w; generators never reach these
+        with pytest.raises(ValueError, match="not an ideal lattice"):
+            ZI._make_ideal(4, 1, 2)  # c = 2 does not divide b = 1
+        with pytest.raises(ValueError, match="not closed under multiplication by w"):
+            ZI._make_ideal(2, 0, 1)  # w * w = -1 is not in 2Z + wZ
+        with pytest.raises(ZeroIdealError):
+            ZI._make_ideal(0, 0, 1)
+        assert ZI._make_ideal(2, 1, 1) == ZI.principal(QuadInt(1, 1))
+
     def test_hnf_uniqueness_random(self):
         rng = random.Random(1)
         for _ in range(30):

@@ -2,10 +2,11 @@
 code they replaced.
 
 `reference_successors` keeps the earlier per-residue body of
-`dynamics.brute_amap_graph` (one `mul_mod` and one dict lookup per residue)
-and `reference_decompose` the earlier body of `graphs.decompose_successors`
-(a walk for the cycles, one `RootedTree` per node) unchanged, as test-only
-references.  `reference_mul` and `reference_divmod` keep the earlier bodies
+`dynamics.brute_amap_graph` (one `mul_mod` and one dict lookup per residue),
+`reference_decompose` the first body of `graphs.decompose_successors` (a
+walk for the cycles, one `RootedTree` per node) and `peeling_decompose` the
+body it had next (peeling, one label per cycle node as its cycle is yielded,
+trees built from one entry per child) unchanged, as test-only references.  `reference_mul` and `reference_divmod` keep the earlier bodies
 of `Poly.__mul__` and `Poly.__divmod__`, which call the field once per
 coefficient pair also over a prime field.
 """
@@ -15,6 +16,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amap import finitefield
 from amap.base import Domain
@@ -79,6 +82,55 @@ def reference_decompose(succ):
             children[succ[v]].append(v)
 
     return [(cycle, [_build_tree(c, children) for c in cycle]) for cycle in cycles]
+
+
+def peeling_decompose(succ):
+    """Yield (cycle nodes, hanging trees) per component, in the order of the
+    least cycle node, each cycle starting there; labels as in `graphs`."""
+    n = len(succ)
+    indeg = [0] * n
+    for s in succ:
+        indeg[s] += 1
+    children = indeg[:]  # on a cycle, one of these is the cycle predecessor
+    inner = {}  # node -> labels of its peeled inner children
+    trees = [LEAF]
+    label_of = {(0,): 0}
+
+    def label(v, tree_kids):
+        kids = sorted(inner.pop(v, ()))
+        key = (tree_kids - len(kids), *kids)  # the leaf children come first
+        t = label_of.get(key)
+        if t is None:
+            t = label_of[key] = len(trees)
+            trees.append(RootedTree([LEAF] * key[0] + [trees[k] for k in kids]))
+        return t
+
+    ready = []
+    for s in [succ[v] for v in range(n) if not indeg[v]]:
+        indeg[s] -= 1
+        if not indeg[s]:
+            ready.append(s)
+    while ready:
+        frontier, ready = ready, []
+        for v in frontier:
+            t = label(v, children[v])
+            s = succ[v]
+            inner.setdefault(s, []).append(t)
+            indeg[s] -= 1
+            if not indeg[s]:
+                ready.append(s)
+
+    for start in range(n):
+        if not indeg[start]:
+            continue
+        cycle = [start]
+        v = succ[start]
+        while v != start:
+            indeg[v] = 0
+            cycle.append(v)
+            v = succ[v]
+        yield cycle, [trees[label(v, children[v] - 1)] if children[v] > 1 else LEAF
+                      for v in cycle]
 
 
 def reference_code(succ):
@@ -315,6 +367,80 @@ def test_decomposition_matches_reference_walk():
         assert all(len(objects) == 1 for objects in ids.values()), succ
 
 
+def _sharing(labels):
+    """Each position's label renumbered in order of first appearance, so two
+    lists agree exactly when they split the positions alike."""
+    first = {}
+    return [first.setdefault(x, len(first)) for x in labels]
+
+
+def _relabelled(rng, succ):
+    perm = list(range(len(succ)))
+    rng.shuffle(perm)
+    out = [0] * len(succ)
+    for v, s in enumerate(succ):
+        out[perm[v]] = perm[s]
+    return out
+
+
+def _hung_on_a_cycle(rng, m, hung):
+    """A cycle 0 -> 1 -> ... -> 0 of length m, then `hung` more nodes, each
+    sent to a cycle node or to an earlier hung node."""
+    return [(v + 1) % m for v in range(m)] + [rng.randrange(v) for v in range(m, m + hung)]
+
+
+def _branch_maps(rng):
+    maps = []
+    # two a-maps with different nu-series, side by side: every cycle carries
+    # one tree all round, but not every cycle the same tree
+    for (a1, n1), (a2, n2) in (((2, 12), (3, 18)), ((2, 8), (1, 5)), ((6, 72), (10, 50)),
+                               ((2, 24), (3, 27)), ((4, 40), (9, 81))):
+        union = [a1 * v % n1 for v in range(n1)] + [n1 + a2 * v % n2 for v in range(n2)]
+        maps.append(_relabelled(rng, union))
+    for _ in range(40):
+        m = rng.randrange(2, 12)
+        # leaves on some cycle nodes only
+        some = [(v + 1) % m for v in range(m)]
+        some += [rng.randrange(m // 2 + 1) for _ in range(rng.randrange(1, 2 * m))]
+        maps.append(_relabelled(rng, some))
+        # trees of depth 2 or more at the cycle nodes
+        maps.append(_relabelled(rng, _hung_on_a_cycle(rng, m, rng.randrange(m, 6 * m))))
+    maps.append([max(v - 1, 0) for v in range(8000)])  # a path into a fixed point
+    maps.append([0] * (10**5 + 1))  # a star of 10^5 leaves on a fixed point
+    return maps
+
+
+def test_decomposition_matches_the_peeling_it_replaced():
+    for succ in _random_maps(random.Random(13)) + _branch_maps(random.Random(17)):
+        got = list(decompose_successors(succ))
+        want = list(peeling_decompose(succ))
+        assert [c for c, _ in got] == [c for c, _ in want], succ
+        words = [[t.key for t in ts] for _, ts in got]
+        assert words == [[t.key for t in ts] for _, ts in want], succ
+        if len(succ) < 1000:  # a deep tree's code costs O(depth^2)
+            assert [[t.code for t in ts] for _, ts in got] == \
+                [[t.code for t in ts] for _, ts in want], succ
+        # one object per distinct tree, as in the peeling
+        objects = _sharing(id(t) for _, ts in got for t in ts)
+        assert objects == _sharing(id(t) for _, ts in want for t in ts), succ
+        assert objects == _sharing(key for word in words for key in word), succ
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60), st.booleans(), st.data())
+def test_relabelling_a_map_keeps_its_graph(seeds, forest, data):
+    n = len(seeds)
+    # a forest map sends each v > 0 below itself, so its trees run deep
+    succ = [s % (v if forest and v else n) for v, s in enumerate(seeds)]
+    perm = data.draw(st.permutations(range(n)))
+    relabelled = [0] * n
+    for v, s in enumerate(succ):
+        relabelled[perm[v]] = perm[s]
+    graph = brute_graph(n, relabelled)
+    assert graph.key == brute_graph(n, succ).key
+    assert graph.node_count == n
+
+
 def test_out_of_range_successor_names_first_offender():
     for succ, message in (([0, 1, 7, -1], r"successor\(2\) = 7 out"),
                           ([0, -1, 9, 0], r"successor\(1\) = -1 out"),
@@ -322,6 +448,12 @@ def test_out_of_range_successor_names_first_offender():
         with pytest.raises(ValueError, match=message):
             brute_graph(4, succ)
     assert brute_graph(0, []).code == ""
+    # the decomposition checks too: a negative entry read as an index from
+    # the end made [-1, 0] a cycle [0, -1], and [1, -2] a walk with no end
+    for succ, message in (([-1, 0], r"successor\(0\) = -1 out"),
+                          ([1, -2], r"successor\(1\) = -2 out")):
+        with pytest.raises(ValueError, match=message):
+            list(decompose_successors(succ))
 
 
 # ---- prime-field polynomial arithmetic against the field calls ----

@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import amap
+from amap.graphs import brute_graph
+from amap.trees import RootedTree
 
 SRC = Path(amap.__file__).parent
 
@@ -179,6 +181,30 @@ def test_every_private_definition_is_named_outside_itself():
     found = [f"{node.name}:{node.lineno}" for node in private
              if everywhere[node.name] == names(node)[node.name]]
     assert not found, found
+
+
+def test_map_trees_are_built_from_counts_and_only_when_used(monkeypatch):
+    # each distinct subtree of a map is built once, from one entry per
+    # distinct child: a list with one entry per leaf child, or a tree that
+    # hangs nowhere, would fail this check
+    entries = []
+    real = RootedTree.__init__
+
+    def counting(self, children=()):
+        entries.append(len(children))
+        real(self, children)
+
+    monkeypatch.setattr(RootedTree, "__init__", counting)
+    star = [0] * (10**5 + 1)  # 10^5 leaves on a fixed point
+    assert brute_graph(len(star), star).node_count == len(star)
+    assert entries == [1]
+    entries.clear()
+    permutation = list(range(1, 10**5)) + [0]
+    assert brute_graph(10**5, permutation).node_count == 10**5
+    assert entries == []
+    path = [max(v - 1, 0) for v in range(8000)]  # a path into a fixed point
+    assert brute_graph(len(path), path).node_count == 8000
+    assert len(entries) == 7999 and max(entries) <= 2  # LEAF exists beforehand
 
 
 def test_readme_python_blocks_run():
