@@ -278,7 +278,6 @@ def linearized_check(q: int, n: int, f: Poly | list[int],
     """
     F = _field_for(q)
     if isinstance(f, list):
-        F.check_codes(f)
         f = Poly(F, f)
     if f.field != F:
         raise ValueError("f must have coefficients in F_q")

@@ -76,9 +76,7 @@ def _parse_element(dom: Domain, s: str):
         except ValueError as exc:
             raise ParseError(f"bad integer {s!r}") from exc
     if isinstance(dom, PolyDomain):
-        coeffs = _parse_ints(s)
-        dom.field.check_codes(coeffs)
-        return Poly(dom.field, coeffs)
+        return Poly(dom.field, _parse_ints(s))
     if isinstance(dom, QuadOrder):
         coords = _parse_ints(s)
         if len(coords) != 2:

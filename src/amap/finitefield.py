@@ -14,8 +14,8 @@ default one is irreducible by construction and not tested again.  Prime
 fields compute with ``% p``.  ``check_codes`` states the one rule for a code
 that enters from outside: an int in [0, q).
 Beyond q = 64 a scalar extension product reads no table: it takes bit
-operations when p = 2 and a ``Poly`` product reduced by the modulus when p is
-odd, and so referees the tables.
+operations when p = 2 and a packed ``Poly`` product reduced by the modulus
+when p is odd, and so referees the tables.
 
 The whole-table operations ``add_all``, ``sub_all``, ``mul_all`` and
 ``inverse_table`` evaluate an operation at every element in one list pass.
@@ -33,7 +33,7 @@ from array import array
 from functools import lru_cache
 
 from .base import factor_int, is_prime, power
-from .polynomials import Poly, _fp_linear_table, irreducibles, is_irreducible
+from .polynomials import Poly, _fp_linear_table, _mul_mod, irreducibles, is_irreducible
 
 __all__ = ["GF", "field", "quadratic_character"]
 
@@ -62,10 +62,9 @@ class GF:
                 self._modpoly = next(irreducibles(field(p), k))
             else:
                 modulus = tuple(modulus)
-                field(p).check_codes(modulus)
+                self._modpoly = Poly(field(p), modulus)  # refuses codes outside [0, p)
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise ValueError(f"modulus must be monic of degree {k}")
-                self._modpoly = Poly(field(p), modulus)
                 if not is_irreducible(self._modpoly):
                     raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = self._modpoly.coeffs
@@ -143,7 +142,7 @@ class GF:
                     r ^= mb << (i - m)
             return r
         fp = self._modpoly.field
-        prod = Poly(fp, self.decode(a)) * Poly(fp, self.decode(b)) % self._modpoly
+        prod = _mul_mod(Poly(fp, self.decode(a)), Poly(fp, self.decode(b)), self._modpoly)
         return self.encode(prod.coeffs)
 
     def pow(self, a: int, e: int) -> int:

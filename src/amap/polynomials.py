@@ -4,6 +4,13 @@ Coefficients are stored lowest degree first with no trailing zeros; the
 zero polynomial is the empty tuple.  Ideals of F_q[x] are represented by
 their monic generators.
 
+Over a prime field, products and divisions are packed (Kronecker
+substitution) into fixed-width slots of one Python int: one byte while no
+slot can reach 256 (p = 2 to degree 254, p = 3 to 62), else 2, 4, 8 or more.
+A product is one big-int multiply, read back mod p through a byte table or
+per slot; a division makes one big-int add per quotient digit, a multiple
+of the packed divisor that clears the top slot mod p.
+
 Factorization runs squarefree / distinct-degree / equal-degree splitting.
 The equal-degree stage derandomizes its splitting elements with a PRNG
 seeded from the polynomial itself, so results are reproducible.
@@ -34,6 +41,8 @@ class Poly:
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
+        if coeffs and (min(coeffs) < 0 or max(coeffs) >= field.q):
+            field.check_codes(coeffs)
         self.field = field
         self.coeffs = tuple(coeffs)
 
@@ -76,7 +85,7 @@ class Poly:
     # ---- arithmetic ----
 
     def _check(self, other: Poly) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed coefficient fields")
 
     def _termwise(self, other: Poly, op) -> Poly:
@@ -100,14 +109,9 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(F)
+        if F.k == 1:
+            return Poly(F, _packed(F.p, a, b)[1])
         out = [0] * (len(a) + len(b) - 1)
-        if F.k == 1:  # integers mod p, reduced once at the end
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b, i):
-                        out[j] += ai * bj
-            p = F.p
-            return Poly(F, [c % p for c in out])
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -120,21 +124,14 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        rem = list(self.coeffs)
         dv = other.coeffs
         dd = len(dv) - 1
+        if F.k == 1:
+            quot, rem = _packed(F.p, self.coeffs, (1,), dv)
+            return Poly(F, quot), Poly(F, rem)
+        rem = list(self.coeffs)
         inv_lead = 1 if dv[-1] == 1 else F.inv(dv[-1])  # no inverse for a monic divisor
         quot = [0] * max(len(rem) - dd, 0)
-        if F.k == 1:  # integers mod p; a remainder digit is reduced when read
-            p = F.p
-            for i in range(len(rem) - 1, dd - 1, -1):
-                c = rem[i] % p
-                if c:
-                    q = c if inv_lead == 1 else c * inv_lead % p
-                    quot[i - dd] = q
-                    for j, dj in enumerate(dv, i - dd):
-                        rem[j] -= q * dj
-            return Poly(F, quot), Poly(F, [c % p for c in rem])
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
@@ -142,16 +139,13 @@ class Poly:
                 quot[i - dd] = q
                 for j in range(dd + 1):
                     rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(q, dv[j]))
-                if rem[i]:  # exact arithmetic cancels the leading term
-                    F.check_codes(self.coeffs + dv)
-                    raise RuntimeError("division left a leading remainder term")
         return Poly(F, quot), Poly(F, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
+        return _mul_mod(self, None, other)
 
     def monic(self) -> Poly:
         if self.is_zero:
@@ -171,7 +165,7 @@ class Poly:
         return a.monic() if not a.is_zero else a
 
     def pow_mod(self, e: int, modulus: Poly) -> Poly:
-        return power(self % modulus, e, lambda u, v: (u * v) % modulus,
+        return power(self % modulus, e, lambda u, v: _mul_mod(u, v, modulus),
                      Poly.one(self.field))
 
     def __pow__(self, e: int) -> Poly:
@@ -210,17 +204,53 @@ class Poly:
         return "Poly(%s)" % " + ".join(terms)
 
 
+# ---- packed prime-field arithmetic ----
+
+_MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+
+
+def _pack(coeffs, w: int) -> int:
+    raw = bytes(coeffs) if w == 1 else b"".join(c.to_bytes(w, "little") for c in coeffs)
+    return int.from_bytes(raw, "little")
+
+
+def _packed(p: int, a: tuple, b: tuple, dv: tuple = ()):
+    """Quotient digits and remainder of a*b by dv over F_p ([] and a*b for no
+    dv).  A slot sums min(len a, len b) products, then one per division step."""
+    n, dd = len(a) + len(b) - 1, len(dv) - 1
+    top = max(min(len(a), len(b)) + min(max(n - dd, 0), dd + 1), 1) * (p - 1) ** 2
+    w = 1 if top < 256 else 1 << (top.bit_length() // 8).bit_length()  # 2, 4, 8, 16, ...
+    rem, quot = _pack(a, w) * _pack(b, w), []
+    if dv:
+        bits, packed_dv, inv_lead = 8 * w, _pack(dv, w), pow(dv[-1], -1, p)
+        top_slot, mask = bits * dd, (1 << bits) - 1
+        for shift in range(bits * (n - dd - 1), -1, -bits):  # one quotient digit each
+            quot.append(q := (rem >> shift + top_slot & mask) * inv_lead % p)
+            if q:  # one big-int add clears the top slot mod p
+                rem += (p - q) * packed_dv << shift
+        quot.reverse()
+        n = dd
+    raw = (rem & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    if w == 1:
+        return quot, raw.translate(_MOD_BYTES[p])
+    return quot, [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, w * n, w)]
+
+
+def _mul_mod(a: Poly, b: Poly | None, n: Poly) -> Poly:
+    """a*b mod n, or a mod n for b None; over a prime field one packed
+    product, reduced in place, and no quotient."""
+    F = a.field
+    if F.k > 1 or not n.coeffs or not (F is (a if b is None else b).field is n.field):
+        return divmod(a if b is None else a * b, n)[1]
+    return Poly(F, _packed(F.p, a.coeffs, (1,) if b is None else b.coeffs, n.coeffs)[1])
+
+
 # ---- factorization ----
 
 def _pth_root(f: Poly) -> Poly:
     """Preimage of f under the Frobenius on coefficients; f must be a p-th power."""
-    F = f.field
-    p = F.p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        out.append(F.pow(c, F.q // p))  # p-th root via Frobenius inverse
-    return Poly(F, out)
+    F = f.field  # the p-th root of a code is its (q/p)-th power
+    return Poly(F, (F.pow(c, F.q // F.p) for c in f.coeffs[::F.p]))
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
@@ -300,7 +330,7 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
             t = h % f
             acc = t
             for _ in range(d * F.k - 1):
-                t = (t * t) % f
+                t = _mul_mod(t, t, f)
                 acc = acc + t
             g = f.gcd(acc)
         else:
@@ -435,6 +465,9 @@ class PolyDomain(Domain):
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         return a * b
+
+    def mul_mod(self, a: Poly, b: Poly, n: Poly) -> Poly:
+        return _mul_mod(a, b, n) if n.coeffs else self.reduce(a, n)  # reduce refuses n = 0
 
     def residues(self, n: Poly) -> list[Poly]:
         """Residue i has the d base-q digits of i as its coefficients, the

@@ -38,7 +38,8 @@ def _linear_cases():
         F = field(p)
         D = PolyDomain(F)
         n = Poly(F, modulus)
-        for a in ((1,), (p - 1,), (0, 1), (1, 1), (0, 1, 1), (2, 0, 1)):
+        # 2 % p: a code of F_p (x^2 over F_2, where a 2 is refused)
+        for a in ((1,), (p - 1,), (0, 1), (1, 1), (0, 1, 1), (2 % p, 0, 1)):
             cases.append((D, Poly(F, a), n))
     for d, g in ((-1, QuadInt(40, 30)), (-5, QuadInt(60, 0)), (-2, QuadInt(44, 10))):
         O = QuadOrder(d)

@@ -162,14 +162,15 @@ class TestAgainstLinearReference:
 
 
 def _count_order_products(monkeypatch, cls):
-    """Counter of the element products made inside `_order`, the order search
-    proper (a quadratic order also multiplies elements to build ideals)."""
+    """Counter of the modular products made inside `_order`, the order search
+    proper (a quadratic order also multiplies elements to build ideals).  A
+    product is counted at `mul_mod`, which F_q[x] computes without `mul`."""
     count, searching = [0], [False]
-    mul, search = cls.mul, cls._order
+    mul, search = cls.mul_mod, cls._order
 
-    def counting_mul(self, a, b):
+    def counting_mul(self, a, b, n):
         count[0] += searching[0]
-        return mul(self, a, b)
+        return mul(self, a, b, n)
 
     def marked_search(self, *args):
         searching[0] = True
@@ -177,7 +178,7 @@ def _count_order_products(monkeypatch, cls):
             return search(self, *args)
         finally:
             searching[0] = False
-    monkeypatch.setattr(cls, "mul", counting_mul)
+    monkeypatch.setattr(cls, "mul_mod", counting_mul)
     monkeypatch.setattr(cls, "_order", marked_search)
     return count
 

@@ -101,6 +101,48 @@ def test_field_element_codes_are_checked_only_in_finitefield():
     assert not found, found
 
 
+def test_prime_field_polynomial_arithmetic_has_no_nested_loop():
+    # over a prime field a product or division is packed big-int arithmetic;
+    # the coefficient double loops it replaced live on only as test
+    # references (test_packed_poly.py).  Checked: every `k == 1` branch of
+    # polynomials.py and each module function it calls, transitively.
+    module = ast.parse((SRC / "polynomials.py").read_text())
+    functions = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
+
+    def is_prime_field_test(test):
+        return any(isinstance(c, ast.Compare) and getattr(c.left, "attr", None) == "k"
+                   and isinstance(c.ops[0], ast.Eq)
+                   and getattr(c.comparators[0], "value", None) == 1 for c in ast.walk(test))
+
+    def nested(node):
+        # a loop in the body of a loop; a comprehension's iterables may hold
+        # one, since that runs once and not once per element
+        if isinstance(node, (ast.For, ast.While)):
+            inner = node.body + node.orelse
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            if len(node.generators) > 1:
+                return True
+            inner = [getattr(node, "elt", None) or node.value] + node.generators[0].ifs
+        else:
+            return False
+        return any(isinstance(x, (ast.For, ast.While, ast.comprehension))
+                   for part in inner for x in ast.walk(part))
+
+    todo = [stmt for node in ast.walk(module) if isinstance(node, ast.If)
+            and is_prime_field_test(node.test) for stmt in node.body]
+    assert len(todo) >= 2  # the branches of Poly.__mul__ and Poly.__divmod__
+    seen, found = set(), []
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if nested(node):
+                found.append(node.lineno)
+            name = getattr(getattr(node, "func", None), "id", None)
+            if isinstance(node, ast.Call) and name in functions and name not in seen:
+                seen.add(name)
+                todo.append(functions[name])
+    assert seen and not found, found
+
+
 def test_no_caller_spells_out_a_uniform_cycle():
     # a Component takes one period of its trees, so a cycle with one tree
     # all round is passed as (tree,), never as an r-fold repetition
