@@ -22,7 +22,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .base import factor_int, power
+from .base import cycle_type, factor_int, power
 from .dynamics import JsonReport, Report, brute_amap_graph, predicted_graph
 from .finitefield import GF, field, quadratic_character
 from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, Component, FunctionalGraph,
@@ -184,21 +184,20 @@ def _chebyshev_successors(F: GF, n: int) -> Sequence[int]:
 
 def _folded_torus(n: int, m: int) -> tuple[tuple[int, ...], list, int]:
     """x -> n*x on Z/m, m even, folded by x ~ -x: its nu-series, the
-    (component, count) pairs of the divisor rows d > 2, and how many rows have
-    d | 2.  A cycle folds onto itself when -1 is in <n mod d>, else it meets
-    its negative; off d | 2 a point and its negative keep disjoint trees T(nu).
+    (component, count) pairs of its folded cycles, and its points x = -x.
+    A cycle holds its negatives, and folds onto itself, when some t, an odd
+    multiple of each o_d/2, has -1 = n^t mod every prime power d > 2 of m1:
+    when the o_d have one 2-part, a tag `cycle_type` joins.  Else it meets its
+    negative; off x = -x a point and its negative keep disjoint trees T(nu).
     """
     nu, m1 = _Z.gcd_chain(n, m)
     tree = (elementary_tree(nu),)
-    rows = []
-    fixed = 0
-    for d, phi, o in _Z.divisor_table(n, m1):
-        if d <= 2:
-            fixed += 1
-        elif o % 2 == 0 and pow(n, o // 2, d) == d - 1:
-            rows.append((Component(o // 2, tree), phi // o))
-        else:
-            rows.append((Component(o, tree), phi // (2 * o)))
+    cycles = cycle_type([(o, None if d <= 2 else o & -o if pow(n, o // 2, d) == d - 1
+                          else "out", phi // o) for d, phi, o in prime]
+                        for prime in _Z.local_rows(n, m1))
+    fixed = cycles.pop((1, None))  # the d | 2 points, the only untagged ones
+    rows = [(Component(o, tree), c // 2) if tag == "out" else (Component(o // 2, tree), c)
+            for (o, tag), c in cycles.items()]
     return nu, rows, fixed
 
 

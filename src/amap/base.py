@@ -12,9 +12,9 @@ those primitives is computed here once and shared by all implementations:
 * the unit ideal, domain equality and hashing, the ideal order;
 * membership (a reduces to zero), modular products and ideal powers;
 * Euler phi, from a factorization;
-* one divisor-lattice walk over the prime powers of one factorization, which
-  gives the divisors and, for an element a, every divisor's phi (a product)
-  and order of a (an lcm), with one order search per prime power;
+* each prime power's phi and order of an element a, from one factorization
+  with one order search per prime power, and `cycle_type`, the CRT
+  convolution that turns those local rows into the cycles of x -> a*x;
 * multiplicative orders by stripping the primes of phi (Cohen, A Course in
   Computational Algebraic Number Theory, Alg. 1.4.3), in
   O(log phi * omega(phi)) modular products;
@@ -158,37 +158,20 @@ class Domain(ABC):
             phi *= np**e - np ** (e - 1)
         return phi
 
-    def divisors(self, n) -> list:
-        """All ideal divisors, sorted by norm then by canonical encoding."""
-        return [m for m, _, _ in self._divisor_walk(n, lambda pk, phi: 1)]
-
-    def divisor_table(self, a, n) -> list[tuple[Any, int, int]]:
-        """(m, phi(m), order of a mod m) for every divisor m, in `divisors` order.
-
-        n is factored once.  phi and the order are multiplicative over the
-        prime powers of m: phi is their product and the order their lcm, with
-        one order search per prime power of n.  Requires gcd(<a>, n) = 1.
-        """
+    def local_rows(self, a, n) -> list[list[tuple[Any, int, int]]]:
+        """For each p^e || n, in `factor` order, the rows (p^k, phi(p^k),
+        order of a mod p^k) for k = 1..e: one order search per prime power.
+        Requires gcd(<a>, n) = 1."""
         self._check_coprime(a, n)
-        return self._divisor_walk(n, lambda pk, phi: self._order(a, pk, phi))
-
-    def _divisor_walk(self, n, order_at) -> list[tuple[Any, int, int]]:
-        """(m, phi(m), lcm of order_at(p^k, phi(p^k)) over the p^k || m) for
-        every divisor m of n, sorted by `_ideal_key`."""
-        one = self.unit_ideal
-        table = [(one, 1, 1)]
+        local = []
         for p, e in self.factor(n):
-            norm_p = self.norm(p)
-            powers = [(one, 1, 1)]
-            pk = one
+            norm_p, pk = self.norm(p), self.unit_ideal
+            local.append([])
             for k in range(1, e + 1):
                 pk = self.ideal_mul(pk, p)
                 phi = norm_p**k - norm_p ** (k - 1)
-                powers.append((pk, phi, order_at(pk, phi)))
-            table = [(self.ideal_mul(m, pk), phi * phi_k, math.lcm(r, r_k))
-                     for m, phi, r in table for pk, phi_k, r_k in powers]
-        table.sort(key=lambda row: self._ideal_key(row[0]))
-        return table
+                local[-1].append((pk, phi, self._order(a, pk, phi)))
+        return local
 
     def _ideal_key(self, n):
         return (self.norm(n), self.describe_ideal(n))
@@ -274,19 +257,38 @@ class Domain(ABC):
         return order
 
 
+def cycle_type(local_types) -> dict:
+    """{(cycle_len, tag): cycles} of a product of permutations from each
+    factor's (cycle_len, tag, cycles) triples less its fixed zero (1, None, 1):
+    cycles of lengths l1 and l2 give gcd(l1, l2) of length lcm(l1, l2) (Wei and
+    Xu, *Discrete Math.* 123, 1993).  A tag is kept where the factors agree,
+    None agreeing with every tag; any other pair gives "out"."""
+    total = {(1, None): 1}
+    for local in local_types:
+        joined = {}
+        for (l1, t1), c1 in total.items():
+            for l2, t2, c2 in [(1, None, 1), *local]:
+                g = math.gcd(l1, l2)
+                key = (l1 // g * l2, t1 if t2 in (None, t1) else t2 if t1 is None else "out")
+                joined[key] = joined.get(key, 0) + g * c1 * c2
+        total = joined
+    return total
+
+
 def power(x, e: int, mul, one):
-    """x**e for e >= 0 by square-and-multiply under `mul`; no squaring
-    follows the last bit, so it never makes more than e products."""
+    """x**e for e >= 0 by square-and-multiply under `mul`, from the lowest
+    set bit's power, never a product by `one`; no squaring follows the last
+    bit, so it makes fewer than e products (none for e = 1)."""
     if e < 0:
         raise ValueError("the exponent must be nonnegative")
-    result = one
+    result = None
     while e:
         if e & 1:
-            result = mul(result, x)
+            result = x if result is None else mul(result, x)
         e >>= 1
         if e:
             x = mul(x, x)
-    return result
+    return one if result is None else result
 
 
 def check_positive_int(n: int, what: str = "ideal") -> int:

@@ -3,8 +3,8 @@
 Given a domain, a nonzero element a and a nonzero ideal n, the functional
 graph of the multiplication map on D/n is predicted from the structure
 theorem: split n = n0*n1 by the a-decomposition, attach the elementary tree
-of the nu-series of n0 to every cycle node, and read the cycle lengths off
-the divisors of n1.  `predicted_graph` is the one routine that does this,
+of the nu-series of n0 to every cycle node, and convolve the cycle types of
+the prime powers of n1.  `predicted_graph` is the one routine that does this,
 in every domain; the Redei and linearized checks predict through it.  The
 brute-force construction builds the whole successor table of the map and is
 the independent oracle the prediction is verified against.  The map is
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
-from .base import Domain
+from .base import Domain, cycle_type
 from .graphs import DEFAULT_MAX_NODES, Component, FunctionalGraph, _check_size, brute_graph
 from .trees import Keyed, RootedTree, elementary_tree
 
@@ -60,26 +60,25 @@ def predicted_graph(dom: Domain, a, n) -> Prediction:
 
     The chain's norms are the nu-series of n0 and it stops at n1, so n0
     carries exactly the primes dividing <a> and n1 none of them: the
-    elementary tree of the nu-series hangs on every cycle node, and each
-    divisor m of n1 contributes phi(m)/ord_m(a) cycles of length ord_m(a).
-    Each divisor gives one component with its multiplicity, never one per
-    cycle, and no code text is rendered.
+    elementary tree of the nu-series hangs on every cycle node.  Each p^k
+    dividing n1 gives phi(p^k)/ord(a) cycles of length ord(a) mod p^k, and
+    `cycle_type` convolves these rows into one component per cycle length,
+    no code text rendered.  The summands are those rows and the unit ideal's.
     """
     nu, n1 = dom.gcd_chain(a, n)
     tree = elementary_tree(nu)
-    rows = []
-    summands = []
-    for m, phi, r in dom.divisor_table(a, n1):
-        if phi % r:
-            raise RuntimeError("Euler phi not divisible by the order")
-        mult = phi // r
-        summands.append({"divisor": dom.describe_ideal(m),
-                         "cycle_len": r, "multiplicity": mult})
-        rows.append((Component(r, (tree,)), mult))
-    graph = FunctionalGraph(rows)
+    local = dom.local_rows(a, n1)
+    rows = sorted([(dom.unit_ideal, 1, 1), *(row for prime in local for row in prime)],
+                  key=lambda row: dom._ideal_key(row[0]))
+    if any(phi % r for _, phi, r in rows):
+        raise RuntimeError("Euler phi not divisible by the order")
+    summands = tuple({"divisor": dom.describe_ideal(m), "cycle_len": r,
+                      "multiplicity": phi // r} for m, phi, r in rows)
+    cycles = cycle_type([(r, None, phi // r) for _, phi, r in prime] for prime in local)
+    graph = FunctionalGraph((Component(r, (tree,)), c) for (r, _), c in cycles.items())
     if graph.node_count != math.prod(nu) * dom.norm(n1):
         raise RuntimeError("predicted node count mismatch")
-    return Prediction(graph=graph, tree=tree, summands=tuple(summands))
+    return Prediction(graph=graph, tree=tree, summands=summands)
 
 
 def brute_amap_graph(dom: Domain, a, n,

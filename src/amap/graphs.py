@@ -7,7 +7,7 @@ carries one tree all round, a period of length one).  Identity works on
 keys made of tree ids, never on text: a component key is its cycle length
 and the least rotation, in id order, of the primitive root of its period;
 a graph key is the set of its (component key, count) pairs.  So a
-prediction costs O(divisor rows) whatever the number of nodes.
+prediction costs O(cycle lengths) whatever the number of nodes.
 
 A graph is built from `(component, count)` pairs, the paper's sum of
 cycle classes with multiplicities.  Canonical codes are rendered when read,

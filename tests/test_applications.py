@@ -15,6 +15,7 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
+from test_orders import divisor_table
 
 Z = IntegerDomain()
 
@@ -218,16 +219,18 @@ def reference_linearized_split(F, f, n):
     """The earlier closed form of linearized_check, kept as a test-only
     reference: with n = p^t * u and h = gcd(f, x^u - 1), the a-decomposition
     of x^n - 1 against f is n0 = h^(p^t), n1 = ((x^u - 1)/h)^(p^t).  Returns
-    the graph, tree and summands that the structure theorem reads off it."""
+    the graph, tree and summands that the structure theorem reads off it,
+    the summands at the unit ideal and the prime powers only."""
     D = PolyDomain(F)
     pt, u = Z.a_decomposition(F.p, n)
     xu1 = Poly.x_pow_minus_one(F, u)
     h = f.gcd(xu1)
     tree = elementary_tree(nu_series(D, f, h**pt))
     rows, summands = [], []
-    for m, phi, r in D.divisor_table(f, (xu1 // h)**pt):
-        summands.append({"divisor": D.describe_ideal(m), "cycle_len": r,
-                         "multiplicity": phi // r})
+    for m, phi, r in divisor_table(D, f, (xu1 // h)**pt):
+        if len(D.factor(m)) <= 1:  # a prediction's summands: the unit ideal and prime powers
+            summands.append({"divisor": D.describe_ideal(m), "cycle_len": r,
+                             "multiplicity": phi // r})
         rows.append((Component(r, (tree,)), phi // r))
     return FunctionalGraph(rows), tree, tuple(summands)
 

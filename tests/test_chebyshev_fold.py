@@ -7,6 +7,11 @@ of `successors(n, m)` by the negation table `successors(-1, m)`, each orbit
 {x, -x} named by min(x, m - x), decomposed by `brute_graph`.  All 40,198
 cases with m < 400 even and 1 <= n <= m + 2 agreed in a one-off run; the
 test keeps a seeded sample of them, so that it takes about a second.
+
+`walk_folded_torus` keeps the earlier body of `_folded_torus`, which read the
+fold off every divisor row of the divisor walk (`test_orders.divisor_table`);
+the fold by prime powers and `base.cycle_type` is tested against it on every
+case with m < 1200 even and 1 <= n < min(m + 3, 60).
 """
 
 import random
@@ -17,6 +22,7 @@ from amap.applications import _folded_torus
 from amap.graphs import Component, FunctionalGraph, brute_graph
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, RootedTree, elementary_tree, folded_tree
+from test_orders import divisor_table
 
 Z = IntegerDomain()
 
@@ -32,6 +38,36 @@ def brute_fold(n, m):
 def predicted_fold(n, m):
     nu, rows, fixed = _folded_torus(n, m)
     return FunctionalGraph(rows + [(Component(1, (folded_tree([nu]),)), fixed)])
+
+
+def walk_folded_torus(n, m):
+    """x -> n*x on Z/m, m even, folded by x ~ -x: its nu-series, the
+    (component, count) pairs of the divisor rows d > 2, and how many rows have
+    d | 2.  A cycle folds onto itself when -1 is in <n mod d>, else it meets
+    its negative; off d | 2 a point and its negative keep disjoint trees T(nu).
+    """
+    nu, m1 = Z.gcd_chain(n, m)
+    tree = (elementary_tree(nu),)
+    rows = []
+    fixed = 0
+    for d, phi, o in divisor_table(Z, n, m1):
+        if d <= 2:
+            fixed += 1
+        elif o % 2 == 0 and pow(n, o // 2, d) == d - 1:
+            rows.append((Component(o // 2, tree), phi // o))
+        else:
+            rows.append((Component(o, tree), phi // (2 * o)))
+    return nu, rows, fixed
+
+
+def test_fold_matches_the_divisor_walk():
+    cases = [(n, m) for m in range(2, 1200, 2) for n in range(1, min(m + 3, 60))]
+    assert len(cases) == 34_557
+    for n, m in cases:
+        nu, rows, fixed = _folded_torus(n, m)
+        want_nu, want_rows, want_fixed = walk_folded_torus(n, m)
+        assert (nu, fixed) == (want_nu, want_fixed), (n, m)
+        assert FunctionalGraph(rows) == FunctionalGraph(want_rows), (n, m)
 
 
 def _cases():

@@ -27,6 +27,7 @@ from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree, partial_tree
 from test_least_root import booth_min_rotation
+from test_orders import divisor_table
 
 Z = IntegerDomain()
 
@@ -67,7 +68,7 @@ def reference_prediction(dom, a, n):
     nu, n1 = dom.gcd_chain(a, n)
     tree = elementary_tree(nu)
     parts = []
-    for _, phi, r in dom.divisor_table(a, n1):
+    for _, phi, r in divisor_table(dom, a, n1):
         parts.extend([reference_cyc(r, tree)] * (phi // r))
     return reference_disjoint_sum(parts)
 
@@ -220,7 +221,7 @@ def test_dot_numbers_the_copies_of_a_class_in_turn():
 def test_prediction_builds_one_component_per_divisor_row(monkeypatch, a):
     n = 10**6
     nu, n1 = Z.gcd_chain(a, n)
-    rows = len(Z.divisor_table(a, n1))
+    rows = len(divisor_table(Z, a, n1))
     built = []
     real = Component.__init__
 
@@ -230,8 +231,9 @@ def test_prediction_builds_one_component_per_divisor_row(monkeypatch, a):
 
     monkeypatch.setattr(Component, "__init__", counting)
     graph = predicted_graph(Z, a, n).graph
-    # one Component per divisor row and none besides (no fixed overhead)
-    assert len(built) <= rows == 49
+    # one Component per class of the result and none besides (no fixed
+    # overhead), where the divisor walk had 49 rows
+    assert rows == 49 and len(built) == len(graph.classes)
     assert graph.node_count == n
     assert sum(count for _, count in graph.classes) == (10**6 if a == 1 else 500_001)
     assert len(graph.classes) == (1 if a == 1 else 2)

@@ -10,6 +10,7 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
+from test_orders import divisors
 
 Z = IntegerDomain()
 Z5 = QuadOrder(-5)
@@ -124,7 +125,7 @@ class TestPredictedGraph:
             pred = predicted_graph(Z, a, n)
             assert pred.tree == LEAF
             assert all(t == LEAF for c in pred.graph.components for t in c.hanging)
-            assert sum(Z.euler_phi(m) for m in Z.divisors(n)) == n
+            assert sum(Z.euler_phi(m) for m in divisors(Z, n)) == n
 
     def test_primary_nilpotent_case_single_tree(self):
         # n = p^alpha with p | a: the graph is one extended tree

@@ -6,6 +6,10 @@ over the pairs) and `reference_restricted_tensor` the earlier body of
 built one `RootedTree` per node by `_build_tree`), with the earlier
 `_tree_successors` and `_append_tree`, unchanged, as test-only references.
 The library now decomposes one product map for both.
+
+The product rule is also the referee of the prediction's convolution, with no
+use of it: for coprime m and n, D/mn is D/m x D/n (CRT) and x -> a*x acts on
+each side, so its brute-force graph is the tensor product of the two.
 """
 
 import random
@@ -13,9 +17,14 @@ import random
 import pytest
 
 from amap import graphs
+from amap.dynamics import brute_amap_graph
+from amap.finitefield import field
 from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                          _product_map, brute_graph, cyc, disjoint_sum, extended_tree,
                          materialize, restricted_tensor, tensor)
+from amap.integers import IntegerDomain
+from amap.polynomials import Poly, PolyDomain
+from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, RootedTree, elementary_tree, partial_tree
 from test_successor_table import _build_tree
 
@@ -241,3 +250,44 @@ def test_equal_but_distinct_trees_give_the_same_component():
     # an unequal tree still turns the cycle to its minimal rotation
     rotated = Component(4, (t, t, LEAF, t))
     assert rotated.code == "C4[(()()),(()()),(()()),()]"
+
+
+# ---- the product rule for a-maps: brute force on m*n against the tensor ----
+
+def _z_draw(rng, dom):
+    return rng.randint(-60, 60), rng.randint(2, 45)
+
+
+def _poly_draw(rng, dom):
+    F, top = dom.field, 6 if dom.field.q == 2 else 3
+    a, n = ([rng.randrange(F.q) for _ in range(rng.randint(lo, hi))] + [1]
+            for lo, hi in ((0, 3), (1, top)))
+    return Poly(F, a), Poly(F, n)
+
+
+def _quad_draw(rng, dom):
+    a, n = (QuadInt(rng.randint(-r, r), rng.randint(-r, r)) for r in (8, 5))
+    return a, n if not n.is_zero else QuadInt(2, 1)
+
+
+PRODUCT_DOMAINS = [("Z", IntegerDomain(), _z_draw),
+                   ("F2[x]", PolyDomain(field(2)), _poly_draw),
+                   ("F3[x]", PolyDomain(field(3)), _poly_draw),
+                   ("quad-1", QuadOrder(-1), _quad_draw),
+                   ("quad-5", QuadOrder(-5), _quad_draw)]
+
+
+@pytest.mark.parametrize("name, dom, draw", PRODUCT_DOMAINS, ids=[d[0] for d in PRODUCT_DOMAINS])
+def test_amap_graph_of_a_coprime_product_is_the_tensor(name, dom, draw):
+    rng = random.Random(name)
+    pairs = 0
+    while pairs < 25:
+        a, m_gen = draw(rng, dom)
+        n_gen = draw(rng, dom)[1]
+        m, n = dom.principal(m_gen), dom.principal(n_gen)
+        if (dom.ideal_gcd(m, n) != dom.unit_ideal or min(dom.norm(m), dom.norm(n)) < 2
+                or dom.norm(m) * dom.norm(n) > 3000):
+            continue
+        pairs += 1
+        whole = brute_amap_graph(dom, a, dom.ideal_mul(m, n))
+        assert whole == tensor(brute_amap_graph(dom, a, m), brute_amap_graph(dom, a, n)), (a, m, n)

@@ -5,6 +5,7 @@ import pytest
 
 from amap.base import NotCoprimeError, ZeroIdealError
 from amap.integers import IntegerDomain
+from test_orders import divisors
 
 Z = IntegerDomain()
 
@@ -32,8 +33,8 @@ def test_mult_order():
 
 
 def test_divisors():
-    assert Z.divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert Z.divisors(1) == [1]
+    assert divisors(Z, 12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(Z, 1) == [1]
 
 
 def test_a_decomposition():
@@ -67,7 +68,7 @@ def test_residue_gcd_counts_match_phi():
         for b in range(n):
             g = math.gcd(b, n) if b else n
             counts[g] = counts.get(g, 0) + 1
-        for m in Z.divisors(n):
+        for m in divisors(Z, n):
             assert counts.get(m, 0) == Z.euler_phi(n // m), (n, m)
 
 
@@ -93,4 +94,4 @@ def test_prime_power_phi_identity():
 
 def test_phi_sums_to_norm():
     for n in range(1, 121):
-        assert sum(Z.euler_phi(m) for m in Z.divisors(n)) == n
+        assert sum(Z.euler_phi(m) for m in divisors(Z, n)) == n

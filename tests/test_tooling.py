@@ -2,12 +2,15 @@
 
 import ast
 import importlib
+import math
 import re
 from collections import Counter
 from pathlib import Path
 
 import amap
-from amap.graphs import brute_graph
+from amap.dynamics import predicted_graph
+from amap.graphs import Component, brute_graph
+from amap.integers import IntegerDomain
 from amap.trees import RootedTree
 
 SRC = Path(amap.__file__).parent
@@ -247,6 +250,31 @@ def test_map_trees_are_built_from_counts_and_only_when_used(monkeypatch):
     path = [max(v - 1, 0) for v in range(8000)]  # a path into a fixed point
     assert brute_graph(len(path), path).node_count == 8000
     assert len(entries) == 7999 and max(entries) <= 2  # LEAF exists beforehand
+
+
+def test_prediction_is_bounded_by_the_prime_powers(monkeypatch):
+    # n is the product of the first 20 odd primes, where a divisor walk makes
+    # 2^20 rows and as many ideal products: the prediction makes one ideal
+    # product per prime power and one Component per class of its graph
+    n = math.prod([p for p in range(3, 75) if all(p % q for q in range(2, p))])
+    muls, built = [], []
+    real_mul, real_init = IntegerDomain.ideal_mul, Component.__init__
+
+    def counting_mul(self, *args):
+        muls.append(args)
+        return real_mul(self, *args)
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(IntegerDomain, "ideal_mul", counting_mul)
+    monkeypatch.setattr(Component, "__init__", counting_init)
+    graph = predicted_graph(IntegerDomain(), 2, n).graph
+    assert len(IntegerDomain().factor(n)) == 20
+    assert len(muls) <= 20
+    assert len(built) == len(graph.classes)
+    assert graph.node_count == n
 
 
 def test_readme_python_blocks_run():
