@@ -13,11 +13,13 @@ those primitives is computed here once and shared by all implementations:
 * membership (a reduces to zero), modular products and ideal powers;
 * Euler phi, from a factorization;
 * each prime power's phi and order of an element a, from one factorization
-  with one order search per prime power, and `cycle_type`, the CRT
-  convolution that turns those local rows into the cycles of x -> a*x;
+  with one order search per prime, lifted to its higher powers by one power
+  each, and `cycle_type`, the CRT convolution that turns those local rows
+  into the cycles of x -> a*x;
 * multiplicative orders by stripping the primes of phi (Cohen, A Course in
   Computational Algebraic Number Theory, Alg. 1.4.3), in
-  O(log phi * omega(phi)) modular products;
+  O(log phi * omega(phi)) modular products on the residues a domain hands
+  out per modulus (`_product_mod`);
 * the gcd chain of an ideal against <a>, which alone gives both the
   a-decomposition and the nu-series, with no factorization;
 * congruence solution counts.
@@ -147,6 +149,12 @@ class Domain(ABC):
     def mul_mod(self, a, b, n):
         return self.reduce(self.mul(a, b), n)
 
+    def _product_mod(self, n):
+        """(lift, mul) for the order search modulo n: lift(a) is the residue
+        of a in a form whose == is equality mod n, mul(x, y) the residue of
+        x*y.  A domain may hand out a faster form than its elements."""
+        return (lambda a: self.reduce(a, n)), (lambda x, y: self.mul_mod(x, y, n))
+
     def ideal_pow(self, p, e: int):
         return power(p, e, self.ideal_mul, self.unit_ideal)
 
@@ -160,17 +168,31 @@ class Domain(ABC):
 
     def local_rows(self, a, n) -> list[list[tuple[Any, int, int]]]:
         """For each p^e || n, in `factor` order, the rows (p^k, phi(p^k),
-        order of a mod p^k) for k = 1..e: one order search per prime power.
-        Requires gcd(<a>, n) = 1."""
+        order of a mod p^k) for k = 1..e.  Requires gcd(<a>, n) = 1.
+
+        One order search per prime p; each k >= 2 lifts the order o mod
+        p^(k-1).  The kernel of (D/p^k)* -> (D/p^(k-1))* is 1 + p^(k-1), a
+        copy of the additive group p^(k-1)/p^k, whose exponent is the
+        characteristic c of D/p; so the order mod p^k is o or o*c, as a^o
+        is 1 mod p^k or not, and RuntimeError is raised unless (a^o)^c is.
+        """
         self._check_coprime(a, n)
         local = []
         for p, e in self.factor(n):
-            norm_p, pk = self.norm(p), self.unit_ideal
-            local.append([])
-            for k in range(1, e + 1):
+            norm_p = self.norm(p)
+            order = self._order(a, p, norm_p - 1)
+            local.append([(p, norm_p - 1, order)])
+            pk, char = p, factor_int(norm_p)[0][0] if e > 1 else None  # char(D/p)
+            for k in range(2, e + 1):
                 pk = self.ideal_mul(pk, p)
-                phi = norm_p**k - norm_p ** (k - 1)
-                local[-1].append((pk, phi, self._order(a, pk, phi)))
+                lift, mul = self._product_mod(pk)
+                one = lift(self.one_element)
+                y = power(lift(a), order, mul, one)
+                if y != one:
+                    if power(y, char, mul, one) != one:
+                        raise RuntimeError("a^(o*c) is not 1; broken arithmetic")
+                    order *= char
+                local[-1].append((pk, norm_p**k - norm_p ** (k - 1), order))
         return local
 
     def _ideal_key(self, n):
@@ -234,13 +256,11 @@ class Domain(ABC):
         divided by q^v and multiplied back by the least q^j with a^order = 1.
         That makes at most 2*bit_length(phi)*(omega(phi) + 1) products.  Such
         a j <= v exists for every q exactly when a^phi = 1; when it does not,
-        the arithmetic is broken and RuntimeError is raised.
+        the arithmetic is broken and RuntimeError is raised.  Every product
+        and comparison with one is made on the residues of `_product_mod(n)`.
         """
-        def mul(x, y):
-            return self.mul_mod(x, y, n)
-
-        one = self.reduce(self.one_element, n)
-        ar = self.reduce(a, n)
+        lift, mul = self._product_mod(n)
+        one, ar = lift(self.one_element), lift(a)
         if phi == 1 and ar != one:
             raise RuntimeError("a^phi is not 1; broken arithmetic")
         order = phi

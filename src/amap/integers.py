@@ -51,6 +51,10 @@ class IntegerDomain(Domain):
     def mul(self, a: int, b: int) -> int:
         return a * b
 
+    def _product_mod(self, n: int):
+        n = check_positive_int(n)
+        return (lambda a: a % n), (lambda x, y: x * y % n)
+
     def residues(self, n: int) -> list[int]:
         """Residue i is the integer i."""
         return list(range(check_positive_int(n)))

@@ -9,7 +9,11 @@ substitution) into fixed-width slots of one Python int: one byte while no
 slot can reach 256 (p = 2 to degree 254, p = 3 to 62), else 2, 4, 8 or more.
 A product is one big-int multiply, read back mod p through a byte table or
 per slot; a division makes one big-int add per quotient digit, a multiple
-of the packed divisor that clears the top slot mod p.
+of the packed divisor that clears the top slot mod p.  Euclid's gcd keeps
+its remainders packed from step to step and builds one `Poly` at the end.
+The order search multiplies residues mod n as packed ints reduced by
+Barrett's method: mu = floor(x^(2d-2) / n) is found once per modulus, and
+each product is then three big-int multiplies (`PolyDomain._product_mod`).
 
 Factorization runs squarefree / distinct-degree / equal-degree splitting.
 The equal-degree stage derandomizes its splitting elements with a PRNG
@@ -159,6 +163,8 @@ class Poly:
     def gcd(self, other: Poly) -> Poly:
         """Monic gcd; gcd(0, 0) is 0."""
         self._check(other)
+        if self.field.k == 1:
+            return Poly(self.field, _packed_gcd(self.field.p, self.coeffs, other.coeffs))
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
@@ -209,31 +215,86 @@ class Poly:
 _MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (2, 3, 5, 7, 11, 13)}
 
 
+def _slot_width(terms: int, p: int) -> int:
+    """Bytes per slot that hold a sum of `terms` products of two digits mod p:
+    one while the sum stays under 256, else 2, 4, 8, 16, ..."""
+    top = max(terms, 1) * (p - 1) ** 2
+    return 1 if top < 256 else 1 << (top.bit_length() // 8).bit_length()
+
+
 def _pack(coeffs, w: int) -> int:
-    raw = bytes(coeffs) if w == 1 else b"".join(c.to_bytes(w, "little") for c in coeffs)
-    return int.from_bytes(raw, "little")
+    if w == 1:
+        return int.from_bytes(coeffs, "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+
+
+def _normalize(v: int, w: int, n: int, p: int) -> bytes:
+    """The n low slots of a packed v, each reduced mod p, as little-endian
+    bytes, w a slot: through the byte table for one-byte slots (p <= 13),
+    else per slot."""
+    raw = (v & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    if w == 1:
+        return raw.translate(_MOD_BYTES[p])
+    return b"".join((int.from_bytes(raw[i:i + w], "little") % p).to_bytes(w, "little")
+                    for i in range(0, w * n, w))
+
+
+def _digits(raw: bytes, w: int):
+    """The slots of normalized bytes, as digits."""
+    return raw if w == 1 else [int.from_bytes(raw[i:i + w], "little")
+                               for i in range(0, len(raw), w)]
+
+
+def _divide(rem: int, n: int, dv: int, dd: int, p: int, bits: int):
+    """Quotient digits, highest first, and what is left of a packed rem of n
+    slots once slots n-1 down to dd are cleared mod p against a packed dv of
+    degree dd with digits in [0, p): each digit q adds (p - q) times dv under
+    it, one big-int add, so no slot goes negative."""
+    quot, top_slot, mask = [], bits * dd, (1 << bits) - 1
+    inv_lead = pow(dv >> top_slot, -1, p)
+    for shift in range(bits * (n - dd - 1), -1, -bits):
+        quot.append(q := (rem >> shift + top_slot & mask) * inv_lead % p)
+        if q:
+            rem += (p - q) * dv << shift
+    return quot, rem
 
 
 def _packed(p: int, a: tuple, b: tuple, dv: tuple = ()):
     """Quotient digits and remainder of a*b by dv over F_p ([] and a*b for no
     dv).  A slot sums min(len a, len b) products, then one per division step."""
     n, dd = len(a) + len(b) - 1, len(dv) - 1
-    top = max(min(len(a), len(b)) + min(max(n - dd, 0), dd + 1), 1) * (p - 1) ** 2
-    w = 1 if top < 256 else 1 << (top.bit_length() // 8).bit_length()  # 2, 4, 8, 16, ...
+    w = _slot_width(min(len(a), len(b)) + min(max(n - dd, 0), dd + 1), p)
     rem, quot = _pack(a, w) * _pack(b, w), []
     if dv:
-        bits, packed_dv, inv_lead = 8 * w, _pack(dv, w), pow(dv[-1], -1, p)
-        top_slot, mask = bits * dd, (1 << bits) - 1
-        for shift in range(bits * (n - dd - 1), -1, -bits):  # one quotient digit each
-            quot.append(q := (rem >> shift + top_slot & mask) * inv_lead % p)
-            if q:  # one big-int add clears the top slot mod p
-                rem += (p - q) * packed_dv << shift
+        quot, rem = _divide(rem, n, _pack(dv, w), dd, p, 8 * w)
         quot.reverse()
         n = dd
-    raw = (rem & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
-    if w == 1:
-        return quot, raw.translate(_MOD_BYTES[p])
-    return quot, [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, w * n, w)]
+    return quot, _digits(_normalize(rem, w, n, p), w)
+
+
+def _packed_gcd(p: int, a: tuple, b: tuple):
+    """Digits of the monic gcd of a and b over F_p (none for two zeros).
+
+    Euclid on packed ints: each remainder is normalized and repacked, and its
+    degree read off its bit length.  A slot starts below p and takes one
+    product per quotient digit over it, so a step's width follows its
+    quotient's length; both operands are repacked only when that changes.
+    """
+    w = _slot_width(1, p)
+    u, v, nu, nv = _pack(a, w), _pack(b, w), len(a), len(b)
+    while v:
+        step = _slot_width(1 + min(nu - nv + 1, nv), p)
+        if step != w:  # both are normalized: read at w, packed at step
+            u = _pack(_digits(u.to_bytes(w * nu, "little"), w), step)
+            v = _pack(_digits(v.to_bytes(w * nv, "little"), w), step)
+            w = step
+        bits = 8 * w
+        rem = _divide(u, nu, v, nv - 1, p, bits)[1]
+        rem = int.from_bytes(_normalize(rem, w, nv - 1, p), "little")
+        u, v, nu, nv = v, rem, nv, (rem.bit_length() + bits - 1) // bits
+    digits = _digits(u.to_bytes(w * nu, "little"), w)
+    inv = pow(digits[-1], -1, p) if nu else 1
+    return digits if inv == 1 else [c * inv % p for c in digits]
 
 
 def _mul_mod(a: Poly, b: Poly | None, n: Poly) -> Poly:
@@ -468,6 +529,34 @@ class PolyDomain(Domain):
 
     def mul_mod(self, a: Poly, b: Poly, n: Poly) -> Poly:
         return _mul_mod(a, b, n) if n.coeffs else self.reduce(a, n)  # reduce refuses n = 0
+
+    def _product_mod(self, n: Poly):
+        """Over a prime field a residue is a packed int of d = deg n digits
+        in [0, p), and a product is reduced by Barrett's method (von zur
+        Gathen and Gerhard, *Modern Computer Algebra*, 9.1): with mu =
+        floor(x^(2d-2) / n), the quotient of f = x*y by n is floor(f / x^d)
+        * mu less its d - 2 low digits, so f mod n is three big-int multiplies
+        and three normalizations.  A constant residue (d = 1) is one digit."""
+        F, d = self.field, n.degree
+        if F.k > 1 or d < 1:
+            return super()._product_mod(n)
+        p = F.p
+        w = _slot_width(d, p)  # no slot sums more than d digit products
+        bits = 8 * w
+
+        def lift(a: Poly) -> int:
+            return _pack(self.reduce(a, n).coeffs, w)
+        if d == 1:
+            return lift, lambda x, y: x * y % p
+        mu = _pack(_packed(p, (0,) * (2 * d - 2) + (1,), (1,), n.coeffs)[0], w)
+        minus_n = _pack([-c % p for c in n.coeffs], w)
+        hi, mid, from_bytes = bits * d, bits * (d - 2), int.from_bytes
+
+        def mul(x: int, y: int) -> int:
+            f = from_bytes(_normalize(x * y, w, 2 * d - 1, p), "little")
+            q = from_bytes(_normalize((f >> hi) * mu >> mid, w, d - 1, p), "little")
+            return from_bytes(_normalize(f + q * minus_n, w, d, p), "little")
+        return lift, mul
 
     def residues(self, n: Poly) -> list[Poly]:
         """Residue i has the d base-q digits of i as its coefficients, the

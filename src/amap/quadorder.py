@@ -290,6 +290,23 @@ class QuadOrder(Domain):
         x = (a.x - k * n.b) % n.a
         return QuadInt(x, y)
 
+    def _product_mod(self, n: QuadIdeal):
+        """Residues as (x, y) pairs, reduced as in `reduce`: a product is
+        `mul` and `reduce` inline, with no QuadInt built."""
+        self._check_pair(n, n)
+        A, B, C, s, t = n.a, n.b, n.c, self._s, self._t
+
+        def mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+            (x1, y1), (x2, y2) = u, v
+            yy = y1 * y2
+            k, y = divmod(x1 * y2 + y1 * x2 + t * yy, C)
+            return (x1 * x2 + s * yy - k * B) % A, y
+
+        def lift(a: QuadInt) -> tuple[int, int]:
+            r = self.reduce(a, n)
+            return r.x, r.y
+        return lift, mul
+
     def residues(self, n: QuadIdeal) -> list[QuadInt]:
         """Residue i = y*a + x is x + y*w, for the HNF {a, b + c*w} of n."""
         self._check_pair(n, n)

@@ -257,16 +257,63 @@ def test_local_rows_fill_each_prime_power():
                     assert 1 + sum(phi // r * r for _, phi, r in rows) == dom.norm(p) ** e
 
 
+@pytest.mark.parametrize("name,dom,ref,moduli,elements", INSTANCES, ids=IDS)
+def test_lifted_orders_equal_the_search(name, dom, ref, moduli, elements):
+    """Past k = 1 a row's order is lifted from the one before it; a full
+    search mod p^k gives the same at every k."""
+    lifted = 0
+    for n in moduli:
+        for a in elements:
+            if dom.is_zero(a) or dom.ideal_gcd(dom.principal(a), n) != dom.unit_ideal:
+                continue
+            for rows in dom.local_rows(a, n):
+                searched = [dom._order(a, pk, phi) for pk, phi, _ in rows]
+                assert [r for _, _, r in rows] == searched, (a, n)
+                lifted += len(rows) - 1
+    assert lifted >= 20, lifted
+
+
+def test_lifted_orders_equal_the_search_at_every_prime_power_below_2000():
+    Z, rng = IntegerDomain(), random.Random(1999)
+    powers = 0
+    for n in range(2, 2000):
+        factors = factor_int(n)
+        if len(factors) > 1:
+            continue
+        [(p, e)] = factors
+        powers += e > 1
+        for a in {1, -1, 1 + p, n - p - 1, *(rng.randrange(1, n) for _ in range(8))}:
+            if math.gcd(a, p) == 1:
+                want = [Z._order(a, p**k, p**k - p ** (k - 1)) for k in range(1, e + 1)]
+                assert [r for _, _, r in Z.local_rows(a, n)[0]] == want, (a, n)
+    assert powers == 30  # the p^e < 2000 with e >= 2
+
+
+def test_a_lift_that_is_no_order_raises():
+    class WrongOrder(IntegerDomain):
+        def _order(self, a, n, phi):
+            return 1  # the order of 2 mod 3 is 2
+
+    assert WrongOrder().local_rows(2, 3) == [[(3, 2, 1)]]
+    with pytest.raises(RuntimeError, match="broken arithmetic"):
+        WrongOrder().local_rows(2, 9)  # 2 and 2^3 are not 1 mod 9
+
+
 def _count_order_products(monkeypatch, cls):
     """Counter of the modular products made inside `_order`, the order search
     proper (a quadratic order also multiplies elements to build ideals).  A
-    product is counted at `mul_mod`, which F_q[x] computes without `mul`."""
+    product is counted at the `mul` that `_product_mod` hands out, which the
+    search calls for every product in place of `mul_mod`."""
     count, searching = [0], [False]
-    mul, search = cls.mul_mod, cls._order
+    product_mod, search = cls._product_mod, cls._order
 
-    def counting_mul(self, a, b, n):
-        count[0] += searching[0]
-        return mul(self, a, b, n)
+    def counting_product_mod(self, n):
+        lift, mul = product_mod(self, n)
+
+        def counting_mul(x, y):
+            count[0] += searching[0]
+            return mul(x, y)
+        return lift, counting_mul
 
     def marked_search(self, *args):
         searching[0] = True
@@ -274,7 +321,7 @@ def _count_order_products(monkeypatch, cls):
             return search(self, *args)
         finally:
             searching[0] = False
-    monkeypatch.setattr(cls, "mul_mod", counting_mul)
+    monkeypatch.setattr(cls, "_product_mod", counting_product_mod)
     monkeypatch.setattr(cls, "_order", marked_search)
     return count
 

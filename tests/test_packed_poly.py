@@ -56,6 +56,12 @@ def list_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(F, quot), Poly(F, [c % p for c in rem])
 
 
+def list_gcd(a: Poly, b: Poly) -> Poly:
+    while not b.is_zero:
+        a, b = b, list_divmod(a, b)[1]
+    return a if a.is_zero else a.monic()
+
+
 def list_pow_mod(a: Poly, e: int, m: Poly) -> Poly:
     return power(list_divmod(a, m)[1], e, lambda u, v: list_divmod(list_mul(u, v), m)[1],
                  Poly.one(a.field))
@@ -99,6 +105,22 @@ def test_divisions_equal_the_list_loop(p):
             # the dense dividend fills every slot before the first step
             a, b = _dense(rng, F, da), _dense(rng, F, dd)
             assert divmod(a, b) == list_divmod(a, b), (p, da, dd)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gcds_equal_the_list_euclid(p):
+    # zero operands, equal degrees, long first quotients, and (300, 128),
+    # whose first step needs wider slots than the rest for p >= 3
+    F = field(p)
+    rng = random.Random(p + 4)
+    for da in DEGREES:
+        for db in (-1, 0, 13) + (da,) * (da <= 100) + (128,) * (da == 300):
+            a, b = _poly(rng, F, da), _poly(rng, F, db)  # not monic for odd p
+            assert a.gcd(b) == list_gcd(a, b) == b.gcd(a), (p, da, db)
+            if 0 <= da <= 62 and db >= 0:  # and with a common factor
+                g = _poly(rng, F, rng.randrange(8))
+                a, b = list_mul(a, g), list_mul(b, g)
+                assert a.gcd(b) == list_gcd(a, b), (p, da, db)
 
 
 @pytest.mark.parametrize("p", PRIMES)

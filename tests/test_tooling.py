@@ -105,9 +105,9 @@ def test_field_element_codes_are_checked_only_in_finitefield():
 
 
 def test_prime_field_polynomial_arithmetic_has_no_nested_loop():
-    # over a prime field a product or division is packed big-int arithmetic;
-    # the coefficient double loops it replaced live on only as test
-    # references (test_packed_poly.py).  Checked: every `k == 1` branch of
+    # over a prime field a product, division or gcd is packed big-int
+    # arithmetic; the coefficient double loops it replaced live on only as
+    # test references (test_packed_poly.py).  Checked: every `k == 1` branch of
     # polynomials.py and each module function it calls, transitively.
     module = ast.parse((SRC / "polynomials.py").read_text())
     functions = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
@@ -133,7 +133,7 @@ def test_prime_field_polynomial_arithmetic_has_no_nested_loop():
 
     todo = [stmt for node in ast.walk(module) if isinstance(node, ast.If)
             and is_prime_field_test(node.test) for stmt in node.body]
-    assert len(todo) >= 2  # the branches of Poly.__mul__ and Poly.__divmod__
+    assert len(todo) >= 3  # the branches of Poly.__mul__, Poly.__divmod__ and Poly.gcd
     seen, found = set(), []
     while todo:
         for node in ast.walk(todo.pop()):
