@@ -2,7 +2,8 @@
 
 `list_mul` and `list_divmod` keep the earlier `F.k == 1` bodies of
 `Poly.__mul__` and `Poly.__divmod__` (a coefficient double loop, reduced mod
-p once at the end or when a digit is read) as test-only references.  The
+p once at the end or when a digit is read) as test-only references, and
+`list_gcd` runs Euclid's loop over `list_divmod` as the packed gcd's.  The
 primes are chosen so that every slot width is used: one byte (p = 2, 3, 5,
 7 at low degree), two (p = 17, and p = 2, 3 past the byte bound), four
 (p = 1009), eight (p = 65537) and the general width past eight bytes
