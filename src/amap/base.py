@@ -6,7 +6,8 @@ arithmetic; for the brute-force oracle it also gives the successor table
 of x -> a*x, from the images of the additive generators of D/n.
 ``factor(n)`` returns a list of (prime, exponent) pairs, primes normalized
 and sorted by the ideal order, whose product is n; ``factor_int`` keeps the
-same contract for positive integers.  Everything derivable from
+same contract for positive integers, by trial division, Miller-Rabin and
+Pollard-Brent rho.  Everything derivable from
 those primitives is computed here once and shared by all implementations:
 
 * the unit ideal, domain equality and hashing, the ideal order;
@@ -320,13 +321,53 @@ def check_positive_int(n: int, what: str = "ideal") -> int:
     return abs(n)
 
 
+# the first 13 primes: Miller-Rabin to all of them is exact below psi_13
+# (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 are not enough
+# below 3.3e24, as psi_12 = 318665857834031151167461 passes 2..37
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# trial division runs over the divisors below this bound, so it alone
+# factors every n below _TRIAL_LIMIT**2 = 2^24
+_TRIAL_LIMIT = 1 << 12
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
-    return n >= 2 and factor_int(n) == [(n, 1)]
+    """Strong-probable-prime test to the bases 2..41 (Miller-Rabin).
+
+    Exact below psi_13 = 3317044064679887385961981, the least strong
+    pseudoprime to all 13 bases; from psi_13 up such a composite would
+    pass, so there the answer is probabilistic.  A prime always passes.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization of a positive integer."""
+    """Sorted (prime, exponent) pairs of a positive integer.
+
+    Trial division by 2, 3 and the 6k +- 1 below _TRIAL_LIMIT, which alone
+    settles every cofactor below 2^24.  A larger cofactor left after it is
+    split by `_split_large`: `is_prime`, perfect powers, Pollard-Brent rho.
+    """
     n = check_positive_int(n)
     out = []
     for p in (2, 3):
@@ -337,7 +378,7 @@ def factor_int(n: int) -> list[tuple[int, int]]:
         if e:
             out.append((p, e))
     f = 5
-    while f * f <= n:
+    while f * f <= n and f < _TRIAL_LIMIT:
         for p in (f, f + 2):
             e = 0
             while n % p == 0:
@@ -346,6 +387,71 @@ def factor_int(n: int) -> list[tuple[int, int]]:
             if e:
                 out.append((p, e))
         f += 6
-    if n > 1:
-        out.append((n, 1))
-    return out
+    if f * f > n:
+        if n > 1:
+            out.append((n, 1))
+        return out
+    large: dict[int, int] = {}
+    _split_large(n, 1, large)
+    return out + sorted(large.items())
+
+
+def _split_large(n: int, k: int, out: dict[int, int]) -> None:
+    """Add the prime factors of n**k to `out`, for n > 1 with no factor
+    below _TRIAL_LIMIT: a prime is kept, a perfect power r**j is split as r
+    to the power j*k, and any other n by a factor from `_pollard_brent`."""
+    if is_prime(n):
+        out[n] = out.get(n, 0) + k
+        return
+    for j in range(2, n.bit_length() // 12 + 1):  # r > _TRIAL_LIMIT = 2^12
+        r = _iroot(n, j)
+        if r**j == n:
+            _split_large(r, j * k, out)
+            return
+    d = _pollard_brent(n)
+    _split_large(d, k, out)
+    _split_large(n // d, k, out)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n that is not a prime power.
+
+    Pollard's rho on y -> y^2 + c with Brent's cycle finding, the gcds taken
+    in batches of 128 products (Brent, BIT 20, 1980; Cohen, A Course in
+    Computational Algebraic Number Theory, 8.5).  A batch whose gcd is n
+    is walked again one step at a time; c = 1, 2, ... until one splits n.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g

@@ -1,8 +1,7 @@
 """The rational integers as an arithmetic domain.
 
 Ideals are their positive generators, so ideal arithmetic is plain integer
-arithmetic; factorization is trial division, which is all desk-scale inputs
-need.
+arithmetic; factorization is `base.factor_int`.
 """
 
 from __future__ import annotations

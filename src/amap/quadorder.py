@@ -7,6 +7,13 @@ its lattice: an upper-triangular basis {a, b + c*w} with c | a, c | b and
 0 <= b < a, which is unique, so ideal equality is matrix equality and the
 norm is the determinant a*c.
 
+The primes above a rational prime p come from the roots r of w's minimal
+polynomial mod p: each gives P_r = {p, -r mod p + w}, and with no root (p)
+is prime, {p, p*w}.  An ideal factors from its HNF with no ideal product:
+{a, b + c*w} is c times the primitive {a/c, b/c + w}, which lies in at most
+one prime above each p, so the factorizations of c and a/c give every
+exponent (see `QuadOrder.factor`).
+
 The domain interface matches the Euclidean domains, so the dynamics layer
 runs unchanged here.  An exact quotient n/m is n*conj(m) scaled down by
 N(m), since m*conj(m) = <N(m)> (Cohen, A Course in Computational Algebraic
@@ -16,6 +23,7 @@ Number Theory, 5.2); no factorization is needed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,11 +172,12 @@ class QuadOrder(Domain):
             raise ZeroIdealError("degenerate HNF")
         if a % c or b % c:
             raise ValueError(f"not an ideal lattice: c={c} must divide a={a}, b={b}")
-        ideal = QuadIdeal(self.d, a, b % a, c)
-        for basis in (QuadInt(a, 0), QuadInt(b % a, c)):
-            if not ideal.contains(self.mul(QuadInt(0, 1), basis)):
+        b %= a
+        # w*a = a*w and w*(b + c*w) = c*s + (b + c*t)*w must lie in the lattice
+        for x, y in ((0, a), (c * self._s, b + c * self._t)):
+            if y % c or (x - y // c * b) % a:
                 raise ValueError("lattice is not closed under multiplication by w")
-        return ideal
+        return QuadIdeal(self.d, a, b, c)
 
     def ideal_from_generators(self, gens: list[QuadInt]) -> QuadIdeal:
         """Ideal generated by the given elements (HNF of {g, w*g})."""
@@ -190,13 +199,18 @@ class QuadOrder(Domain):
     # ---- prime splitting and factorization ----
 
     def rational_prime_splitting(self, p: int) -> tuple[SplitType, list[QuadIdeal]]:
-        """Primes above p, classified by the roots of w's minimal polynomial.
-
-        For odd p the roots of x^2 - t*x - s are (t +- sqrt(D))/2 mod p, with
-        D = t^2 + 4s the discriminant; p = 2 is scanned.
-        """
+        """Primes above a rational prime p, sorted by `_ideal_key`."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        return self._splitting(p)
+
+    def _splitting(self, p: int) -> tuple[SplitType, list[QuadIdeal]]:
+        """Primes above the prime p, classified by the roots r of w's minimal
+        polynomial x^2 - t*x - s mod p: each root gives P_r = {p, -r mod p + w},
+        and with no root (p) = {p, p*w} is prime.  For odd p the roots are
+        (t +- sqrt(D))/2 mod p, with D = t^2 + 4s the discriminant; p = 2 is
+        scanned.  Two roots split p, one (p | D) ramifies it.
+        """
         if p == 2:
             roots = {r for r in range(2) if (r * r - self._t * r - self._s) % 2 == 0}
         else:
@@ -205,32 +219,36 @@ class QuadOrder(Domain):
             roots = set() if root is None else {(self._t + root) * half % p,
                                                 (self._t - root) * half % p}
         if not roots:
-            return SplitType.INERT, [self.principal(QuadInt(p, 0))]
-        primes = [self.ideal_from_generators([QuadInt(p, 0), QuadInt(-r, 1)])
-                  for r in roots]
-        primes.sort(key=self._ideal_key)
-        if len(roots) == 2:
-            return SplitType.SPLIT, primes
-        # single root: p divides the discriminant
-        return SplitType.RAMIFIED, primes
+            return SplitType.INERT, [QuadIdeal(self.d, p, 0, p)]
+        primes = [QuadIdeal(self.d, p, b, 1) for b in sorted(-r % p for r in roots)]
+        return (SplitType.SPLIT if len(primes) == 2 else SplitType.RAMIFIED), primes
 
     def factor(self, n: QuadIdeal) -> list[tuple[QuadIdeal, int]]:
+        """Prime factorization read off the HNF, with no ideal product.
+
+        n = {a, b + c*w} is c*{a', b' + w} with a' = a/c and b' = b/c, and the
+        primitive {a', b' + w} is divisible by no rational integer, so it lies
+        in at most one prime above each p, once if p ramifies.  From v_p(c)
+        and v_p(a'): a split p gives v_p(c) on both primes above it, plus
+        v_p(a') on the P_r with b' + r = 0 mod p, which is the one whose HNF
+        has b = b' mod p; a ramified p gives 2*v_p(c) + v_p(a'); an inert p
+        gives v_p(c).  The product of the prime powers is checked against n.
+        """
         self._check_pair(n, n)
+        b1 = n.b // n.c
+        vc, va = dict(factor_int(n.c)), dict(factor_int(n.a // n.c))
         pairs: list[tuple[QuadIdeal, int]] = []
-        for p, _ in factor_int(n.norm):
-            _, primes = self.rational_prime_splitting(p)
-            for prime in primes:
-                e = 0
-                pk = self.ideal_mul(self.unit_ideal, prime)
-                while pk.contains_ideal(n):
-                    e += 1
-                    pk = self.ideal_mul(pk, prime)
-                if e:
-                    pairs.append((prime, e))
+        for p in vc.keys() | va.keys():
+            kind, primes = self._splitting(p)
+            ec, ea = vc.get(p, 0), va.get(p, 0)
+            if kind is SplitType.SPLIT:
+                pairs.extend((prime, e) for prime in primes
+                             if (e := ec + (ea if prime.b == b1 % p else 0)))
+            else:
+                pairs.append((primes[0], ec if kind is SplitType.INERT else 2 * ec + ea))
         pairs.sort(key=lambda pe: self._ideal_key(pe[0]))
-        check = self.unit_ideal
-        for prime, e in pairs:
-            check = self.ideal_mul(check, self.ideal_pow(prime, e))
+        powers = [self.ideal_pow(prime, e) for prime, e in pairs]
+        check = functools.reduce(self.ideal_mul, powers) if powers else self.unit_ideal
         if check != n:
             raise RuntimeError("factorization failed to reconstruct the ideal")
         return pairs
@@ -254,14 +272,13 @@ class QuadOrder(Domain):
         return n.norm
 
     def ideal_mul(self, m: QuadIdeal, n: QuadIdeal) -> QuadIdeal:
-        """Z-span of the four products of the HNF bases; it is closed under w,
-        as w*(u*v) = (w*u)*v with w*u in m, so it needs no w-multiples."""
+        """Z-span of the four products of the HNF bases, each written out by
+        w^2 = t*w + s; it is closed under w, as w*(u*v) = (w*u)*v with w*u in
+        m, so it needs no w-multiples."""
         self._check_pair(m, n)
-        vectors = []
-        for u in (QuadInt(m.a, 0), QuadInt(m.b, m.c)):
-            for v in (QuadInt(n.a, 0), QuadInt(n.b, n.c)):
-                uv = self.mul(u, v)
-                vectors.append((uv.x, uv.y))
+        yy = m.c * n.c
+        vectors = [(m.a * n.a, 0), (m.a * n.b, m.a * n.c), (m.b * n.a, m.c * n.a),
+                   (m.b * n.b + self._s * yy, m.b * n.c + m.c * n.b + self._t * yy)]
         return self._make_ideal(*_hnf_from_vectors(vectors))
 
     def ideal_div(self, n: QuadIdeal, m: QuadIdeal) -> QuadIdeal:

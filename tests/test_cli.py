@@ -5,6 +5,8 @@ from pathlib import Path
 
 from amap import cli, dynamics
 from amap.cli import main
+from amap.finitefield import field
+from amap.polynomials import Poly, is_irreducible
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,27 @@ def test_predict_and_brute_agree(capsys):
     brute = json.loads(out)
     assert predicted["code"] == brute["code"]
     assert predicted["node_count"] == brute["node_count"] == 24
+
+
+def test_predict_at_scale(capsys):
+    # n1 a 61-bit prime, the same times a 30-bit prime (split by rho), and
+    # an F_2[x] modulus of degree 127, whose phi 2^127 - 1 is prime
+    m61, p = 2**61 - 1, 10**9 + 7
+    trinomial = [1, 1] + [0] * 125 + [1]
+    assert is_irreducible(Poly(field(2), trinomial))
+    cases = [(["--domain", "Z", "--a", "2", "--n", str(m61)], m61,
+              [[1, 1], [61, (m61 - 1) // 61]]),
+             (["--domain", "Z", "--a", "2", "--n", str(m61 * p)], m61 * p,
+              [[1, 1], [61, (m61 - 1) // 61], [(p - 1) // 2, 2],
+               [61 * (p - 1) // 2, 2 * (m61 - 1) // 61]]),
+             (["--domain", "poly:2", "--a", "0,1", "--n", ",".join(map(str, trinomial))],
+              2**127, [[1, 1], [2**127 - 1, 1]])]
+    for argv, nodes, cycles in cases:
+        code, out = run_cli(capsys, "predict", *argv)
+        assert code == 0, argv
+        data = json.loads(out)
+        assert data["node_count"] == nodes
+        assert sorted([length, count] for length, _, count in data["graph"]["classes"]) == cycles
 
 
 def test_dot_export(tmp_path, capsys):

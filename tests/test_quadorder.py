@@ -1,9 +1,17 @@
+"""Quadratic orders: ideals in HNF, prime splitting, factoring, residues.
+
+`power_search_factor` keeps the earlier body of `QuadOrder.factor`, as a
+test-only reference: it finds each prime's exponent by building the powers
+of the prime with `ideal_mul` until one no longer contains the ideal.
+"""
+
+import math
 import random
 import re
 
 import pytest
 
-from amap.base import ZeroIdealError
+from amap.base import ZeroIdealError, factor_int
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from test_orders import divisors
 
@@ -17,6 +25,31 @@ def rand_elem(rng, bound=9):
         z = QuadInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
         if not z.is_zero:
             return z
+
+
+def power_search_factor(order, n):
+    """(prime, exponent) pairs of n by the power search, sorted by `_ideal_key`."""
+    pairs = []
+    for p, _ in factor_int(n.norm):
+        _, primes = order.rational_prime_splitting(p)
+        for prime in primes:
+            e = 0
+            pk = order.ideal_mul(order.unit_ideal, prime)
+            while pk.contains_ideal(n):
+                e += 1
+                pk = order.ideal_mul(pk, prime)
+            if e:
+                pairs.append((prime, e))
+    pairs.sort(key=lambda pe: order._ideal_key(pe[0]))
+    return pairs
+
+
+def is_principal(order, ideal):
+    """Whether an ideal of small norm N has a generator: some z in it with
+    N(z) = N, since then <z> lies in the ideal with the same norm."""
+    r = 2 * math.isqrt(ideal.norm) + 2
+    return any(order.norm_element(z) == ideal.norm and ideal.contains(z)
+               for z in (QuadInt(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)))
 
 
 def rand_ideal(rng, order, max_norm=None, bound=9):
@@ -171,6 +204,34 @@ class TestFactorIdeal:
         fac_a = ZI.factor(ZI.principal(QuadInt(3, -1)))
         assert dict(fac_a).get(one_plus_i) == 1
         assert dict(fac_a).get(ZI.principal(QuadInt(1, -2))) == 1
+
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -10, -11, -15])
+    def test_hnf_rule_matches_the_power_search(self, d):
+        # every prime above 2..13 to the powers 1..3 times c in (1, 2, 3, 6),
+        # then seeded products of a principal ideal, such prime powers and an
+        # integer: non-principal primes where the class number is 2, ideals
+        # with c > 1, ramified squares, 2 split (d = -7, -15) and inert
+        # (d = -3, -11)
+        order, rng = QuadOrder(d), random.Random(d)
+        primes = [q for p in (2, 3, 5, 7, 11, 13) for q in order.rational_prime_splitting(p)[1]]
+        ideals = [order.ideal_mul(order.ideal_pow(q, e), order.principal(QuadInt(c, 0)))
+                  for q in primes for e in (1, 2, 3) for c in (1, 2, 3, 6)]
+        while len(ideals) < 490:
+            ideal = order.principal(rand_elem(rng, 12))
+            for _ in range(rng.randint(0, 3)):
+                ideal = order.ideal_mul(ideal, order.ideal_pow(rng.choice(primes),
+                                                               rng.randint(1, 3)))
+            ideal = order.ideal_mul(ideal, order.principal(QuadInt(rng.choice((1, 1, 2, 4, 15)), 0)))
+            if ideal.norm < 10**8:
+                ideals.append(ideal)
+        for ideal in ideals:
+            assert order.factor(ideal) == power_search_factor(order, ideal), ideal
+        kinds = {p: order.rational_prime_splitting(p)[0] for p in (2, 3, 5, 7, 11, 13)}
+        assert kinds[2] is {-7: SplitType.SPLIT, -15: SplitType.SPLIT, -3: SplitType.INERT,
+                            -11: SplitType.INERT}.get(d, SplitType.RAMIFIED)
+        assert any(ideal.c > 1 for ideal in ideals)
+        assert any(kind is SplitType.RAMIFIED for kind in kinds.values())
+        assert any(not is_principal(order, q) for q in primes) == (d in (-5, -6, -10, -15))
 
     def test_reconstruction_random(self):
         rng = random.Random(5)

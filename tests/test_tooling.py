@@ -1,6 +1,7 @@
 """Source-level checks on the library code, and a run of its README example."""
 
 import ast
+import functools
 import importlib
 import math
 import re
@@ -11,6 +12,7 @@ import amap
 from amap.dynamics import predicted_graph
 from amap.graphs import Component, brute_graph
 from amap.integers import IntegerDomain
+from amap.quadorder import QuadOrder
 from amap.trees import RootedTree
 
 SRC = Path(amap.__file__).parent
@@ -275,6 +277,44 @@ def test_prediction_is_bounded_by_the_prime_powers(monkeypatch):
     assert len(muls) <= 20
     assert len(built) == len(graph.classes)
     assert graph.node_count == n
+
+
+def test_quadratic_factor_makes_only_the_check_products(monkeypatch):
+    # QuadOrder.factor reads the exponents off the HNF; its one use of
+    # ideal_mul is the check that the prime powers multiply back to n, so
+    # every product inside it is one that check makes.  The instances are
+    # the 40 ZI-unit predictions of the predict benchmark's seed 3.
+    monkeypatch.syspath_prepend(str(SRC.parent.parent / "perfbench"))
+    cycles = importlib.import_module("workloads").setup("predict", 3, False, 40)
+    calls = [inst.call for cycle in cycles for inst in cycle if inst.slot == "ZI-unit"]
+    depth, counts, results = [0], Counter(), []
+    real_mul, real_factor = QuadOrder.ideal_mul, QuadOrder.factor
+
+    def counting_mul(self, *args):
+        counts["inside" if depth[0] else "outside"] += 1
+        return real_mul(self, *args)
+
+    def counting_factor(self, n):
+        depth[0] += 1
+        try:
+            pairs = real_factor(self, n)
+        finally:
+            depth[0] -= 1
+        results.append((self, pairs))
+        return pairs
+
+    monkeypatch.setattr(QuadOrder, "ideal_mul", counting_mul)
+    monkeypatch.setattr(QuadOrder, "factor", counting_factor)
+    for call in calls:
+        call()
+    inside = counts["inside"]
+    counts.clear()
+    for order, pairs in results:  # the check alone, replayed outside factor
+        powers = [order.ideal_pow(prime, e) for prime, e in pairs]
+        if powers:
+            functools.reduce(order.ideal_mul, powers)
+    assert len(calls) == 40 and len(results) >= 40
+    assert inside == counts["outside"] <= 113, inside  # 436 by the power search
 
 
 def test_readme_python_blocks_run():
