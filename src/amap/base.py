@@ -17,7 +17,7 @@ those primitives is computed here once and shared by all implementations:
   with one order search per prime, lifted to its higher powers by one power
   each, and `cycle_type`, the CRT convolution that turns those local rows
   into the cycles of x -> a*x;
-* multiplicative orders by stripping the primes of phi (Cohen, A Course in
+* that order search, by stripping the primes of phi (Cohen, A Course in
   Computational Algebraic Number Theory, Alg. 1.4.3), in
   O(log phi * omega(phi)) modular products on the residues a domain hands
   out per modulus (`_product_mod`);
@@ -234,15 +234,6 @@ class Domain(ABC):
         """Number of residues x mod n with a*x = b, per the gcd criterion."""
         g = n if self.is_zero(a) else self.ideal_gcd(self.principal(a), n)
         return self.norm(g) if self.element_in_ideal(b, g) else 0
-
-    def mult_order(self, a, n) -> int:
-        """Order of a in the unit group mod n; requires gcd(<a>, n) = 1.
-
-        Strips the primes of phi(n) (see `_order`); raises NotCoprimeError
-        for a non-invertible a and RuntimeError unless a^phi(n) = 1 mod n.
-        """
-        self._check_coprime(a, n)
-        return self._order(a, n, self.euler_phi(n))
 
     def _check_coprime(self, a, n) -> None:
         g = n if self.is_zero(a) else self.ideal_gcd(self.principal(a), n)

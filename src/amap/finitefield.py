@@ -162,9 +162,6 @@ class GF:
             return exp[-log[a]]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # ---- whole tables ----
 
     def _table_set(self) -> tuple:

@@ -31,11 +31,7 @@ first cycle is yielded; then it yields one cycle at a time, in the order of
 the least cycle node, so no list of cycles is kept, and when one tree hangs
 at every cycle node each word repeats it.  `brute_graph`
 counts the cycles by length and word of tree ids and builds one Component
-per distinct word, not one per cycle.  Both tensor products materialize
-their operands as successor maps and decompose one product map on the
-pairs, never using algebraic identities.  For the restricted product the root of a bare tree
-is unmapped: every pair with an unmapped side goes to one looping sink,
-the root pair is made a fixed point, and its hanging tree is the result.
+per distinct word, not one per cycle.
 """
 
 from __future__ import annotations
@@ -55,14 +51,10 @@ __all__ = [
     "DEFAULT_MAX_CODE_BYTES",
     "compact",
     "render",
-    "cyc",
-    "extended_tree",
     "disjoint_sum",
     "brute_graph",
     "decompose_successors",
     "materialize",
-    "tensor",
-    "restricted_tensor",
     "to_dot",
 ]
 
@@ -260,16 +252,6 @@ def compact(obj: RootedTree | FunctionalGraph) -> dict:
     return {"trees": trees, "classes": rows}
 
 
-def cyc(m: int, tree: RootedTree = LEAF) -> FunctionalGraph:
-    """Cycle of length m with a copy of `tree` hanging at every cycle node."""
-    return FunctionalGraph([(Component(m, (tree,)), 1)])
-
-
-def extended_tree(tree: RootedTree) -> FunctionalGraph:
-    """The extended tree {T}: a loop at the root of T."""
-    return cyc(1, tree)
-
-
 def disjoint_sum(graphs: Iterable[FunctionalGraph]) -> FunctionalGraph:
     return FunctionalGraph(pair for g in graphs for pair in g.counted)
 
@@ -411,66 +393,6 @@ def materialize(graph: FunctionalGraph, max_nodes: int = DEFAULT_MAX_NODES) -> l
                 succ.append(parent)
                 stack.extend((child, node_id) for child in reversed(sub.children))
     return succ
-
-
-def _product_map(s1: Sequence[int | None], s2: Sequence[int | None],
-                 max_nodes: int) -> list[int]:
-    """Successor map of the product of two maps, on the pairs i*n2 + j.
-
-    A None entry leaves a node unmapped, as the root of a bare tree is.
-    Every pair with an unmapped side goes to one extra sink node, which
-    loops; without unmapped nodes there is no sink.
-    """
-    n1, n2 = len(s1), len(s2)
-    size = n1 * n2
-    _check_size(size, max_nodes)
-    sink = size
-    succ = [sink if t1 is None or t2 is None else t1 * n2 + t2 for t1 in s1 for t2 in s2]
-    if None in s1 or None in s2:
-        succ.append(sink)
-    return succ
-
-
-def tensor(g1: FunctionalGraph, g2: FunctionalGraph,
-           max_nodes: int = DEFAULT_MAX_NODES) -> FunctionalGraph:
-    """Functional graph of the product map, built by brute enumeration.
-
-    The product's size is checked before either operand is materialized.
-    """
-    _check_size(g1.node_count * g2.node_count, max_nodes)
-    succ = _product_map(materialize(g1, max_nodes), materialize(g2, max_nodes), max_nodes)
-    return brute_graph(len(succ), succ, max_nodes=max_nodes)
-
-
-def _tree_successors(arg: RootedTree | FunctionalGraph,
-                     max_nodes: int) -> list[int | None]:
-    """`materialize` of the extended tree {T}, root 0; for a bare tree T the
-    root is unmapped (None)."""
-    if isinstance(arg, RootedTree):
-        succ: list[int | None] = materialize(extended_tree(arg), max_nodes)
-        succ[0] = None
-        return succ
-    if isinstance(arg, FunctionalGraph):
-        counted = arg.counted
-        if len(counted) != 1 or counted[0][1] != 1 or counted[0][0].cycle_len != 1:
-            raise ValueError("extended-tree argument must be a single Cyc(1, T)")
-        return materialize(arg, max_nodes)
-    raise TypeError("expected a RootedTree or an extended tree")
-
-
-def restricted_tensor(arg1: RootedTree | FunctionalGraph,
-                      arg2: RootedTree | FunctionalGraph,
-                      max_nodes: int = DEFAULT_MAX_NODES) -> RootedTree:
-    """Hanging tree at the pair of roots in the tensor of two (extended) trees.
-
-    Each argument is either a rooted tree or an extended tree {T}; the result
-    is the connected component of the root pair, as a tree rooted there.
-    """
-    succ = _product_map(_tree_successors(arg1, max_nodes),
-                        _tree_successors(arg2, max_nodes), max_nodes)
-    succ[0] = 0  # the root pair is fixed, so its component is a loop and its tree
-    _, trees = next(decompose_successors(succ))  # the cycle of node 0 comes first
-    return trees[0]
 
 
 def to_dot(graph: FunctionalGraph, max_nodes: int = DEFAULT_MAX_NODES) -> str:

@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, repeat
 
-__all__ = ["RootedTree", "LEAF", "elementary_tree", "folded_tree", "partial_tree"]
+__all__ = ["RootedTree", "LEAF", "elementary_tree", "folded_tree"]
 
 
 class Keyed:
@@ -180,10 +180,3 @@ def folded_tree(seqs: Iterable[Sequence[int]]) -> RootedTree:
         kids[RootedTree({t: count // 2 for t, count in torsion.items()})] += 1
     return RootedTree(kids)
 
-
-def partial_tree(seq: Sequence[int], k: int) -> RootedTree:
-    """k-th partial tree of the sequence, for 0 <= k <= len(seq)."""
-    seq = _validated(seq)
-    if not 0 <= k <= len(seq):
-        raise ValueError(f"k must be between 0 and {len(seq)}, got {k}")
-    return _partials(seq, k)[k]

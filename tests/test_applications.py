@@ -10,11 +10,12 @@ from amap.base import factor_int
 from amap.cli import main
 from amap.dynamics import nu_series, predicted_graph
 from amap.finitefield import field, quadratic_character
-from amap.graphs import Component, FunctionalGraph, cyc
+from amap.graphs import Component, FunctionalGraph
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
+from test_graph_products import cyc
 from test_orders import divisor_table
 
 Z = IntegerDomain()

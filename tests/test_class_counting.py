@@ -17,13 +17,12 @@ from amap import applications
 from amap.applications import chebyshev_check, redei_check
 from amap.dynamics import brute_amap_graph
 from amap.finitefield import field
-from amap.graphs import (Component, _product_map, _tree_successors, brute_graph,
-                         decompose_successors, extended_tree, restricted_tensor)
+from amap.graphs import Component, brute_graph, decompose_successors
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import LEAF, elementary_tree, partial_tree
-from test_graph_products import reference_restricted_tensor
+from amap.trees import LEAF, elementary_tree
+from test_graph_products import extended_tree, partial_tree, reference_restricted_tensor
 from test_successor_table import _random_maps, reference_code, reference_decompose
 
 
@@ -165,19 +164,22 @@ def test_cycles_come_by_least_cycle_node_and_start_there():
 
 
 def test_root_pair_comes_first_before_a_smaller_tree_node():
-    # a bare first tree leaves its root unmapped, so node 1 hangs off the
-    # sink's loop, while every node below the root pair is at least 2
-    for x, y in ((elementary_tree((2,)), extended_tree(elementary_tree((3, 2)))),
-                 (partial_tree((3, 2, 2), 2), elementary_tree((2, 2))),
-                 (elementary_tree((3,)), LEAF)):
-        succ = _product_map(_tree_successors(x, 10**4), _tree_successors(y, 10**4), 10**4)
-        succ[0] = 0
+    # the product map of trees x and y on the pairs i * len(y) + j, its root
+    # pair 0 made fixed: a pair with a side unmapped, as the root of a bare
+    # tree is, goes to the last node, a looping sink; node 1 is such a pair,
+    # while every node below the root pair is at least 2
+    for succ, x, y in (
+            ([0, 12, 12, 12, 12, 12, 0, 0, 1, 1, 1, 0, 12],
+             elementary_tree((2,)), extended_tree(elementary_tree((3, 2)))),
+            ([0, 40, 40, 40, 40, 0, 1, 1, 40, 4, 5, 5, 40, 4, 5, 5, 40, 4, 5, 5, 40,
+              0, 1, 1, 40, 20, 21, 21, 40, 20, 21, 21, 40, 20, 21, 21, 40, 0, 1, 1, 40],
+             partial_tree((3, 2, 2), 2), elementary_tree((2, 2))),
+            ([0, 3, 3, 3], elementary_tree((3,)), LEAF)):
         sink = len(succ) - 1
         assert succ[1] == sink == succ[sink]
         components = list(decompose_successors(succ))
         assert [cycle for cycle, _ in components] == [[0], [sink]]
-        assert restricted_tensor(x, y) == reference_restricted_tensor(x, y) == \
-            components[0][1][0]
+        assert components[0][1][0] == reference_restricted_tensor(x, y)
 
 
 # ---- the Chebyshev report skips no point: its skip list is empty ----

@@ -18,11 +18,12 @@ import pytest
 from amap.applications import chebyshev_check, ec_generic_trees, linearized_check, redei_check
 from amap.dynamics import predicted_graph, verify
 from amap.finitefield import field
-from amap.graphs import Component, brute_graph, cyc
+from amap.graphs import Component, brute_graph
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder, _hnf_from_vectors
-from amap.trees import LEAF, Keyed, elementary_tree, partial_tree
+from amap.trees import LEAF, Keyed, elementary_tree
+from test_graph_products import cyc, partial_tree
 from test_least_root import booth_min_rotation
 
 Z = IntegerDomain()

@@ -19,13 +19,13 @@ import pytest
 
 from amap.dynamics import _corrupt, predicted_graph
 from amap.finitefield import field
-from amap.graphs import (Component, FunctionalGraph, brute_graph, cyc,
-                         decompose_successors, disjoint_sum, extended_tree,
-                         materialize, restricted_tensor, to_dot)
+from amap.graphs import (Component, FunctionalGraph, brute_graph, decompose_successors,
+                         disjoint_sum, materialize, to_dot)
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import LEAF, elementary_tree, partial_tree
+from amap.trees import LEAF, elementary_tree
+from test_graph_products import cyc, extended_tree, partial_tree, reference_restricted_tensor
 from test_least_root import booth_min_rotation
 from test_orders import divisor_table
 
@@ -202,10 +202,10 @@ def test_a_negative_or_fractional_count_is_refused():
 def test_an_extended_tree_argument_is_one_class_of_one_copy():
     t = elementary_tree((2, 2))
     looped = extended_tree(t)
-    assert restricted_tensor(looped, looped) == elementary_tree((4, 4))
+    assert reference_restricted_tensor(looped, looped) == elementary_tree((4, 4))
     for bad in (disjoint_sum([looped, looped]), cyc(2, t), disjoint_sum([looped, cyc(1)])):
         with pytest.raises(ValueError, match=r"single Cyc\(1, T\)"):
-            restricted_tensor(bad, LEAF)
+            reference_restricted_tensor(bad, LEAF)
 
 
 def test_dot_numbers_the_copies_of_a_class_in_turn():

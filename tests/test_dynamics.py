@@ -5,11 +5,12 @@ import pytest
 
 from amap.dynamics import (brute_amap_graph, nu_series, predicted_graph, verify)
 from amap.finitefield import field
-from amap.graphs import GraphSizeError, cyc, disjoint_sum, extended_tree, tensor
+from amap.graphs import GraphSizeError, disjoint_sum
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
+from test_graph_products import cyc, extended_tree, reference_tensor
 from test_orders import divisors
 
 Z = IntegerDomain()
@@ -263,4 +264,4 @@ def test_tree_product_for_coprime_ideals():
         t1 = extended_tree(elementary_tree(nu_series(Z, a, q1)))
         t2 = extended_tree(elementary_tree(nu_series(Z, a, q2)))
         t12 = extended_tree(elementary_tree(nu_series(Z, a, q1 * q2)))
-        assert tensor(t1, t2) == t12
+        assert reference_tensor(t1, t2) == t12

@@ -33,7 +33,7 @@ def reference_redei_successors(F, n, a_code):
                         F.add(num, F.mul(den, x)))
         if den == 0:
             return None
-        return F.div(num, den)
+        return F.mul(num, F.inv(den))
 
     return [index[None if pt is None else step(pt)] for pt in points]
 
@@ -159,7 +159,7 @@ def test_huge_degree_matches_scalar_powers(q):
                     F.add(F.mul(s[0], t[1]), F.mul(s[1], t[0])))
 
         num, den = power((x, F.one), BIG_N, pair_mul, (F.one, 0))
-        assert redei[x + 1] == (F.div(num, den) + 1 if den else 0), (q, x)
+        assert redei[x + 1] == (F.mul(num, F.inv(den)) + 1 if den else 0), (q, x)
 
         def mat_mul(s, t):
             return tuple(tuple(F.add(F.mul(s[i][0], t[0][j]), F.mul(s[i][1], t[1][j]))
@@ -220,7 +220,7 @@ def test_checks_leave_no_table_on_the_field():
 def _count_scalar_calls(monkeypatch, least_k: int = 1) -> list[int]:
     """Counts scalar op calls on fields of degree at least least_k."""
     calls = [0]
-    for name in ("mul", "add", "sub", "div", "inv", "pow"):
+    for name in ("mul", "add", "sub", "inv", "pow"):
         real = getattr(GF, name)
 
         def counting(self, *args, _real=real):

@@ -1,11 +1,12 @@
-"""The tensor products and the graph-layer checks against the code they replaced.
+"""Graph algebra that only the tests use, and the graph-layer checks.
 
-`reference_tensor` keeps the earlier body of `graphs.tensor` (a nested loop
-over the pairs) and `reference_restricted_tensor` the earlier body of
-`graphs.restricted_tensor` (a search over preimage pairs from the root pair,
-built one `RootedTree` per node by `_build_tree`), with the earlier
-`_tree_successors` and `_append_tree`, unchanged, as test-only references.
-The library now decomposes one product map for both.
+The tensor products exist here alone: `reference_tensor` enumerates the
+pairs of two materialized graphs in a nested loop, and
+`reference_restricted_tensor` searches the preimage pairs from the root pair
+and builds one `RootedTree` per node by `_build_tree`.  Every product
+identity the tests check goes through them.  `cyc`, `extended_tree` and
+`partial_tree` build the operands and the expected values of those
+identities; the library builds its components and trees directly.
 
 The product rule is also the referee of the prediction's convolution, with no
 use of it: for coprime m and n, D/mn is D/m x D/n (CRT) and x -> a*x acts on
@@ -20,13 +21,30 @@ from amap import graphs
 from amap.dynamics import brute_amap_graph
 from amap.finitefield import field
 from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
-                         _product_map, brute_graph, cyc, disjoint_sum, extended_tree,
-                         materialize, restricted_tensor, tensor)
+                         brute_graph, disjoint_sum, materialize)
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import LEAF, RootedTree, elementary_tree, partial_tree
+from amap.trees import LEAF, RootedTree, _partials, _validated, elementary_tree
 from test_successor_table import _build_tree
+
+
+def cyc(m, tree=LEAF):
+    """Cycle of length m with a copy of `tree` hanging at every cycle node."""
+    return FunctionalGraph([(Component(m, (tree,)), 1)])
+
+
+def extended_tree(tree):
+    """The extended tree {T}: a loop at the root of T."""
+    return cyc(1, tree)
+
+
+def partial_tree(seq, k):
+    """k-th partial tree of the sequence, for 0 <= k <= len(seq)."""
+    seq = _validated(seq)
+    if not 0 <= k <= len(seq):
+        raise ValueError(f"k must be between 0 and {len(seq)}, got {k}")
+    return _partials(seq, k)[k]
 
 
 def reference_tensor(g1, g2, max_nodes=DEFAULT_MAX_NODES):
@@ -103,98 +121,18 @@ def reference_restricted_tensor(arg1, arg2, max_nodes=DEFAULT_MAX_NODES):
     return _build_tree((r1, r2), children)
 
 
-# ---- seeded operands ----
-
-def _random_tree(rng, depth):
-    if depth == 0:
-        return LEAF
-    return RootedTree(_random_tree(rng, rng.randrange(depth))
-                      for _ in range(rng.randint(0, 3)))
-
-
-def _random_sequence(rng):
-    d = rng.randint(0, 3)
-    return tuple(sorted((rng.randint(1, 4) for _ in range(d)), reverse=True))
-
-
-def _random_tree_operand(rng):
-    """A bare or extended tree: LEAF, a partial or elementary tree, or a random one."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        tree = LEAF
-    elif kind == 1:
-        seq = _random_sequence(rng)
-        tree = partial_tree(seq, rng.randint(0, len(seq)))
-    elif kind == 2:
-        tree = elementary_tree(_random_sequence(rng))
-    else:
-        tree = _random_tree(rng, rng.randint(1, 4))
-    return extended_tree(tree) if rng.random() < 0.5 else tree
-
-
-def _random_graph(rng):
-    kind = rng.randrange(3)
-    if kind == 0:
-        n = rng.randint(1, 40)
-        return brute_graph(n, [rng.randrange(n) for _ in range(n)])
-    if kind == 1:
-        return disjoint_sum([cyc(rng.randint(1, 4), _random_tree(rng, rng.randint(0, 3)))
-                             for _ in range(rng.randint(1, 3))])
-    return extended_tree(elementary_tree(_random_sequence(rng)))
-
-
-# ---- the product map ----
-
-def test_product_map_pairs_and_sink():
-    assert _product_map([1, 0], [0, 2, 1], 100) == [3, 5, 4, 0, 2, 1]
-    # node 0 of the first map and node 1 of the second are unmapped
-    succ = _product_map([None, 0], [0, None], 100)
-    sink = 4
-    assert succ == [sink, sink, 0, sink, sink]
-    assert _product_map([], [0], 100) == []
-    with pytest.raises(GraphSizeError):
-        _product_map([0] * 11, [0] * 10, 100)
-
-
-def test_tensor_matches_reference_loop():
-    rng = random.Random(81)
-    for _ in range(120):
-        g1, g2 = _random_graph(rng), _random_graph(rng)
-        assert tensor(g1, g2).code == reference_tensor(g1, g2).code
-    empty = FunctionalGraph()
-    assert tensor(empty, cyc(3)).code == reference_tensor(empty, cyc(3)).code == ""
-
-
-def test_restricted_tensor_matches_reference_search():
-    rng = random.Random(82)
-    for _ in range(300):
-        x, y = _random_tree_operand(rng), _random_tree_operand(rng)
-        assert restricted_tensor(x, y).code == reference_restricted_tensor(x, y).code
-
-
-def test_restricted_tensor_matches_reference_on_partial_trees():
-    # LEAF on either side, every depth of a partial tree, bare and extended
-    for u, v in (((2, 2), (3, 1)), ((4, 2, 1), (2, 2, 2)), ((3,), (2, 1))):
-        trees_u = [partial_tree(u, k) for k in range(len(u) + 1)] + [elementary_tree(u)]
-        trees_v = [partial_tree(v, k) for k in range(len(v) + 1)] + [elementary_tree(v)]
-        for s in trees_u + [LEAF]:
-            for t in trees_v + [LEAF]:
-                for x in (s, extended_tree(s)):
-                    for y in (t, extended_tree(t)):
-                        assert restricted_tensor(x, y).code == \
-                            reference_restricted_tensor(x, y).code
-
+# ---- the referee's size cap and argument checks ----
 
 def test_restricted_tensor_size_cap_and_argument_errors():
     t = elementary_tree((4, 4))
     with pytest.raises(GraphSizeError):
-        restricted_tensor(t, extended_tree(t), max_nodes=255)
-    assert restricted_tensor(t, extended_tree(t), max_nodes=256) == \
+        reference_restricted_tensor(t, extended_tree(t), max_nodes=255)
+    assert reference_restricted_tensor(t, extended_tree(t), max_nodes=256) == \
         reference_restricted_tensor(t, extended_tree(t))
     with pytest.raises(ValueError):
-        restricted_tensor(LEAF, disjoint_sum([cyc(1), cyc(1)]))
+        reference_restricted_tensor(LEAF, disjoint_sum([cyc(1), cyc(1)]))
     with pytest.raises(TypeError):
-        restricted_tensor(LEAF, [0])
+        reference_restricted_tensor(LEAF, [0])
 
 
 # ---- brute_graph's successor sequences ----
@@ -290,4 +228,5 @@ def test_amap_graph_of_a_coprime_product_is_the_tensor(name, dom, draw):
             continue
         pairs += 1
         whole = brute_amap_graph(dom, a, dom.ideal_mul(m, n))
-        assert whole == tensor(brute_amap_graph(dom, a, m), brute_amap_graph(dom, a, n)), (a, m, n)
+        assert whole == reference_tensor(brute_amap_graph(dom, a, m),
+                                         brute_amap_graph(dom, a, n)), (a, m, n)

@@ -22,11 +22,11 @@ from amap.cli import main
 from amap.applications import linearized_check, redei_check
 from amap.dynamics import _corrupt, predicted_graph, verify
 from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, GraphSizeError,
-                         brute_graph, compact, cyc, decompose_successors,
-                         disjoint_sum, extended_tree, materialize, render,
-                         restricted_tensor, tensor, to_dot)
+                         brute_graph, compact, decompose_successors, disjoint_sum,
+                         materialize, render, to_dot)
 from amap.integers import IntegerDomain
-from amap.trees import LEAF, Keyed, RootedTree, elementary_tree, partial_tree
+from amap.trees import LEAF, Keyed, RootedTree, elementary_tree
+from test_graph_products import cyc, partial_tree
 
 Z = IntegerDomain()
 # seeded like the rest of the suite: the same examples on every run
@@ -328,26 +328,13 @@ def test_deep_trees_render_without_recursion():
 
 # ---- the graph materializers check their size first ----
 
-def test_materializers_refuse_huge_graphs_before_allocating(monkeypatch):
+def test_materializers_refuse_huge_graphs_before_allocating():
     huge = predicted_graph(Z, 1, 10**18).graph
-    big = cyc(10**4)
     with pytest.raises(GraphSizeError):
         to_dot(huge)
     with pytest.raises(GraphSizeError):
         materialize(huge)
-    real = graphs.materialize
-    calls = []
-    monkeypatch.setattr(graphs, "materialize",
-                        lambda g, *args: calls.append(g.node_count) or real(g, *args))
-    with pytest.raises(GraphSizeError):
-        tensor(big, big)  # 10^8 nodes: refused before either side is built
-    assert calls == []
-    with pytest.raises(GraphSizeError):  # each side is checked as it is built
-        restricted_tensor(elementary_tree([10**9]), LEAF)
     assert to_dot(cyc(2), max_nodes=2).count("->") == 2
-    assert tensor(cyc(2), cyc(3), max_nodes=6) == cyc(6)
-    looped = extended_tree(elementary_tree([2, 2]))
-    assert restricted_tensor(looped, looped, max_nodes=16) == elementary_tree([4, 4])
 
 
 # ---- the CLI: code below the cap, the compact graph above it ----

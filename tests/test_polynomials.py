@@ -8,7 +8,7 @@ from amap.dynamics import predicted_graph
 from amap.finitefield import GF, field
 from amap.polynomials import (Poly, PolyDomain, factor_poly, irreducibles,
                               is_irreducible)
-from test_orders import divisors
+from test_orders import divisors, mult_order
 
 F2 = field(2)
 F3 = field(3)
@@ -200,9 +200,9 @@ class TestPolyDomain:
         assert D2.euler_phi(n) == units == 3
 
     def test_mult_order(self):
-        assert D2.mult_order(poly(D2, 0, 1), poly(D2, 1, 1, 1)) == 3
+        assert mult_order(D2, poly(D2, 0, 1), poly(D2, 1, 1, 1)) == 3
         with pytest.raises(NotCoprimeError):
-            D2.mult_order(poly(D2, 0, 1), poly(D2, 0, 0, 1))
+            mult_order(D2, poly(D2, 0, 1), poly(D2, 0, 0, 1))
 
     def test_divisors(self):
         divs = divisors(D2, poly(D2, 1, 0, 0, 1))

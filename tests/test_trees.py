@@ -4,7 +4,8 @@ import re
 import pytest
 
 from amap import trees
-from amap.trees import LEAF, RootedTree, elementary_tree, partial_tree
+from amap.trees import LEAF, RootedTree, elementary_tree
+from test_graph_products import partial_tree
 
 
 def test_leaf_code():
