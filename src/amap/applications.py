@@ -8,19 +8,21 @@ fields.  The Redei, Chebyshev and linearized checks predict a whole graph
 with the generic machinery, Chebyshev's as two folded torus a-maps glued,
 and compare its key with the brute-force graph of the actual map.
 
-The Redei and Chebyshev maps are evaluated at every point, as whole tables:
-``_BLOCK`` points at a time, with one ``GF`` list operation per arithmetic
-step.  They are built by doubling over the bits of the degree n, so a table
-costs O(q log n) field operations.  A linearized map is F_p-linear: it is
-evaluated at an F_p basis only, and ``polynomials._fp_linear_table`` fills in
-its table, as it does the quotient-ring successor table.
+The Redei and Chebyshev maps are evaluated at every point, as whole tables,
+``_BLOCK`` points at a time.  They are built by doubling over the bits of
+the degree n, so a table costs O(q log n) field operations.  Over a prime
+field a ladder step is one list comprehension per coordinate on ints mod p;
+over an extension field it is one ``GF`` list operation per arithmetic step.
+A linearized map is F_p-linear: it is evaluated at an F_p basis only, and
+``polynomials._fp_linear_table`` fills in its table, as it does the
+quotient-ring successor table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .base import cycle_type, factor_int, power
 from .dynamics import JsonReport, Report, brute_amap_graph, predicted_graph
@@ -29,7 +31,7 @@ from .graphs import (DEFAULT_MAX_CODE_BYTES, DEFAULT_MAX_NODES, Component, Funct
                      _check_size, brute_graph, render)
 from .integers import IntegerDomain
 from .polynomials import Poly, PolyDomain, _fp_linear_table
-from .quadorder import QuadInt, QuadOrder
+from .quadorder import QuadInt, QuadOrder, _sqrt_mod
 from .trees import elementary_tree, folded_tree
 
 __all__ = ["redei_check", "chebyshev_check", "linearized_check",
@@ -87,8 +89,16 @@ def _redei_successors(F: GF, n: int, a: int) -> Sequence[int]:
 
     Point 0 is infinity and point i > 0 the i-th finite non-root.  A pole
     goes to infinity; the roots of a are fixed points that nothing else
-    reaches, so dropping them leaves a closed map.
+    reaches, so dropping them leaves a closed map.  A prime field computes on
+    ints mod p, any other field by `GF` list operations.
     """
+    if F.k == 1:
+        return _redei_prime_successors(F, n, a)
+    return _redei_field_successors(F, n, a)
+
+
+def _redei_field_successors(F: GF, n: int, a: int) -> Sequence[int]:
+    """`_redei_successors` by `GF` list operations, over any field."""
     inv = F.inverse_table()
     succ = F.code_array([0])  # infinity is absorbing; x is at x + 1 for now
     roots = []
@@ -107,6 +117,42 @@ def _redei_successors(F: GF, n: int, a: int) -> Sequence[int]:
     for block in _blocks(succ):
         out.extend([s - (s > i) - (s > j) for s in block])
     return out
+
+
+def _redei_prime_successors(F: GF, n: int, a: int) -> Sequence[int]:
+    """`_redei_successors` over F_p, on ints mod p.
+
+    The roots of a come from Tonelli-Shanks and are left out of the points
+    the ladder runs on.  Each ladder step is one comprehension per
+    coordinate, and one last pass per block takes the ratio u/v and numbers
+    it through `index`, which steps over the roots.
+    """
+    p = F.p
+    inv = F.inverse_table()
+    root = _sqrt_mod(a, p)
+    if root is None:
+        points, index = range(p), range(1, p + 1)
+    else:  # no point maps to a root, so the roots' index entries are never read
+        r1, r2 = sorted((root, p - root))
+        points = chain(range(r1), range(r1 + 1, r2), range(r2 + 1, p))
+        index = chain(range(1, r1 + 1), [0], range(r1 + 1, r2), [0], range(r2, p - 1))
+    index = F.code_array(index)
+    bits = bin(n)[3:]
+    succ = F.code_array([0])  # infinity is absorbing
+    for xs in _blocks(points):
+        if n == 1:
+            u, v = xs, [1] * len(xs)
+        else:  # (x + sqrt(a))^2 = (x^2 + a) + 2x*sqrt(a)
+            u, v = [(x * x + a) % p for x in xs], [2 * x % p for x in xs]
+        for i, bit in enumerate(bits):
+            if i:
+                u, v = ([(s * s + a * t * t) % p for s, t in zip(u, v)],
+                        [2 * s * t % p for s, t in zip(u, v)])
+            if bit == "1":
+                u, v = ([(s * x + a * t) % p for s, t, x in zip(u, v, xs)],
+                        [(s + t * x) % p for s, t, x in zip(u, v, xs)])
+        succ.extend([index[s * inv[t] % p] if t else 0 for s, t in zip(u, v)])
+    return succ
 
 
 def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> Report:
@@ -162,8 +208,16 @@ def _chebyshev_successors(F: GF, n: int) -> Sequence[int]:
     """T_n at every code of F.
 
     The ladder keeps (T_k, T_k+1) from k = 1 and doubles over the bits of n
-    with T_2k = T_k^2 - 2 and T_2k+1 = T_k * T_k+1 - x.
+    with T_2k = T_k^2 - 2 and T_2k+1 = T_k * T_k+1 - x.  A prime field
+    computes on ints mod p, any other field by `GF` list operations.
     """
+    if F.k == 1:
+        return _chebyshev_prime_successors(F, n)
+    return _chebyshev_field_successors(F, n)
+
+
+def _chebyshev_field_successors(F: GF, n: int) -> Sequence[int]:
+    """`_chebyshev_successors` by `GF` list operations, over any field."""
     two = F.add(F.one, F.one)
     succ = F.code_array()
     for xs in _blocks(range(F.q)):
@@ -178,6 +232,26 @@ def _chebyshev_successors(F: GF, n: int) -> Sequence[int]:
             else:
                 lo, hi = (F.sub_all(F.mul_all(lo, lo), twos),
                           F.sub_all(F.mul_all(lo, hi), xs) if more else None)
+        succ.extend(lo)
+    return succ
+
+
+def _chebyshev_prime_successors(F: GF, n: int) -> Sequence[int]:
+    """`_chebyshev_successors` over F_p, on ints mod p: one comprehension per
+    ladder coordinate and step."""
+    p = F.p
+    bits = bin(n)[3:]
+    succ = F.code_array()
+    for xs in _blocks(range(p)):
+        lo, hi = xs, [(x * x - 2) % p for x in xs]
+        for i, bit in enumerate(bits, 1):
+            more = i < len(bits)  # after the last bit only T_n is needed
+            if bit == "1":
+                lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],
+                          [(t * t - 2) % p for t in hi] if more else None)
+            else:
+                lo, hi = ([(s * s - 2) % p for s in lo],
+                          [(s * t - x) % p for s, t, x in zip(lo, hi, xs)] if more else None)
         succ.extend(lo)
     return succ
 

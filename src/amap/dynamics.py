@@ -96,7 +96,9 @@ class JsonReport:
     The dict starts with the class's ``family`` tag when it has one, then
     lists the fields in declaration order, leaving out fields set to None.
     A graph or tree field ``x`` is written as ``x_code``, its canonical
-    code: codes are rendered here and nowhere else in a report, save that
+    code, unless an earlier field ``y`` holds an equal value: then it is
+    written as ``"x_same_as": "y"``, so a passing check writes its code once.
+    Codes are rendered here and nowhere else in a report, save that
     `ECTreesReport` stores its tree codes, which the benchmark reads.
     """
 
@@ -104,9 +106,13 @@ class JsonReport:
 
     def as_dict(self) -> dict:
         out = {"family": self.family} if self.family is not None else {}
+        first: dict[Keyed, str] = {}  # value -> the first field that holds it
         for f in fields(self):
             if isinstance(v := getattr(self, f.name), Keyed):
-                out[f"{f.name}_code"] = v.code
+                if (name := first.setdefault(v, f.name)) == f.name:
+                    out[f"{f.name}_code"] = v.code
+                else:
+                    out[f"{f.name}_same_as"] = name
             elif v is not None:
                 out[f.name] = v
         return out

@@ -87,8 +87,10 @@ class TestRedei:
     def test_report_shape(self):
         data = json.loads(redei_check(7, 2, 3).to_json())
         assert data["params"]["family"] == "redei"
+        # a passing check writes its one code once
         assert {"domain", "a", "n", "isomorphic", "predicted_code",
-                "brute_code", "node_count", "summands"} <= set(data)
+                "brute_same_as", "node_count", "summands"} <= set(data)
+        assert "brute_code" not in data and data["brute_same_as"] == "predicted"
 
 
 class TestChebyshev:
@@ -156,8 +158,9 @@ class TestChebyshev:
 
     def test_report_shape(self):
         data = json.loads(chebyshev_check(7, 2).to_json())
-        assert list(data) == ["family", "q", "n", "ok", "predicted_code", "brute_code",
+        assert list(data) == ["family", "q", "n", "ok", "predicted_code", "brute_same_as",
                               "node_count", "periodic_checked", "skipped"]
+        assert data["brute_same_as"] == "predicted"
 
     def test_rejects_even_q(self):
         with pytest.raises(ValueError):

@@ -253,6 +253,35 @@ def test_reports_reparse_as_json(capsys):
         json.loads(out)  # must re-parse
 
 
+def test_reports_write_each_distinct_code_once(capsys):
+    # a passing check writes its one code once; the corrupt control, whose
+    # graphs differ, writes both
+    graph_fields = {"predicted", "brute", "brute_field", "brute_quotient"}
+    passing = (["verify", "--domain", "Z", "--a", "2", "--n", "24"],
+               ["verify", "--domain", "quad:-5", "--a", "1,1", "--n-gens", "6,0"],
+               ["redei", "--q", "13", "--a", "3", "--n", "3"],
+               ["chebyshev", "--q", "11", "--n", "3"],
+               ["linpoly", "--q", "3", "--n", "3", "--f", "2,0,1"])
+    for argv in passing:
+        code, out = run_cli(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0
+        codes = [key for key in data if key.endswith("_code")]
+        same = {key.removesuffix("_same_as"): name for key, name in data.items()
+                if key.endswith("_same_as")}
+        assert codes == ["predicted_code"], argv
+        assert same and {"predicted", *same} <= graph_fields, argv
+        assert set(same.values()) == {"predicted"}, argv
+        assert out.count(data["predicted_code"]) == 1, argv
+    code, out = run_cli(capsys, "verify", "--domain", "Z", "--a", "2", "--n", "24",
+                        "--corrupt-cycle")
+    data = json.loads(out)
+    assert code == 1 and not data["isomorphic"]
+    assert [key for key in data if key.endswith(("_code", "_same_as"))] == \
+        ["predicted_code", "brute_code"]
+    assert data["predicted_code"] != data["brute_code"]
+
+
 def test_console_entry_point_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "amap.cli", "verify", "--domain", "Z",

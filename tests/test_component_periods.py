@@ -6,7 +6,8 @@ list of hanging trees, a uniform branch and the least rotation otherwise),
 `reference_ideal_mul` the earlier eight-vector body of `QuadOrder.ideal_mul`
 (the four products of the HNF bases and their w-multiples), and
 `reference_as_dict` the earlier `JsonReport.as_dict` over `asdict` (with
-a graph field written as its code), as test-only references.
+a graph field written as its code, or as the name of the first field with
+the same code), as test-only references.
 """
 
 import json
@@ -71,9 +72,15 @@ def reference_ideal_mul(order, m, n):
 
 def reference_as_dict(report):
     out = {"family": report.family} if report.family is not None else {}
+    written = []  # (graph, field name) of every code written so far
     for k, v in asdict(report).items():
-        if isinstance(v, Keyed):  # a graph field is written as its code
-            out[f"{k}_code"] = v.code
+        if isinstance(v, Keyed):  # a graph field is written as its code once
+            same = [name for graph, name in written if graph.code == v.code]
+            if same:
+                out[f"{k}_same_as"] = same[0]
+            else:
+                out[f"{k}_code"] = v.code
+                written.append((v, k))
         elif v is not None:
             out[k] = v
     return out
@@ -256,9 +263,13 @@ def test_report_json_is_unchanged_and_the_dict_is_shallow():
         assert report.to_json(indent=2) == json.dumps(ref, indent=2)
         for key, value in got.items():
             graph = getattr(report, key.removesuffix("_code"), None)
+            same = getattr(report, key.removesuffix("_same_as"), None)
             if key.endswith("_code") and isinstance(graph, Keyed):
                 assert value == graph.code
                 graph_fields += 1
+            elif key.endswith("_same_as") and isinstance(same, Keyed):
+                assert same == getattr(report, value)
             elif key != "family":
                 assert value is getattr(report, key)
-    assert graph_fields == 3 * 2 + 2 + 2 + 3  # verify x3, Redei, Chebyshev, linearized
+    # one code for each passing check, two for the corrupt verify
+    assert graph_fields == 1 + 2 + 1 + 1 + 1 + 1

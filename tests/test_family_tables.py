@@ -13,7 +13,9 @@ import random
 import pytest
 
 from amap import applications
-from amap.applications import (_chebyshev_successors, _field_for, _linearized_successors,
+from amap.applications import (_chebyshev_field_successors, _chebyshev_prime_successors,
+                               _chebyshev_successors, _field_for, _linearized_successors,
+                               _redei_field_successors, _redei_prime_successors,
                                _redei_successors, chebyshev_check, linearized_check,
                                redei_check)
 from amap.base import power
@@ -132,14 +134,65 @@ def test_tables_split_into_blocks_match_reference(q, monkeypatch):
             assert list(_chebyshev_successors(F, n)) == want_cheb
 
 
+# benchmark-band primes on both sides of p mod 4: -1 is a square mod 2909 only
+@pytest.mark.parametrize("p", (2903, 2909))
+def test_band_prime_tables_match_per_point_reference(p):
+    F = field(p)
+    params = _redei_params(F)
+    for n in range(1, 14):
+        for a in (params[n % 2], p - 1):
+            assert list(_redei_successors(F, n, a)) == \
+                reference_redei_successors(F, n, a), (p, a, n)
+        assert list(_chebyshev_successors(F, n)) == reference_chebyshev_successors(F, n), (p, n)
+
+
+@pytest.mark.parametrize("q", (3, 5, 7, 13, 1009))
+def test_prime_ladders_match_list_op_ladders_at_huge_degree(q):
+    # the prime path against the GF list-op path on the same field
+    F = field(q)
+    for n in (BIG_N, 2**64 + 1):
+        for a in (*_redei_params(F), q - 1):
+            assert list(_redei_prime_successors(F, n, a)) == \
+                list(_redei_field_successors(F, n, a)), (q, a, n)
+        assert list(_chebyshev_prime_successors(F, n)) == \
+            list(_chebyshev_field_successors(F, n)), (q, n)
+
+
+@pytest.mark.parametrize("q", (13, 4099))
+def test_prime_tables_read_the_points_in_blocks(q, monkeypatch):
+    # every point passes through `_blocks`, at most _BLOCK at a time
+    F = field(q)
+    real = applications._blocks
+    sizes = []
+
+    def recording(items):
+        for block in real(items):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(applications, "_blocks", recording)
+    if q == 13:
+        monkeypatch.setattr(applications, "_BLOCK", 4)
+    square, nonsquare = _redei_params(F)
+    for table, points in ((lambda: _redei_successors(F, 2, square), q - 2),
+                          (lambda: _redei_successors(F, 2, nonsquare), q),
+                          (lambda: _chebyshev_successors(F, 2), q)):
+        sizes.clear()
+        table()
+        assert sum(sizes) == points and max(sizes) <= applications._BLOCK, (q, sizes)
+
+
 def test_field_of_several_real_blocks_matches_reference():
+    # 4099 = 3 mod 4: p - 1 is a nonsquare; with a square a the two roots
+    # leave 4097 points, one block and one point
     q = 4099  # prime, a little over one block
     assert q > applications._BLOCK
     F = field(q)
-    a = _redei_params(F)[0]
-    for n in (2, 5):
-        assert list(_redei_successors(F, n, a)) == reference_redei_successors(F, n, a)
-        assert list(_chebyshev_successors(F, n)) == reference_chebyshev_successors(F, n)
+    for n in (1, 2, 5, 6):
+        for a in (*_redei_params(F), q - 1):
+            assert list(_redei_successors(F, n, a)) == \
+                reference_redei_successors(F, n, a), (a, n)
+        assert list(_chebyshev_successors(F, n)) == reference_chebyshev_successors(F, n), n
 
 
 @pytest.mark.parametrize("q", (1009, 9, 243))
@@ -217,10 +270,12 @@ def test_checks_leave_no_table_on_the_field():
     assert held() == before
 
 
-def _count_scalar_calls(monkeypatch, least_k: int = 1) -> list[int]:
-    """Counts scalar op calls on fields of degree at least least_k."""
+def _count_scalar_calls(monkeypatch, least_k: int = 1,
+                        names=("mul", "add", "sub", "inv", "pow")) -> list[int]:
+    """Counts calls of the named GF ops, by default the scalar ones, on
+    fields of degree at least least_k."""
     calls = [0]
-    for name in ("mul", "add", "sub", "inv", "pow"):
+    for name in names:
         real = getattr(GF, name)
 
         def counting(self, *args, _real=real):
@@ -237,6 +292,23 @@ def test_checks_make_few_scalar_field_calls(monkeypatch):
         calls[0] = 0
         check()
         assert calls[0] < 20
+
+
+def test_prime_field_checks_make_no_gf_calls(monkeypatch):
+    # a prime field computes on ints mod p; other fields keep the list ops
+    scalar = _count_scalar_calls(monkeypatch)
+    listed = _count_scalar_calls(monkeypatch, names=("mul_all", "add_all", "sub_all"))
+    for q in (13, 1009, 2909):
+        checks = [lambda a=a: redei_check(q, 5, a) for a in (*_redei_params(field(q)), q - 1)]
+        for check in checks + [lambda: chebyshev_check(q, 6)]:
+            scalar[0] = listed[0] = 0
+            check()
+            assert (scalar[0], listed[0]) == (0, 0), q
+    for q in (25, 243):
+        for check in (lambda: redei_check(q, 6, 2), lambda: chebyshev_check(q, 6)):
+            listed[0] = 0
+            check()
+            assert listed[0] > 0, q
 
 
 def test_warm_linearized_checks_make_few_scalar_field_calls(monkeypatch):
