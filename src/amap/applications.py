@@ -238,13 +238,20 @@ def _chebyshev_field_successors(F: GF, n: int) -> Sequence[int]:
 
 def _chebyshev_prime_successors(F: GF, n: int) -> Sequence[int]:
     """`_chebyshev_successors` over F_p, on ints mod p: one comprehension per
-    ladder coordinate and step."""
+    ladder coordinate and step, from (T_2, T_3) or (T_3, T_4) read off x."""
     p = F.p
     bits = bin(n)[3:]
     succ = F.code_array()
     for xs in _blocks(range(p)):
-        lo, hi = xs, [(x * x - 2) % p for x in xs]
-        for i, bit in enumerate(bits, 1):
+        if not bits:  # T_1
+            lo = xs
+        elif bits[0] == "0":  # (T_2, T_3)
+            lo = [(x * x - 2) % p for x in xs]
+            hi = [x * (x * x - 3) % p for x in xs] if bits[1:] else None
+        else:  # (T_3, T_4)
+            lo = [x * (x * x - 3) % p for x in xs]
+            hi = [(x * x * (x * x - 4) + 2) % p for x in xs] if bits[1:] else None
+        for i, bit in enumerate(bits[1:], 2):
             more = i < len(bits)  # after the last bit only T_n is needed
             if bit == "1":
                 lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],

@@ -264,6 +264,9 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
     the order of their least cycle node, and each cycle starts at that node.
     Every tree is labelled before the first component is yielded, and an
     entry outside [0, len(succ)) raises ValueError there, naming the first.
+    The in-degree count is the range check: an entry too large fails there
+    as an index, a negative one by one `min`, and only then a rescan looks
+    for the first.
 
     Trees are labelled bottom-up (Aho, Hopcroft and Ullman, The Design and
     Analysis of Computer Algorithms, 1974, 3.2).  Nodes of in-degree zero
@@ -276,13 +279,18 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
     every cycle node, every word repeats it.
     """
     n = len(succ)
-    if succ and not (0 <= min(succ) and max(succ) < n):
+    indeg = [0] * n
+    try:
+        for s in succ:
+            indeg[s] += 1
+    except IndexError:
+        bad = True
+    else:
+        bad = min(succ, default=0) < 0
+    if bad:
         for i, s in enumerate(succ):
             if not 0 <= s < n:
                 raise ValueError(f"successor({i}) = {s} out of range")
-    indeg = [0] * n
-    for s in succ:
-        indeg[s] += 1
     children = indeg[:]  # on a cycle, one of these is the cycle predecessor
     inner: dict[int, list[int]] = {}  # node -> labels of its peeled inner children
     trees = [LEAF]
@@ -305,9 +313,10 @@ def decompose_successors(succ: Sequence[int]) -> Iterator[tuple[list[int], list[
 
     # the successors of the leaves, listed before indeg changes
     ready = []
-    for s in list(map(succ.__getitem__, compress(range(n), map(not_, indeg)))):
-        indeg[s] -= 1
-        if not indeg[s]:
+    for s in list(compress(succ, map(not_, indeg))):
+        d = indeg[s] - 1
+        indeg[s] = d
+        if not d:
             ready.append(s)
     while ready:
         frontier, ready = ready, []

@@ -7,6 +7,8 @@ arithmetic; factorization is `base.factor_int`.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mod
 
 from .base import Domain, check_positive_int, factor_int
 
@@ -62,7 +64,7 @@ class IntegerDomain(Domain):
         """a*i mod n, from the image of the one generator 1."""
         n = check_positive_int(n)
         ar = self.mul_mod(1, a, n)
-        return [i * ar % n for i in range(n)]
+        return list(map(mod, range(0, ar * n, ar), repeat(n, n))) if ar else [0] * n
 
     def describe_element(self, a: int) -> int:
         return a

@@ -26,6 +26,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mod
 
 from .base import Domain, ZeroIdealError, factor_int, is_prime, power
 
@@ -342,11 +344,12 @@ class QuadOrder(Domain):
         A, B, C = n.a, n.b, n.c
         z = self.mul_mod(QuadInt(1, 0), a, n)
         s = C * z.x - z.y * B  # c*z = s + 0*w
-        row = [0] * A
+        row, k = [0] * A, A // C
         for j in range(C):
             y = j * z.y
             base, x = y % C * A, j * z.x - y // C * B
-            row[j::C] = [base + (m * s + x) % A for m in range(A // C)]
+            stride = map(mod, range(x, x + s * k, s), repeat(A, k)) if s else repeat(x % A, k)
+            row[j::C] = map(add, repeat(base, k), stride) if base else stride
         # index i = y*a + x plus a*w: from i = (c - w.y)*a on, y + w.y reaches
         # c and the carry takes b off x; x wraps at a either way
         w = self.mul_mod(QuadInt(0, 1), a, n)

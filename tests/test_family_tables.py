@@ -5,7 +5,9 @@ the per-point code they replaced.
 `reference_linearized_successors` keep the earlier per-point bodies of
 `redei_check` (the `step` closure), `chebyshev_check` (the `cheb` closure)
 and `linearized_check` (one scalar product per point and coefficient)
-unchanged, as test-only references.
+unchanged, as test-only references.  `ladder_chebyshev_successors` keeps the
+earlier body of `_chebyshev_prime_successors`, which started its ladder at
+(T_1, T_2) rather than at (T_2, T_3) or (T_3, T_4).
 """
 
 import random
@@ -18,7 +20,7 @@ from amap.applications import (_chebyshev_field_successors, _chebyshev_prime_suc
                                _redei_field_successors, _redei_prime_successors,
                                _redei_successors, chebyshev_check, linearized_check,
                                redei_check)
-from amap.base import power
+from amap.base import is_prime, power
 from amap.finitefield import GF, field, quadratic_character
 
 
@@ -50,6 +52,24 @@ def reference_chebyshev_successors(F, n):
         return cur
 
     return [cheb(c) for c in F.elements()]
+
+
+def ladder_chebyshev_successors(F, n):
+    p = F.p
+    bits = bin(n)[3:]
+    succ = F.code_array()
+    for xs in applications._blocks(range(p)):
+        lo, hi = xs, [(x * x - 2) % p for x in xs]
+        for i, bit in enumerate(bits, 1):
+            more = i < len(bits)  # after the last bit only T_n is needed
+            if bit == "1":
+                lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],
+                          [(t * t - 2) % p for t in hi] if more else None)
+            else:
+                lo, hi = ([(s * s - 2) % p for s in lo],
+                          [(s * t - x) % p for s, t, x in zip(lo, hi, xs)] if more else None)
+        succ.extend(lo)
+    return succ
 
 
 def reference_linearized_successors(E, frob, coeffs):
@@ -117,6 +137,18 @@ def test_linearized_table_matches_per_point_reference(q):
     for coeffs in cases:
         assert list(_linearized_successors(E, E.p, coeffs)) == \
             reference_linearized_successors(E, frob, coeffs), (q, coeffs)
+
+
+def test_chebyshev_closed_form_start_matches_the_ladder():
+    # seeded primes of the `families` band [300, 3000), both p mod 4, and
+    # every n of 1..40, so both second bits and both one-bit n (2 and 3)
+    rng = random.Random(23)
+    primes = [p for p in range(300, 3000) if is_prime(p)]
+    for p in rng.sample([p for p in primes if p % 4 == 1], 2) + \
+            rng.sample([p for p in primes if p % 4 == 3], 2):
+        F = field(p)
+        for n in range(1, 41):
+            assert _chebyshev_prime_successors(F, n) == ladder_chebyshev_successors(F, n), (p, n)
 
 
 @pytest.mark.parametrize("q", (13, 25, 243))

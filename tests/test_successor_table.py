@@ -14,6 +14,7 @@ coefficient pair also over a prime field.
 import itertools
 import operator
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,46 @@ def test_successor_table_matches_per_residue_reference(family):
         assert brute_amap_graph(dom, a, n).code == reference_code(expected), case
 
 
+def _first_row_branches(dom, a, n):
+    """The branches a case takes where `successors` builds its first row:
+    Z by a zero or a nonzero step (and a negative a, reduced first), Z[w] by
+    the stride step s, the offset `base` of each stride, and c."""
+    if isinstance(dom, IntegerDomain):
+        return {"Z ar == 0" if dom.mul_mod(1, a, n) == 0 else "Z ar > 0"} | \
+            ({"Z a < 0"} if a < 0 else set())
+    z = dom.mul_mod(QuadInt(1, 0), a, n)
+    s = n.c * z.x - z.y * n.b
+    got = {"quad s == 0" if s == 0 else "quad s < 0" if s < 0 else "quad s > 0",
+           "quad c == 1" if n.c == 1 else "quad c > 1"}
+    if any(j * z.y % n.c for j in range(n.c)):
+        got.add("quad base != 0")
+    return got
+
+
+def _negative_stride_cases():
+    """Z[w] cases with s < 0, which the seeded ideals miss: n = 2*P for a
+    split P = {p, b + w} with b > 0, so n = {2p, 2b + 2w}, and a = w."""
+    cases = []
+    for d, p in ((-1, 5), (-2, 3)):
+        O = QuadOrder(d)
+        for P in O.rational_prime_splitting(p)[1]:
+            n = O.ideal_mul(O.principal(QuadInt(2, 0)), P)
+            for a in (QuadInt(0, 1), QuadInt(1, 1), QuadInt(-3, 5)):
+                cases.append((O, a, n))
+    return cases
+
+
+def test_seeded_cases_reach_every_first_row_branch():
+    extra = _negative_stride_cases()
+    for dom, a, n in extra:
+        assert dom.successors(a, n) == reference_successors(dom, a, n), (dom, a, n)
+    reached = set()
+    for dom, a, n in CASES["Z"] + CASES["quad"] + extra:
+        reached |= _first_row_branches(dom, a, n)
+    assert reached == {"Z ar == 0", "Z ar > 0", "Z a < 0", "quad s == 0", "quad s < 0",
+                       "quad s > 0", "quad c == 1", "quad c > 1", "quad base != 0"}
+
+
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_successor_table_contract(family):
     for dom, a, n in CASES[family][::5]:
@@ -454,6 +495,32 @@ def test_out_of_range_successor_names_first_offender():
                           ([1, -2], r"successor\(1\) = -2 out")):
         with pytest.raises(ValueError, match=message):
             list(decompose_successors(succ))
+
+
+def test_decomposition_reads_every_table_type_alike():
+    # the library passes lists and GF.code_array arrays; tuples read alike
+    kinds = (list, tuple, lambda succ: array("I", succ), lambda succ: array("l", succ))
+    rng = random.Random(19)
+    maps = _random_maps(rng)[::4] + _branch_maps(rng)
+    for succ in maps:
+        want = [(c, [t.key for t in ts]) for c, ts in decompose_successors(succ)]
+        for kind in kinds[1:]:
+            got = [(c, [t.key for t in ts]) for c, ts in decompose_successors(kind(succ))]
+            assert got == want, (kind, succ)
+    # an entry >= n fails as an index, a negative one by `min`: each names
+    # the first offender, in every type that holds it
+    for succ, message in (([3, 2, 1, 4], r"successor\(3\) = 4 out"),
+                          ([0, 5, 9, 0], r"successor\(1\) = 5 out")):
+        for kind in kinds:
+            with pytest.raises(ValueError, match=message):
+                list(decompose_successors(kind(succ)))
+    for succ, message in (([0, 1, 7, -1], r"successor\(2\) = 7 out"),
+                          ([0, -1, 9, 0], r"successor\(1\) = -1 out"),
+                          ([1, 0, 0, -2], r"successor\(3\) = -2 out"),
+                          ([1, -9, 0, 0], r"successor\(1\) = -9 out")):
+        for kind in kinds[:2] + kinds[3:]:
+            with pytest.raises(ValueError, match=message):
+                list(decompose_successors(kind(succ)))
 
 
 # ---- prime-field polynomial arithmetic against the field calls ----
