@@ -14,6 +14,9 @@ its remainders packed from step to step and builds one `Poly` at the end.
 The order search multiplies residues mod n as packed ints reduced by
 Barrett's method: mu = floor(x^(2d-2) / n) is found once per modulus, and
 each product is then three big-int multiplies (`PolyDomain._product_mod`).
+Over F_2 nothing is renormalized: subtraction is XOR, so Euclid's step is
+one shift and XOR, and a slot sum mod 2 is its low bit, so a Barrett
+product reduces its slots by one AND with a mask.
 
 Factorization runs squarefree / distinct-degree / equal-degree splitting.
 The equal-degree stage derandomizes its splitting elements with a PRNG
@@ -62,8 +65,10 @@ class Poly:
 
     @classmethod
     def x_pow_minus_one(cls, field: GF, n: int) -> Poly:
-        coeffs = [field.neg(1)] + [0] * (n - 1) + [1]
-        return cls(field, coeffs)
+        """x^n - 1 for n >= 0; it is zero for n = 0."""
+        if n < 0:
+            raise ValueError(f"x^n - 1 needs n >= 0, got {n}")
+        return cls(field, [field.neg(1)] + [0] * (n - 1) + [1] if n else ())
 
     # ---- basic queries ----
 
@@ -279,9 +284,18 @@ def _packed_gcd(p: int, a: tuple, b: tuple):
     degree read off its bit length.  A slot starts below p and takes one
     product per quotient digit over it, so a step's width follows its
     quotient's length; both operands are repacked only when that changes.
+    Over F_2 a step XORs v, shifted to the top slot of u, into u (or swaps
+    them when u is shorter): slots stay 0 or 1 and the gcd is monic.
     """
     w = _slot_width(1, p)
     u, v, nu, nv = _pack(a, w), _pack(b, w), len(a), len(b)
+    if p == 2:  # subtraction is XOR, with no carry: no quotient digit, no renormalization
+        while v:
+            if (shift := u.bit_length() - v.bit_length()) < 0:
+                u, v = v, u
+            else:
+                u ^= v << shift
+        return u.to_bytes((u.bit_length() + 7) // 8, "little")
     while v:
         step = _slot_width(1 + min(nu - nv + 1, nv), p)
         if step != w:  # both are normalized: read at w, packed at step
@@ -349,19 +363,29 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
     cofactor g of monic f not yet split off, and last the rest with d = deg g.
     For squarefree f the parts multiply to f.  For any f the first part has
     d = deg f exactly when f is irreducible (Ben-Or): a reducible f has a
-    factor of degree <= deg f / 2, which the loop reaches first."""
+    factor of degree <= deg f / 2, which the loop reaches first.  Over F_2,
+    x^(2^d) is squared mod f on Barrett residues set up once: every cofactor
+    g divides f, so gcd(g, x^(2^d) - x) may read it mod f instead of mod g."""
     F = f.field
     h = x = Poly.x(F)
     g = f
     d = 0
+    if F.q == 2 and f.degree > 1:
+        lift, mul = PolyDomain(F)._product_mod(f)
+        w, h = _slot_width(f.degree, 2), lift(x)
     while g.degree > 2 * (d + 1) - 1 and g.degree > 0:
         d += 1
-        h = h.pow_mod(F.q, g)
-        common = g.gcd(h - x)
+        if F.q == 2:  # h = x^(2^d) mod f packed; XOR subtracts x; a digit is a slot's low byte
+            h = mul(h, h)
+            common = g.gcd(Poly(F, (h ^ 1 << 8 * w).to_bytes(w * f.degree, "little")[::w]))
+        else:
+            h = h.pow_mod(F.q, g)
+            common = g.gcd(h - x)
         if common.degree > 0:
             yield common, d
             g = g // common
-            h = h % g
+            if F.q != 2:
+                h = h % g
     if g.degree > 0:
         yield g, g.degree
 
@@ -536,7 +560,9 @@ class PolyDomain(Domain):
         Gathen and Gerhard, *Modern Computer Algebra*, 9.1): with mu =
         floor(x^(2d-2) / n), the quotient of f = x*y by n is floor(f / x^d)
         * mu less its d - 2 low digits, so f mod n is three big-int multiplies
-        and three normalizations.  A constant residue (d = 1) is one digit."""
+        and three normalizations.  Over F_2 a normalization is one AND with a
+        mask of one bit per slot, at any slot width.  A constant residue
+        (d = 1) is one digit."""
         F, d = self.field, n.degree
         if F.k > 1 or d < 1:
             return super()._product_mod(n)
@@ -551,6 +577,14 @@ class PolyDomain(Domain):
         mu = _pack(_packed(p, (0,) * (2 * d - 2) + (1,), (1,), n.coeffs)[0], w)
         minus_n = _pack([-c % p for c in n.coeffs], w)
         hi, mid, from_bytes = bits * d, bits * (d - 2), int.from_bytes
+        if p == 2:  # a slot sum mod 2 is its low bit
+            ones = ((1 << bits * (2 * d - 1)) - 1) // ((1 << bits) - 1)  # 1 in each slot
+            low, top = ones >> bits * (d - 1), ones >> bits * d
+
+            def mul(x: int, y: int) -> int:
+                f = x * y & ones
+                return f + ((f >> hi) * mu >> mid & top) * minus_n & low
+            return lift, mul
 
         def mul(x: int, y: int) -> int:
             f = from_bytes(_normalize(x * y, w, 2 * d - 1, p), "little")

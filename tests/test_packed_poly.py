@@ -3,22 +3,29 @@
 `list_mul` and `list_divmod` keep the earlier `F.k == 1` bodies of
 `Poly.__mul__` and `Poly.__divmod__` (a coefficient double loop, reduced mod
 p once at the end or when a digit is read) as test-only references, and
-`list_gcd` runs Euclid's loop over `list_divmod` as the packed gcd's.  The
+`list_gcd` runs Euclid's loop over `list_divmod` as the packed gcd's;
+`pow_mod_distinct_degree` keeps the distinct-degree loop that powered by
+`Poly.pow_mod` before F_2 squared Barrett residues instead.  The
 primes are chosen so that every slot width is used: one byte (p = 2, 3, 5,
 7 at low degree), two (p = 17, and p = 2, 3 past the byte bound), four
 (p = 1009), eight (p = 65537) and the general width past eight bytes
 (p = 2^32 + 15).
 """
 
+import collections
+import functools
+import operator
 import random
 import time
 
 import pytest
 
+from amap import polynomials
 from amap.base import ZeroIdealError, power
 from amap.dynamics import predicted_graph
 from amap.finitefield import field
-from amap.polynomials import Poly, PolyDomain, factor_poly, is_irreducible
+from amap.polynomials import (Poly, PolyDomain, _distinct_degree, factor_poly, irreducibles,
+                              is_irreducible)
 
 PRIMES = (2, 3, 5, 7, 17, 1009, 65537, 2**32 + 15)
 # degrees at and around the byte bounds (p = 3: 62, p = 2: 254) and up to 300
@@ -191,3 +198,81 @@ def test_degree_400_factorization_round_trips_in_under_a_second():
     assert product == f
     assert all(is_irreducible(g) for g, _ in factors)
     assert elapsed < 1.0, elapsed
+
+
+def pow_mod_distinct_degree(f: Poly):
+    """The earlier body of `_distinct_degree`: x^(q^d) by `Poly.pow_mod`
+    modulo the cofactor g not yet split off."""
+    F = f.field
+    h = x = Poly.x(F)
+    g = f
+    d = 0
+    while g.degree > 2 * (d + 1) - 1 and g.degree > 0:
+        d += 1
+        h = h.pow_mod(F.q, g)
+        common = g.gcd(h - x)
+        if common.degree > 0:
+            yield common, d
+            g = g // common
+            h = h % g
+    if g.degree > 0:
+        yield g, g.degree
+
+
+def test_f2_distinct_degree_equals_the_pow_mod_loop():
+    # squarings on Barrett residues mod f against powers mod each cofactor:
+    # seeded inputs, squares and products of equal-degree irreducibles (not
+    # squarefree, as `is_irreducible` passes any f), and x^n - 1
+    F = field(2)
+    rng = random.Random(2)
+    inputs = [_poly(rng, F, d) for d in (0, 1, 2, 3, 5, 8, 13, 31, 64, 127, 200, 255, 256, 400)]
+    inputs += [g * g for g in (_poly(rng, F, d) for d in (1, 2, 5, 17, 64, 130))]
+    for d in (1, 2, 3, 4, 5, 6):
+        irr = list(irreducibles(F, d))
+        inputs += [irr[0] ** 3, irr[0] * irr[-1], functools.reduce(operator.mul, irr)]
+    inputs += [Poly.x_pow_minus_one(F, n) for n in range(1, 65)]
+    for f in inputs:
+        assert list(_distinct_degree(f)) == list(pow_mod_distinct_degree(f)), f
+
+
+def test_f2_path_stays_off_the_byte_table(monkeypatch):
+    # over F_2 a gcd step is an XOR and a Barrett product is masked: neither
+    # divides or normalizes, and factoring sets up one Barrett pair per input
+    # of the distinct-degree loop
+    calls = collections.Counter()
+    inputs, moduli = [], []
+
+    def counted(name, log=None):
+        real = getattr(polynomials, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            if log is not None:
+                log.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(polynomials, name, wrapper)
+
+    counted("_divide")
+    counted("_normalize")
+    counted("_distinct_degree", inputs)
+    product_mod = PolyDomain._product_mod
+    monkeypatch.setattr(PolyDomain, "_product_mod",
+                        lambda self, n: moduli.append(n) or product_mod(self, n))
+    F = field(2)
+    rng = random.Random(3)
+    for d in (1, 13, 200, 300):
+        a, b = _poly(rng, F, d), _poly(rng, F, d - 1)
+        assert a.gcd(b) == list_gcd(a, b)
+        assert not calls, (d, calls)
+        n = _poly(rng, F, d + 1)
+        lift, mul = PolyDomain(F)._product_mod(n)
+        x, y, want = lift(a), lift(b), lift(list_divmod(list_mul(a, b), n)[1])
+        calls.clear()
+        assert mul(x, y) == want
+        assert not calls["_normalize"], (d, calls)
+        calls.clear()
+    for f in (_poly(rng, F, 400), Poly.x_pow_minus_one(F, 63), _poly(rng, F, 30) ** 4):
+        inputs.clear()
+        moduli.clear()
+        factor_poly(f)
+        assert moduli == [g for g in inputs if g.degree > 1] != [], f

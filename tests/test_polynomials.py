@@ -116,6 +116,15 @@ class TestPolyArithmetic:
         assert (g - f).coeffs == (F9.sub(4, 1), F9.sub(0, 2), F9.sub(0, 5))
         assert (f - f).is_zero
 
+    def test_x_pow_minus_one(self):
+        F9 = field(3, 2)
+        assert Poly.x_pow_minus_one(F2, 3) == poly(D2, 1, 0, 0, 1)
+        assert Poly.x_pow_minus_one(F9, 1) == Poly(F9, (F9.neg(1), 1))
+        assert Poly.x_pow_minus_one(F3, 0).is_zero  # x^0 - 1 = 0
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match="needs n >= 0"):
+                Poly.x_pow_minus_one(F3, n)
+
     def test_hash_is_that_of_equal_polynomials(self):
         assert hash(Poly(F3, [1, 2, 0])) == hash(Poly(F3, (1, 2)))
         assert {Poly(F3, [1, 2, 0]): 1}[Poly(F3, (1, 2))] == 1

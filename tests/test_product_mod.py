@@ -4,9 +4,9 @@
 residue of a mod n in a form whose == is equality mod n, and mul multiplies
 two such residues.  Each domain's pair is checked against `reduce` and
 `mul_mod` on seeded elements: Z, F_q[x] over prime fields of every slot width
-(Barrett products), over F_4 and F_9 (the default pair), Z[i] with HNFs
-{a, b + c*w} for c = 1 and c > 1, Z[sqrt(-5)] at non-principal primes, the
-unit ideal and degree-1 moduli.
+(Barrett products) and over F_2 on both sides of its byte bound, over F_4 and
+F_9 (the default pair), Z[i] with HNFs {a, b + c*w} for c = 1 and c > 1,
+Z[sqrt(-5)] at non-principal primes, the unit ideal and degree-1 moduli.
 """
 
 import random
@@ -62,6 +62,22 @@ def test_prime_field_polynomials(p):
         elements += [_poly(rng, F, rng.randrange(max(d, 1))) for _ in range(10)]
         elements += [_poly(rng, F, rng.randrange(d, 2 * d + 4)) for _ in range(4)]
         assert_products_agree(D, n, elements, rng)
+
+
+@pytest.mark.parametrize("d", [254, 255, 256, 300, 511])
+def test_f2_products_around_the_byte_bound(d):
+    # the parity mask at one-byte slots (d <= 255) and at two (d >= 256)
+    F = field(2)
+    D, rng = PolyDomain(F), random.Random(d)
+    assert _slot_width(d, 2) == (1 if d < 256 else 2)
+    for n in (_poly(rng, F, d), Poly(F, (1,) * (d + 1))):
+        elements = [Poly(F), D.one_element, n] + [Poly(F, (1,) * k) for k in (d, d + 1, 2 * d)]
+        elements += [_poly(rng, F, rng.randrange(d)) for _ in range(6)]
+        elements += [_poly(rng, F, rng.randrange(d, 2 * d + 4)) for _ in range(4)]
+        assert_products_agree(D, n, elements, rng)
+        lift, mul = D._product_mod(n)
+        dense = Poly(F, (1,) * d)  # its square has slot sums up to d, past one byte at d >= 256
+        assert mul(lift(dense), lift(dense)) == lift(D.mul_mod(dense, dense, n)), n
 
 
 def test_barrett_products_use_every_slot_width():
