@@ -8,11 +8,14 @@ fields.  The Redei, Chebyshev and linearized checks predict a whole graph
 with the generic machinery, Chebyshev's as two folded torus a-maps glued,
 and compare its key with the brute-force graph of the actual map.
 
-The Redei and Chebyshev maps are evaluated at every point, as whole tables,
-``_BLOCK`` points at a time.  They are built by doubling over the bits of
-the degree n, so a table costs O(q log n) field operations.  Over a prime
-field a ladder step is one list comprehension per coordinate on ints mod p;
-over an extension field it is one ``GF`` list operation per arithmetic step.
+The Redei and Chebyshev maps are evaluated as whole tables, ``_BLOCK``
+points at a time.  They are built by doubling over the bits of the degree
+n, so a table costs O(q log n) field operations.  Over a prime field a
+ladder step is one list comprehension per coordinate on ints mod p, and
+only the points x <= (p - 1) / 2 are evaluated: the maps have a parity,
+R_n(-x) = -R_n(x) (a pole mirrors to a pole) and T_n(-x) = (-1)^n T_n(x),
+so the rest of the table is the evaluated half reversed.  Over an extension
+field every point is evaluated, one ``GF`` list operation per arithmetic step.
 A linearized map is F_p-linear: it is evaluated at an F_p basis only, and
 ``polynomials._fp_linear_table`` fills in its table, as it does the
 quotient-ring successor table.
@@ -122,36 +125,47 @@ def _redei_field_successors(F: GF, n: int, a: int) -> Sequence[int]:
 def _redei_prime_successors(F: GF, n: int, a: int) -> Sequence[int]:
     """`_redei_successors` over F_p, on ints mod p.
 
-    The roots of a come from Tonelli-Shanks and are left out of the points
-    the ladder runs on.  Each ladder step is one comprehension per
-    coordinate, and one last pass per block takes the ratio u/v and numbers
-    it through `index`, which steps over the roots.
+    The ladder runs on x <= (p - 1) / 2, one comprehension per coordinate
+    and step, and one last pass per block numbers the ratio u/v through
+    `index`, which steps over the roots of a (from Tonelli-Shanks).  The
+    lower root is left out of the points, and its negative, the upper root,
+    out of the mirror: R_n(-x) = -R_n(x), so the upper half is the lower one
+    reversed through `negated`.
     """
-    p = F.p
+    p, h = F.p, (F.p - 1) // 2
     inv = F.inverse_table()
     root = _sqrt_mod(a, p)
     if root is None:
-        points, index = range(p), range(1, p + 1)
+        points, index = range(h + 1), range(1, p + 1)
     else:  # no point maps to a root, so the roots' index entries are never read
         r1, r2 = sorted((root, p - root))
-        points = chain(range(r1), range(r1 + 1, r2), range(r2 + 1, p))
+        points = chain(range(r1), range(r1 + 1, h + 1))
         index = chain(range(1, r1 + 1), [0], range(r1 + 1, r2), [0], range(r2, p - 1))
     index = F.code_array(index)
-    bits = bin(n)[3:]
+    bits, a2 = bin(n)[3:], 2 * a
     succ = F.code_array([0])  # infinity is absorbing
     for xs in _blocks(points):
-        if n == 1:
+        if not bits:
             u, v = xs, [1] * len(xs)
-        else:  # (x + sqrt(a))^2 = (x^2 + a) + 2x*sqrt(a)
+        elif bits[0] == "0":  # (x + sqrt(a))^2 = (x^2 + a) + 2x*sqrt(a)
             u, v = [(x * x + a) % p for x in xs], [2 * x % p for x in xs]
-        for i, bit in enumerate(bits):
-            if i:
+        else:  # (x + sqrt(a))^3 = (x^3 + 3ax) + (3x^2 + a)*sqrt(a)
+            u, v = [x * (x * x + 3 * a) % p for x in xs], [(3 * x * x + a) % p for x in xs]
+        for bit in bits[1:]:
+            if bit == "1":  # a square and the multiply after it, in one pass
+                u, v = ([((s * s + a * t * t) * x + a2 * s * t) % p for s, t, x in zip(u, v, xs)],
+                        [(s * s + a * t * t + 2 * s * t * x) % p for s, t, x in zip(u, v, xs)])
+            else:
                 u, v = ([(s * s + a * t * t) % p for s, t in zip(u, v)],
                         [2 * s * t % p for s, t in zip(u, v)])
-            if bit == "1":
-                u, v = ([(s * x + a * t) % p for s, t, x in zip(u, v, xs)],
-                        [(s + t * x) % p for s, t, x in zip(u, v, xs)])
         succ.extend([index[s * inv[t] % p] if t else 0 for s, t in zip(u, v)])
+    # negated[j] is the number of -y, for j the number of y
+    negated = index[:1] + index[p - 1:0:-1]  # index[-y] at y
+    if root is not None:  # the roots have no number
+        del negated[r2], negated[r1]
+    negated.insert(0, 0)  # infinity
+    for j in range(len(succ) - 1, 1, -_BLOCK):  # x = h..1 gives -x = p - h..p - 1
+        succ.fromlist([negated[y] for y in succ[j:max(j - _BLOCK, 1):-1]])
     return succ
 
 
@@ -161,8 +175,10 @@ def redei_check(q: int, n: int, a: int, max_nodes: int = DEFAULT_MAX_NODES) -> R
     The map is evaluated through the pair recurrence for (x + sqrt(y))^n,
     so no square roots are needed; poles go to the absorbing point at
     infinity.  The domain drops the fixed points +-sqrt(a) when they exist.
-    All q finite points are evaluated as one table, at a cost of O(q log n)
-    field operations.
+    The map is tabled at a cost of O(q log n) field operations.  Over F_p
+    only x <= (p - 1) / 2 are evaluated, and R_n(-x) = -R_n(x) gives the
+    rest: conjugating sqrt(a) turns (-x + sqrt(a))^n = (-1)^n (x - sqrt(a))^n
+    into u(-x) = (-1)^n u(x) and v(-x) = (-1)^(n+1) v(x).
     """
     F = _field_for(q)
     if F.q % 2 == 0:
@@ -238,11 +254,13 @@ def _chebyshev_field_successors(F: GF, n: int) -> Sequence[int]:
 
 def _chebyshev_prime_successors(F: GF, n: int) -> Sequence[int]:
     """`_chebyshev_successors` over F_p, on ints mod p: one comprehension per
-    ladder coordinate and step, from (T_2, T_3) or (T_3, T_4) read off x."""
-    p = F.p
+    ladder coordinate and step, from (T_2, T_3) or (T_3, T_4) read off x.
+    The ladder runs on x <= (p - 1) / 2, and T_n(-x) = (-1)^n T_n(x) fills
+    in the rest."""
+    p, h = F.p, (F.p - 1) // 2
     bits = bin(n)[3:]
     succ = F.code_array()
-    for xs in _blocks(range(p)):
+    for xs in _blocks(range(h + 1)):
         if not bits:  # T_1
             lo = xs
         elif bits[0] == "0":  # (T_2, T_3)
@@ -260,6 +278,12 @@ def _chebyshev_prime_successors(F: GF, n: int) -> Sequence[int]:
                 lo, hi = ([(s * s - 2) % p for s in lo],
                           [(s * t - x) % p for s, t, x in zip(lo, hi, xs)] if more else None)
         succ.extend(lo)
+    for j in range(h, 0, -_BLOCK):
+        upper = succ[j:max(j - _BLOCK, 0):-1]
+        if n % 2:
+            succ.fromlist([p - y if y else 0 for y in upper])
+        else:
+            succ.extend(upper)
     return succ
 
 
@@ -290,8 +314,9 @@ def chebyshev_check(q: int, n: int,
     1/z to one point, and T_n(z + 1/z) = z^n + z^-n.  So T_n is x -> n*x on
     Z/(q-1) and on Z/(q+1), each folded by negation and the two glued at 0
     (x = 2) and at the half point (x = -2) (Lidl, Mullen and Turnwald,
-    *Dickson Polynomials*, 1993).  T_n is evaluated at all q points as one
-    table, at a cost of O(q log n) field operations.
+    *Dickson Polynomials*, 1993).  T_n is tabled at a cost of O(q log n)
+    field operations; over F_p only x <= (p - 1) / 2 are evaluated, and
+    T_n(-x) = (-1)^n T_n(x) gives the rest.
     """
     F = _field_for(q)
     if F.q % 2 == 0:

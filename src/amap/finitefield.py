@@ -227,14 +227,17 @@ class GF:
         return array("I" if self.q < 1 << 32 else "Q", codes)
 
     def inverse_table(self) -> array:
-        """1/x at every code x, with 0 -> 0; a new array on each call."""
+        """1/x at every code x, with 0 -> 0; a new array on each call.  Over
+        F_p the recurrence fills x <= (p - 1) / 2, as it reads p % x < x, and
+        1/(p - x) = p - 1/x the rest."""
         if self.k == 1:
-            p = self.p
-            inv = [0] * p  # the recurrence runs faster on a list than on an array
-            inv[1] = 1
-            for i in range(2, p):  # from p = (p // i) * i + p % i
+            p, h = self.p, (self.p - 1) // 2
+            inv = [0, 1] + [0] * (h - 1)  # the recurrence runs faster on a list than on an array
+            for i in range(2, h + 1):  # from p = (p // i) * i + p % i
                 inv[i] = -(p // i) * inv[p % i] % p
-            return self.code_array(inv)
+            inv = self.code_array(inv)
+            inv.fromlist([p - y for y in inv[h:0:-1]])
+            return inv
         exp, log, _ = self._table_set()
         inv = self.code_array(exp[-i] for i in log)
         inv[0] = 0

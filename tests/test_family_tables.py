@@ -8,9 +8,16 @@ and `linearized_check` (one scalar product per point and coefficient)
 unchanged, as test-only references.  `ladder_chebyshev_successors` keeps the
 earlier body of `_chebyshev_prime_successors`, which started its ladder at
 (T_1, T_2) rather than at (T_2, T_3) or (T_3, T_4).
+`full_field_redei_successors` and `full_field_chebyshev_successors` keep the
+prime-field bodies that evaluated every point, before the tables evaluated
+x <= (p - 1) / 2 and mirrored the rest by parity and the Redei ladder fused
+each square with the multiply after it; the Redei one reads its inverses
+from `pow` rather than from `GF.inverse_table`.
 """
 
 import random
+from array import array
+from itertools import chain
 
 import pytest
 
@@ -22,6 +29,7 @@ from amap.applications import (_chebyshev_field_successors, _chebyshev_prime_suc
                                redei_check)
 from amap.base import is_prime, power
 from amap.finitefield import GF, field, quadratic_character
+from amap.quadorder import _sqrt_mod
 
 
 def reference_redei_successors(F, n, a_code):
@@ -61,6 +69,60 @@ def ladder_chebyshev_successors(F, n):
     for xs in applications._blocks(range(p)):
         lo, hi = xs, [(x * x - 2) % p for x in xs]
         for i, bit in enumerate(bits, 1):
+            more = i < len(bits)  # after the last bit only T_n is needed
+            if bit == "1":
+                lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],
+                          [(t * t - 2) % p for t in hi] if more else None)
+            else:
+                lo, hi = ([(s * s - 2) % p for s in lo],
+                          [(s * t - x) % p for s, t, x in zip(lo, hi, xs)] if more else None)
+        succ.extend(lo)
+    return succ
+
+
+def full_field_redei_successors(F, n, a):
+    p = F.p
+    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    root = _sqrt_mod(a, p)
+    if root is None:
+        points, index = range(p), range(1, p + 1)
+    else:  # no point maps to a root, so the roots' index entries are never read
+        r1, r2 = sorted((root, p - root))
+        points = chain(range(r1), range(r1 + 1, r2), range(r2 + 1, p))
+        index = chain(range(1, r1 + 1), [0], range(r1 + 1, r2), [0], range(r2, p - 1))
+    index = F.code_array(index)
+    bits = bin(n)[3:]
+    succ = F.code_array([0])  # infinity is absorbing
+    for xs in applications._blocks(points):
+        if n == 1:
+            u, v = xs, [1] * len(xs)
+        else:  # (x + sqrt(a))^2 = (x^2 + a) + 2x*sqrt(a)
+            u, v = [(x * x + a) % p for x in xs], [2 * x % p for x in xs]
+        for i, bit in enumerate(bits):
+            if i:
+                u, v = ([(s * s + a * t * t) % p for s, t in zip(u, v)],
+                        [2 * s * t % p for s, t in zip(u, v)])
+            if bit == "1":
+                u, v = ([(s * x + a * t) % p for s, t, x in zip(u, v, xs)],
+                        [(s + t * x) % p for s, t, x in zip(u, v, xs)])
+        succ.extend([index[s * inv[t] % p] if t else 0 for s, t in zip(u, v)])
+    return succ
+
+
+def full_field_chebyshev_successors(F, n):
+    p = F.p
+    bits = bin(n)[3:]
+    succ = F.code_array()
+    for xs in applications._blocks(range(p)):
+        if not bits:  # T_1
+            lo = xs
+        elif bits[0] == "0":  # (T_2, T_3)
+            lo = [(x * x - 2) % p for x in xs]
+            hi = [x * (x * x - 3) % p for x in xs] if bits[1:] else None
+        else:  # (T_3, T_4)
+            lo = [x * (x * x - 3) % p for x in xs]
+            hi = [(x * x * (x * x - 4) + 2) % p for x in xs] if bits[1:] else None
+        for i, bit in enumerate(bits[1:], 2):
             more = i < len(bits)  # after the last bit only T_n is needed
             if bit == "1":
                 lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],
@@ -192,13 +254,16 @@ def test_prime_ladders_match_list_op_ladders_at_huge_degree(q):
 
 @pytest.mark.parametrize("q", (13, 4099))
 def test_prime_tables_read_the_points_in_blocks(q, monkeypatch):
-    # every point passes through `_blocks`, at most _BLOCK at a time
+    # only the points x <= (q - 1) / 2, less a root of a, pass through
+    # `_blocks`, at most _BLOCK at a time; parity gives the rest
     F = field(q)
+    h = (q - 1) // 2
     real = applications._blocks
     sizes = []
 
     def recording(items):
         for block in real(items):
+            assert max(block) <= h, (q, block)
             sizes.append(len(block))
             yield block
 
@@ -206,12 +271,33 @@ def test_prime_tables_read_the_points_in_blocks(q, monkeypatch):
     if q == 13:
         monkeypatch.setattr(applications, "_BLOCK", 4)
     square, nonsquare = _redei_params(F)
-    for table, points in ((lambda: _redei_successors(F, 2, square), q - 2),
-                          (lambda: _redei_successors(F, 2, nonsquare), q),
-                          (lambda: _chebyshev_successors(F, 2), q)):
+    for table, points in ((lambda: _redei_successors(F, 2, square), h),
+                          (lambda: _redei_successors(F, 2, nonsquare), h + 1),
+                          (lambda: _chebyshev_successors(F, 2), h + 1)):
         sizes.clear()
         table()
         assert sum(sizes) == points and max(sizes) <= applications._BLOCK, (q, sizes)
+
+
+# n of both parities, of one and of many bits, and of both second bits
+MIRROR_N = (*range(1, 14), 64, 65, 100, 1001)
+
+
+@pytest.mark.parametrize("block", (4, applications._BLOCK))
+def test_half_field_tables_match_full_field_tables(block, monkeypatch):
+    # every a below 30, a square and a nonsquare (and -1) above; blocks of
+    # 4 put block edges inside the evaluated half and inside the mirror
+    monkeypatch.setattr(applications, "_BLOCK", block)
+    primes = [p for p in range(3, 60) if is_prime(p)] if block == 4 else [4099]
+    for p in primes:
+        F = field(p)
+        params = range(1, p) if p < 30 else (*_redei_params(F), p - 1)
+        for n in MIRROR_N if p < 4099 else (1, 2, 5, 64, 65, 1001):
+            for a in params:
+                assert _redei_prime_successors(F, n, a) == \
+                    full_field_redei_successors(F, n, a), (p, a, n)
+            assert _chebyshev_prime_successors(F, n) == \
+                full_field_chebyshev_successors(F, n), (p, n)
 
 
 def test_field_of_several_real_blocks_matches_reference():
@@ -279,6 +365,19 @@ def test_table_ops_match_scalar_ops(F):
     inv = F.inverse_table()
     assert len(inv) == F.q and inv[0] == 0
     assert all(F.mul(x, inv[x]) == 1 for x in range(1, F.q))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 1009, 4099, 999983))
+def test_prime_inverse_table_matches_pow(p):
+    # the recurrence fills x <= (p - 1) / 2, and 1/(p - x) = p - 1/x the rest;
+    # inverses are unique, so x * inv[x] = 1 everywhere pins the whole table,
+    # and pow referees every entry below 5000 and a sample above
+    inv = field(p).inverse_table()
+    assert isinstance(inv, array) and len(inv) == p and inv[0] == 0
+    assert [x * y % p for x, y in enumerate(inv)] == [0] + [1] * (p - 1)
+    h = (p - 1) // 2
+    xs = range(1, p) if p < 5000 else [1, h, h + 1, p - 1] + random.Random(p).sample(range(p), 1000)
+    assert [inv[x] for x in xs if x] == [pow(x, -1, p) for x in xs if x]
 
 
 @pytest.mark.parametrize("F", TABLE_FIELDS + [field(1009), field(3, 4)], ids=repr)
