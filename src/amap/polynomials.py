@@ -471,7 +471,7 @@ def _fp_linear_table(images: list[int], p: int) -> list[int]:
     one lookup in a row of the p^width sums v + g, and the chunks are then
     put together.  Callers: `PolyDomain.successors` (x -> a*x on F_q[x]/n),
     `applications._linearized_successors` (a linearized map on F_{q^n}) and
-    `GF._table_set` (x -> -x and x -> g*x on F_{p^k}).
+    `GF._table_set` (x -> g*x alone on F_{p^k}).
     """
     if p == 2:
         table = [0]

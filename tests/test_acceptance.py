@@ -19,8 +19,8 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import elementary_tree
+from domains import divisors
 from test_graph_products import cyc, extended_tree, reference_tensor
-from test_orders import divisors
 
 Z = IntegerDomain()
 Z5 = QuadOrder(-5)

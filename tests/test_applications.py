@@ -15,8 +15,8 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
+from domains import divisor_table
 from test_graph_products import cyc
-from test_orders import divisor_table
 
 Z = IntegerDomain()
 

@@ -17,9 +17,9 @@ import time
 import pytest
 
 from amap.finitefield import GF, field
-from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
+from amap.polynomials import Poly, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder
+from domains import ENTRIES
 
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -186,30 +186,14 @@ class TestLogTables:
         assert all(digit_mul(F, x, inv[x]) == 1 for x in range(1, F.q))
 
 
-Z = IntegerDomain()
-F2X = PolyDomain(field(2))
-F3X = PolyDomain(field(3))
-ZI = QuadOrder(-1)
-ZS5 = QuadOrder(-5)
-
-
-def _seeded_ideals(dom, rng):
-    if dom is Z:
-        return [rng.randrange(1, 5000) for _ in range(40)]
-    if isinstance(dom, PolyDomain):
-        q = dom.field.q
-        return [Poly(dom.field, [rng.randrange(q) for _ in range(rng.randrange(1, 9))] + [1])
-                for _ in range(40)]
-    # two generators, so non-principal ideals occur in Z[sqrt(-5)]
-    return [dom.ideal_from_generators([QuadInt(rng.randrange(1, 60), 0),
-                                       QuadInt(rng.randrange(-30, 31), rng.randrange(1, 31))])
-            for _ in range(40)]
-
-
-@pytest.mark.parametrize("dom", [Z, F2X, F3X, ZI, ZS5], ids=repr)
-def test_factor_contract(dom):
-    rng = random.Random(606)
-    for n in _seeded_ideals(dom, rng):
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=lambda entry: repr(entry.dom))
+def test_factor_contract(entry):
+    dom = entry.dom
+    ideals = list(dict.fromkeys(n for _, n in entry.instances()))
+    ideals += [dom.ideal_mul(m, n) for others in (ideals[1:], ideals[::-1])
+               for m, n in zip(ideals, others)]
+    assert len(ideals) >= (40 if entry.full else 20)
+    for n in ideals:
         fac = dom.factor(n)
         assert isinstance(fac, list)
         for prime, e in fac:
@@ -225,6 +209,7 @@ def test_factor_contract(dom):
 
 
 def test_quad_ideal_is_frozen():
+    ZS5 = QuadOrder(-5)
     ideal = ZS5.principal(QuadInt(2, 1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         ideal.a = 3

@@ -3,13 +3,14 @@
 import pytest
 
 from amap.base import power
+from amap.cli import _parse_domain
 from amap.dynamics import nu_series
 from amap.finitefield import GF, field
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
-from test_orders import divisors
+from domains import ENTRIES, divisors
 
 EXPONENTS = range(41)
 
@@ -77,28 +78,31 @@ class TestPower:
 
 class TestDerivedIdentity:
     def test_unit_ideal_values(self):
-        assert IntegerDomain().unit_ideal == 1
-        for F in (field(2), field(3, 2)):
-            unit = PolyDomain(F).unit_ideal
-            assert unit == Poly.one(F) and unit.coeffs == (1,)
-        for d in (-1, -3, -5):
-            unit = QuadOrder(d).unit_ideal
-            assert unit.d == d and unit.hnf == ((1, 0), (0, 1))
+        for entry in ENTRIES.values():
+            dom = entry.dom
+            unit = dom.unit_ideal
+            assert unit == dom.principal(dom.one_element), entry
+            assert dom.describe_ideal(unit) in (1, [1], [[1, 0], [0, 1]]), entry
+            assert dom.norm(unit) == 1 and dom.factor(unit) == [], entry
+            for n in entry.moduli:
+                assert dom.ideal_mul(unit, n) == n and dom.ideal_div(n, unit) == n, (entry, n)
+                assert dom.ideal_gcd(unit, n) == unit and dom.ideal_pow(n, 0) == unit, (entry, n)
 
     def test_unit_ideal_has_empty_nu_series(self):
-        F3 = field(3)
-        for dom, a in ((IntegerDomain(), 6), (PolyDomain(F3), Poly(F3, (0, 1))),
-                       (QuadOrder(-5), QuadInt(1, 1))):
-            series = nu_series(dom, a, dom.unit_ideal)
-            assert series == ()
-            assert elementary_tree(series) is LEAF
+        for entry in ENTRIES.values():
+            dom = entry.dom
+            for a in entry.elements:
+                if not dom.is_zero(a):
+                    series = nu_series(dom, a, dom.unit_ideal)
+                    assert series == (), (entry, a)
+                    assert elementary_tree(series) is LEAF
 
     def test_domain_equality_follows_json_tag(self):
-        domains = [IntegerDomain(), IntegerDomain(),
-                   PolyDomain(GF(2, 2)), PolyDomain(field(2, 2)),
-                   PolyDomain(field(2)), PolyDomain(field(3)),
-                   PolyDomain(field(3, 2)), PolyDomain(GF(3, 2, (2, 1, 1))),
-                   QuadOrder(-1), QuadOrder(-1), QuadOrder(-5)]
+        # each entry's domain, an equal one parsed from its spec, a custom modulus
+        domains = [entry.dom for entry in ENTRIES.values()]
+        parsed = [_parse_domain(spec) for spec in ENTRIES]
+        assert parsed == domains
+        domains += parsed + [PolyDomain(GF(3, 2, (2, 1, 1)))]
         for x in domains:
             for y in domains:
                 same = x.domain_json() == y.domain_json()
@@ -109,7 +113,7 @@ class TestDerivedIdentity:
         assert QuadOrder(-1) != QuadOrder(-5)
         assert PolyDomain(field(3, 2)) != PolyDomain(GF(3, 2, (2, 1, 1)))
         assert IntegerDomain() != {"kind": "Z"}
-        assert len(set(domains)) == 8
+        assert len(set(domains)) == len(ENTRIES) + 1
 
     def test_divisor_order_matches_the_old_per_domain_keys(self):
         Z5 = QuadOrder(-5)

@@ -9,7 +9,7 @@ cases with m < 400 even and 1 <= n <= m + 2 agreed in a one-off run; the
 test keeps a seeded sample of them, so that it takes about a second.
 
 `walk_folded_torus` keeps the earlier body of `_folded_torus`, which read the
-fold off every divisor row of the divisor walk (`test_orders.divisor_table`);
+fold off every divisor row of the divisor walk (`domains.divisor_table`);
 the fold by prime powers and `base.cycle_type` is tested against it on every
 case with m < 1200 even and 1 <= n < min(m + 3, 60).
 """
@@ -22,7 +22,7 @@ from amap.applications import _folded_torus
 from amap.graphs import Component, FunctionalGraph, brute_graph
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, RootedTree, elementary_tree, folded_tree
-from test_orders import divisor_table
+from domains import divisor_table
 
 Z = IntegerDomain()
 

@@ -18,12 +18,11 @@ import pytest
 
 from amap.applications import chebyshev_check, ec_generic_trees, linearized_check, redei_check
 from amap.dynamics import predicted_graph, verify
-from amap.finitefield import field
 from amap.graphs import Component, brute_graph
 from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder, _hnf_from_vectors
 from amap.trees import LEAF, Keyed, elementary_tree
+from domains import ENTRIES
 from test_graph_products import cyc, partial_tree
 from test_least_root import booth_min_rotation
 
@@ -177,33 +176,10 @@ def test_brute_components_match_the_reference():
 
 # ---- predictions: one tree per class ----
 
-DOMAINS = [Z, PolyDomain(field(2)), PolyDomain(field(3)), QuadOrder(-1), QuadOrder(-5)]
-
-
-def _instances(dom, rng, count):
-    while count:
-        if isinstance(dom, IntegerDomain):
-            a, n = rng.randint(-30, 30), rng.randint(1, 5000)
-        elif isinstance(dom, PolyDomain):
-            p = dom.field.q
-            n = Poly(dom.field, [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [1])
-            a = Poly(dom.field, [rng.randrange(p) for _ in range(rng.randint(0, 4))]
-                     + [rng.randrange(1, p)])
-        else:
-            x, y, ax, ay = (rng.randint(-12, 12) for _ in range(4))
-            if (x, y) == (0, 0):
-                continue
-            a, n = QuadInt(ax, ay), dom.principal(QuadInt(x, y))
-        if dom.is_zero(a):
-            continue
-        yield a, n
-        count -= 1
-
-
-@pytest.mark.parametrize("dom", DOMAINS, ids=["Z", "F2", "F3", "ZI", "Z5"])
-def test_every_predicted_class_has_a_period_of_one_tree(dom):
-    rng = random.Random(104)
-    for a, n in _instances(dom, rng, 25):
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
+def test_every_predicted_class_has_a_period_of_one_tree(entry):
+    dom = entry.dom
+    for a, n in entry.sample(25, 104):
         prediction = predicted_graph(dom, a, n)
         for comp, _ in prediction.graph.classes:
             assert len(comp.root) == 1

@@ -18,16 +18,13 @@ from itertools import product
 import pytest
 
 from amap.dynamics import _corrupt, predicted_graph
-from amap.finitefield import field
 from amap.graphs import (Component, FunctionalGraph, brute_graph, decompose_successors,
                          disjoint_sum, materialize, to_dot)
 from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain
-from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
+from domains import ENTRIES, divisor_table
 from test_graph_products import cyc, extended_tree, partial_tree, reference_restricted_tensor
 from test_least_root import booth_min_rotation
-from test_orders import divisor_table
 
 Z = IntegerDomain()
 
@@ -142,33 +139,10 @@ def test_brute_graphs_of_random_maps_match_the_reference():
         assert materialize(graph) == materialize(FunctionalGraph((c, 1) for c in ref.components))
 
 
-DOMAINS = [Z, PolyDomain(field(2)), PolyDomain(field(3)), QuadOrder(-1), QuadOrder(-5)]
-
-
-def _instances(dom, rng, count):
-    while count:
-        if isinstance(dom, IntegerDomain):
-            a, n = rng.randint(-30, 30), rng.randint(1, 5000)
-        elif isinstance(dom, PolyDomain):
-            p = dom.field.q
-            n = Poly(dom.field, [rng.randrange(p) for _ in range(rng.randint(1, 7))] + [1])
-            a = Poly(dom.field, [rng.randrange(p) for _ in range(rng.randint(0, 4))]
-                     + [rng.randrange(1, p)])
-        else:
-            x, y, ax, ay = (rng.randint(-12, 12) for _ in range(4))
-            if (x, y) == (0, 0):
-                continue
-            a, n = QuadInt(ax, ay), dom.principal(QuadInt(x, y))
-        if dom.is_zero(a):
-            continue
-        yield a, n
-        count -= 1
-
-
-@pytest.mark.parametrize("dom", DOMAINS, ids=["Z", "F2", "F3", "ZI", "Z5"])
-def test_predictions_and_corrupted_controls_match_the_reference(dom):
-    rng = random.Random(93)
-    for a, n in _instances(dom, rng, 25):
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
+def test_predictions_and_corrupted_controls_match_the_reference(entry):
+    dom = entry.dom
+    for a, n in entry.sample(25, 93):
         graph = predicted_graph(dom, a, n).graph
         ref = reference_prediction(dom, a, n)
         assert_same(graph, ref)

@@ -4,14 +4,13 @@ import random
 import pytest
 
 from amap.dynamics import (brute_amap_graph, nu_series, predicted_graph, verify)
-from amap.finitefield import field
 from amap.graphs import GraphSizeError, disjoint_sum
 from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain
+from amap.polynomials import PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
+from domains import ENTRIES, divisors
 from test_graph_products import cyc, extended_tree, reference_tensor
-from test_orders import divisors
 
 Z = IntegerDomain()
 Z5 = QuadOrder(-5)
@@ -224,33 +223,16 @@ class TestVerify:
                 assert verify(Z, a, n).isomorphic, (a, n)
 
     def test_poly_random_instances(self):
-        rng = random.Random(18)
-        for p in (2, 3):
-            dom = PolyDomain(field(p))
-            for _ in range(20):
-                deg = rng.randint(1, 4)
-                n = Poly(dom.field, [rng.randrange(p) for _ in range(deg)] + [1])
-                a = Poly(dom.field,
-                         [rng.randrange(p) for _ in range(rng.randint(0, 4))]
-                         + [rng.randrange(1, p)])
-                assert verify(dom, a, n).isomorphic, (p, a, n)
+        for entry in ENTRIES.values():
+            if isinstance(entry.dom, PolyDomain):
+                for a, n in entry.sample(20, 18, cap=300):
+                    assert verify(entry.dom, a, n).isomorphic, (entry, a, n)
 
     def test_quad_random_instances(self):
-        rng = random.Random(19)
-        for order in (ZI, Z5):
-            done = 0
-            while done < 12:
-                x, y = rng.randint(-8, 8), rng.randint(-8, 8)
-                if (x, y) == (0, 0):
-                    continue
-                n = order.principal(QuadInt(x, y))
-                if n.norm > 300:
-                    continue
-                ax, ay = rng.randint(-6, 6), rng.randint(-6, 6)
-                if (ax, ay) == (0, 0):
-                    continue
-                assert verify(order, QuadInt(ax, ay), n).isomorphic
-                done += 1
+        for entry in ENTRIES.values():
+            if isinstance(entry.dom, QuadOrder):
+                for a, n in entry.sample(12, 19, cap=300):
+                    assert verify(entry.dom, a, n).isomorphic, (entry, a, n)
 
 
 def test_tree_product_for_coprime_ideals():

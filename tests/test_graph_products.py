@@ -19,13 +19,10 @@ import pytest
 
 from amap import graphs
 from amap.dynamics import brute_amap_graph
-from amap.finitefield import field
 from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                          brute_graph, disjoint_sum, materialize)
-from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain
-from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, RootedTree, _partials, _validated, elementary_tree
+from domains import ENTRIES
 from test_successor_table import _build_tree
 
 
@@ -192,41 +189,14 @@ def test_equal_but_distinct_trees_give_the_same_component():
 
 # ---- the product rule for a-maps: brute force on m*n against the tensor ----
 
-def _z_draw(rng, dom):
-    return rng.randint(-60, 60), rng.randint(2, 45)
-
-
-def _poly_draw(rng, dom):
-    F, top = dom.field, 6 if dom.field.q == 2 else 3
-    a, n = ([rng.randrange(F.q) for _ in range(rng.randint(lo, hi))] + [1]
-            for lo, hi in ((0, 3), (1, top)))
-    return Poly(F, a), Poly(F, n)
-
-
-def _quad_draw(rng, dom):
-    a, n = (QuadInt(rng.randint(-r, r), rng.randint(-r, r)) for r in (8, 5))
-    return a, n if not n.is_zero else QuadInt(2, 1)
-
-
-PRODUCT_DOMAINS = [("Z", IntegerDomain(), _z_draw),
-                   ("F2[x]", PolyDomain(field(2)), _poly_draw),
-                   ("F3[x]", PolyDomain(field(3)), _poly_draw),
-                   ("quad-1", QuadOrder(-1), _quad_draw),
-                   ("quad-5", QuadOrder(-5), _quad_draw)]
-
-
-@pytest.mark.parametrize("name, dom, draw", PRODUCT_DOMAINS, ids=[d[0] for d in PRODUCT_DOMAINS])
-def test_amap_graph_of_a_coprime_product_is_the_tensor(name, dom, draw):
-    rng = random.Random(name)
-    pairs = 0
-    while pairs < 25:
-        a, m_gen = draw(rng, dom)
-        n_gen = draw(rng, dom)[1]
-        m, n = dom.principal(m_gen), dom.principal(n_gen)
-        if (dom.ideal_gcd(m, n) != dom.unit_ideal or min(dom.norm(m), dom.norm(n)) < 2
-                or dom.norm(m) * dom.norm(n) > 3000):
-            continue
-        pairs += 1
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
+def test_amap_graph_of_a_coprime_product_is_the_tensor(entry):
+    dom, rng = entry.dom, random.Random(entry.spec)
+    norm, moduli = dom.norm, entry.moduli
+    triples = [(a, m, n) for i, m in enumerate(moduli) for n in moduli[i + 1:]
+               if dom.ideal_gcd(m, n) == dom.unit_ideal and min(norm(m), norm(n)) >= 2
+               and norm(m) * norm(n) <= 3000 for a in entry.elements]
+    for a, m, n in rng.sample(triples, 25 if entry.full else 10):
         whole = brute_amap_graph(dom, a, dom.ideal_mul(m, n))
         assert whole == reference_tensor(brute_amap_graph(dom, a, m),
                                          brute_amap_graph(dom, a, n)), (a, m, n)

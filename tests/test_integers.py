@@ -5,7 +5,7 @@ import pytest
 
 from amap.base import NotCoprimeError, ZeroIdealError
 from amap.integers import IntegerDomain
-from test_orders import divisors, mult_order
+from domains import divisors, mult_order
 
 Z = IntegerDomain()
 

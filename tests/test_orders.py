@@ -1,20 +1,10 @@
 """Multiplicative orders by prime stripping against the linear search they replaced.
 
-`mult_order(dom, a, n)` keeps the body of the former `Domain.mult_order`,
-the order search `Domain._order` on the whole of n; the library searches one
-prime at a time (`Domain.local_rows`), so only the tests search a whole
-modulus.  `LinearOrderReference` keeps the body before that unchanged, as a
-test-only reference: it walks a, a^2, ... until it reaches 1, so it takes
-time linear in the order.  The reference domains inherit everything else
-from the library.  `scan_splitting` keeps the earlier body of
-`QuadOrder.rational_prime_splitting`, which scans all residues mod p.
-
-`divisors`, `divisor_table` and `divisor_walk` keep the earlier bodies of the
-`Domain` methods of those names, the divisor-lattice walk that predictions
-read their cycles off before `Domain.local_rows` and `base.cycle_type`: one
-row per divisor of n, d(n) ideal products and a sort.  `walk_prediction` keeps
-the earlier body of `predicted_graph` over that walk, the differential
-reference for the prediction by prime powers.
+The references, `LinearOrderReference` and the divisor walk among them, live
+in `domains`.  `scan_splitting` keeps the earlier body of
+`QuadOrder.rational_prime_splitting`, which scans all residues mod p, and
+`walk_prediction` the earlier body of `predicted_graph` over the divisor
+walk, the differential reference for the prediction by prime powers.
 """
 
 import math
@@ -30,49 +20,9 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from amap.trees import elementary_tree
+from domains import ENTRIES, divisor_table, divisors, mult_order, reference
 from test_least_root import booth_min_rotation
-
-
-def mult_order(dom, a, n) -> int:
-    """Order of a in the unit group mod n; requires gcd(<a>, n) = 1.
-
-    Raises NotCoprimeError for a non-invertible a and RuntimeError unless
-    a^phi(n) = 1 mod n.
-    """
-    dom._check_coprime(a, n)
-    return dom._order(a, n, dom.euler_phi(n))
-
-
-class LinearOrderReference:
-    def mult_order(self, a, n) -> int:
-        """Order of a in the unit group mod n; requires gcd(<a>, n) = 1."""
-        g = n if self.is_zero(a) else self.ideal_gcd(self.principal(a), n)
-        if g != self.unit_ideal:
-            raise NotCoprimeError(
-                f"element is not invertible modulo {self.describe_ideal(n)}")
-        bound = self.euler_phi(n)
-        one_r = self.reduce(self.one_element, n)
-        ar = self.reduce(a, n)
-        y = ar
-        order = 1
-        while y != one_r:
-            y = self.reduce(self.mul(y, ar), n)
-            order += 1
-            if order > bound:
-                raise RuntimeError("order exceeded Euler phi; broken arithmetic")
-        return order
-
-
-class ReferenceZ(LinearOrderReference, IntegerDomain):
-    pass
-
-
-class ReferencePoly(LinearOrderReference, PolyDomain):
-    pass
-
-
-class ReferenceQuad(LinearOrderReference, QuadOrder):
-    pass
+from test_quadorder import is_principal
 
 
 def scan_splitting(order: QuadOrder, p: int):
@@ -88,37 +38,6 @@ def scan_splitting(order: QuadOrder, p: int):
     return SplitType.RAMIFIED, primes
 
 
-def divisor_walk(dom, n, order_at):
-    """(m, phi(m), lcm of order_at(p^k, phi(p^k)) over the p^k || m) for
-    every divisor m of n, sorted by `_ideal_key`."""
-    one = dom.unit_ideal
-    table = [(one, 1, 1)]
-    for p, e in dom.factor(n):
-        norm_p = dom.norm(p)
-        powers = [(one, 1, 1)]
-        pk = one
-        for k in range(1, e + 1):
-            pk = dom.ideal_mul(pk, p)
-            phi = norm_p**k - norm_p ** (k - 1)
-            powers.append((pk, phi, order_at(pk, phi)))
-        table = [(dom.ideal_mul(m, pk), phi * phi_k, math.lcm(r, r_k))
-                 for m, phi, r in table for pk, phi_k, r_k in powers]
-    table.sort(key=lambda row: dom._ideal_key(row[0]))
-    return table
-
-
-def divisors(dom, n):
-    """All ideal divisors, sorted by norm then by canonical encoding."""
-    return [m for m, _, _ in divisor_walk(dom, n, lambda pk, phi: 1)]
-
-
-def divisor_table(dom, a, n):
-    """(m, phi(m), order of a mod m) for every divisor m, in `divisors` order.
-    Requires gcd(<a>, n) = 1."""
-    dom._check_coprime(a, n)
-    return divisor_walk(dom, n, lambda pk, phi: dom._order(a, pk, phi))
-
-
 def walk_prediction(dom, a, n):
     """(graph, summands) of x -> a*x on D/n read off every divisor of n1: each
     divisor m gives phi(m)/ord_m(a) cycles of length ord_m(a)."""
@@ -131,59 +50,7 @@ def walk_prediction(dom, a, n):
     return graph, summands
 
 
-# ---- seeded instances: moduli (primes, prime powers, composites) and elements ----
-
-def _z_instance(rng):
-    moduli = [1, 2, 7, 97, 2003, 8, 81, 3**7, 2**12, 7**4, 12, 360, 1001, 2**5 * 3**3 * 5]
-    elements = [0, 1, -1, 2, 3, 6, 10, 1000] + [rng.randint(-5000, 5000) for _ in range(8)]
-    return moduli, elements
-
-
-def _poly_instance(rng, dom):
-    F = dom.field
-    primes = [next(irreducibles(F, k)) for k in (1, 2, 3, 5)]
-    moduli = [dom.one_element] + primes + [dom.ideal_pow(p, e) for p, e in
-                                           zip(primes, (5, 3, 2))]
-    moduli += [dom.ideal_mul(primes[0], primes[2]),
-               dom.ideal_mul(dom.ideal_pow(primes[1], 2), primes[2])]
-    moduli += [Poly(F, [rng.randrange(F.q) for _ in range(d)] + [1]) for d in (6, 7, 8)]
-    elements = [dom.one_element, Poly(F, (0, 1))] + [
-        Poly(F, [rng.randrange(F.q) for _ in range(rng.randint(1, 8))] + [1])
-        for _ in range(8)]
-    return moduli, elements
-
-
-def _quad_instance(rng, order):
-    primes = []
-    for p in (2, 3, 5, 7, 11):
-        primes.extend(order.rational_prime_splitting(p)[1])
-    moduli = [order.unit_ideal] + primes + [order.ideal_pow(p, 3) for p in primes[:4]]
-    moduli += [order.ideal_mul(primes[0], primes[-1]), order.principal(QuadInt(30, 0))]
-    while len(moduli) < 24:
-        gens = [QuadInt(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(2)]
-        if any(not g.is_zero for g in gens):
-            n = order.ideal_from_generators(gens)
-            if n.norm <= 2000:
-                moduli.append(n)
-    elements = [order.one_element, QuadInt(0, 1), QuadInt(1, 1), QuadInt(2, -3)] + [
-        QuadInt(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(6)]
-    return moduli, elements
-
-
-def _instances():
-    rng = random.Random(5)
-    out = [("Z", IntegerDomain(), ReferenceZ(), *_z_instance(rng))]
-    for p in (2, 3):
-        dom = PolyDomain(field(p))
-        out.append((f"F{p}[x]", dom, ReferencePoly(field(p)), *_poly_instance(rng, dom)))
-    for d in (-1, -5):
-        order = QuadOrder(d)
-        out.append((f"quad{d}", order, ReferenceQuad(d), *_quad_instance(rng, order)))
-    return out
-
-
-INSTANCES = _instances()
-IDS = [name for name, *_ in INSTANCES]
+ORDER_CASES = 240  # of an entry's grid: the most the hand-written cases had
 
 
 def _raises_not_coprime(fn, *args):
@@ -191,46 +58,63 @@ def _raises_not_coprime(fn, *args):
         fn(*args)
 
 
-@pytest.mark.parametrize("name,dom,ref,moduli,elements", INSTANCES, ids=IDS)
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
 class TestAgainstLinearReference:
-    def test_moduli_cover_primes_powers_and_composites(self, name, dom, ref,
-                                                        moduli, elements):
-        shapes = {tuple(e for _, e in dom.factor(n)) for n in moduli}
-        assert (1,) in shapes and any(s[0] > 1 for s in shapes if len(s) == 1)
-        assert any(len(s) > 1 for s in shapes)
+    def test_moduli_cover_primes_powers_and_composites(self, entry):
+        """The seeded source holds every case kind, so no edit thins it: the
+        unit ideal, a prime, a prime power with exponent 3 or more, a product
+        of two primes, a unit a, a nonzero a in n, and in Z[sqrt(-5)] and
+        Z[(1 + sqrt(-15))/2] an ideal that is not principal."""
+        dom = entry.dom
+        shapes = {tuple(e for _, e in dom.factor(n)) for n in entry.moduli}
+        assert {(), (1,), (1, 1)} <= shapes and any(s[0] >= 3 for s in shapes if len(s) == 1)
+        nonzero = [(a, n) for a, n in entry.instances() if not dom.is_zero(a)]
+        assert any(dom.principal(a) == dom.unit_ideal for a, _ in nonzero)
+        assert any(n != dom.unit_ideal and dom.element_in_ideal(a, n) for a, n in nonzero)
+        if entry.spec in ("quad:-5", "quad:-15"):
+            assert any(not is_principal(dom, n) for n in entry.moduli if n.norm <= 100)
 
-    def test_mult_order(self, name, dom, ref, moduli, elements):
+    def test_mult_order(self, entry):
+        dom, ref = entry.dom, reference(entry.dom)
         not_coprime = 0
-        for n in moduli:
-            for a in elements:
-                try:
-                    want = ref.mult_order(a, n)
-                except NotCoprimeError:
-                    _raises_not_coprime(mult_order, dom, a, n)
-                    not_coprime += 1
-                    continue
-                assert mult_order(dom, a, n) == want, (a, n)
+        for a, n in entry.instances(entry.cap, ORDER_CASES):
+            try:
+                want = ref.mult_order(a, n)
+            except NotCoprimeError:
+                _raises_not_coprime(mult_order, dom, a, n)
+                not_coprime += 1
+                continue
+            assert mult_order(dom, a, n) == want, (a, n)
         assert not_coprime >= 5
 
-    def test_divisor_table(self, name, dom, ref, moduli, elements):
-        for n in moduli:
+    def test_divisor_table(self, entry):
+        dom, ref = entry.dom, reference(entry.dom)
+        linear = {}  # (a, m) -> the linear search's order, shared by the moduli
+
+        def order(a, m):
+            if (a, m) not in linear:
+                linear[a, m] = ref.mult_order(a, m)
+            return linear[a, m]
+
+        by_modulus = {}
+        for a, n in entry.instances(entry.cap, ORDER_CASES):
+            by_modulus.setdefault(n, []).append(a)
+        for n, elements in by_modulus.items():
+            phis = [(m, ref.euler_phi(m)) for m in divisors(ref, n)]
+            assert [m for m, _ in phis] == divisors(dom, n)
             for a in elements:
                 try:
-                    want = [(m, ref.euler_phi(m), ref.mult_order(a, m))
-                            for m in divisors(ref, n)]
+                    want = [(m, phi, order(a, m)) for m, phi in phis]
                 except NotCoprimeError:
                     _raises_not_coprime(divisor_table, dom, a, n)
                     _raises_not_coprime(dom.local_rows, a, n)
                     continue
                 assert divisor_table(dom, a, n) == want, (a, n)
-                assert [m for m, _, _ in want] == divisors(dom, n)
 
-    def test_prediction_matches_the_divisor_walk(self, name, dom, ref, moduli, elements):
-        for n in moduli:
-            for a in elements:
-                if dom.is_zero(a):
-                    continue
-                assert_prediction_matches_the_walk(dom, a, n)
+    def test_prediction_matches_the_divisor_walk(self, entry):
+        for a, n in entry.instances(entry.cap, ORDER_CASES):
+            if not entry.dom.is_zero(a):
+                assert_prediction_matches_the_walk(entry.dom, a, n)
 
 
 def assert_prediction_matches_the_walk(dom, a, n):
@@ -260,30 +144,30 @@ def test_prediction_matches_the_divisor_walk_over_twelve_primes(a):
 def test_local_rows_fill_each_prime_power():
     """On D/p^e the zero and the rows' cycles hold every point:
     1 + sum of multiplicity * cycle_len is the norm of p^e."""
-    for name, dom, ref, moduli, elements in INSTANCES:
-        for n in moduli:
-            for a in elements:
-                if dom.is_zero(a) or dom.ideal_gcd(dom.principal(a), n) != dom.unit_ideal:
-                    continue
-                for (p, e), rows in zip(dom.factor(n), dom.local_rows(a, n)):
-                    assert [pk for pk, _, _ in rows] == [dom.ideal_pow(p, k) for k in range(1, e + 1)]
-                    assert 1 + sum(phi // r * r for _, phi, r in rows) == dom.norm(p) ** e
-
-
-@pytest.mark.parametrize("name,dom,ref,moduli,elements", INSTANCES, ids=IDS)
-def test_lifted_orders_equal_the_search(name, dom, ref, moduli, elements):
-    """Past k = 1 a row's order is lifted from the one before it; a full
-    search mod p^k gives the same at every k."""
-    lifted = 0
-    for n in moduli:
-        for a in elements:
+    for entry in ENTRIES.values():
+        dom = entry.dom
+        for a, n in entry.instances(entry.cap, ORDER_CASES):
             if dom.is_zero(a) or dom.ideal_gcd(dom.principal(a), n) != dom.unit_ideal:
                 continue
-            for rows in dom.local_rows(a, n):
-                searched = [dom._order(a, pk, phi) for pk, phi, _ in rows]
-                assert [r for _, _, r in rows] == searched, (a, n)
-                lifted += len(rows) - 1
-    assert lifted >= 20, lifted
+            for (p, e), rows in zip(dom.factor(n), dom.local_rows(a, n)):
+                assert [pk for pk, _, _ in rows] == [dom.ideal_pow(p, k) for k in range(1, e + 1)]
+                assert 1 + sum(phi // r * r for _, phi, r in rows) == dom.norm(p) ** e
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
+def test_lifted_orders_equal_the_search(entry):
+    """Past k = 1 a row's order is lifted from the one before it; a full
+    search mod p^k gives the same at every k."""
+    dom = entry.dom
+    lifted = 0
+    for a, n in entry.instances(entry.cap, ORDER_CASES):
+        if dom.is_zero(a) or dom.ideal_gcd(dom.principal(a), n) != dom.unit_ideal:
+            continue
+        for rows in dom.local_rows(a, n):
+            searched = [dom._order(a, pk, phi) for pk, phi, _ in rows]
+            assert [r for _, _, r in rows] == searched, (a, n)
+            lifted += len(rows) - 1
+    assert lifted >= (20 if entry.full else 5), lifted
 
 
 def test_lifted_orders_equal_the_search_at_every_prime_power_below_2000():

@@ -8,7 +8,7 @@ from amap.dynamics import predicted_graph
 from amap.finitefield import GF, field
 from amap.polynomials import (Poly, PolyDomain, factor_poly, irreducibles,
                               is_irreducible)
-from test_orders import divisors, mult_order
+from domains import divisors, mult_order
 
 F2 = field(2)
 F3 = field(3)

@@ -13,7 +13,7 @@ import pytest
 
 from amap.base import ZeroIdealError, factor_int
 from amap.quadorder import QuadInt, QuadOrder, SplitType
-from test_orders import divisors
+from domains import divisors
 
 Z5 = QuadOrder(-5)
 ZI = QuadOrder(-1)

@@ -1,13 +1,14 @@
 """The linear successor table and the interned tree labelling, against the
 code they replaced.
 
-`reference_successors` keeps the earlier per-residue body of
+`domains.reference_successors` keeps the earlier per-residue body of
 `dynamics.brute_amap_graph` (one `mul_mod` and one dict lookup per residue),
 `reference_decompose` the first body of `graphs.decompose_successors` (a
 walk for the cycles, one `RootedTree` per node) and `peeling_decompose` the
 body it had next (peeling, one label per cycle node as its cycle is yielded,
-trees built from one entry per child) unchanged, as test-only references.  `reference_mul` and `reference_divmod` keep the earlier bodies
-of `Poly.__mul__` and `Poly.__divmod__`, which call the field once per
+trees built from one entry per child) unchanged, as test-only references.
+`reference_mul` and `reference_divmod` keep the earlier bodies of
+`Poly.__mul__` and `Poly.__divmod__`, which call the field once per
 coefficient pair also over a prime field.
 """
 
@@ -29,13 +30,7 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, _digit_sums, _fp_linear_table
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, RootedTree
-
-
-def reference_successors(dom, a, n):
-    residues = dom.residues(n)
-    index = {r: i for i, r in enumerate(residues)}
-    ar = dom.reduce(a, n)
-    return [index[dom.mul_mod(r, ar, n)] for r in residues]
+from domains import ENTRIES, reference_successors
 
 
 def _build_tree(root, children) -> RootedTree:
@@ -170,67 +165,27 @@ def reference_divmod(self, other):
     return Poly(F, quot), Poly(F, rem)
 
 
-# ---- seeded instances: (domain, element a, ideal n) ----
+# ---- seeded instances: each entry's, small and few ----
 
-def _z_cases(rng):
-    Z = IntegerDomain()
-    cases = []
-    for n in (1, 2, 12, 97, 360, 1000, 1024):
-        for a in (1, -1, n + 1, 0, n, -3 * n, 2, -6, 7, rng.randint(-10**4, 10**4)):
-            cases.append((Z, a, n))
-    return cases
+# every residue is listed, so per family of domains the cases are as few and
+# small as the hand-written ones this source replaced: (largest norm, count)
+TABLE = {"Z": (1100, 72), "poly": (729, 40), "quad": (300, 72)}
 
 
-def _poly_cases(rng):
-    cases = []
-    # (p, k, largest degree): k > 1 for both p = 2 and odd p
-    for p, k, top in ((2, 1, 9), (3, 1, 6), (5, 1, 3), (2, 2, 4), (2, 3, 3),
-                      (3, 2, 3), (5, 2, 2), (7, 1, 3)):
-        F = field(p, k)
-        D = PolyDomain(F)
-
-        def rand_poly(deg):
-            return Poly(F, [rng.randrange(F.q) for _ in range(deg)] + [rng.randrange(1, F.q)])
-
-        for deg in range(top + 1):
-            n = rand_poly(deg).monic()
-            for a in (rand_poly(rng.randrange(0, 2 * top + 1)),
-                      rand_poly(0),                        # a unit
-                      n * rand_poly(rng.randrange(0, 3)),  # a in n
-                      -D.one_element):
-                cases.append((D, a, n))
-    return cases
+def _cases(family):
+    """(domain, a, n) from the grid of each entry of a kind: Z, poly or quad."""
+    cap, count = TABLE.get(family, (300, 72))
+    return [(entry.dom, a, n) for entry in ENTRIES.values()
+            if entry.dom.domain_json()["kind"] == family
+            for a, n in entry.instances(cap, count)[:count]]
 
 
-def _quad_cases(rng):
-    cases = []
-    for d in (-1, -2, -5, -7, -15):
-        O = QuadOrder(d)
-        w = QuadInt(0, 1)
-        ideals = [O.unit_ideal, O.principal(QuadInt(6, 0)),
-                  O.principal(QuadInt(3, -2)), O.principal(QuadInt(-4, 5))]
-        # ideals above 2, 3 and 5, non-principal when the class group is not trivial
-        for p in (2, 3, 5):
-            ideals.extend(O.rational_prime_splitting(p)[1])
-        ideals.append(O.ideal_from_generators([QuadInt(2, 0), QuadInt(1, 1)]))
-        ideals.append(O.ideal_mul(ideals[-1], O.ideal_from_generators([QuadInt(3, 0),
-                                                                       QuadInt(1, 1)])))
-        for n in ideals:
-            for a in (QuadInt(1, 0), QuadInt(-1, 0), w,
-                      QuadInt(rng.randint(-30, 30), rng.randint(-30, 30)),
-                      QuadInt(-7, -3), QuadInt(n.a, 0), QuadInt(n.b, n.c)):
-                if not a.is_zero:
-                    cases.append((O, a, n))
-    return cases
+FAMILIES = sorted({entry.dom.domain_json()["kind"] for entry in ENTRIES.values()})
 
 
-CASES = {"Z": _z_cases(random.Random(7)), "poly": _poly_cases(random.Random(8)),
-         "quad": _quad_cases(random.Random(9))}
-
-
-@pytest.mark.parametrize("family", sorted(CASES))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_successor_table_matches_per_residue_reference(family):
-    for dom, a, n in CASES[family]:
+    for dom, a, n in _cases(family):
         case = (dom, dom.describe_element(a), dom.describe_ideal(n))
         table = dom.successors(a, n)
         expected = reference_successors(dom, a, n)
@@ -254,33 +209,17 @@ def _first_row_branches(dom, a, n):
     return got
 
 
-def _negative_stride_cases():
-    """Z[w] cases with s < 0, which the seeded ideals miss: n = 2*P for a
-    split P = {p, b + w} with b > 0, so n = {2p, 2b + 2w}, and a = w."""
-    cases = []
-    for d, p in ((-1, 5), (-2, 3)):
-        O = QuadOrder(d)
-        for P in O.rational_prime_splitting(p)[1]:
-            n = O.ideal_mul(O.principal(QuadInt(2, 0)), P)
-            for a in (QuadInt(0, 1), QuadInt(1, 1), QuadInt(-3, 5)):
-                cases.append((O, a, n))
-    return cases
-
-
 def test_seeded_cases_reach_every_first_row_branch():
-    extra = _negative_stride_cases()
-    for dom, a, n in extra:
-        assert dom.successors(a, n) == reference_successors(dom, a, n), (dom, a, n)
     reached = set()
-    for dom, a, n in CASES["Z"] + CASES["quad"] + extra:
+    for dom, a, n in _cases("Z") + _cases("quad"):
         reached |= _first_row_branches(dom, a, n)
     assert reached == {"Z ar == 0", "Z ar > 0", "Z a < 0", "quad s == 0", "quad s < 0",
                        "quad s > 0", "quad c == 1", "quad c > 1", "quad base != 0"}
 
 
-@pytest.mark.parametrize("family", sorted(CASES))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_successor_table_contract(family):
-    for dom, a, n in CASES[family][::5]:
+    for dom, a, n in _cases(family)[::5]:
         residues = dom.residues(n)
         succ = dom.successors(a, n)
         assert len(succ) == len(residues) == dom.norm(n)
@@ -289,10 +228,12 @@ def test_successor_table_contract(family):
 
 
 def test_unit_ideal_has_one_residue():
-    Z, D, O = IntegerDomain(), PolyDomain(field(3, 2)), QuadOrder(-5)
-    for dom, a in ((Z, 5), (D, Poly(field(3, 2), (4, 1))), (O, QuadInt(2, 1))):
-        assert dom.successors(a, dom.unit_ideal) == [0]
-        assert brute_amap_graph(dom, a, dom.unit_ideal).code == "C1[()]"
+    for entry in ENTRIES.values():
+        dom = entry.dom
+        assert dom.residues(dom.unit_ideal) == [dom.reduce(dom.one_element, dom.unit_ideal)]
+        for a in entry.elements:
+            assert dom.successors(a, dom.unit_ideal) == [0]
+            assert brute_amap_graph(dom, a, dom.unit_ideal).code == "C1[()]"
 
 
 def test_domain_without_successor_table_raises():

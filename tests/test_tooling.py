@@ -251,6 +251,41 @@ def test_every_public_graph_and_tree_function_has_a_library_caller():
     assert not found, found
 
 
+def _domain_calls(node, domains):
+    """How many domains node builds: a constructor call or a name bound to a
+    domain counts once, twice inside a comprehension (once per item), and
+    not at all inside a lambda, which builds nothing until it runs."""
+    if isinstance(node, ast.Lambda):
+        return 0
+    own = node.id in domains if isinstance(node, ast.Name) else isinstance(node, ast.Call) \
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+            "IntegerDomain", "PolyDomain", "QuadOrder")
+    inner = sum(_domain_calls(child, domains) for child in ast.iter_child_nodes(node))
+    return (own + inner) * (2 if isinstance(node, COMPREHENSIONS) else 1)
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_only_the_domains_module_lists_domains():
+    # the one domain list is tests/domains.py: a test module that binds at
+    # module level, or parametrizes a test over, a collection of two or more
+    # domains fails this check
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        bound = [node for node in module.body if isinstance(node, ast.Assign)]
+        domains = {target.id for node in bound if _domain_calls(node.value, ()) == 1
+                   for target in node.targets if isinstance(target, ast.Name)}
+        tops = [node.value for node in bound] + [
+            d for node in ast.walk(module) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for d in node.decorator_list]
+        found.extend(f"{path.name}:{node.lineno}" for top in tops for node in ast.walk(top)
+                     if isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict) + COMPREHENSIONS)
+                     and _domain_calls(node, domains) >= 2)
+    assert not found, found
+
+
 def test_map_trees_are_built_from_counts_and_only_when_used(monkeypatch):
     # each distinct subtree of a map is built once, from one entry per
     # distinct child: a list with one entry per leaf child, or a tree that
