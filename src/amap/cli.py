@@ -40,6 +40,8 @@ class ParseError(ValueError):
 
 def _parse_domain(spec: str, modulus: str | None = None) -> Domain:
     kind, *parts = spec.split(":")
+    if modulus is not None and kind != "poly":
+        raise ParseError("--modulus applies only to poly:p:k")
     try:
         nums = [int(part) for part in parts]
     except ValueError:
@@ -87,6 +89,8 @@ def _parse_element(dom: Domain, s: str):
 
 def _parse_ideal(dom: Domain, n: str | None, n_gens: str | None):
     if isinstance(dom, QuadOrder):
+        if n is not None and n_gens is not None:
+            raise ParseError("give --n or --n-gens, not both")
         if n_gens is None:
             if n is None:
                 raise ParseError("quadratic ideals need --n-gens")
@@ -99,6 +103,8 @@ def _parse_ideal(dom: Domain, n: str | None, n_gens: str | None):
             return dom.ideal_from_json(spec)
         gens = [_parse_element(dom, part) for part in n_gens.split(";") if part]
         return dom.ideal_from_generators(gens)
+    if n_gens is not None:
+        raise ParseError("--n-gens applies only to quad:d")
     if n is None:
         raise ParseError("missing --n")
     return dom.principal(_parse_element(dom, n))

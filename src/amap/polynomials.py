@@ -148,6 +148,8 @@ class Poly:
                 quot[i - dd] = q
                 for j in range(dd + 1):
                     rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(q, dv[j]))
+        if any(rem[dd:]):  # a top coefficient survived: the field is no field
+            raise RuntimeError("division left a top coefficient; broken field arithmetic")
         return Poly(F, quot), Poly(F, rem)
 
     def __floordiv__(self, other: Poly) -> Poly:

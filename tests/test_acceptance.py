@@ -19,7 +19,8 @@ from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import elementary_tree
-from domains import divisors
+from domains import ENTRIES
+from test_domain_contract import check_congruences, check_residue_classes, counted_moduli
 from test_graph_products import cyc, extended_tree, reference_tensor
 
 Z = IntegerDomain()
@@ -145,50 +146,13 @@ def test_criterion_4_tree_product_property_suite():
 
 
 def test_criterion_5_counting_suites():
+    # the contract's residue-class and congruence laws on Z, F_2[x] and F_3[x]
     with _Timer("criterion 5: congruence and residue-gcd counts", 10.0):
-        rng = random.Random(505)
-        # integers
-        for _ in range(200):
-            n = rng.randint(1, 60)
-            a = rng.randint(-30, 30)
-            b = rng.randint(-30, 30)
-            brute = sum(1 for x in range(n) if (a * x - b) % n == 0)
-            assert Z.congruence_solution_count(a, b, n) == brute
-        checked = 0
-        while checked < 200:
-            n = rng.randint(2, 60)
-            counts: dict = {}
-            import math
-            for b in range(n):
-                g = math.gcd(b, n) if b else n
-                counts[g] = counts.get(g, 0) + 1
-            for m in divisors(Z, n):
-                assert counts.get(m, 0) == Z.euler_phi(n // m), (n, m)
-                checked += 1
-        # polynomial rings
-        for p in (2, 3):
-            dom = PolyDomain(field(p))
-            for _ in range(200):
-                deg = rng.randint(1, 4)
-                n = Poly(dom.field, [rng.randrange(p) for _ in range(deg)] + [1])
-                a = Poly(dom.field,
-                         [rng.randrange(p) for _ in range(rng.randint(0, 4))])
-                b = Poly(dom.field,
-                         [rng.randrange(p) for _ in range(rng.randint(0, 4))])
-                brute = sum(1 for x in dom.residues(n)
-                            if ((a * x - b) % n).is_zero)
-                assert dom.congruence_solution_count(a, b, n) == brute
-            checked = 0
-            while checked < 200:
-                deg = rng.randint(1, 4)
-                n = Poly(dom.field, [rng.randrange(p) for _ in range(deg)] + [1])
-                counts = {}
-                for b in dom.residues(n):
-                    g = n if b.is_zero else b.gcd(n)
-                    counts[g] = counts.get(g, 0) + 1
-                for m in divisors(dom, n):
-                    assert counts.get(m, 0) == dom.euler_phi(dom.ideal_div(n, m))
-                    checked += 1
+        for spec in ("Z", "poly:2", "poly:3"):
+            entry, rng = ENTRIES[spec], random.Random(505)
+            for n in counted_moduli(entry, 24, 505):
+                check_residue_classes(entry.dom, n)
+                check_congruences(entry.dom, n, entry.elements, rng)
 
 
 def _odd_primes(limit):

@@ -64,17 +64,6 @@ class TestPower:
         for e in EXPONENTS:
             assert order.pow_element(z, e) == repeated(z, e, order.mul, QuadInt(1, 0))
 
-    def test_ideal_pow_in_every_domain(self):
-        Z5 = QuadOrder(-5)
-        F2 = field(2)
-        cases = [(IntegerDomain(), 6),
-                 (PolyDomain(F2), Poly(F2, (1, 1))),
-                 (Z5, Z5.ideal_from_generators([QuadInt(2, 0), QuadInt(1, 1)]))]
-        for dom, p in cases:
-            for e in EXPONENTS:
-                assert dom.ideal_pow(p, e) == repeated(
-                    p, e, dom.ideal_mul, dom.unit_ideal), (dom, e)
-
 
 class TestDerivedIdentity:
     def test_unit_ideal_values(self):

@@ -16,12 +16,11 @@ import pytest
 from amap import applications
 from amap.applications import chebyshev_check, redei_check
 from amap.dynamics import brute_amap_graph
-from amap.finitefield import field
 from amap.graphs import Component, brute_graph, decompose_successors
-from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain
-from amap.quadorder import QuadInt, QuadOrder
+from amap.polynomials import Poly
+from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
+from domains import ENTRIES
 from test_graph_products import extended_tree, partial_tree, reference_restricted_tensor
 from test_successor_table import _random_maps, reference_code, reference_decompose
 
@@ -29,19 +28,19 @@ from test_successor_table import _random_maps, reference_code, reference_decompo
 # ---- linear maps of a few thousand nodes in each domain ----
 
 def _linear_cases():
-    Z = IntegerDomain()
+    Z = ENTRIES["Z"].dom
     cases = [(Z, a, n) for n in (2310, 4096, 4900) for a in (1, -1, 2, 6, 35, n + 1)]
     for p, modulus in ((2, (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),  # x^11 + x + 1, 2048
                        (2, (1,) + (0,) * 11 + (1,)),                 # x^12 + 1, 4096
                        (3, (2, 0, 1, 0, 0, 0, 0, 1))):               # 2187
-        F = field(p)
-        D = PolyDomain(F)
+        D = ENTRIES[f"poly:{p}"].dom
+        F = D.field
         n = Poly(F, modulus)
         # 2 % p: a code of F_p (x^2 over F_2, where a 2 is refused)
         for a in ((1,), (p - 1,), (0, 1), (1, 1), (0, 1, 1), (2 % p, 0, 1)):
             cases.append((D, Poly(F, a), n))
     for d, g in ((-1, QuadInt(40, 30)), (-5, QuadInt(60, 0)), (-2, QuadInt(44, 10))):
-        O = QuadOrder(d)
+        O = ENTRIES[f"quad:{d}"].dom
         n = O.principal(g)
         for a in (QuadInt(1, 0), QuadInt(-1, 0), QuadInt(0, 1), QuadInt(2, 1),
                   QuadInt(3, 0), QuadInt(5, -1)):

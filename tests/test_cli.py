@@ -61,7 +61,11 @@ def test_parse_error_exits_two(capsys):
                  ["verify", "--domain", "poly:3", "--a", "-1", "--n", "1,1"],
                  ["linpoly", "--q", "4", "--n", "2", "--f", "7"],
                  ["predict", "--domain", "poly:2:2", "--modulus", "3,3,1",
-                  "--a", "1", "--n", "1,1"]):
+                  "--a", "1", "--n", "1,1"],
+                 ["predict", "--domain", "Z", "--a", "2", "--n", "5", "--n-gens", "7"],
+                 ["predict", "--domain", "Z", "--a", "2", "--n", "5", "--modulus", "1,1,1"],
+                 ["predict", "--domain", "quad:-1", "--a", "1,1", "--n", "5,0",
+                  "--n-gens", "2,0"]):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2, argv

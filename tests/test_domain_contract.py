@@ -1,19 +1,73 @@
-"""Domain laws that no older test states, run on every entry of
-`domains.ENTRIES`.  The older laws run on every entry too, in their modules:
-`factor` in `test_arithmetic_layer`, the gcd chain and `element_in_ideal` in
-`test_gcd_chain`, the order search, `local_rows` and the source's case kinds
-in `test_orders`, `successors` and `residues` in `test_successor_table`, and
-the unit ideal, domain equality and the `--domain` spec in `test_base`.
+"""The domain laws, each stated once and run on every entry of
+`domains.ENTRIES`: here the norm, gcd and division, `reduce`, `decode`, the
+residue classes, congruence counts, Euler phi, the local rings D/p^alpha and
+`ideal_pow`, listing residues only for moduli of norm at most `CAP`; in
+`test_arithmetic_layer` `factor`; in `test_gcd_chain` the gcd chain, the
+a-decomposition and `element_in_ideal`; in `test_orders` the order search
+and `local_rows`; in `test_successor_table` `successors` and `residues`; in
+`test_base` the unit ideal, domain equality and the `--domain` spec.
 """
 
+import functools
 import random
+from collections import Counter
 
 import pytest
 
+from amap.base import power
 from domains import ENTRIES, divisors, generators, reference
 from test_product_mod import assert_products_agree
 
 every_entry = pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
+
+CAP = 400
+"""Norm cap of the moduli whose residues a law lists."""
+
+
+@functools.cache
+def small_moduli(entry) -> list:
+    """The divisors of norm at most `CAP` of the entry's moduli and of the
+    principal ideals of its instances' elements, in `_ideal_key` order."""
+    dom = entry.dom
+    sources = entry.moduli + [dom.principal(a) for a, _ in entry.instances()
+                              if not dom.is_zero(a)]
+    small = {m for n in sources for m in divisors(dom, n) if dom.norm(m) <= CAP}
+    return sorted(small, key=dom._ideal_key)
+
+
+def counted_moduli(entry, count, seed) -> list:
+    """A seeded sample of `count` of the entry's small moduli (all of them
+    when there are fewer), in `_ideal_key` order."""
+    moduli = small_moduli(entry)
+    return sorted(random.Random(seed).sample(moduli, min(count, len(moduli))),
+                  key=entry.dom._ideal_key)
+
+
+def check_residue_classes(dom, n) -> None:
+    """For each divisor m of n, the residues x with gcd(<x>, n) = m number
+    phi(n/m), m = <1> giving the units."""
+    residues = dom.residues(n)
+    assert len(set(residues)) == len(residues) == dom.norm(n), n
+    classes = Counter(n if dom.is_zero(x) else dom.ideal_gcd(dom.principal(x), n)
+                      for x in residues)
+    divs = divisors(dom, n)
+    assert classes.keys() <= set(divs), n
+    for m in divs:
+        assert classes[m] == dom.euler_phi(dom.ideal_div(n, m)), (n, m)
+
+
+def check_congruences(dom, n, elements, rng) -> None:
+    """`congruence_solution_count(a, b, n)` against the count of residues x
+    with a*x = b mod n, for a among 0, a member of n and an element, and b
+    among 0, a member of n, an element and a*y for a residue y."""
+    residues = dom.residues(n)
+    zero = dom.one_element - dom.one_element
+    gen = [g for g in generators(dom, dom.describe_ideal(n)) if not dom.is_zero(g)][-1]
+    for a in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements)):
+        images = Counter(dom.mul_mod(a, x, n) for x in residues)
+        for b in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements),
+                  dom.mul(a, rng.choice(residues))):
+            assert dom.congruence_solution_count(a, b, n) == images[dom.reduce(b, n)], (a, b, n)
 
 
 @every_entry
@@ -65,3 +119,96 @@ def test_decode_reads_the_described_forms(entry):
     dom = entry.dom
     for a, n in entry.instances():
         assert entry.decode(dom.describe_element(a), dom.describe_ideal(n)) == (a, n)
+
+
+@every_entry
+def test_residue_classes_number_phi(entry):
+    dom = entry.dom  # 48 small moduli of a benchmark domain, 16 of another
+    moduli = counted_moduli(entry, 48 if entry.full else 16, entry.spec)
+    for n in moduli:
+        check_residue_classes(dom, n)
+    assert len(moduli) >= (48 if entry.full else 10)
+    assert sum(1 < dom.norm(n) <= 200 for n in moduli) >= 8  # unit counts of norm <= 200
+    # so the phi(m) over the m | n sum to N(n), here beyond the cap as well
+    phi = functools.cache(dom.euler_phi)
+    for n in set(entry.moduli + small_moduli(entry)):
+        assert sum(map(phi, divisors(dom, n))) == dom.norm(n), n
+
+
+@every_entry
+def test_congruence_solution_counts(entry):
+    dom, rng = entry.dom, random.Random(entry.spec)
+    for n in counted_moduli(entry, 48 if entry.full else 16, entry.spec):
+        check_congruences(dom, n, entry.elements, rng)
+
+
+@every_entry
+def test_euler_phi_is_multiplicative_on_coprime_moduli(entry):
+    dom, moduli = entry.dom, entry.moduli
+    coprime = [(m, n) for i, m in enumerate(moduli) for n in moduli[i + 1:]
+               if dom.ideal_gcd(m, n) == dom.unit_ideal]
+    for m, n in random.Random(entry.spec).sample(coprime, 60 if entry.full else 20):
+        assert dom.euler_phi(dom.ideal_mul(m, n)) == dom.euler_phi(m) * dom.euler_phi(n), (m, n)
+
+
+@functools.cache
+def primes(entry) -> list:
+    """The primes of the entry's moduli and small moduli, in `_ideal_key` order."""
+    dom = entry.dom
+    return sorted({p for n in entry.moduli + small_moduli(entry) for p, _ in dom.factor(n)},
+                  key=dom._ideal_key)
+
+
+@every_entry
+def test_euler_phi_at_prime_powers(entry):
+    dom = entry.dom
+    for p in primes(entry):
+        norm_p = dom.norm(p)
+        for e in range(1, 6):
+            assert dom.euler_phi(dom.ideal_pow(p, e)) == norm_p**e - norm_p ** (e - 1), (p, e)
+
+
+@every_entry
+def test_units_raised_to_phi_reduce_to_one(entry):
+    # by mul_mod powers, not the order search, which itself assumes phi
+    dom = entry.dom
+    for a, n in entry.instances():
+        if not dom.is_zero(a) and dom.ideal_gcd(dom.principal(a), n) == dom.unit_ideal:
+            one = dom.reduce(dom.one_element, n)
+            assert power(dom.reduce(a, n), dom.euler_phi(n),
+                         lambda x, y: dom.mul_mod(x, y, n), one) == one, (a, n)
+
+
+@every_entry
+def test_reduce_respects_sums_and_products(entry):
+    dom, rng = entry.dom, random.Random(entry.spec)
+    for a, n in entry.instances():
+        b = rng.choice(entry.elements)
+        ra, rb = dom.reduce(a, n), dom.reduce(b, n)
+        assert dom.reduce(a + b, n) == dom.reduce(ra + rb, n), (a, b, n)
+        assert dom.reduce(dom.mul(a, b), n) == dom.mul_mod(ra, rb, n), (a, b, n)
+
+
+@every_entry
+def test_powers_of_a_prime_count_their_members(entry):
+    # in D/p^alpha, N(p^alpha) <= CAP, the members of p^i number N(p^(alpha - i))
+    dom = entry.dom
+    for p in primes(entry)[:4]:
+        alpha = 0
+        while dom.norm(p) ** (alpha + 1) <= CAP:
+            alpha += 1
+        residues = dom.residues(dom.ideal_pow(p, alpha))
+        for i in range(alpha + 1):
+            p_i = dom.ideal_pow(p, i)
+            members = sum(dom.element_in_ideal(x, p_i) for x in residues)
+            assert members == dom.norm(dom.ideal_pow(p, alpha - i)), (p, alpha, i)
+
+
+@every_entry
+def test_ideal_pow_is_repeated_ideal_mul(entry):
+    dom = entry.dom
+    for p in primes(entry)[:4]:
+        product = dom.unit_ideal
+        for e in range(41):
+            assert dom.ideal_pow(p, e) == product, (p, e)
+            product = dom.ideal_mul(product, p)

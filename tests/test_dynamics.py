@@ -9,7 +9,7 @@ from amap.integers import IntegerDomain
 from amap.polynomials import PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
-from domains import ENTRIES, divisors
+from domains import ENTRIES
 from test_graph_products import cyc, extended_tree, reference_tensor
 
 Z = IntegerDomain()
@@ -125,7 +125,6 @@ class TestPredictedGraph:
             pred = predicted_graph(Z, a, n)
             assert pred.tree == LEAF
             assert all(t == LEAF for c in pred.graph.components for t in c.hanging)
-            assert sum(Z.euler_phi(m) for m in divisors(Z, n)) == n
 
     def test_primary_nilpotent_case_single_tree(self):
         # n = p^alpha with p | a: the graph is one extended tree

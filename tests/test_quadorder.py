@@ -13,18 +13,12 @@ import pytest
 
 from amap.base import ZeroIdealError, factor_int
 from amap.quadorder import QuadInt, QuadOrder, SplitType
-from domains import divisors
+from domains import ENTRIES
 
 Z5 = QuadOrder(-5)
 ZI = QuadOrder(-1)
 Z3 = QuadOrder(-3)  # d = 1 (mod 4): w = (1 + sqrt(-3))/2
-
-
-def rand_elem(rng, bound=9):
-    while True:
-        z = QuadInt(rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if not z.is_zero:
-            return z
+QUADRATIC = [entry for entry in ENTRIES.values() if isinstance(entry.dom, QuadOrder)]
 
 
 def power_search_factor(order, n):
@@ -50,14 +44,6 @@ def is_principal(order, ideal):
     r = 2 * math.isqrt(ideal.norm) + 2
     return any(order.norm_element(z) == ideal.norm and ideal.contains(z)
                for z in (QuadInt(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)))
-
-
-def rand_ideal(rng, order, max_norm=None, bound=9):
-    while True:
-        gens = [rand_elem(rng, bound) for _ in range(rng.randint(1, 2))]
-        ideal = order.ideal_from_generators(gens)
-        if max_norm is None or ideal.norm <= max_norm:
-            return ideal
 
 
 class TestConstruction:
@@ -108,13 +94,11 @@ class TestIdealFromGenerators:
         assert ZI._make_ideal(2, 1, 1) == ZI.principal(QuadInt(1, 1))
 
     def test_hnf_uniqueness_random(self):
-        rng = random.Random(1)
-        for _ in range(30):
-            g = rand_elem(rng)
-            u = rng.choice([QuadInt(1, 0), QuadInt(-1, 0)])
-            i1 = ZI.principal(g)
-            i2 = ZI.principal(ZI.mul(g, u))
-            assert i1 == i2 and hash(i1) == hash(i2)
+        for entry in QUADRATIC:
+            order = entry.dom
+            for g in dict.fromkeys(a for a, _ in entry.instances() if not a.is_zero):
+                ideal, other = order.principal(g), order.principal(-g)
+                assert ideal == other and hash(ideal) == hash(other), (entry, g)
 
 
 class TestIdealOps:
@@ -137,21 +121,13 @@ class TestIdealOps:
         with pytest.raises(ValueError):
             Z5.ideal_mul(Z5.unit_ideal, ZI.unit_ideal)
 
-    def test_norm_multiplicative_random(self):
-        rng = random.Random(2)
-        for order in (Z5, ZI, Z3):
-            for _ in range(25):
-                i, j = rand_ideal(rng, order), rand_ideal(rng, order)
-                assert order.ideal_mul(i, j).norm == i.norm * j.norm
-
     def test_closure_invariant_random(self):
-        rng = random.Random(3)
-        for order in (Z5, ZI, Z3, QuadOrder(-7)):
-            w = QuadInt(0, 1)
-            for _ in range(20):
-                ideal = rand_ideal(rng, order)
+        w = QuadInt(0, 1)
+        for entry in QUADRATIC:
+            order = entry.dom
+            for ideal in dict.fromkeys(n for _, n in entry.instances()):
                 for basis in (QuadInt(ideal.a, 0), QuadInt(ideal.b, ideal.c)):
-                    assert ideal.contains(order.mul(w, basis))
+                    assert ideal.contains(order.mul(w, basis)), (entry, ideal)
 
 
 class TestSplitting:
@@ -217,7 +193,7 @@ class TestFactorIdeal:
         ideals = [order.ideal_mul(order.ideal_pow(q, e), order.principal(QuadInt(c, 0)))
                   for q in primes for e in (1, 2, 3) for c in (1, 2, 3, 6)]
         while len(ideals) < 490:
-            ideal = order.principal(rand_elem(rng, 12))
+            ideal = order.principal(QuadInt(rng.randint(1, 12), rng.randint(-12, 12)))
             for _ in range(rng.randint(0, 3)):
                 ideal = order.ideal_mul(ideal, order.ideal_pow(rng.choice(primes),
                                                                rng.randint(1, 3)))
@@ -233,32 +209,6 @@ class TestFactorIdeal:
         assert any(kind is SplitType.RAMIFIED for kind in kinds.values())
         assert any(not is_principal(order, q) for q in primes) == (d in (-5, -6, -10, -15))
 
-    def test_reconstruction_random(self):
-        rng = random.Random(5)
-        for order in (Z5, ZI, Z3):
-            for _ in range(15):
-                ideal = rand_ideal(rng, order, max_norm=5000)
-                prod = order.unit_ideal
-                for p, e in order.factor(ideal):
-                    prod = order.ideal_mul(prod, order.ideal_pow(p, e))
-                assert prod == ideal
-
-    def test_divides_iff_contains(self):
-        rng = random.Random(6)
-        for order in (Z5, ZI):
-            for _ in range(10):
-                ideal = rand_ideal(rng, order, max_norm=400)
-                for m in divisors(order, ideal):
-                    assert m.contains_ideal(ideal)
-                    q = order.ideal_div(ideal, m)
-                    assert order.ideal_mul(q, m) == ideal
-                # a non-divisor must not contain
-                other = rand_ideal(rng, order, max_norm=400)
-                if other not in divisors(order, ideal):
-                    assert not (other.contains_ideal(ideal)
-                                and ideal.norm % other.norm == 0
-                                and order.ideal_gcd(other, ideal) == other)
-
 
 class TestQuotientRing:
     def test_reduce_examples(self):
@@ -266,56 +216,6 @@ class TestQuotientRing:
         assert Z5.reduce(QuadInt(7, 8), six) == QuadInt(1, 2)
         p1 = Z5.ideal_from_generators([QuadInt(2, 0), QuadInt(1, 1)])
         assert Z5.reduce(QuadInt(1, 1), p1) == QuadInt(0, 0)
-
-    def test_residue_count(self):
-        ideal = ZI.principal(QuadInt(-2, 8))
-        res = ZI.residues(ideal)
-        assert len(res) == 68 == len(set(res))
-        assert all(ZI.reduce(r, ideal) == r for r in res)
-
-    def test_reduce_is_ring_morphism(self):
-        rng = random.Random(7)
-        for order in (Z5, ZI, Z3):
-            for _ in range(15):
-                ideal = rand_ideal(rng, order, max_norm=300)
-                z1, z2 = rand_elem(rng, 20), rand_elem(rng, 20)
-                assert (order.reduce(z1 + z2, ideal)
-                        == order.reduce(order.reduce(z1, ideal)
-                                        + order.reduce(z2, ideal), ideal))
-                assert (order.reduce(order.mul(z1, z2), ideal)
-                        == order.mul_mod(order.reduce(z1, ideal),
-                                         order.reduce(z2, ideal), ideal))
-
-    def test_unit_count_is_phi(self):
-        rng = random.Random(8)
-        for order in (Z5, ZI, Z3):
-            done = 0
-            while done < 8:
-                ideal = rand_ideal(rng, order, max_norm=200, bound=7)
-                if ideal.norm == 1:
-                    continue
-                units = sum(
-                    1 for r in order.residues(ideal)
-                    if not r.is_zero
-                    and order.ideal_gcd(order.principal(r), ideal) == order.unit_ideal)
-                assert units == order.euler_phi(ideal)
-                done += 1
-
-    def test_local_ring_sizes(self):
-        # in D/p^alpha the i-th power of the maximal ideal has
-        # norm(p^(alpha - i)) elements
-        for order, p in ((Z5, 2), (ZI, 2), (Z5, 3), (ZI, 3), (Z3, 2)):
-            _, primes = order.rational_prime_splitting(p)
-            prime = primes[0]
-            alpha = 1
-            while order.ideal_pow(prime, alpha + 1).norm <= 256:
-                alpha += 1
-            q_ideal = order.ideal_pow(prime, alpha)
-            for i in range(alpha + 1):
-                power = order.ideal_pow(prime, i)
-                members = sum(1 for r in order.residues(q_ideal)
-                              if power.contains(r))
-                assert members == order.ideal_pow(prime, alpha - i).norm, (p, i)
 
 
 def test_ideal_json_round_trip():

@@ -286,6 +286,46 @@ def test_only_the_domains_module_lists_domains():
     assert not found, found
 
 
+DERIVED_OPERATIONS = {"element_in_ideal", "mul_mod", "ideal_pow", "euler_phi", "local_rows",
+                      "gcd_chain", "a_decomposition", "congruence_solution_count"}
+EVERY_ENTRY = ast.dump(ast.parse("ENTRIES.values()", mode="eval").body)
+
+
+def test_every_derived_domain_operation_is_checked_on_every_entry():
+    # an operation is checked on every domain when a test parametrized over
+    # domains.ENTRIES (or its class, or a module-level mark) names it in an
+    # assert or in what an asserting loop runs over, itself or in the test
+    # helpers it names; an operation that only builds a case checks nothing
+    modules = [ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(Path(__file__).parent.glob("*.py"))]
+    helpers = {}
+    for node in (n for module in modules for n in module.body if isinstance(n, ast.FunctionDef)):
+        helpers.setdefault(node.name, []).append(node)
+    todo = []
+    for module in modules:
+        bound = {target.id: node.value for node in module.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        todo += [func for node in ast.walk(module) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and any(EVERY_ENTRY in ast.dump(bound.get(getattr(d, "id", None), d))
+                         for d in node.decorator_list)
+                 for func in ast.walk(node) if isinstance(func, ast.FunctionDef)]
+    assert todo
+    checked, seen = set(), set()
+    while todo:
+        func = todo.pop()
+        if func in seen:
+            continue
+        seen.add(func)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                todo += helpers.get(node.id, [])
+            elif isinstance(node, ast.Assert):
+                checked |= _names(node.test).keys()
+            elif isinstance(node, ast.For) and any(isinstance(n, ast.Assert) for n in ast.walk(node)):
+                checked |= _names(node.iter).keys()
+    assert not DERIVED_OPERATIONS - checked, sorted(DERIVED_OPERATIONS - checked)
+
+
 def test_map_trees_are_built_from_counts_and_only_when_used(monkeypatch):
     # each distinct subtree of a map is built once, from one entry per
     # distinct child: a list with one entry per leaf child, or a tree that
