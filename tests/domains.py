@@ -280,8 +280,16 @@ class Entry:
 
     def __init__(self, spec: str, dom: Domain, cap: int | None = None):
         self.spec, self.dom, self.cap, self.full = spec, dom, cap or 1000, cap is not None
-        self.moduli, self.elements, self._grid, self._chains = _seeded(
-            dom, random.Random(spec), self.cap, self.full)
+
+    @functools.cached_property
+    def _source(self) -> tuple:
+        """`_seeded`'s (moduli, elements, grid, chains), drawn on first use:
+        a fault in the arithmetic then fails the tests that use them by name
+        and does not stop the collection."""
+        return _seeded(self.dom, random.Random(self.spec), self.cap, self.full)
+
+    moduli = property(lambda self: self._source[0])
+    elements = property(lambda self: self._source[1])
 
     def __repr__(self) -> str:
         """The test id: Z, F<q>[x] or quad<d>."""
@@ -301,7 +309,7 @@ class Entry:
         norm(n) <= cap when a cap is given; of the grid only a seeded `count`,
         in order, when a count is given."""
         grid, chains = ([(a, n) for a, n in pairs if cap is None or self.dom.norm(n) <= cap]
-                        for pairs in (self._grid, self._chains))
+                        for pairs in self._source[2:])
         if count is not None and count < len(grid):
             kept = random.Random(self.spec).sample(range(len(grid)), count)
             grid = [grid[i] for i in sorted(kept)]

@@ -1,0 +1,371 @@
+"""The test-side referees and helpers that more than one test module uses:
+one referee per library operation.  A test module imports from here and
+from `domains`, never from another test module (a tooling test checks it).
+
+Here are the prime-field list loops (`list_mul`, `list_divmod`) on the
+primes of every slot width, the residue products of the order search
+(`assert_products_agree`), the counting laws over listed residues, the
+graph operands (`cyc`, `extended_tree`, `partial_tree`) and the tensor
+products, the first walk of `graphs.decompose_successors` with the
+canonical code as eager text over it (`reference_decompose`,
+`reference_code`), Booth's least rotation and a principality search.
+"""
+
+import functools
+import math
+import random
+from collections import Counter
+
+from amap.base import power
+from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
+                         brute_graph, materialize)
+from amap.polynomials import Poly
+from amap.quadorder import QuadInt
+from amap.trees import LEAF, RootedTree, _partials, _validated
+from domains import divisors, generators
+
+# ---- prime-field polynomial arithmetic ----
+
+SLOT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 1009, 65537, 2**32 + 15)
+"""Every row of `polynomials._MOD_BYTES` (one-byte slots, p <= 13 at low
+degree), then two-byte (17), four-byte (1009), eight-byte (65537) and wider
+slots (2^32 + 15)."""
+
+
+def list_mul(a: Poly, b: Poly) -> Poly:
+    F = a.field
+    x, y = a.coeffs, b.coeffs
+    if not x or not y:
+        return Poly(F)
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y, i):
+                out[j] += xi * yj
+    p = F.p
+    return Poly(F, [c % p for c in out])
+
+
+def list_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    F = a.field
+    rem = list(a.coeffs)
+    dv = b.coeffs
+    dd = len(dv) - 1
+    inv_lead = 1 if dv[-1] == 1 else F.inv(dv[-1])
+    quot = [0] * max(len(rem) - dd, 0)
+    p = F.p
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] % p
+        if c:
+            q = c if inv_lead == 1 else c * inv_lead % p
+            quot[i - dd] = q
+            for j, dj in enumerate(dv, i - dd):
+                rem[j] -= q * dj
+    return Poly(F, quot), Poly(F, [c % p for c in rem])
+
+
+# ---- domain laws over listed residues ----
+
+def assert_products_agree(dom, n, elements, rng, pairs=20):
+    lift, mul = dom._product_mod(n)
+    one = lift(dom.one_element)
+    residues = [dom.reduce(x, n) for x in elements]
+    for x, r in zip(elements, residues):
+        assert lift(x) == lift(r), (n, x)
+    for _ in range(pairs):
+        (x, r), (y, s) = rng.sample(list(zip(elements, residues)), 2)
+        assert (lift(x) == lift(y)) == (r == s), (n, x, y)
+        assert mul(lift(x), lift(y)) == lift(dom.mul_mod(x, y, n)), (n, x, y)
+    # a product's residue is a factor again: powers agree with mul_mod's
+    x, e = rng.choice(elements), rng.randrange(2, 500)
+    want = power(dom.reduce(x, n), e, lambda u, v: dom.mul_mod(u, v, n),
+                 dom.reduce(dom.one_element, n))
+    assert power(lift(x), e, mul, one) == lift(want), (n, x, e)
+
+
+CAP = 400
+"""Norm cap of the moduli whose residues a law lists."""
+
+
+@functools.cache
+def small_moduli(entry) -> list:
+    """The divisors of norm at most `CAP` of the entry's moduli and of the
+    principal ideals of its instances' elements, in `_ideal_key` order."""
+    dom = entry.dom
+    sources = entry.moduli + [dom.principal(a) for a, _ in entry.instances()
+                              if not dom.is_zero(a)]
+    small = {m for n in sources for m in divisors(dom, n) if dom.norm(m) <= CAP}
+    return sorted(small, key=dom._ideal_key)
+
+
+def counted_moduli(entry, count, seed) -> list:
+    """A seeded sample of `count` of the entry's small moduli (all of them
+    when there are fewer), in `_ideal_key` order."""
+    moduli = small_moduli(entry)
+    return sorted(random.Random(seed).sample(moduli, min(count, len(moduli))),
+                  key=entry.dom._ideal_key)
+
+
+def check_residue_classes(dom, n) -> None:
+    """For each divisor m of n, the residues x with gcd(<x>, n) = m number
+    phi(n/m), m = <1> giving the units."""
+    residues = dom.residues(n)
+    assert len(set(residues)) == len(residues) == dom.norm(n), n
+    classes = Counter(n if dom.is_zero(x) else dom.ideal_gcd(dom.principal(x), n)
+                      for x in residues)
+    divs = divisors(dom, n)
+    assert classes.keys() <= set(divs), n
+    for m in divs:
+        assert classes[m] == dom.euler_phi(dom.ideal_div(n, m)), (n, m)
+
+
+def _member(dom, n):
+    """A nonzero element of the ideal n: its last nonzero generator."""
+    return [g for g in generators(dom, dom.describe_ideal(n)) if not dom.is_zero(g)][-1]
+
+
+def check_congruences(dom, n, elements, rng) -> None:
+    """`congruence_solution_count(a, b, n)` against the count of residues x
+    with a*x = b mod n, for a among 0, a member of n, an element and a
+    member of the least prime of n (at n = p^alpha, 0 < v_p(a) < alpha when
+    alpha > 1), and b among 0, a member of n, an element and a*y for a
+    residue y."""
+    residues = dom.residues(n)
+    zero = dom.one_element - dom.one_element
+    gen = _member(dom, n)
+    for a in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements),
+              *(_member(dom, p) for p, _ in dom.factor(n)[:1])):
+        images = Counter(dom.mul_mod(a, x, n) for x in residues)
+        for b in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements),
+                  dom.mul(a, rng.choice(residues))):
+            assert dom.congruence_solution_count(a, b, n) == images[dom.reduce(b, n)], (a, b, n)
+
+
+# ---- graph operands and the tensor products ----
+
+def cyc(m, tree=LEAF):
+    """Cycle of length m with a copy of `tree` hanging at every cycle node."""
+    return FunctionalGraph([(Component(m, (tree,)), 1)])
+
+
+def extended_tree(tree):
+    """The extended tree {T}: a loop at the root of T."""
+    return cyc(1, tree)
+
+
+def partial_tree(seq, k):
+    """k-th partial tree of the sequence, for 0 <= k <= len(seq)."""
+    seq = _validated(seq)
+    if not 0 <= k <= len(seq):
+        raise ValueError(f"k must be between 0 and {len(seq)}, got {k}")
+    return _partials(seq, k)[k]
+
+
+def build_trees(roots, children, make=lambda kids: RootedTree(kids) if kids else LEAF):
+    """node -> make() of the values of its children, from the leaves up, at
+    every node of the trees below `roots`, where children[v] lists v's
+    children: `RootedTree`s by default."""
+    order = list(roots)
+    for v in order:  # breadth first: the loop also visits what it appends
+        order.extend(children[v])
+    built = {}
+    for v in reversed(order):
+        built[v] = make([built[c] for c in children[v]])
+    return built
+
+
+def reference_tensor(g1, g2, max_nodes=DEFAULT_MAX_NODES):
+    """Functional graph of the product map, built by brute enumeration."""
+    s1, s2 = materialize(g1), materialize(g2)
+    n1, n2 = len(s1), len(s2)
+    if n1 * n2 > max_nodes:
+        raise GraphSizeError(f"product would have {n1 * n2} nodes (cap {max_nodes})")
+    succ = [0] * (n1 * n2)
+    for i in range(n1):
+        row = i * n2
+        ti = s1[i] * n2
+        for j in range(n2):
+            succ[row + j] = ti + s2[j]
+    return brute_graph(n1 * n2, succ, max_nodes=max_nodes)
+
+
+def _tree_successors(arg):
+    """Partial successor map of a tree (root unmapped) or extended tree {T}.
+
+    Returns (succ, root) with node 0 the root; succ[root] is None for a bare
+    tree and root itself for an extended tree.
+    """
+    if isinstance(arg, RootedTree):
+        tree, looped = arg, False
+    elif isinstance(arg, FunctionalGraph):
+        if len(arg.components) != 1 or arg.components[0].cycle_len != 1:
+            raise ValueError("extended-tree argument must be a single Cyc(1, T)")
+        tree, looped = arg.components[0].hanging[0], True
+    else:
+        raise TypeError("expected a RootedTree or an extended tree")
+    succ = [0 if looped else None]  # then the nodes below the root, depth first
+    stack = [(child, 0) for child in reversed(tree.children)]
+    while stack:
+        sub, parent = stack.pop()
+        node_id = len(succ)
+        succ.append(parent)
+        stack.extend((child, node_id) for child in reversed(sub.children))
+    return succ, 0
+
+
+def reference_restricted_tensor(arg1, arg2, max_nodes=DEFAULT_MAX_NODES):
+    """Hanging tree at the pair of roots in the tensor of two (extended) trees.
+
+    Each argument is either a rooted tree or an extended tree {T}; the result
+    is the connected component of the root pair, as a tree rooted there.
+    """
+    s1, r1 = _tree_successors(arg1)
+    s2, r2 = _tree_successors(arg2)
+    n1, n2 = len(s1), len(s2)
+    if n1 * n2 > max_nodes:
+        raise GraphSizeError(f"product would have {n1 * n2} nodes (cap {max_nodes})")
+    pre1 = [[] for _ in range(n1)]
+    pre2 = [[] for _ in range(n2)]
+    for v, s in enumerate(s1):
+        if s is not None:
+            pre1[s].append(v)
+    for v, s in enumerate(s2):
+        if s is not None:
+            pre2[s].append(v)
+    # preimage pairs; skip the self-loop when both are extended
+    children = {}
+    stack = [(r1, r2)]
+    while stack:
+        x, y = pair = stack.pop()
+        kids = [(u, v) for u in pre1[x] for v in pre2[y] if (u, v) != pair]
+        children[pair] = kids
+        stack.extend(kids)
+    return build_trees([(r1, r2)], children)[r1, r2]
+
+
+# ---- the decomposition of a map, and its code as eager text ----
+
+def _walk(succ):
+    """(cycles, children): each cycle in cycle order from the node where a
+    walk first met it, and children[v], the nodes off the cycles sent to v."""
+    n = len(succ)
+    state = bytearray(n)  # 0 unseen, 1 on current walk, 2 finished
+    on_cycle = bytearray(n)
+    cycles = []
+    for start in range(n):
+        if state[start]:
+            continue
+        path = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = succ[v]
+        if state[v] == 1:
+            cycle = path[path.index(v):]
+            cycles.append(cycle)
+            for u in cycle:
+                on_cycle[u] = 1
+        for u in path:
+            state[u] = 2
+
+    children = [[] for _ in range(n)]
+    for v in range(n):
+        if not on_cycle[v]:
+            children[succ[v]].append(v)
+    return cycles, children
+
+
+def reference_decompose(succ):
+    """Split a successor map into (cycle nodes, hanging trees) per component.
+
+    The i-th hanging tree is rooted at the i-th cycle node; cycle nodes are
+    listed in cycle order.
+    """
+    cycles, children = _walk(succ)
+    trees = build_trees([v for cycle in cycles for v in cycle], children)
+    return [(cycle, [trees[v] for v in cycle]) for cycle in cycles]
+
+
+def ref_component_code(cycle_len, codes):
+    """codes: one period of hanging-tree codes; the cycle repeats it."""
+    full = list(codes) * (cycle_len // len(codes))
+    # one code all round is its own least rotation: no quadratic search
+    best = full if len(set(full)) == 1 else min(full[r:] + full[:r] for r in range(len(full)))
+    return "C%d[%s]" % (cycle_len, ",".join(best))
+
+
+def ref_graph_code(component_codes):
+    return ";".join(sorted(component_codes))
+
+
+def reference_code(succ):
+    """Canonical code of a map's graph, as text: a node's code wraps its
+    children's codes in sorted order, on the walk's cycles and trees."""
+    cycles, children = _walk(succ)
+    codes = build_trees([v for cycle in cycles for v in cycle], children,
+                        lambda kids: "(%s)" % "".join(sorted(kids)))
+    return ref_graph_code(ref_component_code(len(cycle), [codes[v] for v in cycle])
+                          for cycle in cycles)
+
+
+def random_maps(rng):
+    maps = [[], [0], [1, 0], [0, 0, 1, 2],
+            # two loops with the same two child trees, peeled in opposite orders
+            [0, 0, 0, 1, 2, 2, 6, 6, 6, 7, 7, 8]]
+    for _ in range(400):
+        n = rng.randrange(1, 80)
+        kind = rng.randrange(4)
+        if kind == 0:
+            succ = [rng.randrange(n) for _ in range(n)]
+        elif kind == 1:  # forests hanging into a few cycles
+            succ = [rng.randrange(v) if v and rng.random() < 0.9 else rng.randrange(n)
+                    for v in range(n)]
+        elif kind == 2:  # permutations
+            succ = list(range(n))
+            rng.shuffle(succ)
+        else:  # relabelled a-maps
+            a = rng.randrange(n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inv = {p: i for i, p in enumerate(perm)}
+            succ = [inv[a * perm[v] % n] for v in range(n)]
+        maps.append(succ)
+    return maps
+
+
+# ---- least rotations and principal ideals ----
+
+def booth_min_rotation(items):
+    """Index of a least rotation of a sequence of comparable items.
+
+    Booth's least-rotation algorithm (Booth 1980), linear in the length:
+    a failure function over the doubled sequence, with the candidate start
+    k moved past every mismatch that shows a smaller rotation.
+    """
+    m = len(items)
+    s = list(items) * 2
+    fail = [-1] * (2 * m)
+    k = 0
+    for j in range(1, 2 * m):
+        sj = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if sj != s[k + i + 1]:  # here i == -1
+            if sj < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def is_principal(order, ideal):
+    """Whether an ideal of small norm N has a generator: some z in it with
+    N(z) = N, since then <z> lies in the ideal with the same norm."""
+    r = 2 * math.isqrt(ideal.norm) + 2
+    return any(order.norm_element(z) == ideal.norm and ideal.contains(z)
+               for z in (QuadInt(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)))

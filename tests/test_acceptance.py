@@ -3,7 +3,9 @@
 Each test covers one acceptance criterion, prints a PASS line with its
 elapsed time, and enforces the stated wall-clock bound.  Graph comparisons
 are exact canonical-code equality throughout; run with ``pytest -s`` to see
-the per-criterion lines.
+the per-criterion lines.  The counting laws (`check_residue_classes`,
+`check_congruences`) and the tensor-product referee (`reference_tensor`)
+come from `references`.
 """
 
 import random
@@ -20,8 +22,8 @@ from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import elementary_tree
 from domains import ENTRIES
-from test_domain_contract import check_congruences, check_residue_classes, counted_moduli
-from test_graph_products import cyc, extended_tree, reference_tensor
+from references import (check_congruences, check_residue_classes, counted_moduli, cyc,
+                        extended_tree, reference_tensor)
 
 Z = IntegerDomain()
 Z5 = QuadOrder(-5)

@@ -1,3 +1,7 @@
+"""The family checks on small worked fields; the expected graphs are built
+with `references.cyc` and `domains.divisor_table`.
+"""
+
 import json
 import random
 
@@ -16,7 +20,7 @@ from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
 from domains import divisor_table
-from test_graph_products import cyc
+from references import cyc
 
 Z = IntegerDomain()
 

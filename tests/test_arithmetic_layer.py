@@ -1,11 +1,10 @@
 """The arithmetic layer against the code it replaced, and its contracts.
 
-`digit_mul` keeps the earlier digit-vector product of odd-characteristic
-extension fields (`finitefield._fp_mul` and `_fp_mod`) unchanged, as a
-test-only reference: it multiplies base-p digit lists and reduces them by
-the monic modulus, where the library now multiplies `Poly` values over F_p.
-`full_scan` keeps the earlier body of `polynomials.irreducibles`, which also
-tests every multiple of x.
+`digit_mul` is the product of extension fields by the test-only list loops
+over F_p (`references.list_mul` and `list_divmod`): it multiplies the two
+base-p digit vectors and reduces them by the monic modulus, with no library
+product.  `full_scan` keeps the earlier body of `polynomials.irreducibles`,
+which also tests every multiple of x.
 """
 
 import dataclasses
@@ -20,43 +19,14 @@ from amap.finitefield import GF, field
 from amap.polynomials import Poly, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder
 from domains import ENTRIES
-
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[shift + j] = (a[shift + j] - c * m[j]) % p
-        a.pop()
-    return _fp_trim(a)
+from references import list_divmod, list_mul
 
 
 def digit_mul(F: GF, a: int, b: int) -> int:
-    prod = _fp_mul(list(F.decode(a)), list(F.decode(b)), F.p)
-    prod = _fp_mod(prod, list(F.modulus), F.p)
-    return F.encode(prod + [0] * (F.k - len(prod)))
+    fp = field(F.p)
+    prod = list_divmod(list_mul(Poly(fp, F.decode(a)), Poly(fp, F.decode(b))),
+                       Poly(fp, F.modulus))[1]
+    return F.encode(prod.coeffs + (0,) * (F.k - len(prod.coeffs)))
 
 
 def digit_pow(F: GF, a: int, e: int) -> int:
@@ -104,21 +74,13 @@ class TestOddExtensionProducts:
         assert held(F) == before
 
 
-def poly_mul(F: GF, a: int, b: int) -> int:
-    """The direct product: a Poly product over F_p reduced by the modulus."""
-    fp = field(F.p)
-    prod = Poly(fp, F.decode(a)) * Poly(fp, F.decode(b)) % Poly(fp, F.modulus)
-    return F.encode(prod.coeffs + (0,) * (F.k - len(prod.coeffs)))
-
-
 def digit_sum(F: GF, a: int, b: int, sign: int = 1) -> int:
     return F.encode(x + sign * y for x, y in zip(F.decode(a), F.decode(b)))
 
 
 class TestLogTables:
-    """The table-backed list ops of extension fields against the direct
-    product, `digit_mul` and digitwise sums; never against a scalar op that
-    reads the same tables."""
+    """The table-backed list ops of extension fields against `digit_mul` and
+    digitwise sums; never against a scalar op that reads the same tables."""
 
     ALL_PAIRS = [(2, 3), (2, 7), (3, 2), (3, 5), (5, 3), (7, 2)]
     SEEDED = [(2, 10), (3, 7), (5, 4)]
@@ -137,7 +99,6 @@ class TestLogTables:
         xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
         products = F.mul_all(xs, ys)
         assert products == [digit_mul(F, a, b) for a, b in pairs]
-        assert products == [poly_mul(F, a, b) for a, b in pairs]
         assert F.add_all(xs, ys) == [digit_sum(F, a, b) for a, b in pairs]
         assert F.sub_all(xs, ys) == [digit_sum(F, a, b, -1) for a, b in pairs]
 
@@ -147,7 +108,7 @@ class TestLogTables:
         exp, log, _ = F._table_set()
         assert sorted(exp) == list(range(1, F.q))
         g = exp[1]
-        assert all(exp[i] == poly_mul(F, exp[i - 1], g) for i in range(1, F.q - 1))
+        assert all(exp[i] == digit_mul(F, exp[i - 1], g) for i in range(1, F.q - 1))
         assert all(log[x] == i for i, x in enumerate(exp))
 
     @pytest.mark.parametrize("p,k", [(3, 4), (3, 5), (5, 3), (7, 3), (2, 7)])

@@ -2,10 +2,11 @@
 `graphs.decompose_successors`, against the earlier walk.
 
 `brute_graph` counts cycles by their word of hanging trees and builds one
-`Component` per distinct word; the rendered code of the earlier walk
-(`reference_code`, one `Component` per cycle) stays the referee.  The
+`Component` per distinct word; `references.reference_code`, the canonical
+code as eager text over the earlier walk, is the referee.  The
 decomposition yields one cycle at a time, in the order of the least cycle
-node, each cycle starting at that node.
+node, each cycle starting at that node; `references.reference_decompose`
+referees its cycle nodes.
 """
 
 import random
@@ -21,8 +22,8 @@ from amap.polynomials import Poly
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
 from domains import ENTRIES
-from test_graph_products import extended_tree, partial_tree, reference_restricted_tensor
-from test_successor_table import _random_maps, reference_code, reference_decompose
+from references import (extended_tree, partial_tree, random_maps, reference_code,
+                        reference_decompose, reference_restricted_tensor)
 
 
 # ---- linear maps of a few thousand nodes in each domain ----
@@ -98,7 +99,7 @@ def test_chebyshev_tables_match_the_reference_code(monkeypatch):
 def _maps(rng):
     """The walk test's random maps and permutations, the identity, x -> -x,
     and permutations made of equal cycles, relabelled."""
-    maps = _random_maps(rng) + [list(range(300)), [-x % 300 for x in range(300)]]
+    maps = random_maps(rng) + [list(range(300)), [-x % 300 for x in range(300)]]
     for _ in range(100):
         n = rng.randrange(1, 200)
         m = rng.choice([d for d in range(1, n + 1) if n % d == 0])

@@ -7,7 +7,8 @@ list of hanging trees, a uniform branch and the least rotation otherwise),
 (the four products of the HNF bases and their w-multiples), and
 `reference_as_dict` the earlier `JsonReport.as_dict` over `asdict` (with
 a graph field written as its code, or as the name of the first field with
-the same code), as test-only references.
+the same code), as test-only references; `references.booth_min_rotation`
+gives the least rotation of a word.
 """
 
 import json
@@ -23,8 +24,7 @@ from amap.integers import IntegerDomain
 from amap.quadorder import QuadInt, QuadOrder, _hnf_from_vectors
 from amap.trees import LEAF, Keyed, elementary_tree
 from domains import ENTRIES
-from test_graph_products import cyc, partial_tree
-from test_least_root import booth_min_rotation
+from references import booth_min_rotation, cyc, partial_tree
 
 Z = IntegerDomain()
 

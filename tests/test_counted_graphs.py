@@ -3,17 +3,14 @@ replaced.
 
 `ReferenceGraph` and `reference_disjoint_sum` keep the earlier bodies of
 `FunctionalGraph` (one entry per component, sorted by code) and
-`disjoint_sum` unchanged, `reference_min_rotation` the earlier slice search
-of the least rotation (which referees the Booth reference of
-`test_least_root`), and `reference_prediction` and
+`disjoint_sum` unchanged, and `reference_prediction` and
 `reference_corrupt` the earlier per-cycle assembly of
 `dynamics.assemble_prediction` and the earlier `dynamics._corrupt`, as
-test-only references.
+test-only references; the operands come from `references`.
 """
 
 import random
 import time
-from itertools import product
 
 import pytest
 
@@ -23,8 +20,7 @@ from amap.graphs import (Component, FunctionalGraph, brute_graph, decompose_succ
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, elementary_tree
 from domains import ENTRIES, divisor_table
-from test_graph_products import cyc, extended_tree, partial_tree, reference_restricted_tensor
-from test_least_root import booth_min_rotation
+from references import cyc, extended_tree, partial_tree, reference_restricted_tensor
 
 Z = IntegerDomain()
 
@@ -50,15 +46,6 @@ def reference_disjoint_sum(graphs):
 
 def reference_cyc(m, tree=LEAF):
     return ReferenceGraph([Component(m, (tree,) * m)])
-
-
-def reference_min_rotation(codes):
-    """Index of the lexicographically minimal rotation of a code sequence."""
-    m = len(codes)
-    if m == 1 or len(set(codes)) == 1:
-        return 0
-    doubled = list(codes) + list(codes)
-    return min(range(m), key=lambda r: doubled[r:r + m])
 
 
 def reference_prediction(dom, a, n):
@@ -213,34 +200,7 @@ def test_prediction_builds_one_component_per_divisor_row(monkeypatch, a):
     assert len(graph.classes) == (1 if a == 1 else 2)
 
 
-# ---- minimal rotation: Booth's algorithm against the slice search ----
-
-def _rotated(codes, r):
-    return list(codes[r:]) + list(codes[:r])
-
-
-def test_min_rotation_matches_the_reference_on_every_short_word():
-    for m in range(1, 9):
-        for word in product("()x", repeat=m):
-            assert _rotated(word, booth_min_rotation(word)) == \
-                _rotated(word, reference_min_rotation(word)), word
-
-
-def test_min_rotation_matches_the_reference_on_periodic_and_aperiodic_words():
-    rng = random.Random(94)
-    codes = [t.code for t in (LEAF, elementary_tree((2,)), elementary_tree((3,)),
-                              elementary_tree((2, 2)))]
-    for _ in range(300):
-        period = [rng.choice(codes[:rng.randint(2, 4)]) for _ in range(rng.randint(1, 12))]
-        word = period * rng.randint(1, 5)
-        if rng.random() < 0.5:  # break the period at one place
-            word[rng.randrange(len(word))] = rng.choice(codes)
-        r = rng.randrange(len(word))
-        word = word[r:] + word[:r]
-        k = booth_min_rotation(word)
-        assert 0 <= k < len(word)
-        assert _rotated(word, k) == _rotated(word, reference_min_rotation(word)), word
-
+# ---- a long cycle of mixed trees ----
 
 def test_long_mixed_cycle_builds_in_linear_time():
     rng = random.Random(95)

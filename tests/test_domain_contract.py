@@ -5,70 +5,24 @@ residue classes, congruence counts, Euler phi, the local rings D/p^alpha and
 `test_arithmetic_layer` `factor`; in `test_gcd_chain` the gcd chain, the
 a-decomposition and `element_in_ideal`; in `test_orders` the order search
 and `local_rows`; in `test_successor_table` `successors` and `residues`; in
-`test_base` the unit ideal, domain equality and the `--domain` spec.
+`test_base` the unit ideal, domain equality and the `--domain` spec.  The
+residue-class and congruence laws (`check_residue_classes`,
+`check_congruences`) and the products of the order search
+(`assert_products_agree`) are helpers of `references`, which the acceptance
+criteria call too.
 """
 
 import functools
 import random
-from collections import Counter
 
 import pytest
 
 from amap.base import power
 from domains import ENTRIES, divisors, generators, reference
-from test_product_mod import assert_products_agree
+from references import (CAP, assert_products_agree, check_congruences, check_residue_classes,
+                        counted_moduli, small_moduli)
 
 every_entry = pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
-
-CAP = 400
-"""Norm cap of the moduli whose residues a law lists."""
-
-
-@functools.cache
-def small_moduli(entry) -> list:
-    """The divisors of norm at most `CAP` of the entry's moduli and of the
-    principal ideals of its instances' elements, in `_ideal_key` order."""
-    dom = entry.dom
-    sources = entry.moduli + [dom.principal(a) for a, _ in entry.instances()
-                              if not dom.is_zero(a)]
-    small = {m for n in sources for m in divisors(dom, n) if dom.norm(m) <= CAP}
-    return sorted(small, key=dom._ideal_key)
-
-
-def counted_moduli(entry, count, seed) -> list:
-    """A seeded sample of `count` of the entry's small moduli (all of them
-    when there are fewer), in `_ideal_key` order."""
-    moduli = small_moduli(entry)
-    return sorted(random.Random(seed).sample(moduli, min(count, len(moduli))),
-                  key=entry.dom._ideal_key)
-
-
-def check_residue_classes(dom, n) -> None:
-    """For each divisor m of n, the residues x with gcd(<x>, n) = m number
-    phi(n/m), m = <1> giving the units."""
-    residues = dom.residues(n)
-    assert len(set(residues)) == len(residues) == dom.norm(n), n
-    classes = Counter(n if dom.is_zero(x) else dom.ideal_gcd(dom.principal(x), n)
-                      for x in residues)
-    divs = divisors(dom, n)
-    assert classes.keys() <= set(divs), n
-    for m in divs:
-        assert classes[m] == dom.euler_phi(dom.ideal_div(n, m)), (n, m)
-
-
-def check_congruences(dom, n, elements, rng) -> None:
-    """`congruence_solution_count(a, b, n)` against the count of residues x
-    with a*x = b mod n, for a among 0, a member of n and an element, and b
-    among 0, a member of n, an element and a*y for a residue y."""
-    residues = dom.residues(n)
-    zero = dom.one_element - dom.one_element
-    gen = [g for g in generators(dom, dom.describe_ideal(n)) if not dom.is_zero(g)][-1]
-    for a in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements)):
-        images = Counter(dom.mul_mod(a, x, n) for x in residues)
-        for b in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements),
-                  dom.mul(a, rng.choice(residues))):
-            assert dom.congruence_solution_count(a, b, n) == images[dom.reduce(b, n)], (a, b, n)
-
 
 @every_entry
 def test_norm_is_multiplicative(entry):

@@ -1,3 +1,7 @@
+"""The nu-series, predicted and brute-force graphs and `verify` on worked
+instances; the tensor-product referee `reference_tensor` is in `references`.
+"""
+
 import json
 import random
 
@@ -10,7 +14,7 @@ from amap.polynomials import PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
 from domains import ENTRIES
-from test_graph_products import cyc, extended_tree, reference_tensor
+from references import cyc, extended_tree, reference_tensor
 
 Z = IntegerDomain()
 Z5 = QuadOrder(-5)
@@ -165,32 +169,6 @@ class TestBruteGraph:
     def test_size_cap(self):
         with pytest.raises(GraphSizeError):
             brute_amap_graph(Z, 2, 100, max_nodes=50)
-
-    def test_preimages_of_zero_in_primary_case(self):
-        # over D/p^alpha with beta = v_p(a) < alpha, zero has norm(p^beta)
-        # preimages
-        rng = random.Random(17)
-        for _ in range(25):
-            p = rng.choice([2, 3])
-            beta = rng.randint(1, 2)
-            alpha = rng.randint(beta + 1, 6)
-            coprime = rng.choice([1, p + 1])
-            a = p**beta * coprime
-            n = p**alpha
-            preimages = sum(1 for x in range(n) if a * x % n == 0)
-            assert preimages == p**beta
-
-    def test_preimages_of_zero_in_primary_case_quad(self):
-        # same count over a ramified prime power of Z[i]: a = 1+i has
-        # valuation beta = 1 at <1+i>
-        a = QuadInt(1, 1)
-        prime = ZI.principal(a)
-        for alpha in (2, 3, 4, 5):
-            n = ZI.ideal_pow(prime, alpha)
-            zero = QuadInt(0, 0)
-            preimages = sum(1 for r in ZI.residues(n)
-                            if ZI.mul_mod(r, a, n) == zero)
-            assert preimages == prime.norm
 
 
 class TestVerify:

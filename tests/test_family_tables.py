@@ -5,19 +5,16 @@ the per-point code they replaced.
 `reference_linearized_successors` keep the earlier per-point bodies of
 `redei_check` (the `step` closure), `chebyshev_check` (the `cheb` closure)
 and `linearized_check` (one scalar product per point and coefficient)
-unchanged, as test-only references.  `ladder_chebyshev_successors` keeps the
-earlier body of `_chebyshev_prime_successors`, which started its ladder at
-(T_1, T_2) rather than at (T_2, T_3) or (T_3, T_4).
-`full_field_redei_successors` and `full_field_chebyshev_successors` keep the
-prime-field bodies that evaluated every point, before the tables evaluated
-x <= (p - 1) / 2 and mirrored the rest by parity and the Redei ladder fused
-each square with the multiply after it; the Redei one reads its inverses
-from `pow` rather than from `GF.inverse_table`.
+unchanged, as test-only references.  The prime-field tables, which evaluate
+x <= (p - 1) / 2 and mirror the rest by parity, from (T_2, T_3) or
+(T_3, T_4) for Chebyshev, are refereed at every degree by the library's
+list-op tables over the same field (`_redei_field_successors` and
+`_chebyshev_field_successors`), which evaluate every point and start the
+Chebyshev ladder at (T_1, T_2).
 """
 
 import random
 from array import array
-from itertools import chain
 
 import pytest
 
@@ -29,7 +26,6 @@ from amap.applications import (_chebyshev_field_successors, _chebyshev_prime_suc
                                redei_check)
 from amap.base import is_prime, power
 from amap.finitefield import GF, field, quadratic_character
-from amap.quadorder import _sqrt_mod
 
 
 def reference_redei_successors(F, n, a_code):
@@ -60,78 +56,6 @@ def reference_chebyshev_successors(F, n):
         return cur
 
     return [cheb(c) for c in F.elements()]
-
-
-def ladder_chebyshev_successors(F, n):
-    p = F.p
-    bits = bin(n)[3:]
-    succ = F.code_array()
-    for xs in applications._blocks(range(p)):
-        lo, hi = xs, [(x * x - 2) % p for x in xs]
-        for i, bit in enumerate(bits, 1):
-            more = i < len(bits)  # after the last bit only T_n is needed
-            if bit == "1":
-                lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],
-                          [(t * t - 2) % p for t in hi] if more else None)
-            else:
-                lo, hi = ([(s * s - 2) % p for s in lo],
-                          [(s * t - x) % p for s, t, x in zip(lo, hi, xs)] if more else None)
-        succ.extend(lo)
-    return succ
-
-
-def full_field_redei_successors(F, n, a):
-    p = F.p
-    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
-    root = _sqrt_mod(a, p)
-    if root is None:
-        points, index = range(p), range(1, p + 1)
-    else:  # no point maps to a root, so the roots' index entries are never read
-        r1, r2 = sorted((root, p - root))
-        points = chain(range(r1), range(r1 + 1, r2), range(r2 + 1, p))
-        index = chain(range(1, r1 + 1), [0], range(r1 + 1, r2), [0], range(r2, p - 1))
-    index = F.code_array(index)
-    bits = bin(n)[3:]
-    succ = F.code_array([0])  # infinity is absorbing
-    for xs in applications._blocks(points):
-        if n == 1:
-            u, v = xs, [1] * len(xs)
-        else:  # (x + sqrt(a))^2 = (x^2 + a) + 2x*sqrt(a)
-            u, v = [(x * x + a) % p for x in xs], [2 * x % p for x in xs]
-        for i, bit in enumerate(bits):
-            if i:
-                u, v = ([(s * s + a * t * t) % p for s, t in zip(u, v)],
-                        [2 * s * t % p for s, t in zip(u, v)])
-            if bit == "1":
-                u, v = ([(s * x + a * t) % p for s, t, x in zip(u, v, xs)],
-                        [(s + t * x) % p for s, t, x in zip(u, v, xs)])
-        succ.extend([index[s * inv[t] % p] if t else 0 for s, t in zip(u, v)])
-    return succ
-
-
-def full_field_chebyshev_successors(F, n):
-    p = F.p
-    bits = bin(n)[3:]
-    succ = F.code_array()
-    for xs in applications._blocks(range(p)):
-        if not bits:  # T_1
-            lo = xs
-        elif bits[0] == "0":  # (T_2, T_3)
-            lo = [(x * x - 2) % p for x in xs]
-            hi = [x * (x * x - 3) % p for x in xs] if bits[1:] else None
-        else:  # (T_3, T_4)
-            lo = [x * (x * x - 3) % p for x in xs]
-            hi = [(x * x * (x * x - 4) + 2) % p for x in xs] if bits[1:] else None
-        for i, bit in enumerate(bits[1:], 2):
-            more = i < len(bits)  # after the last bit only T_n is needed
-            if bit == "1":
-                lo, hi = ([(s * t - x) % p for s, t, x in zip(lo, hi, xs)],
-                          [(t * t - 2) % p for t in hi] if more else None)
-            else:
-                lo, hi = ([(s * s - 2) % p for s in lo],
-                          [(s * t - x) % p for s, t, x in zip(lo, hi, xs)] if more else None)
-        succ.extend(lo)
-    return succ
 
 
 def reference_linearized_successors(E, frob, coeffs):
@@ -210,7 +134,8 @@ def test_chebyshev_closed_form_start_matches_the_ladder():
             rng.sample([p for p in primes if p % 4 == 3], 2):
         F = field(p)
         for n in range(1, 41):
-            assert _chebyshev_prime_successors(F, n) == ladder_chebyshev_successors(F, n), (p, n)
+            assert list(_chebyshev_prime_successors(F, n)) == \
+                list(_chebyshev_field_successors(F, n)), (p, n)
 
 
 @pytest.mark.parametrize("q", (13, 25, 243))
@@ -294,10 +219,10 @@ def test_half_field_tables_match_full_field_tables(block, monkeypatch):
         params = range(1, p) if p < 30 else (*_redei_params(F), p - 1)
         for n in MIRROR_N if p < 4099 else (1, 2, 5, 64, 65, 1001):
             for a in params:
-                assert _redei_prime_successors(F, n, a) == \
-                    full_field_redei_successors(F, n, a), (p, a, n)
-            assert _chebyshev_prime_successors(F, n) == \
-                full_field_chebyshev_successors(F, n), (p, n)
+                assert list(_redei_prime_successors(F, n, a)) == \
+                    list(_redei_field_successors(F, n, a)), (p, a, n)
+            assert list(_chebyshev_prime_successors(F, n)) == \
+                list(_chebyshev_field_successors(F, n)), (p, n)
 
 
 def test_field_of_several_real_blocks_matches_reference():

@@ -1,3 +1,7 @@
+"""Cycles, sums, brute-force graphs, codes and the tensor identities, by the
+tensor-product referees of `references`.
+"""
+
 import math
 import random
 
@@ -6,8 +10,8 @@ import pytest
 from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, GraphSizeError,
                          brute_graph, disjoint_sum, materialize, render, to_dot)
 from amap.trees import LEAF, RootedTree, elementary_tree
-from test_graph_products import (cyc, extended_tree, partial_tree, reference_restricted_tensor,
-                                 reference_tensor)
+from references import (cyc, extended_tree, partial_tree, reference_restricted_tensor,
+                        reference_tensor)
 
 
 def test_cyc_basics():

@@ -1,11 +1,12 @@
 """Interned tree ids and on-demand code rendering, against eager codes.
 
-`ref_tree_code`, `ref_component_code` and `ref_graph_code` build the
-canonical text eagerly from plain nested structures, the way the library
-did before trees had ids: sorted child codes, the least rotation of the
-full list of hanging-tree codes by trying every rotation, sorted component
-codes.  They are test-only references, and code-string equality stays the
-referee: ids and keys must be equal exactly when these codes are.
+`ref_tree_code` here, and `ref_component_code`, `ref_graph_code` and
+`reference_code` (a map's graph) in `references`, build the canonical text
+eagerly from plain nested structures, the way the library did before trees
+had ids: sorted child codes, the least rotation of the full list of
+hanging-tree codes by trying every rotation, sorted component codes.  They
+are test-only references, and code-string equality stays the referee: ids
+and keys must be equal exactly when these codes are.
 """
 
 import json
@@ -26,7 +27,7 @@ from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, Gra
                          materialize, render, to_dot)
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, Keyed, RootedTree, elementary_tree
-from test_graph_products import cyc, partial_tree
+from references import cyc, partial_tree, ref_component_code, ref_graph_code, reference_code
 
 Z = IntegerDomain()
 # seeded like the rest of the suite: the same examples on every run
@@ -43,51 +44,6 @@ def ref_tree_code(shape):
 
 def build(shape):
     return RootedTree(build(child) for child in shape)
-
-
-def ref_component_code(cycle_len, codes):
-    """codes: one period of hanging-tree codes; the cycle repeats it."""
-    full = list(codes) * (cycle_len // len(codes))
-    best = min(full[r:] + full[:r] for r in range(len(full)))
-    return "C%d[%s]" % (cycle_len, ",".join(best))
-
-
-def ref_graph_code(component_codes):
-    return ";".join(sorted(component_codes))
-
-
-def ref_brute_code(succ):
-    """Eager code of a map's graph, from a walk over its cycles."""
-    n = len(succ)
-    preds = [[] for _ in range(n)]
-    for v, s in enumerate(succ):
-        preds[s].append(v)
-    on_cycle = [False] * n
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        path, v = [], start
-        while not seen[v]:
-            seen[v] = True
-            path.append(v)
-            v = succ[v]
-        if v in path:
-            cycle = path[path.index(v):]
-            for u in cycle:
-                on_cycle[u] = True
-            cycles.append(cycle)
-
-    def code(v):
-        order, i = [v], 0
-        while i < len(order):
-            order.extend(u for u in preds[order[i]] if not on_cycle[u])
-            i += 1
-        done = {}
-        for u in reversed(order):
-            done[u] = "(%s)" % "".join(sorted(done[c] for c in preds[u] if not on_cycle[c]))
-        return done[v]
-
-    return ref_graph_code(ref_component_code(len(c), [code(v) for v in c]) for c in cycles)
 
 
 shapes = st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=4), max_leaves=12)
@@ -143,7 +99,7 @@ def test_trees_of_two_decompositions_share_ids(succ_seed, shift):
     assert sorted(t.key for t in trees) == sorted(u.key for u in others)
     graph = brute_graph(n, succ)
     assert graph == brute_graph(n, renamed)
-    assert graph.code == ref_brute_code(succ) == render(graph, graph.code_bytes)
+    assert graph.code == reference_code(succ) == render(graph, graph.code_bytes)
 
 
 # ---- components: keys from the primitive root under id order ----

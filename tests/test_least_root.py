@@ -1,9 +1,10 @@
 """The least rotation and primitive period of a word, from one Lyndon
 factorization, against brute force and against the code it replaced.
 
-`booth_min_rotation` and `kmp_primitive_length` keep the earlier bodies of
-`graphs._min_rotation` (Booth 1980) and `graphs._primitive_length` (the
-Knuth-Morris-Pratt failure function), as test-only references.
+`references.booth_min_rotation` and `kmp_primitive_length` keep the earlier
+bodies of `graphs._min_rotation` (Booth 1980) and
+`graphs._primitive_length` (the Knuth-Morris-Pratt failure function), as
+test-only references.
 """
 
 import random
@@ -12,33 +13,7 @@ from itertools import product
 import pytest
 
 from amap.graphs import _least_root
-
-
-def booth_min_rotation(items):
-    """Index of a least rotation of a sequence of comparable items.
-
-    Booth's least-rotation algorithm (Booth 1980), linear in the length:
-    a failure function over the doubled sequence, with the candidate start
-    k moved past every mismatch that shows a smaller rotation.
-    """
-    m = len(items)
-    s = list(items) * 2
-    fail = [-1] * (2 * m)
-    k = 0
-    for j in range(1, 2 * m):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s[k + i + 1]:  # here i == -1
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+from references import booth_min_rotation
 
 
 def kmp_primitive_length(word):

@@ -1,7 +1,8 @@
 """Multiplicative orders by prime stripping against the linear search they replaced.
 
 The references, `LinearOrderReference` and the divisor walk among them, live
-in `domains`.  `scan_splitting` keeps the earlier body of
+in `domains`, and `is_principal` and `booth_min_rotation` in `references`.
+`scan_splitting` keeps the earlier body of
 `QuadOrder.rational_prime_splitting`, which scans all residues mod p, and
 `walk_prediction` the earlier body of `predicted_graph` over the divisor
 walk, the differential reference for the prediction by prime powers.
@@ -21,8 +22,7 @@ from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from amap.trees import elementary_tree
 from domains import ENTRIES, divisor_table, divisors, mult_order, reference
-from test_least_root import booth_min_rotation
-from test_quadorder import is_principal
+from references import booth_min_rotation, is_principal
 
 
 def scan_splitting(order: QuadOrder, p: int):

@@ -1,15 +1,15 @@
 """Packed prime-field polynomial arithmetic against the list loops it replaced.
 
-`list_mul` and `list_divmod` keep the earlier `F.k == 1` bodies of
-`Poly.__mul__` and `Poly.__divmod__` (a coefficient double loop, reduced mod
-p once at the end or when a digit is read) as test-only references, and
-`list_gcd` runs Euclid's loop over `list_divmod` as the packed gcd's;
-`pow_mod_distinct_degree` keeps the distinct-degree loop that powered by
-`Poly.pow_mod` before F_2 squared Barrett residues instead.  The
-primes are chosen so that every slot width is used: one byte (p = 2, 3, 5,
-7 at low degree), two (p = 17, and p = 2, 3 past the byte bound), four
-(p = 1009), eight (p = 65537) and the general width past eight bytes
-(p = 2^32 + 15).
+`references.list_mul` and `references.list_divmod` keep the earlier
+`F.k == 1` bodies of `Poly.__mul__` and `Poly.__divmod__` (a coefficient
+double loop, reduced mod p once at the end or when a digit is read) as
+test-only references, and `list_gcd` runs Euclid's loop over `list_divmod`
+as the packed gcd's; `pow_mod_distinct_degree` keeps the distinct-degree
+loop that powered by `Poly.pow_mod` before F_2 squared Barrett residues
+instead.  The primes, `references.SLOT_PRIMES`, use every slot width: one
+byte (p <= 13 at low degree, every row of the byte table), two (p = 17,
+and p = 2, 3 past the byte bound), four (p = 1009), eight (p = 65537) and
+the general width past eight bytes (p = 2^32 + 15).
 """
 
 import collections
@@ -26,42 +26,10 @@ from amap.dynamics import predicted_graph
 from amap.finitefield import field
 from amap.polynomials import (Poly, PolyDomain, _distinct_degree, factor_poly, irreducibles,
                               is_irreducible)
+from references import SLOT_PRIMES, list_divmod, list_mul
 
-PRIMES = (2, 3, 5, 7, 17, 1009, 65537, 2**32 + 15)
 # degrees at and around the byte bounds (p = 3: 62, p = 2: 254) and up to 300
 DEGREES = (-1, 0, 1, 2, 5, 13, 31, 32, 62, 63, 100, 127, 128, 254, 255, 300)
-
-
-def list_mul(a: Poly, b: Poly) -> Poly:
-    F = a.field
-    x, y = a.coeffs, b.coeffs
-    if not x or not y:
-        return Poly(F)
-    out = [0] * (len(x) + len(y) - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y, i):
-                out[j] += xi * yj
-    p = F.p
-    return Poly(F, [c % p for c in out])
-
-
-def list_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    F = a.field
-    rem = list(a.coeffs)
-    dv = b.coeffs
-    dd = len(dv) - 1
-    inv_lead = 1 if dv[-1] == 1 else F.inv(dv[-1])
-    quot = [0] * max(len(rem) - dd, 0)
-    p = F.p
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i] % p
-        if c:
-            q = c if inv_lead == 1 else c * inv_lead % p
-            quot[i - dd] = q
-            for j, dj in enumerate(dv, i - dd):
-                rem[j] -= q * dj
-    return Poly(F, quot), Poly(F, [c % p for c in rem])
 
 
 def list_gcd(a: Poly, b: Poly) -> Poly:
@@ -88,7 +56,7 @@ def _dense(rng, F, degree):
     return Poly(F, [F.p - 1] * (degree + 1)) if degree >= 0 else Poly(F)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_products_equal_the_list_loop(p):
     F = field(p)
     rng = random.Random(p)
@@ -99,7 +67,7 @@ def test_products_equal_the_list_loop(p):
                 assert a * b == list_mul(a, b), (p, da, db)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_divisions_equal_the_list_loop(p):
     F = field(p)
     rng = random.Random(p + 1)
@@ -115,7 +83,7 @@ def test_divisions_equal_the_list_loop(p):
             assert divmod(a, b) == list_divmod(a, b), (p, da, dd)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_gcds_equal_the_list_euclid(p):
     # zero operands, equal degrees, long first quotients, and (300, 128),
     # whose first step needs wider slots than the rest for p >= 3
@@ -131,7 +99,7 @@ def test_gcds_equal_the_list_euclid(p):
                 assert a.gcd(b) == list_gcd(a, b), (p, da, db)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_modular_products_equal_the_list_loops(p):
     F = field(p)
     D = PolyDomain(F)
@@ -148,7 +116,7 @@ def test_modular_products_equal_the_list_loops(p):
             assert D.mul_mod(a, b, n) == list_divmod(list_mul(a, b), n)[1], (p, dd)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_modular_powers_equal_the_list_loops(p):
     F = field(p)
     rng = random.Random(p + 3)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from amap import finitefield
+from amap import finitefield, polynomials
 from amap.base import NotCoprimeError, ZeroIdealError
 from amap.dynamics import predicted_graph
 from amap.finitefield import GF, field
@@ -169,6 +169,24 @@ class TestPolyArithmetic:
                 Poly(F, (1, 3, 1)).gcd(Poly(F, (3, 1)))
             with pytest.raises(RuntimeError, match="broken field arithmetic"):
                 factor_poly(Poly(F, (1, 2, 3, 1)))
+
+    def test_prime_field_gcd_ends_whatever_the_digits(self, monkeypatch):
+        # each odd-p step of the packed Euclid repacks the remainder from the
+        # nv - 1 slots `_normalize` returns, so the divisor loses a slot a
+        # step whatever digits come back (and an F_2 step clears u's top bit
+        # or swaps): wrong digits give a wrong gcd or an error, never a loop
+        real, rng = polynomials._normalize, random.Random(17)
+        pairs = [tuple(Poly(field(17), [rng.randrange(1, 17) for _ in range(d + 1)]) for d in ds)
+                 for ds in ((40, 30), (30, 30), (100, 3), (300, 128))]
+        for normalize in (lambda v, w, n, p: (v % (1 << 8 * w * n)).to_bytes(w * n, "little"),
+                          lambda v, w, n, p: b"\x01" * (w * n),  # slots of 257
+                          lambda v, w, n, p: real(v + 1, w, n, p),
+                          lambda v, w, n, p: real(v, w, n, p)[:-1] + b"\xff"):
+            monkeypatch.setattr(polynomials, "_normalize", normalize)
+            with deadline(1.0):
+                for a, b in pairs:
+                    with contextlib.suppress(ArithmeticError, ValueError):
+                        a.gcd(b)
 
 
 class TestFactorization:

@@ -3,9 +3,10 @@
 `Domain._product_mod(n)` hands `_order` a (lift, mul) pair: lift(a) is the
 residue of a mod n in a form whose == is equality mod n, and mul multiplies
 two such residues.  Each domain's pair is checked against `reduce` and
-`mul_mod` on seeded elements: Z, F_q[x] over prime fields of every slot width
-(Barrett products) and over F_2 on both sides of its byte bound, over F_4 and
-F_9 (the default pair), Z[i] with HNFs {a, b + c*w} for c = 1 and c > 1,
+`mul_mod` by `references.assert_products_agree` on seeded elements: Z, F_q[x]
+over the prime fields of `references.SLOT_PRIMES`, every slot width
+(Barrett products), and over F_2 on both sides of its byte bound, over F_4
+and F_9 (the default pair), Z[i] with HNFs {a, b + c*w} for c = 1 and c > 1,
 Z[sqrt(-5)] at non-principal primes, the unit ideal and degree-1 moduli.
 """
 
@@ -13,32 +14,13 @@ import random
 
 import pytest
 
-from amap.base import power
 from amap.finitefield import field
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, _slot_width
 from amap.quadorder import QuadInt, QuadOrder
+from references import SLOT_PRIMES, assert_products_agree
 
-# one-byte slots (p = 2, 3, 5, 13 at low degree), then 2, 4, 8 and 16 bytes
-PRIMES = (2, 3, 5, 13, 17, 1009, 65537, 2**32 + 15)
 DEGREES = (0, 1, 2, 3, 9, 14, 31, 63)
-
-
-def assert_products_agree(dom, n, elements, rng, pairs=20):
-    lift, mul = dom._product_mod(n)
-    one = lift(dom.one_element)
-    residues = [dom.reduce(x, n) for x in elements]
-    for x, r in zip(elements, residues):
-        assert lift(x) == lift(r), (n, x)
-    for _ in range(pairs):
-        (x, r), (y, s) = rng.sample(list(zip(elements, residues)), 2)
-        assert (lift(x) == lift(y)) == (r == s), (n, x, y)
-        assert mul(lift(x), lift(y)) == lift(dom.mul_mod(x, y, n)), (n, x, y)
-    # a product's residue is a factor again: powers agree with mul_mod's
-    x, e = rng.choice(elements), rng.randrange(2, 500)
-    want = power(dom.reduce(x, n), e, lambda u, v: dom.mul_mod(u, v, n),
-                 dom.reduce(dom.one_element, n))
-    assert power(lift(x), e, mul, one) == lift(want), (n, x, e)
 
 
 def test_integers():
@@ -52,7 +34,7 @@ def _poly(rng, F, degree):
     return Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [rng.randrange(1, F.q)])
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_prime_field_polynomials(p):
     F = field(p)
     D, rng = PolyDomain(F), random.Random(p)
@@ -81,7 +63,8 @@ def test_f2_products_around_the_byte_bound(d):
 
 
 def test_barrett_products_use_every_slot_width():
-    assert {_slot_width(d, p) for p in PRIMES for d in DEGREES if d > 1} == {1, 2, 4, 8, 16}
+    widths = {_slot_width(d, p) for p in SLOT_PRIMES for d in DEGREES if d > 1}
+    assert widths == {1, 2, 4, 8, 16}
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2)])

@@ -3,9 +3,9 @@
 `power_search_factor` keeps the earlier body of `QuadOrder.factor`, as a
 test-only reference: it finds each prime's exponent by building the powers
 of the prime with `ideal_mul` until one no longer contains the ideal.
+`references.is_principal` decides principality by search.
 """
 
-import math
 import random
 import re
 
@@ -14,6 +14,7 @@ import pytest
 from amap.base import ZeroIdealError, factor_int
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from domains import ENTRIES
+from references import is_principal
 
 Z5 = QuadOrder(-5)
 ZI = QuadOrder(-1)
@@ -36,14 +37,6 @@ def power_search_factor(order, n):
                 pairs.append((prime, e))
     pairs.sort(key=lambda pe: order._ideal_key(pe[0]))
     return pairs
-
-
-def is_principal(order, ideal):
-    """Whether an ideal of small norm N has a generator: some z in it with
-    N(z) = N, since then <z> lies in the ideal with the same norm."""
-    r = 2 * math.isqrt(ideal.norm) + 2
-    return any(order.norm_element(z) == ideal.norm and ideal.contains(z)
-               for z in (QuadInt(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)))
 
 
 class TestConstruction:

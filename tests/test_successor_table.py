@@ -3,13 +3,10 @@ code they replaced.
 
 `domains.reference_successors` keeps the earlier per-residue body of
 `dynamics.brute_amap_graph` (one `mul_mod` and one dict lookup per residue),
-`reference_decompose` the first body of `graphs.decompose_successors` (a
-walk for the cycles, one `RootedTree` per node) and `peeling_decompose` the
-body it had next (peeling, one label per cycle node as its cycle is yielded,
-trees built from one entry per child) unchanged, as test-only references.
-`reference_mul` and `reference_divmod` keep the earlier bodies of
-`Poly.__mul__` and `Poly.__divmod__`, which call the field once per
-coefficient pair also over a prime field.
+and `references.reference_decompose` the first body of
+`graphs.decompose_successors` (a walk for the cycles, one `RootedTree` per
+node), as test-only references; `references.reference_code` renders the
+canonical code from the same walk as eager text.
 """
 
 import itertools
@@ -25,144 +22,13 @@ from amap import finitefield
 from amap.base import Domain
 from amap.dynamics import brute_amap_graph
 from amap.finitefield import GF, field
-from amap.graphs import Component, FunctionalGraph, brute_graph, decompose_successors
+from amap.graphs import brute_graph, decompose_successors
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, _digit_sums, _fp_linear_table
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import LEAF, RootedTree
+from amap.trees import RootedTree
 from domains import ENTRIES, reference_successors
-
-
-def _build_tree(root, children) -> RootedTree:
-    """Tree of the nodes below `root`, where children[v] lists v's children."""
-    order = [root]
-    for v in order:  # breadth first: the loop also visits what it appends
-        order.extend(children[v])
-    built = {}
-    for v in reversed(order):
-        kids = children[v]
-        built[v] = RootedTree(built[c] for c in kids) if kids else LEAF
-    return built[root]
-
-
-def reference_decompose(succ):
-    """Split a successor map into (cycle nodes, hanging trees) per component.
-
-    The i-th hanging tree is rooted at the i-th cycle node; cycle nodes are
-    listed in cycle order.
-    """
-    n = len(succ)
-    state = bytearray(n)  # 0 unseen, 1 on current walk, 2 finished
-    on_cycle = bytearray(n)
-    cycles = []
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = succ[v]
-        if state[v] == 1:
-            cycle = path[path.index(v):]
-            cycles.append(cycle)
-            for u in cycle:
-                on_cycle[u] = 1
-        for u in path:
-            state[u] = 2
-
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if not on_cycle[v]:
-            children[succ[v]].append(v)
-
-    return [(cycle, [_build_tree(c, children) for c in cycle]) for cycle in cycles]
-
-
-def peeling_decompose(succ):
-    """Yield (cycle nodes, hanging trees) per component, in the order of the
-    least cycle node, each cycle starting there; labels as in `graphs`."""
-    n = len(succ)
-    indeg = [0] * n
-    for s in succ:
-        indeg[s] += 1
-    children = indeg[:]  # on a cycle, one of these is the cycle predecessor
-    inner = {}  # node -> labels of its peeled inner children
-    trees = [LEAF]
-    label_of = {(0,): 0}
-
-    def label(v, tree_kids):
-        kids = sorted(inner.pop(v, ()))
-        key = (tree_kids - len(kids), *kids)  # the leaf children come first
-        t = label_of.get(key)
-        if t is None:
-            t = label_of[key] = len(trees)
-            trees.append(RootedTree([LEAF] * key[0] + [trees[k] for k in kids]))
-        return t
-
-    ready = []
-    for s in [succ[v] for v in range(n) if not indeg[v]]:
-        indeg[s] -= 1
-        if not indeg[s]:
-            ready.append(s)
-    while ready:
-        frontier, ready = ready, []
-        for v in frontier:
-            t = label(v, children[v])
-            s = succ[v]
-            inner.setdefault(s, []).append(t)
-            indeg[s] -= 1
-            if not indeg[s]:
-                ready.append(s)
-
-    for start in range(n):
-        if not indeg[start]:
-            continue
-        cycle = [start]
-        v = succ[start]
-        while v != start:
-            indeg[v] = 0
-            cycle.append(v)
-            v = succ[v]
-        yield cycle, [trees[label(v, children[v] - 1)] if children[v] > 1 else LEAF
-                      for v in cycle]
-
-
-def reference_code(succ):
-    return FunctionalGraph((Component(len(cycle), trees), 1)
-                           for cycle, trees in reference_decompose(succ)).code
-
-
-def reference_mul(self, other):
-    F = self.field
-    a, b = self.coeffs, other.coeffs
-    if not a or not b:
-        return Poly(F)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return Poly(F, out)
-
-
-def reference_divmod(self, other):
-    F = self.field
-    rem = list(self.coeffs)
-    dv = other.coeffs
-    dd = len(dv) - 1
-    inv_lead = F.inv(dv[-1])
-    quot = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            q = F.mul(c, inv_lead)
-            quot[i - dd] = q
-            for j in range(dd + 1):
-                rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(q, dv[j]))
-    return Poly(F, quot), Poly(F, rem)
+from references import random_maps, reference_code, reference_decompose
 
 
 # ---- seeded instances: each entry's, small and few ----
@@ -269,12 +135,12 @@ def test_brute_force_makes_one_product_per_additive_generator(monkeypatch):
 
 
 def _subtree_ids(trees):
-    """Code -> ids of the tree objects with that code, over all subtrees."""
+    """Key -> ids of the tree objects with that key, over all subtrees."""
     ids, stack = {}, list(trees)
     while stack:
         t = stack.pop()
-        ids.setdefault(t.code, set()).add(id(t))
-        stack.extend(t.children)
+        ids.setdefault(t.key, set()).add(id(t))
+        stack.extend(child for child, _ in t.counted)
     return ids
 
 
@@ -302,31 +168,6 @@ def test_fixed_points_share_one_hanging_tree():
 
 # ---- the decomposition against the earlier walk ----
 
-def _random_maps(rng):
-    maps = [[], [0], [1, 0], [0, 0, 1, 2],
-            # two loops with the same two child trees, peeled in opposite orders
-            [0, 0, 0, 1, 2, 2, 6, 6, 6, 7, 7, 8]]
-    for _ in range(400):
-        n = rng.randrange(1, 80)
-        kind = rng.randrange(4)
-        if kind == 0:
-            succ = [rng.randrange(n) for _ in range(n)]
-        elif kind == 1:  # forests hanging into a few cycles
-            succ = [rng.randrange(v) if v and rng.random() < 0.9 else rng.randrange(n)
-                    for v in range(n)]
-        elif kind == 2:  # permutations
-            succ = list(range(n))
-            rng.shuffle(succ)
-        else:  # relabelled a-maps
-            a = rng.randrange(n)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            inv = {p: i for i, p in enumerate(perm)}
-            succ = [inv[a * perm[v] % n] for v in range(n)]
-        maps.append(succ)
-    return maps
-
-
 def _least_node_first(decomposition):
     """The walk's components, each cycle (and its trees) turned to start at
     its least node, in the order of that node."""
@@ -335,18 +176,6 @@ def _least_node_first(decomposition):
         i = cycle.index(min(cycle))
         turned.append((cycle[i:] + cycle[:i], trees[i:] + trees[:i]))
     return sorted(turned, key=lambda pair: pair[0][0])
-
-
-def test_decomposition_matches_reference_walk():
-    for succ in _random_maps(random.Random(11)):
-        got = list(decompose_successors(succ))
-        want = _least_node_first(reference_decompose(succ))
-        assert [c for c, _ in got] == [c for c, _ in want], succ
-        assert [[t.code for t in ts] for _, ts in got] == \
-            [[t.code for t in ts] for _, ts in want], succ
-        assert brute_graph(len(succ), succ).code == reference_code(succ)
-        ids = _subtree_ids(t for _, ts in got for t in ts)
-        assert all(len(objects) == 1 for objects in ids.values()), succ
 
 
 def _sharing(labels):
@@ -392,20 +221,20 @@ def _branch_maps(rng):
     return maps
 
 
-def test_decomposition_matches_the_peeling_it_replaced():
-    for succ in _random_maps(random.Random(13)) + _branch_maps(random.Random(17)):
+def test_decomposition_matches_reference_walk():
+    for succ in random_maps(random.Random(11)) + _branch_maps(random.Random(17)):
         got = list(decompose_successors(succ))
-        want = list(peeling_decompose(succ))
+        want = _least_node_first(reference_decompose(succ))
         assert [c for c, _ in got] == [c for c, _ in want], succ
         words = [[t.key for t in ts] for _, ts in got]
         assert words == [[t.key for t in ts] for _, ts in want], succ
         if len(succ) < 1000:  # a deep tree's code costs O(depth^2)
-            assert [[t.code for t in ts] for _, ts in got] == \
-                [[t.code for t in ts] for _, ts in want], succ
-        # one object per distinct tree, as in the peeling
-        objects = _sharing(id(t) for _, ts in got for t in ts)
-        assert objects == _sharing(id(t) for _, ts in want for t in ts), succ
-        assert objects == _sharing(key for word in words for key in word), succ
+            assert brute_graph(len(succ), succ).code == reference_code(succ)
+        # one object per distinct tree, among the hanging trees and below
+        assert _sharing(id(t) for _, ts in got for t in ts) == \
+            _sharing(key for word in words for key in word), succ
+        ids = _subtree_ids(t for _, ts in got for t in ts)
+        assert all(len(objects) == 1 for objects in ids.values()), succ
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -442,7 +271,7 @@ def test_decomposition_reads_every_table_type_alike():
     # the library passes lists and GF.code_array arrays; tuples read alike
     kinds = (list, tuple, lambda succ: array("I", succ), lambda succ: array("l", succ))
     rng = random.Random(19)
-    maps = _random_maps(rng)[::4] + _branch_maps(rng)
+    maps = random_maps(rng)[::4] + _branch_maps(rng)
     for succ in maps:
         want = [(c, [t.key for t in ts]) for c, ts in decompose_successors(succ)]
         for kind in kinds[1:]:
@@ -464,21 +293,7 @@ def test_decomposition_reads_every_table_type_alike():
                 list(decompose_successors(kind(succ)))
 
 
-# ---- prime-field polynomial arithmetic against the field calls ----
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_prime_field_poly_arithmetic_matches_field_calls(p):
-    F = field(p)
-    rng = random.Random(p)
-    for _ in range(150):
-        a = Poly(F, [rng.randrange(p) for _ in range(rng.randrange(0, 14))])
-        b = Poly(F, [rng.randrange(p) for _ in range(rng.randrange(0, 9))])
-        assert (a * b).coeffs == reference_mul(a, b).coeffs
-        if not b.is_zero:
-            q, r = divmod(a, b)
-            rq, rr = reference_divmod(a, b)
-            assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
-
+# ---- division by a monic divisor ----
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_division_by_a_monic_divisor_takes_no_inverse(p, k, monkeypatch):
@@ -488,14 +303,13 @@ def test_division_by_a_monic_divisor_takes_no_inverse(p, k, monkeypatch):
     for _ in range(60):
         a = Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(0, 12))])
         b = Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(0, 6))] + [1])
-        cases.append((a, b, reference_divmod(a, b)))
+        cases.append((a, b))
     calls = []
     real = GF.inv
     monkeypatch.setattr(GF, "inv", lambda self, a: calls.append(a) or real(self, a))
-    for a, b, (rq, rr) in cases:
-        q, r = divmod(a, b)
+    for a, b in cases:
+        q, r = divmod(a, b)  # the two conditions fix q and r
         assert q * b + r == a and r.degree < b.degree
-        assert (q.coeffs, r.coeffs) == (rq.coeffs, rr.coeffs)
     assert calls == []
 
 

@@ -233,7 +233,7 @@ def test_every_private_definition_is_named_outside_itself():
 
 def test_every_public_graph_and_tree_function_has_a_library_caller():
     # graph and tree algebra that only the tests use lives with the tests
-    # (test_graph_products.py), so a public module-level function of
+    # (references.py), so a public module-level function of
     # graphs.py or trees.py that nothing else in the package names fails
     # this check; re-exports in __init__.py and references inside its own
     # body do not count
@@ -283,6 +283,19 @@ def test_only_the_domains_module_lists_domains():
         found.extend(f"{path.name}:{node.lineno}" for top in tops for node in ast.walk(top)
                      if isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict) + COMPREHENSIONS)
                      and _domain_calls(node, domains) >= 2)
+    assert not found, found
+
+
+def test_no_test_module_imports_another_test_module():
+    # a referee or helper that two modules use lives in references.py (the
+    # domain list and its references in domains.py); an import from a test_*
+    # module fails this check, wherever in the file it stands
+    found = [f"{path.name}:{node.lineno}" for path in sorted(Path(__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for name in ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                          [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                          else [])
+             if name.split(".")[0].startswith("test_")]
     assert not found, found
 
 

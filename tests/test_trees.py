@@ -1,3 +1,7 @@
+"""Rooted trees, their codes and the elementary trees of the paper;
+`references.partial_tree` builds the partial trees.
+"""
+
 import math
 import re
 
@@ -5,7 +9,7 @@ import pytest
 
 from amap import trees
 from amap.trees import LEAF, RootedTree, elementary_tree
-from test_graph_products import partial_tree
+from references import partial_tree
 
 
 def test_leaf_code():
