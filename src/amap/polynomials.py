@@ -8,23 +8,29 @@ Over a prime field, products and divisions are packed (Kronecker
 substitution) into fixed-width slots of one Python int: one byte while no
 slot can reach 256 (p = 2 to degree 254, p = 3 to 62), else 2, 4, 8 or more.
 A product is one big-int multiply, read back mod p through a byte table or
-per slot; a division makes one big-int add per quotient digit, a multiple
-of the packed divisor that clears the top slot mod p.  Euclid's gcd keeps
-its remainders packed from step to step and builds one `Poly` at the end.
+per slot; an odd-p division makes one big-int add per quotient digit, a
+multiple of the packed divisor that clears the top slot mod p.  Euclid's
+gcd keeps its remainders packed from step to step and builds one `Poly`
+at the end.
 The order search multiplies residues mod n as packed ints reduced by
 Barrett's method: mu = floor(x^(2d-2) / n) is found once per modulus, and
-each product is then three big-int multiplies (`PolyDomain._product_mod`).
-Over F_2 nothing is renormalized: subtraction is XOR, so Euclid's step is
-one shift and XOR, and a slot sum mod 2 is its low bit, so a Barrett
-product reduces its slots by one AND with a mask.
+each product is then three big-int multiplies (`PolyDomain._product_mod`),
+read mod p inline through the byte table when a slot is one byte.  Over F_2
+nothing is renormalized: subtraction is XOR, so a division or a Euclid
+step makes one shift and XOR per quotient digit, and a slot sum mod 2 is
+its low bit, so a product reduces its slots by one AND with a mask.
 
 Factorization runs squarefree / distinct-degree / equal-degree splitting.
+Where slots are one byte, and over F_2 at any width, the distinct-degree
+stage takes every x^(p^d) it needs on Barrett residues mod its input, and
+one gcd with the product of the x^(p^d) - x settles an irreducible input.
 The equal-degree stage derandomizes its splitting elements with a PRNG
 seeded from the polynomial itself, so results are reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -235,6 +241,16 @@ def _pack(coeffs, w: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
 
+def _ones(n: int, w: int) -> int:
+    """A 1 in each of n slots of w bytes."""
+    return int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
+
+
+def _bit_digits(v: int, w: int) -> bytes:
+    """The digits of a packed v whose slots are 0 or 1."""
+    return v.to_bytes((v.bit_length() + 7) // 8, "little")[::w]
+
+
 def _normalize(v: int, w: int, n: int, p: int) -> bytes:
     """The n low slots of a packed v, each reduced mod p, as little-endian
     bytes, w a slot: through the byte table for one-byte slots (p <= 13),
@@ -268,8 +284,19 @@ def _divide(rem: int, n: int, dv: int, dd: int, p: int, bits: int):
 
 def _packed(p: int, a: tuple, b: tuple, dv: tuple = ()):
     """Quotient digits and remainder of a*b by dv over F_p ([] and a*b for no
-    dv).  A slot sums min(len a, len b) products, then one per division step."""
+    dv).  A slot sums min(len a, len b) products, then one per division step.
+    Over F_2 one AND reads every slot mod 2, and the division is XOR long
+    division, one shift and XOR per nonzero quotient digit at any width."""
     n, dd = len(a) + len(b) - 1, len(dv) - 1
+    if p == 2:  # a slot's parity is its low bit, and subtraction is XOR
+        w = _slot_width(min(len(a), len(b)), 2)
+        rem, quot = _pack(a, w) * _pack(b, w) & _ones(n, w), 0
+        if dv:
+            v, top = _pack(dv, w), 8 * w * dd + 1
+            while (shift := rem.bit_length() - top) >= 0:
+                quot |= 1 << shift
+                rem ^= v << shift
+        return _bit_digits(quot, w), _bit_digits(rem, w)
     w = _slot_width(min(len(a), len(b)) + min(max(n - dd, 0), dd + 1), p)
     rem, quot = _pack(a, w) * _pack(b, w), []
     if dv:
@@ -297,7 +324,7 @@ def _packed_gcd(p: int, a: tuple, b: tuple):
                 u, v = v, u
             else:
                 u ^= v << shift
-        return u.to_bytes((u.bit_length() + 7) // 8, "little")
+        return _bit_digits(u, 1)
     while v:
         step = _slot_width(1 + min(nu - nv + 1, nv), p)
         if step != w:  # both are normalized: read at w, packed at step
@@ -331,7 +358,9 @@ def _pth_root(f: Poly) -> Poly:
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
-    """Decompose monic f into pairwise-coprime squarefree parts with multiplicity."""
+    """Decompose monic f into pairwise-coprime squarefree parts with
+    multiplicity.  A part g with gcd(g, g') = 1 is squarefree and is taken
+    as it is, with no division."""
     F = f.field
     parts: list[tuple[Poly, int]] = []
 
@@ -343,6 +372,9 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
             rec(_pth_root(g), mult * F.p)
             return
         c = g.gcd(d)
+        if c.degree < 1:  # g is squarefree
+            parts.append((g, mult))
+            return
         w = g // c  # product of factors with multiplicity not divisible by p
         i = 1
         while w.degree > 0:
@@ -365,28 +397,50 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
     cofactor g of monic f not yet split off, and last the rest with d = deg g.
     For squarefree f the parts multiply to f.  For any f the first part has
     d = deg f exactly when f is irreducible (Ben-Or): a reducible f has a
-    factor of degree <= deg f / 2, which the loop reaches first.  Over F_2,
-    x^(2^d) is squared mod f on Barrett residues set up once: every cofactor
-    g divides f, so gcd(g, x^(2^d) - x) may read it mod f instead of mod g."""
+    factor of degree <= deg f / 2, which the loop reaches first.
+
+    Over a prime field with one-byte slots, and over F_2 at any slot width,
+    each x^(p^d) mod f, d <= deg f / 2, is the p-th power of the one before
+    on Barrett residues set up once, and one gcd s of f with the product of
+    the x^(p^d) - x settles an irreducible f: s = 1 exactly then (batched
+    gcds, von zur Gathen and Shoup, *Comput. Complexity* 2, 1992).  Else s
+    holds, to the multiplicity the loop can split off, every factor of
+    degree <= deg f / 2, and the per-degree gcds run against s until s is 1
+    or g is too small.  Every cofactor g divides f, so x^(p^d) is read mod f
+    for it.  Wider odd-p slots, where Barrett reduces slot by slot, and
+    extension fields power x^(q^d) by `Poly.pow_mod` modulo g instead."""
     F = f.field
-    h = x = Poly.x(F)
-    g = f
-    d = 0
-    if F.q == 2 and f.degree > 1:
+    g, d, w = f, 0, _slot_width(f.degree, F.p)
+    if F.k == 1 and f.degree > 1 and (F.p == 2 or w == 1):
+        p = F.p
         lift, mul = PolyDomain(F)._product_mod(f)
-        w, h = _slot_width(f.degree, 2), lift(x)
-    while g.degree > 2 * (d + 1) - 1 and g.degree > 0:
-        d += 1
-        if F.q == 2:  # h = x^(2^d) mod f packed; XOR subtracts x; a digit is a slot's low byte
-            h = mul(h, h)
-            common = g.gcd(Poly(F, (h ^ 1 << 8 * w).to_bytes(w * f.degree, "little")[::w]))
-        else:
+        bits, steps = 8 * w, []
+        h = lift(Poly.x(F))
+        while f.degree >= 2 * (d + 1):
+            d += 1
+            h = power(h, p, mul, 1)
+            # h - x, with the digit of x kept in [0, p)
+            steps.append(h - (1 << bits) if h >> bits & 0xff else h + (p - 1 << bits))
+
+        def poly(v: int) -> Poly:  # a slot's digit is its low byte
+            return Poly(F, v.to_bytes(w * f.degree, "little")[::w])
+        small = f.gcd(poly(functools.reduce(mul, steps)))
+        for d, h in enumerate(steps, 1):
+            if small.degree < 1 or g.degree < 2 * d:
+                break
+            common = small.gcd(poly(h))
+            if common.degree > 0:
+                yield common, d
+                g, small = g // common, small // common
+    else:
+        h = x = Poly.x(F)
+        while g.degree > 2 * (d + 1) - 1 and g.degree > 0:
+            d += 1
             h = h.pow_mod(F.q, g)
             common = g.gcd(h - x)
-        if common.degree > 0:
-            yield common, d
-            g = g // common
-            if F.q != 2:
+            if common.degree > 0:
+                yield common, d
+                g = g // common
                 h = h % g
     if g.degree > 0:
         yield g, g.degree
@@ -563,8 +617,9 @@ class PolyDomain(Domain):
         floor(x^(2d-2) / n), the quotient of f = x*y by n is floor(f / x^d)
         * mu less its d - 2 low digits, so f mod n is three big-int multiplies
         and three normalizations.  Over F_2 a normalization is one AND with a
-        mask of one bit per slot, at any slot width.  A constant residue
-        (d = 1) is one digit."""
+        mask of one bit per slot, at any slot width, and at one-byte slots
+        one pass through the byte table, inline.  A constant residue (d = 1)
+        is one digit."""
         F, d = self.field, n.degree
         if F.k > 1 or d < 1:
             return super()._product_mod(n)
@@ -580,12 +635,21 @@ class PolyDomain(Domain):
         minus_n = _pack([-c % p for c in n.coeffs], w)
         hi, mid, from_bytes = bits * d, bits * (d - 2), int.from_bytes
         if p == 2:  # a slot sum mod 2 is its low bit
-            ones = ((1 << bits * (2 * d - 1)) - 1) // ((1 << bits) - 1)  # 1 in each slot
+            ones = _ones(2 * d - 1, w)
             low, top = ones >> bits * (d - 1), ones >> bits * d
 
             def mul(x: int, y: int) -> int:
                 f = x * y & ones
                 return f + ((f >> hi) * mu >> mid & top) * minus_n & low
+            return lift, mul
+        if w == 1:  # every slot sum fits its byte, and the byte table reduces it
+            table, low = _MOD_BYTES[p], (1 << hi) - 1
+
+            def mul(x: int, y: int) -> int:
+                f = from_bytes((x * y).to_bytes(2 * d - 1, "little").translate(table), "little")
+                q = ((f >> hi) * mu >> mid).to_bytes(d - 1, "little").translate(table)
+                f += from_bytes(q, "little") * minus_n
+                return from_bytes((f & low).to_bytes(d, "little").translate(table), "little")
             return lift, mul
 
         def mul(x: int, y: int) -> int:

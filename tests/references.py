@@ -5,10 +5,11 @@ from `domains`, never from another test module (a tooling test checks it).
 Here are the prime-field list loops (`list_mul`, `list_divmod`) on the
 primes of every slot width, the residue products of the order search
 (`assert_products_agree`), the counting laws over listed residues, the
-graph operands (`cyc`, `extended_tree`, `partial_tree`) and the tensor
-products, the first walk of `graphs.decompose_successors` with the
-canonical code as eager text over it (`reference_decompose`,
-`reference_code`), Booth's least rotation and a principality search.
+prediction read off every divisor (`walk_prediction`), the graph operands
+(`cyc`, `extended_tree`, `partial_tree`) and the tensor products, the
+first walk of `graphs.decompose_successors` with the canonical code as
+eager text over it (`reference_decompose`, `reference_code`), Booth's least
+rotation and a principality search.
 """
 
 import functools
@@ -21,8 +22,8 @@ from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSiz
                          brute_graph, materialize)
 from amap.polynomials import Poly
 from amap.quadorder import QuadInt
-from amap.trees import LEAF, RootedTree, _partials, _validated
-from domains import divisors, generators
+from amap.trees import LEAF, RootedTree, _partials, _validated, elementary_tree
+from domains import divisor_table, divisors, generators
 
 # ---- prime-field polynomial arithmetic ----
 
@@ -139,6 +140,17 @@ def check_congruences(dom, n, elements, rng) -> None:
         for b in (zero, dom.mul(gen, rng.choice(elements)), rng.choice(elements),
                   dom.mul(a, rng.choice(residues))):
             assert dom.congruence_solution_count(a, b, n) == images[dom.reduce(b, n)], (a, b, n)
+
+
+# ---- the prediction read off every divisor ----
+
+def walk_prediction(dom, a, n):
+    """The tree of x -> a*x on D/n and the cycle rows (m, phi(m), ord_m(a))
+    of every divisor m of n1, each giving phi(m)/ord_m(a) cycles of length
+    ord_m(a): the earlier divisor-walk body of `predicted_graph`, which each
+    caller turns into its own graph form."""
+    nu, n1 = dom.gcd_chain(a, n)
+    return elementary_tree(nu), divisor_table(dom, a, n1)
 
 
 # ---- graph operands and the tensor products ----

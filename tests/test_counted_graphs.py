@@ -5,7 +5,8 @@ replaced.
 `FunctionalGraph` (one entry per component, sorted by code) and
 `disjoint_sum` unchanged, and `reference_prediction` and
 `reference_corrupt` the earlier per-cycle assembly of
-`dynamics.assemble_prediction` and the earlier `dynamics._corrupt`, as
+`dynamics.assemble_prediction` (one entry per cycle, over the divisor walk
+of `references.walk_prediction`) and the earlier `dynamics._corrupt`, as
 test-only references; the operands come from `references`.
 """
 
@@ -20,7 +21,8 @@ from amap.graphs import (Component, FunctionalGraph, brute_graph, decompose_succ
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, elementary_tree
 from domains import ENTRIES, divisor_table
-from references import cyc, extended_tree, partial_tree, reference_restricted_tensor
+from references import (cyc, extended_tree, partial_tree, reference_restricted_tensor,
+                        walk_prediction)
 
 Z = IntegerDomain()
 
@@ -49,12 +51,9 @@ def reference_cyc(m, tree=LEAF):
 
 
 def reference_prediction(dom, a, n):
-    nu, n1 = dom.gcd_chain(a, n)
-    tree = elementary_tree(nu)
-    parts = []
-    for _, phi, r in divisor_table(dom, a, n1):
-        parts.extend([reference_cyc(r, tree)] * (phi // r))
-    return reference_disjoint_sum(parts)
+    tree, table = walk_prediction(dom, a, n)
+    return reference_disjoint_sum([reference_cyc(r, tree) for _, phi, r in table
+                                   for _ in range(phi // r)])
 
 
 def reference_corrupt(graph):

@@ -3,9 +3,10 @@
 The references, `LinearOrderReference` and the divisor walk among them, live
 in `domains`, and `is_principal` and `booth_min_rotation` in `references`.
 `scan_splitting` keeps the earlier body of
-`QuadOrder.rational_prime_splitting`, which scans all residues mod p, and
-`walk_prediction` the earlier body of `predicted_graph` over the divisor
-walk, the differential reference for the prediction by prime powers.
+`QuadOrder.rational_prime_splitting`, which scans all residues mod p.  The
+prediction by prime powers is refereed by `references.walk_prediction`, the
+earlier body of `predicted_graph` over the divisor walk, read here as a
+counted graph and its summands.
 """
 
 import math
@@ -22,7 +23,7 @@ from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from amap.trees import elementary_tree
 from domains import ENTRIES, divisor_table, divisors, mult_order, reference
-from references import booth_min_rotation, is_principal
+from references import booth_min_rotation, is_principal, walk_prediction
 
 
 def scan_splitting(order: QuadOrder, p: int):
@@ -36,18 +37,6 @@ def scan_splitting(order: QuadOrder, p: int):
     if len(roots) == 2:
         return SplitType.SPLIT, primes
     return SplitType.RAMIFIED, primes
-
-
-def walk_prediction(dom, a, n):
-    """(graph, summands) of x -> a*x on D/n read off every divisor of n1: each
-    divisor m gives phi(m)/ord_m(a) cycles of length ord_m(a)."""
-    nu, n1 = dom.gcd_chain(a, n)
-    tree = elementary_tree(nu)
-    table = divisor_table(dom, a, n1)
-    graph = FunctionalGraph((Component(r, (tree,)), phi // r) for _, phi, r in table)
-    summands = tuple({"divisor": dom.describe_ideal(m), "cycle_len": r,
-                      "multiplicity": phi // r} for m, phi, r in table)
-    return graph, summands
 
 
 ORDER_CASES = 240  # of an entry's grid: the most the hand-written cases had
@@ -121,7 +110,10 @@ def assert_prediction_matches_the_walk(dom, a, n):
     """The prediction by prime powers against `walk_prediction`: equal graphs,
     and the summands are the walk's rows at the unit ideal and prime powers."""
     got = predicted_graph(dom, a, n)
-    graph, summands = walk_prediction(dom, a, n)
+    tree, table = walk_prediction(dom, a, n)
+    graph = FunctionalGraph((Component(r, (tree,)), phi // r) for _, phi, r in table)
+    summands = tuple({"divisor": dom.describe_ideal(m), "cycle_len": r,
+                      "multiplicity": phi // r} for m, phi, r in table)
     assert got.graph == graph, (dom, a, n)
     n1 = dom.a_decomposition(a, n)[1]
     local = [row for m, row in zip(divisors(dom, n1), summands) if len(dom.factor(m)) <= 1]

@@ -5,8 +5,9 @@
 double loop, reduced mod p once at the end or when a digit is read) as
 test-only references, and `list_gcd` runs Euclid's loop over `list_divmod`
 as the packed gcd's; `pow_mod_distinct_degree` keeps the distinct-degree
-loop that powered by `Poly.pow_mod` before F_2 squared Barrett residues
-instead.  The primes, `references.SLOT_PRIMES`, use every slot width: one
+loop with one gcd per degree and x^(q^d) powered by `Poly.pow_mod` modulo
+each cofactor, the referee of the batched loop on Barrett residues.  The
+primes, `references.SLOT_PRIMES`, use every slot width: one
 byte (p <= 13 at low degree, every row of the byte table), two (p = 17,
 and p = 2, 3 past the byte bound), four (p = 1009), eight (p = 65537) and
 the general width past eight bytes (p = 2^32 + 15).
@@ -14,6 +15,7 @@ the general width past eight bytes (p = 2^32 + 15).
 
 import collections
 import functools
+import itertools
 import operator
 import random
 import time
@@ -170,7 +172,7 @@ def test_degree_400_factorization_round_trips_in_under_a_second():
 
 def pow_mod_distinct_degree(f: Poly):
     """The earlier body of `_distinct_degree`: x^(q^d) by `Poly.pow_mod`
-    modulo the cofactor g not yet split off."""
+    modulo the cofactor g not yet split off, and one gcd per degree."""
     F = f.field
     h = x = Poly.x(F)
     g = f
@@ -187,26 +189,66 @@ def pow_mod_distinct_degree(f: Poly):
         yield g, g.degree
 
 
-def test_f2_distinct_degree_equals_the_pow_mod_loop():
-    # squarings on Barrett residues mod f against powers mod each cofactor:
-    # seeded inputs, squares and products of equal-degree irreducibles (not
-    # squarefree, as `is_irreducible` passes any f), and x^n - 1
-    F = field(2)
-    rng = random.Random(2)
-    inputs = [_poly(rng, F, d) for d in (0, 1, 2, 3, 5, 8, 13, 31, 64, 127, 200, 255, 256, 400)]
-    inputs += [g * g for g in (_poly(rng, F, d) for d in (1, 2, 5, 17, 64, 130))]
-    for d in (1, 2, 3, 4, 5, 6):
-        irr = list(irreducibles(F, d))
-        inputs += [irr[0] ** 3, irr[0] * irr[-1], functools.reduce(operator.mul, irr)]
-    inputs += [Poly.x_pow_minus_one(F, n) for n in range(1, 65)]
-    for f in inputs:
+def _factoring_inputs(p):
+    """Seeded polynomials, squares, seeded irreducibles from `irreducibles`,
+    their cubes and products of equal-degree irreducibles (not squarefree,
+    as `is_irreducible` passes any f), and x^n - 1.  Degrees reach both
+    sides of the one-byte bound of p <= 5 (F_2 at 254, F_3 at 62, F_5 at
+    15), where the distinct-degree loop switches path; at p >= 17 every slot
+    is wide and a referee step costs log p products, so degrees stay lower."""
+    F = field(p)
+    rng = random.Random(p)
+    top = {2: 400, 3: 100, 5: 40}.get(p, 30 if p < 100 else 20)
+    degrees = [d for d in (0, 1, 2, 3, 5, 8, 13, 15, 16, 20, 31, 62, 64, 100, 127, 200, 255, 256, 400)
+               if d <= top]
+    inputs = [_poly(rng, F, d, monic=True) for d in degrees]
+    inputs += [g * g for g in (_poly(rng, F, d, monic=True) for d in degrees if 2 * d <= top)]
+    for d in range(1, 7 if p == 2 else 5 if p < 100 else 4):
+        if p < 2**20:
+            irr = list(itertools.islice(irreducibles(F, d), 12))
+        else:  # `irreducibles` would list every digit of every position up front
+            irr = [g for g in (_poly(rng, F, d, monic=True) for _ in range(40)) if is_irreducible(g)]
+        picked = rng.sample(irr, min(3, len(irr)))
+        inputs += picked + [picked[0] ** 3, functools.reduce(operator.mul, picked)]
+        if d * len(irr) <= top:
+            inputs.append(functools.reduce(operator.mul, irr))
+    inputs += [Poly.x_pow_minus_one(F, n) for n in range(1, min(top, 64) + 1)]
+    return inputs
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_distinct_degree_equals_the_pow_mod_loop(p):
+    # one batched gcd and Frobenius steps on Barrett residues mod f (one-byte
+    # slots and F_2) or the powers mod each cofactor (wider slots), against
+    # the powers mod each cofactor with one gcd per degree
+    for f in _factoring_inputs(p):
         assert list(_distinct_degree(f)) == list(pow_mod_distinct_degree(f)), f
 
 
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_factorizations_round_trip(p):
+    # monic irreducible factors, sorted, whose product with exponents is
+    # monic f; and of a seeded f that is not monic
+    F = field(p)
+    rng = random.Random(p + 5)
+    for f in _factoring_inputs(p) + [_poly(rng, F, d) for d in (1, 9, 30)]:
+        if f.degree < 1:
+            continue
+        factors = factor_poly(f)
+        assert [g for g, _ in factors] == sorted({g for g, _ in factors}, key=Poly.sort_key)
+        assert all(g.is_monic and is_irreducible(g) and e > 0 for g, e in factors), f
+        product = Poly.one(F)
+        for g, e in factors:
+            product = product * g**e
+        assert product == f.monic(), f
+
+
 def test_f2_path_stays_off_the_byte_table(monkeypatch):
-    # over F_2 a gcd step is an XOR and a Barrett product is masked: neither
-    # divides or normalizes, and factoring sets up one Barrett pair per input
-    # of the distinct-degree loop
+    # over F_2 a division is XOR long division, a gcd step an XOR and a
+    # Barrett product masked: none of them divides by digits or normalizes,
+    # at one-byte slots (degree 13) and two-byte ones (degree 300, the
+    # products of `mul_mod` and Barrett); factoring sets up one Barrett
+    # pair per input of the distinct-degree loop
     calls = collections.Counter()
     inputs, moduli = [], []
 
@@ -227,20 +269,36 @@ def test_f2_path_stays_off_the_byte_table(monkeypatch):
     monkeypatch.setattr(PolyDomain, "_product_mod",
                         lambda self, n: moduli.append(n) or product_mod(self, n))
     F = field(2)
+    D = PolyDomain(F)
     rng = random.Random(3)
     for d in (1, 13, 200, 300):
-        a, b = _poly(rng, F, d), _poly(rng, F, d - 1)
+        a, b, n = _poly(rng, F, d), _poly(rng, F, d - 1), _poly(rng, F, d + 1)
+        ab = list_mul(a, b)
+        quot, rem = list_divmod(ab, n)
         assert a.gcd(b) == list_gcd(a, b)
+        assert divmod(ab, n) == (quot, rem) and divmod(a, b) == list_divmod(a, b)
+        assert ab % n == rem == D.mul_mod(a, b, n)
+        lift, mul = D._product_mod(n)
+        assert mul(lift(a), lift(b)) == lift(rem)
         assert not calls, (d, calls)
-        n = _poly(rng, F, d + 1)
-        lift, mul = PolyDomain(F)._product_mod(n)
-        x, y, want = lift(a), lift(b), lift(list_divmod(list_mul(a, b), n)[1])
-        calls.clear()
-        assert mul(x, y) == want
-        assert not calls["_normalize"], (d, calls)
-        calls.clear()
     for f in (_poly(rng, F, 400), Poly.x_pow_minus_one(F, 63), _poly(rng, F, 30) ** 4):
         inputs.clear()
         moduli.clear()
         factor_poly(f)
         assert moduli == [g for g in inputs if g.degree > 1] != [], f
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_an_irreducible_input_takes_one_gcd(monkeypatch, p):
+    # x^(p^d) - x for every d <= deg f / 2 meet f in one batched gcd, which
+    # is 1 for an irreducible f; the per-degree gcds never run.  One-byte
+    # slots reach degree 62 over F_3 and 15 over F_5, F_2 any degree.
+    F = field(p)
+    gcds = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda self, other: gcds.append(self) or gcd(self, other))
+    for d in {2: (4, 13, 100, 300), 3: (4, 9, 62), 5: (4, 9, 15)}[p]:
+        f = next(irreducibles(F, d))
+        gcds.clear()
+        assert list(_distinct_degree(f)) == [(f, d)]
+        assert gcds == [f], (p, d, len(gcds))

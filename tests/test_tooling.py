@@ -110,14 +110,22 @@ def test_prime_field_polynomial_arithmetic_has_no_nested_loop():
     # over a prime field a product, division or gcd is packed big-int
     # arithmetic; the coefficient double loops it replaced live on only as
     # test references (test_packed_poly.py).  Checked: every `k == 1` branch of
-    # polynomials.py and each module function it calls, transitively.
+    # polynomials.py, also one picked through a name bound to such a test
+    # (`packed = F.k == 1 and ...; if packed:`), and each module function it
+    # calls, transitively.
     module = ast.parse((SRC / "polynomials.py").read_text())
     functions = {f.name: f for f in module.body if isinstance(f, ast.FunctionDef)}
 
-    def is_prime_field_test(test):
+    def tests_k_is_1(test):
         return any(isinstance(c, ast.Compare) and getattr(c.left, "attr", None) == "k"
                    and isinstance(c.ops[0], ast.Eq)
                    and getattr(c.comparators[0], "value", None) == 1 for c in ast.walk(test))
+    flags = {node.targets[0].id for node in ast.walk(module) if isinstance(node, ast.Assign)
+             and isinstance(node.targets[0], ast.Name) and tests_k_is_1(node.value)}
+
+    def is_prime_field_test(test):
+        return tests_k_is_1(test) or any(isinstance(n, ast.Name) and n.id in flags
+                                         for n in ast.walk(test))
 
     def nested(node):
         # a loop in the body of a loop; a comprehension's iterables may hold
@@ -136,6 +144,9 @@ def test_prime_field_polynomial_arithmetic_has_no_nested_loop():
     todo = [stmt for node in ast.walk(module) if isinstance(node, ast.If)
             and is_prime_field_test(node.test) for stmt in node.body]
     assert len(todo) >= 3  # the branches of Poly.__mul__, Poly.__divmod__ and Poly.gcd
+    packed = functions["_distinct_degree"]  # and the packed distinct-degree loop
+    assert any(isinstance(node, ast.While) and packed.lineno < node.lineno < packed.end_lineno
+               for stmt in todo for node in ast.walk(stmt))
     seen, found = set(), []
     while todo:
         for node in ast.walk(todo.pop()):
