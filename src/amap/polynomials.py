@@ -446,6 +446,11 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
         yield g, g.degree
 
 
+_EDF_DRAWS = 64
+"""Draws `_equal_degree` makes before it calls the arithmetic broken: each
+draw splits a valid input with probability at least 1/2."""
+
+
 def _edf_seed(f: Poly) -> int:
     seed = f.field.q
     for c in f.coeffs:
@@ -459,7 +464,7 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
     if f.degree == d:
         return [f]
     rng = random.Random(_edf_seed(f))
-    while True:
+    for _ in range(_EDF_DRAWS):
         h = Poly(F, [rng.randrange(F.q) for _ in range(f.degree)])
         if h.degree < 1:
             continue
@@ -479,6 +484,9 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
             g = f.gcd(e - Poly.one(F))
         if 0 < g.degree < f.degree:
             break
+    else:
+        raise RuntimeError(f"no split of a degree-{f.degree} part into degree-{d} "
+                           f"factors in {_EDF_DRAWS} draws; broken arithmetic")
     return sorted(_equal_degree(g, d) + _equal_degree(f // g, d),
                   key=Poly.sort_key)
 
@@ -509,9 +517,19 @@ def irreducibles(field: GF, degree: int) -> Iterator[Poly]:
     """
     if degree < 1:
         return
-    first = range(1 if degree >= 2 else 0, field.q)
-    for tail in itertools.product(first, *[range(field.q)] * (degree - 1)):
-        f = Poly(field, tail + (1,))
+    q = field.q
+    top = q ** (degree - 1)
+    # candidate i: the base-q digits of i under a leading 1, the most
+    # significant as c_0; the range is lazy, so no q-entry sequence is
+    # built before the first candidate, even at q = 2^32 + 15
+    for i in range(top if degree >= 2 else 0, q * top):
+        low = []
+        for _ in range(degree):
+            i, c = divmod(i, q)
+            low.append(c)
+        low.reverse()
+        low.append(1)
+        f = Poly(field, low)
         if is_irreducible(f):
             yield f
 

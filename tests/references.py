@@ -7,9 +7,16 @@ primes of every slot width, the residue products of the order search
 (`assert_products_agree`), the counting laws over listed residues, the
 prediction read off every divisor (`walk_prediction`), the graph operands
 (`cyc`, `extended_tree`, `partial_tree`) and the tensor products, the
-first walk of `graphs.decompose_successors` with the canonical code as
-eager text over it (`reference_decompose`, `reference_code`), Booth's least
-rotation and a principality search.
+first walk of `graphs.decompose_successors`, the seeded maps the graph
+tests run on (`random_maps`, `branch_maps`), Booth's least rotation and a
+principality search.
+
+The canonical code as eager text is the one referee of the graph layer:
+`ref_tree_code` wraps a node's sorted child codes, `ref_component_code`
+reads a cycle from its least rotation by trying every rotation,
+`ref_graph_code` joins the sorted component codes, and `reference_code`
+gives a map's code over the walk.  Only `component_text` spells the
+component code `C<len>[...]` (a tooling test checks it).
 """
 
 import functools
@@ -299,24 +306,36 @@ def reference_decompose(succ):
     return [(cycle, [trees[v] for v in cycle]) for cycle in cycles]
 
 
+def ref_tree_code(child_codes):
+    """A node's code: its children's codes in sorted order, wrapped."""
+    return "(%s)" % "".join(sorted(child_codes))
+
+
+def component_text(cycle_len, codes):
+    """The code of a cycle read from a given node: `codes` are the codes of
+    the trees at its nodes in cyclic order from there."""
+    return "C%d[%s]" % (cycle_len, ",".join(codes))
+
+
 def ref_component_code(cycle_len, codes):
-    """codes: one period of hanging-tree codes; the cycle repeats it."""
+    """codes: one period of hanging-tree codes; the cycle repeats it, and
+    its code is read from the least rotation, found by trying every one."""
     full = list(codes) * (cycle_len // len(codes))
     # one code all round is its own least rotation: no quadratic search
     best = full if len(set(full)) == 1 else min(full[r:] + full[:r] for r in range(len(full)))
-    return "C%d[%s]" % (cycle_len, ",".join(best))
+    return component_text(cycle_len, best)
 
 
 def ref_graph_code(component_codes):
+    """component_codes: one code per copy of a component."""
     return ";".join(sorted(component_codes))
 
 
 def reference_code(succ):
-    """Canonical code of a map's graph, as text: a node's code wraps its
-    children's codes in sorted order, on the walk's cycles and trees."""
+    """Canonical code of a map's graph, as text, on the walk's cycles and
+    trees."""
     cycles, children = _walk(succ)
-    codes = build_trees([v for cycle in cycles for v in cycle], children,
-                        lambda kids: "(%s)" % "".join(sorted(kids)))
+    codes = build_trees([v for cycle in cycles for v in cycle], children, ref_tree_code)
     return ref_graph_code(ref_component_code(len(cycle), [codes[v] for v in cycle])
                           for cycle in cycles)
 
@@ -343,6 +362,45 @@ def random_maps(rng):
             inv = {p: i for i, p in enumerate(perm)}
             succ = [inv[a * perm[v] % n] for v in range(n)]
         maps.append(succ)
+    return maps
+
+
+def _relabelled(rng, succ):
+    perm = list(range(len(succ)))
+    rng.shuffle(perm)
+    out = [0] * len(succ)
+    for v, s in enumerate(succ):
+        out[perm[v]] = perm[s]
+    return out
+
+
+def _hung_on_a_cycle(rng, m, hung):
+    """A cycle 0 -> 1 -> ... -> 0 of length m, then `hung` more nodes, each
+    sent to a cycle node or to an earlier hung node."""
+    return [(v + 1) % m for v in range(m)] + [rng.randrange(v) for v in range(m, m + hung)]
+
+
+def branch_maps(rng):
+    """Maps that reach each branch of the decomposition: unions of two a-maps,
+    leaves on some cycle nodes only, deep trees at the cycle nodes, an
+    8000-node path and a star of 10^5 leaves."""
+    maps = []
+    # two a-maps with different nu-series, side by side: every cycle carries
+    # one tree all round, but not every cycle the same tree
+    for (a1, n1), (a2, n2) in (((2, 12), (3, 18)), ((2, 8), (1, 5)), ((6, 72), (10, 50)),
+                               ((2, 24), (3, 27)), ((4, 40), (9, 81))):
+        union = [a1 * v % n1 for v in range(n1)] + [n1 + a2 * v % n2 for v in range(n2)]
+        maps.append(_relabelled(rng, union))
+    for _ in range(40):
+        m = rng.randrange(2, 12)
+        # leaves on some cycle nodes only
+        some = [(v + 1) % m for v in range(m)]
+        some += [rng.randrange(m // 2 + 1) for _ in range(rng.randrange(1, 2 * m))]
+        maps.append(_relabelled(rng, some))
+        # trees of depth 2 or more at the cycle nodes
+        maps.append(_relabelled(rng, _hung_on_a_cycle(rng, m, rng.randrange(m, 6 * m))))
+    maps.append([max(v - 1, 0) for v in range(8000)])  # a path into a fixed point
+    maps.append([0] * (10**5 + 1))  # a star of 10^5 leaves on a fixed point
     return maps
 
 

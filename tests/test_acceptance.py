@@ -10,6 +10,7 @@ come from `references`.
 
 import random
 import time
+from itertools import combinations_with_replacement, product
 
 from amap.applications import (chebyshev_check, ec_generic_trees,
                                linearized_check, redei_check)
@@ -112,22 +113,30 @@ def test_criterion_3_structure_theorem_oracle_sweep():
 def test_criterion_4_tree_product_property_suite():
     with _Timer("criterion 4: tensor-product tree identities", 30.0):
         rng = random.Random(404)
+        pairs = set()
         for _ in range(200):
             du = rng.randint(1, 4)
             dv = rng.randint(1, 4)
             u = tuple(sorted((rng.randint(1, 4) for _ in range(du)), reverse=True))
             v = tuple(sorted((rng.randint(1, 4) for _ in range(dv)), reverse=True))
-            d = max(du, dv)
-            uv = tuple(x * y for x, y in zip(u + (1,) * (d - du),
-                                             v + (1,) * (d - dv)))
+            pairs.add((u, v))
+        # and every pair of sequences of one length up to 3
+        pairs |= {pair for d in (1, 2, 3)
+                  for pair in product(combinations_with_replacement((4, 3, 2, 1), d), repeat=2)}
+        for u, v in sorted(pairs):
+            d = max(len(u), len(v))
+            uv = tuple(x * y for x, y in zip(u + (1,) * (d - len(u)),
+                                             v + (1,) * (d - len(v))))
             got = reference_tensor(extended_tree(elementary_tree(u)),
                                    extended_tree(elementary_tree(v)))
             assert got == extended_tree(elementary_tree(uv)), (u, v)
 
-        # corollary: coprime ideals with the radical condition
-        for _ in range(25):
-            a = rng.choice([6, 12, 30, 60, 210])
-            e1, e2 = rng.randint(1, 4), rng.randint(1, 3)
+        # corollary: coprime ideals with the radical condition, at seeded
+        # draws and at every a in {6, 12, 30, 60} with e1, e2 <= 3
+        triples = {(rng.choice([6, 12, 30, 60, 210]), rng.randint(1, 4), rng.randint(1, 3))
+                   for _ in range(25)}
+        triples |= set(product((6, 12, 30, 60), (1, 2, 3), (1, 2, 3)))
+        for a, e1, e2 in sorted(triples):
             q1, q2 = 2**e1, 3**e2
             t1 = extended_tree(elementary_tree(nu_series(Z, a, q1)))
             t2 = extended_tree(elementary_tree(nu_series(Z, a, q2)))

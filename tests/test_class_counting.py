@@ -3,10 +3,11 @@
 
 `brute_graph` counts cycles by their word of hanging trees and builds one
 `Component` per distinct word; `references.reference_code`, the canonical
-code as eager text over the earlier walk, is the referee.  The
-decomposition yields one cycle at a time, in the order of the least cycle
-node, each cycle starting at that node; `references.reference_decompose`
-referees its cycle nodes.
+code as eager text over the earlier walk, is the referee.  One test states
+that law for the seeded maps of every graph test, and that `materialize`
+lays out a map of the same graph.  The decomposition yields one cycle at a
+time, in the order of the least cycle node, each cycle starting at that
+node; `references.reference_decompose` referees its cycle nodes.
 """
 
 import random
@@ -17,12 +18,12 @@ import pytest
 from amap import applications
 from amap.applications import chebyshev_check, redei_check
 from amap.dynamics import brute_amap_graph
-from amap.graphs import Component, brute_graph, decompose_successors
+from amap.graphs import Component, brute_graph, decompose_successors, materialize
 from amap.polynomials import Poly
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
 from domains import ENTRIES
-from references import (extended_tree, partial_tree, random_maps, reference_code,
+from references import (branch_maps, extended_tree, partial_tree, random_maps, reference_code,
                         reference_decompose, reference_restricted_tensor)
 
 
@@ -112,9 +113,33 @@ def _maps(rng):
     return maps
 
 
+def _sink_maps(rng):
+    """Random maps, and permutations with a few nodes sent on to their
+    successor's successor: many equal components."""
+    maps = []
+    for _ in range(150):
+        size = rng.randint(0, 120)
+        if rng.random() < 0.5:
+            succ = [rng.randrange(size) for _ in range(size)]
+        else:
+            succ = list(range(size))
+            rng.shuffle(succ)
+            succ = [s if rng.random() < 0.8 else succ[s] for s in succ]
+        maps.append(succ)
+    return maps
+
+
 def test_random_maps_and_permutations_match_the_reference_code():
-    for succ in _maps(random.Random(13)):
-        assert brute_graph(len(succ), succ).code == reference_code(succ), succ
+    # a deep tree's code costs O(depth^2): the branch maps under 1000 nodes
+    maps = (_maps(random.Random(13)) + random_maps(random.Random(11))
+            + _sink_maps(random.Random(92))
+            + [succ for succ in branch_maps(random.Random(17)) if len(succ) < 1000])
+    for succ in maps:
+        graph = brute_graph(len(succ), succ)
+        assert graph.code == reference_code(succ), succ
+        assert graph.node_count == len(succ), succ
+        laid_out = materialize(graph)
+        assert brute_graph(len(laid_out), laid_out) == graph, succ
 
 
 @pytest.fixture

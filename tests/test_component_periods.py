@@ -1,14 +1,15 @@
-"""Components stored as one period of hanging trees, against the code they
-replaced, and the shallow report dict and the four-product ideal product.
+"""Components stored as one period of hanging trees, and the shallow report
+dict and the four-product ideal product.
 
-`ReferenceComponent` keeps the earlier body of `graphs.Component` (the full
-list of hanging trees, a uniform branch and the least rotation otherwise),
-`reference_ideal_mul` the earlier eight-vector body of `QuadOrder.ideal_mul`
-(the four products of the HNF bases and their w-multiples), and
-`reference_as_dict` the earlier `JsonReport.as_dict` over `asdict` (with
-a graph field written as its code, or as the name of the first field with
-the same code), as test-only references; `references.booth_min_rotation`
-gives the least rotation of a word.
+A component from any word of trees is `test_interned_ids`'s
+`test_component_keys_agree_with_eager_codes`, against
+`references.ref_component_code`; here are the refused words, the cycles of
+one tree and the predicted classes.  `reference_ideal_mul` keeps the
+earlier eight-vector body of `QuadOrder.ideal_mul` (the four products of
+the HNF bases and their w-multiples), and `reference_as_dict` the earlier
+`JsonReport.as_dict` over `asdict` (with a graph field written as its code,
+or as the name of the first field with the same code), as test-only
+references, each the one referee of its operation.
 """
 
 import json
@@ -19,40 +20,14 @@ import pytest
 
 from amap.applications import chebyshev_check, ec_generic_trees, linearized_check, redei_check
 from amap.dynamics import predicted_graph, verify
-from amap.graphs import Component, brute_graph
+from amap.graphs import Component
 from amap.integers import IntegerDomain
 from amap.quadorder import QuadInt, QuadOrder, _hnf_from_vectors
 from amap.trees import LEAF, Keyed, elementary_tree
 from domains import ENTRIES
-from references import booth_min_rotation, cyc, partial_tree
+from references import cyc, ref_component_code
 
 Z = IntegerDomain()
-
-
-class ReferenceComponent:
-    """One connected component: a cycle with hanging trees in cyclic order."""
-
-    def __init__(self, cycle_len, hanging):
-        if cycle_len < 1:
-            raise ValueError("cycle length must be positive")
-        if len(hanging) != cycle_len:
-            raise ValueError("need one hanging tree per cycle node")
-        hanging = tuple(hanging)
-        first = hanging[0]
-        if hanging.count(first) == cycle_len:
-            joined = ",".join([first.code] * cycle_len)
-            self.node_count = cycle_len * first.node_count
-        else:
-            codes = [t.code for t in hanging]
-            r = booth_min_rotation(codes)
-            if r:
-                hanging = hanging[r:] + hanging[:r]
-                codes = codes[r:] + codes[:r]
-            joined = ",".join(codes)
-            self.node_count = sum(t.node_count for t in hanging)
-        self.cycle_len = cycle_len
-        self.hanging = hanging
-        self.code = "C%d[%s]" % (cycle_len, joined)
 
 
 def reference_ideal_mul(order, m, n):
@@ -85,54 +60,7 @@ def reference_as_dict(report):
     return out
 
 
-def _three_trees(rng):
-    pool = [LEAF, elementary_tree([2]), elementary_tree([3, 1]), partial_tree([2, 2], 1),
-            elementary_tree([2, 2]), elementary_tree([3, 2, 2])]
-    return rng.sample(pool, 3)
-
-
-def _words(rng, count):
-    """Seeded words over three trees; about half are powers of a shorter word."""
-    for _ in range(count):
-        trees = _three_trees(rng)
-        root = [rng.choice(trees) for _ in range(rng.randint(1, 4))]
-        yield tuple(root * (rng.randint(2, 3) if rng.random() < 0.5 else 1))
-
-
-def assert_same_component(comp, ref):
-    assert comp.code == ref.code
-    assert comp.node_count == ref.node_count
-    assert comp.cycle_len == ref.cycle_len
-    assert comp.hanging == ref.hanging
-
-
 # ---- Component: one period, any power of it ----
-
-def test_a_period_and_its_full_repetition_give_one_component():
-    rng = random.Random(101)
-    seen_nonprimitive = 0
-    for w in _words(rng, 300):
-        m = len(w)
-        seen_nonprimitive += any(w == w[d:] + w[:d] for d in range(1, m))
-        for k in range(1, 6):
-            short, full = Component(m * k, w), Component(m * k, w * k)
-            assert short.code == full.code
-            assert short.node_count == full.node_count
-            assert short.hanging == full.hanging
-            assert_same_component(full, ReferenceComponent(m * k, w * k))
-            assert len(short.hanging) == m * k
-            assert short.hanging[:m] * k == short.hanging
-    assert seen_nonprimitive > 50
-
-
-def test_the_period_is_the_least_rotation_of_the_given_word():
-    rng = random.Random(102)
-    for w in _words(rng, 200):
-        comp = Component(len(w) * 2, w)
-        r = booth_min_rotation([t.code for t in w])
-        assert comp.hanging[:len(w)] == w[r:] + w[:r]
-        assert comp.hanging == (w[r:] + w[:r]) * 2
-
 
 def test_a_list_period_is_stored_as_a_tuple():
     t, u = LEAF, elementary_tree([2])
@@ -161,17 +89,8 @@ def test_cyc_and_the_extended_tree_store_one_tree():
         assert comp.cycle_len == m
         assert comp.node_count == m * tree.node_count
     (comp, _), = cyc(3, tree).classes
-    assert_same_component(comp, ReferenceComponent(3, (tree,) * 3))
-
-
-def test_brute_components_match_the_reference():
-    rng = random.Random(103)
-    for _ in range(100):
-        size = rng.randint(1, 80)
-        succ = [rng.randrange(size) for _ in range(size)]
-        graph = brute_graph(size, succ)
-        for comp, _ in graph.classes:
-            assert_same_component(comp, ReferenceComponent(comp.cycle_len, comp.hanging))
+    assert comp.code == ref_component_code(3, [tree.code])
+    assert comp.hanging == (tree,) * 3
 
 
 # ---- predictions: one tree per class ----
@@ -184,8 +103,8 @@ def test_every_predicted_class_has_a_period_of_one_tree(entry):
         for comp, _ in prediction.graph.classes:
             assert len(comp.root) == 1
             assert comp.root == (prediction.tree,)
-            assert_same_component(comp, ReferenceComponent(
-                comp.cycle_len, (prediction.tree,) * comp.cycle_len))
+            assert comp.code == ref_component_code(comp.cycle_len, [prediction.tree.code])
+            assert comp.node_count == comp.cycle_len * prediction.tree.node_count
 
 
 def test_a_long_prediction_keeps_one_tree_per_class():

@@ -1,5 +1,6 @@
 """The nu-series, predicted and brute-force graphs and `verify` on worked
-instances; the tensor-product referee `reference_tensor` is in `references`.
+instances; the tensor identities of extended trees are acceptance
+criterion 4 (`test_acceptance`).
 """
 
 import json
@@ -14,7 +15,7 @@ from amap.polynomials import PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, elementary_tree
 from domains import ENTRIES
-from references import cyc, extended_tree, reference_tensor
+from references import cyc, extended_tree
 
 Z = IntegerDomain()
 Z5 = QuadOrder(-5)
@@ -210,17 +211,3 @@ class TestVerify:
             if isinstance(entry.dom, QuadOrder):
                 for a, n in entry.sample(12, 19, cap=300):
                     assert verify(entry.dom, a, n).isomorphic, (entry, a, n)
-
-
-def test_tree_product_for_coprime_ideals():
-    # {T_{q(a)}} x {T_{q'(a)}} is {T_{qq'(a)}} for coprime ideals with the
-    # radical condition, checked with the brute tensor
-    rng = random.Random(20)
-    for _ in range(20):
-        a = rng.choice([6, 12, 30, 60])
-        q1 = 2 ** rng.randint(1, 3)
-        q2 = 3 ** rng.randint(1, 3)
-        t1 = extended_tree(elementary_tree(nu_series(Z, a, q1)))
-        t2 = extended_tree(elementary_tree(nu_series(Z, a, q2)))
-        t12 = extended_tree(elementary_tree(nu_series(Z, a, q1 * q2)))
-        assert reference_tensor(t1, t2) == t12

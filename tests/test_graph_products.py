@@ -23,7 +23,8 @@ from amap.dynamics import brute_amap_graph
 from amap.graphs import Component, FunctionalGraph, GraphSizeError, brute_graph, disjoint_sum
 from amap.trees import LEAF, RootedTree, elementary_tree
 from domains import ENTRIES
-from references import cyc, extended_tree, reference_restricted_tensor, reference_tensor
+from references import (cyc, extended_tree, ref_component_code, reference_restricted_tensor,
+                        reference_tensor)
 
 
 # ---- the referee's size cap and argument checks ----
@@ -34,10 +35,19 @@ def test_restricted_tensor_size_cap_and_argument_errors():
         reference_restricted_tensor(t, extended_tree(t), max_nodes=255)
     assert reference_restricted_tensor(t, extended_tree(t), max_nodes=256) == \
         reference_restricted_tensor(t, extended_tree(t))
-    with pytest.raises(ValueError):
-        reference_restricted_tensor(LEAF, disjoint_sum([cyc(1), cyc(1)]))
-    with pytest.raises(TypeError):
-        reference_restricted_tensor(LEAF, [0])
+    # a graph argument must be one class of one copy of Cyc(1, T)
+    u = elementary_tree((2, 2))
+    looped = extended_tree(u)
+    assert reference_restricted_tensor(looped, looped) == t
+    for bad in (cyc(2), cyc(2, u), disjoint_sum([cyc(1), cyc(1)]),
+                disjoint_sum([looped, looped]), disjoint_sum([looped, cyc(1)])):
+        for args in ((bad, LEAF), (LEAF, bad)):
+            with pytest.raises(ValueError, match=r"single Cyc\(1, T\)"):
+                reference_restricted_tensor(*args)
+    for bad in ("not a tree", [0]):
+        for args in ((bad, LEAF), (LEAF, bad)):
+            with pytest.raises(TypeError):
+                reference_restricted_tensor(*args)
 
 
 # ---- brute_graph's successor sequences ----
@@ -71,15 +81,11 @@ def test_brute_graph_reads_a_sequence_in_place(monkeypatch):
 
 # ---- components with one tree all round ----
 
-def _per_node_code(m, hanging):
-    return "C%d[%s]" % (m, ",".join(t.code for t in hanging))
-
-
 def test_long_uniform_cycle_code_is_the_per_node_join():
     t = elementary_tree((3, 2))
     m = 100_003
     comp = Component(m, (t,) * m)
-    assert comp.code == _per_node_code(m, (t,) * m)
+    assert comp.code == ref_component_code(m, [t.code] * m)
     assert comp.node_count == sum(t.node_count for _ in range(m)) == 6 * m
     assert comp.hanging == (t,) * m
 

@@ -6,7 +6,9 @@ code they replaced.
 extended gcd and a list of x-axis vectors, and `rabin_is_irreducible` the
 earlier body of `polynomials.is_irreducible` (Rabin's test), as test-only
 references.  Both HNFs and both verdicts are unique, so the new kernels
-must match the references exactly.
+must match the references exactly.  `irreducibles` lists its candidates
+lazily, and the equal-degree split gives up after a bounded number of
+draws.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import pytest
 
 from amap.base import ZeroIdealError, factor_int
 from amap.finitefield import GF, field
-from amap.polynomials import Poly, factor_poly, irreducibles, is_irreducible
+from amap.polynomials import Poly, _equal_degree, factor_poly, irreducibles, is_irreducible
 from amap.quadorder import _hnf_from_vectors
 
 
@@ -171,6 +173,20 @@ def test_default_moduli_are_the_first_rabin_irreducibles(p, ks):
         first = next(f for f in _polys(field(p), k, 1)
                      if f.coeffs[0] and rabin_is_irreducible(f))
         assert GF(p, k).modulus == first.coeffs, (p, k)
+
+
+def test_irreducibles_are_listed_lazily_over_a_wide_prime():
+    # one candidate at a time: no q-entry tuple is built before the first
+    F = field(2**32 + 15)
+    assert next(irreducibles(F, 1)) == Poly.x(F)
+    # p = 3 mod 4, so x^2 + 1, the first candidate of degree 2, is irreducible
+    assert GF(2**32 + 15, 2).modulus == (1, 0, 1)
+
+
+def test_an_equal_degree_split_that_never_comes_raises():
+    # x^2 + 1 is irreducible over F_3: no draw splits it into linear factors
+    with pytest.raises(RuntimeError, match="broken arithmetic"):
+        _equal_degree(Poly(field(3), (1, 0, 1)), 1)
 
 
 def _product(F, factors):

@@ -1,21 +1,26 @@
 """Interned tree ids and on-demand code rendering, against eager codes.
 
-`ref_tree_code` here, and `ref_component_code`, `ref_graph_code` and
-`reference_code` (a map's graph) in `references`, build the canonical text
-eagerly from plain nested structures, the way the library did before trees
-had ids: sorted child codes, the least rotation of the full list of
-hanging-tree codes by trying every rotation, sorted component codes.  They
-are test-only references, and code-string equality stays the referee: ids
-and keys must be equal exactly when these codes are.
+`shape_code` here, and `ref_tree_code`, `ref_component_code`,
+`ref_graph_code` and `reference_code` (a map's graph) in `references`,
+build the canonical text eagerly from plain nested structures, the way the
+library did before trees had ids: sorted child codes, the least rotation of
+the full list of hanging-tree codes by trying every rotation, sorted
+component codes.  They are the graph layer's one referee, and code-string
+equality stays the referee: ids and keys must be equal exactly when these
+codes are.  A component from a word of trees and a graph from counted
+components, with its sums, are each stated once here, on the drawn
+examples and on one explicit example that stands for the seeded words and
+sums below.
 """
 
 import json
+import random
 import time
 import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from amap import graphs
@@ -27,7 +32,8 @@ from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, Gra
                          materialize, render, to_dot)
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, Keyed, RootedTree, elementary_tree
-from references import cyc, partial_tree, ref_component_code, ref_graph_code, reference_code
+from references import (cyc, partial_tree, ref_component_code, ref_graph_code, ref_tree_code,
+                        reference_code)
 
 Z = IntegerDomain()
 # seeded like the rest of the suite: the same examples on every run
@@ -37,9 +43,9 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 # ---- eager references on plain structures ----
 
-def ref_tree_code(shape):
+def shape_code(shape):
     """shape is a list of child shapes."""
-    return "(%s)" % "".join(sorted(ref_tree_code(child) for child in shape))
+    return ref_tree_code(shape_code(child) for child in shape)
 
 
 def build(shape):
@@ -55,7 +61,7 @@ shapes = st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=4), max_
 @given(st.lists(shapes, min_size=2, max_size=6))
 def test_tree_ids_agree_with_eager_codes(shape_list):
     trees = [build(s) for s in shape_list]
-    codes = [ref_tree_code(s) for s in shape_list]
+    codes = [shape_code(s) for s in shape_list]
     for tree, code in zip(trees, codes):
         assert tree.code == code
         assert tree.code == code
@@ -75,7 +81,7 @@ def test_seeded_trees_agree_with_structures(seq, data):
     for tree in (elementary_tree(seq), partial_tree(seq, k)):
         rebuilt = build(_shape(tree))
         assert rebuilt == tree and rebuilt.code == tree.code
-        assert tree.code == ref_tree_code(_shape(tree))
+        assert tree.code == shape_code(_shape(tree))
 
 
 def _shape(tree):
@@ -106,57 +112,128 @@ def test_trees_of_two_decompositions_share_ids(succ_seed, shift):
 
 POOL = [LEAF, elementary_tree([2]), elementary_tree([3, 1]), partial_tree([2, 2], 1),
         elementary_tree([2, 2]), elementary_tree([3, 2, 2])]
-words = st.lists(st.sampled_from(range(len(POOL))), min_size=1, max_size=6)
+words = st.lists(st.sampled_from(POOL), min_size=1, max_size=6)
+
+
+def _words(rng, count):
+    """Seeded words over three trees of POOL; about half are powers of a
+    shorter word."""
+    for _ in range(count):
+        trees = rng.sample(POOL, 3)
+        root = [rng.choice(trees) for _ in range(rng.randint(1, 4))]
+        yield tuple(root * (rng.randint(2, 3) if rng.random() < 0.5 else 1))
+
+
+def _seeded_words():
+    """(cycle length, word) pairs: 300 words over three trees at 1 to 5 times
+    their length and 200 at twice it, 300 words of up to 7 elementary trees,
+    and the hanging trees of the components of 100 random maps."""
+    words = list(_words(random.Random(101), 300))
+    assert sum(any(w == w[d:] + w[:d] for d in range(1, len(w))) for w in words) > 50
+    cases = [(len(w) * k, w) for w in words for k in range(1, 6)]
+    cases += [(2 * len(w), w) for w in _words(random.Random(102), 200)]
+    rng = random.Random(7)
+    trees = [elementary_tree(nu) for nu in [(), (2,), (3,), (2, 2), (4, 2)]]
+    for _ in range(300):
+        hanging = [rng.choice(trees) for _ in range(rng.randint(1, 7))]
+        cases.append((len(hanging), hanging))
+    rng = random.Random(103)
+    for _ in range(100):
+        size = rng.randint(1, 80)
+        succ = [rng.randrange(size) for _ in range(size)]
+        cases += [(comp.cycle_len, comp.hanging) for comp, _ in brute_graph(size, succ).classes]
+    return cases
 
 
 @SETTINGS
 @given(st.lists(st.tuples(words, st.integers(1, 3), st.integers(1, 3), st.integers(0, 20)),
                 min_size=1, max_size=6))
+@example(None)  # the seeded words of `_seeded_words`
 def test_component_keys_agree_with_eager_codes(specs):
-    comps, codes = [], []
-    for word, power, reps, turn in specs:
-        w = [POOL[i] for i in word] * power  # a power: not primitive when power > 1
-        turn %= len(w)
-        w = w[turn:] + w[:turn]  # any rotation of it
-        m = len(w) * reps
+    if specs is None:
+        cases = _seeded_words()
+    else:
+        cases = []
+        for word, power, reps, turn in specs:
+            w = word * power  # a power: not primitive when power > 1
+            turn %= len(w)
+            cases.append((len(w) * reps, w[turn:] + w[:turn]))  # any rotation of it
+    key_of = {}
+    for m, w in cases:
+        reps = m // len(w)
         comp = Component(m, w)
         code = ref_component_code(m, [t.code for t in w])
-        assert comp.code == code
+        assert comp.code == code, (m, w)
         assert render(comp, len(code)) == code
         assert comp.code_bytes == len(code)
+        assert comp.node_count == code.count("(")
         assert comp.hanging[:len(w)] * reps == comp.hanging and len(comp.hanging) == m
         assert ",".join(t.code for t in comp.hanging) == code[code.index("[") + 1:-1]
         assert comp == Component(m, w * reps)
-        comps.append(comp)
-        codes.append(code)
-    for (c, x), (d, y) in combinations(zip(comps, codes), 2):
-        assert (c.key == d.key) == (c == d) == (x == y)
+        # equal keys exactly when equal codes
+        assert key_of.setdefault(code, comp.key) == comp.key
+    assert len(set(key_of.values())) == len(key_of)
+
+
+def _random_tree(rng):
+    seq = sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))), reverse=True)
+    if seq and rng.random() < 0.5:
+        return partial_tree(seq, rng.randint(0, len(seq)))
+    return elementary_tree(seq)
+
+
+def _seeded_sums():
+    """(left, right) specs of (word, repetitions, count): 150 times up to 8
+    cycles over three random trees, one tree all round or mixed, some of
+    them twice, one copy each; against the same cycles with the first tree
+    of their least rotation all round, 3 of them twice."""
+    rng = random.Random(91)
+    for _ in range(150):
+        trees = [_random_tree(rng) for _ in range(3)]
+        left = []
+        for _ in range(rng.randint(0, 8)):
+            m = rng.randint(1, 6)
+            if rng.random() < 0.5:
+                left.append(((rng.choice(trees),) * m, 1, 1))
+            else:
+                left.append(([rng.choice(trees) for _ in range(m)], 1, 1))
+        left += rng.choices(left, k=rng.randint(0, 5)) if left else []
+        rng.shuffle(left)
+        right = [((min(w, key=lambda t: t.code),), len(w), 1) for w, _, _ in left]
+        right += rng.choices(right, k=3) if right else []
+        yield left, right
 
 
 @SETTINGS
 @given(st.lists(st.tuples(words, st.integers(1, 3), st.integers(0, 3)), max_size=6),
        st.lists(st.tuples(words, st.integers(1, 3), st.integers(0, 3)), max_size=6))
+@example(None, None)  # the seeded sums of `_seeded_sums`
 def test_graph_keys_agree_with_eager_codes(left, right):
-    def graph_and_code(spec):
+    def graph_and_codes(spec):
         pairs, comp_codes = [], []
         for word, reps, count in spec:
-            w = [POOL[i] for i in word]
-            comp = Component(len(w) * reps, w)
+            comp = Component(len(word) * reps, word)
             pairs.append((comp, count))
-            comp_codes += [ref_component_code(len(w) * reps, [t.code for t in w])] * count
-        return FunctionalGraph(pairs), ref_graph_code(comp_codes)
+            comp_codes += [ref_component_code(len(word) * reps, [t.code for t in word])] * count
+        return FunctionalGraph(pairs), comp_codes
 
-    (g, x), (h, y) = graph_and_code(left), graph_and_code(right)
-    for graph, code in ((g, x), (h, y)):
-        assert graph.code == code
-        assert graph.code_bytes == len(code)
-        assert render(graph, len(code)) == code
-        ordered = [c.code for c, _ in graph.classes]
-        assert ordered == sorted(set(ordered))
-    assert (g.key == h.key) == (g == h) == (x == y)
-    parts = [code for code in (x, y) if code]
-    assert disjoint_sum([g, h]).code == \
-        ref_graph_code(";".join(parts).split(";") if parts else [])
+    for left, right in (_seeded_sums() if left is None else [(left, right)]):
+        (g, x), (h, y) = graph_and_codes(left), graph_and_codes(right)
+        for graph, codes in ((g, x), (h, y)):
+            code = ref_graph_code(codes)
+            assert graph.code == code, (left, right)
+            assert graph.code_bytes == len(code)
+            assert graph.node_count == code.count("(")
+            assert render(graph, len(code)) == code
+            ordered = [c.code for c, _ in graph.classes]
+            assert ordered == sorted(set(ordered))
+            # one entry per copy, in code order
+            assert [c.code for c in graph.components] == sorted(codes)
+        assert (g.key == h.key) == (g == h) == (ref_graph_code(x) == ref_graph_code(y))
+        both = disjoint_sum([g, h])
+        assert both.code == ref_graph_code(x + y)
+        # a sum of sums adds the counts of equal components
+        assert disjoint_sum([both, both, FunctionalGraph()]).code == ref_graph_code((x + y) * 2)
 
 
 # ---- render: refused from the length alone ----
@@ -247,7 +324,7 @@ def _timed(a, n):
 def _code_from_compact(doc):
     codes = []
     for pairs in doc["trees"]:
-        codes.append("(%s)" % "".join(sorted(codes[k] * c for k, c in pairs)))
+        codes.append(ref_tree_code(codes[k] for k, c in pairs for _ in range(c)))
     if "root" in doc:
         return codes[doc["root"]]
     comps = []

@@ -1,12 +1,14 @@
 """Multiplicative orders by prime stripping against the linear search they replaced.
 
 The references, `LinearOrderReference` and the divisor walk among them, live
-in `domains`, and `is_principal` and `booth_min_rotation` in `references`.
-`scan_splitting` keeps the earlier body of
-`QuadOrder.rational_prime_splitting`, which scans all residues mod p.  The
-prediction by prime powers is refereed by `references.walk_prediction`, the
-earlier body of `predicted_graph` over the divisor walk, read here as a
-counted graph and its summands.
+in `domains`, and `is_principal` in `references`.  `scan_splitting` keeps
+the earlier body of `QuadOrder.rational_prime_splitting`, which scans all
+residues mod p.  The prediction by prime powers is refereed by
+`references.walk_prediction`, the earlier body of `predicted_graph` over
+the divisor walk, read here as one counted graph, its summands and, up to
+`DEFAULT_MAX_NODES` nodes, the eager text of the graph and of its
+corrupted control (`dynamics._corrupt`): this is the one prediction
+referee.
 """
 
 import math
@@ -15,15 +17,14 @@ import random
 import pytest
 
 from amap.base import NotCoprimeError, factor_int
-from amap.dynamics import predicted_graph
+from amap.dynamics import _corrupt, predicted_graph
 from amap.finitefield import field
-from amap.graphs import Component, FunctionalGraph
+from amap.graphs import DEFAULT_MAX_NODES, Component, FunctionalGraph
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
 from amap.quadorder import QuadInt, QuadOrder, SplitType
-from amap.trees import elementary_tree
 from domains import ENTRIES, divisor_table, divisors, mult_order, reference
-from references import booth_min_rotation, is_principal, walk_prediction
+from references import is_principal, ref_component_code, ref_graph_code, walk_prediction
 
 
 def scan_splitting(order: QuadOrder, p: int):
@@ -108,7 +109,10 @@ class TestAgainstLinearReference:
 
 def assert_prediction_matches_the_walk(dom, a, n):
     """The prediction by prime powers against `walk_prediction`: equal graphs,
-    and the summands are the walk's rows at the unit ideal and prime powers."""
+    and the summands are the walk's rows at the unit ideal and prime powers.
+    Up to `DEFAULT_MAX_NODES` nodes the codes are compared as text too, and
+    the corrupted control's code is the walk's with the first component in
+    code order replaced by its cycle one node longer."""
     got = predicted_graph(dom, a, n)
     tree, table = walk_prediction(dom, a, n)
     graph = FunctionalGraph((Component(r, (tree,)), phi // r) for _, phi, r in table)
@@ -118,6 +122,12 @@ def assert_prediction_matches_the_walk(dom, a, n):
     n1 = dom.a_decomposition(a, n)[1]
     local = [row for m, row in zip(divisors(dom, n1), summands) if len(dom.factor(m)) <= 1]
     assert got.summands == tuple(local), (dom, a, n)
+    if got.graph.node_count <= DEFAULT_MAX_NODES:
+        rows = sorted((ref_component_code(r, [tree.code]), r, phi // r) for _, phi, r in table)
+        codes = [code for code, _, count in rows for _ in range(count)]
+        assert got.graph.code == ref_graph_code(codes), (dom, a, n)
+        longer = ref_component_code(rows[0][1] + 1, [tree.code])
+        assert _corrupt(got.graph).code == ref_graph_code([longer] + codes[1:]), (dom, a, n)
 
 
 def test_prediction_matches_the_divisor_walk_below_2000():
@@ -131,6 +141,11 @@ def test_prediction_matches_the_divisor_walk_below_2000():
 def test_prediction_matches_the_divisor_walk_over_twelve_primes(a):
     n = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41
     assert_prediction_matches_the_walk(IntegerDomain(), a, n)
+
+
+def test_prediction_matches_the_divisor_walk_at_large_n():
+    for a, n in [(1, 10**5), (-1, 10**5), (6, 2**5 * 3**3 * 5 * 7 * 11), (10, 3**4 * 7**3)]:
+        assert_prediction_matches_the_walk(IntegerDomain(), a, n)
 
 
 def test_local_rows_fill_each_prime_power():
@@ -326,16 +341,3 @@ def test_prime_splitting_matches_scan(d):
         assert (kind, primes) == scan_splitting(order, p), p
         seen.add(kind)
     assert seen == set(SplitType)
-
-
-def test_component_code_is_the_minimal_rotation():
-    rng = random.Random(7)
-    trees = [elementary_tree(nu) for nu in [(), (2,), (3,), (2, 2), (4, 2)]]
-    for _ in range(300):
-        hanging = [rng.choice(trees) for _ in range(rng.randint(1, 7))]
-        comp = Component(len(hanging), hanging)
-        r = booth_min_rotation([t.code for t in hanging])
-        rotated = tuple(hanging[r:]) + tuple(hanging[:r])
-        assert comp.hanging == rotated
-        assert comp.code == "C%d[%s]" % (len(hanging), ",".join(t.code for t in rotated))
-        assert comp.node_count == sum(t.node_count for t in hanging)

@@ -28,7 +28,7 @@ from amap.polynomials import Poly, PolyDomain, _digit_sums, _fp_linear_table
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import RootedTree
 from domains import ENTRIES, reference_successors
-from references import random_maps, reference_code, reference_decompose
+from references import branch_maps, random_maps, reference_code, reference_decompose
 
 
 # ---- seeded instances: each entry's, small and few ----
@@ -185,51 +185,13 @@ def _sharing(labels):
     return [first.setdefault(x, len(first)) for x in labels]
 
 
-def _relabelled(rng, succ):
-    perm = list(range(len(succ)))
-    rng.shuffle(perm)
-    out = [0] * len(succ)
-    for v, s in enumerate(succ):
-        out[perm[v]] = perm[s]
-    return out
-
-
-def _hung_on_a_cycle(rng, m, hung):
-    """A cycle 0 -> 1 -> ... -> 0 of length m, then `hung` more nodes, each
-    sent to a cycle node or to an earlier hung node."""
-    return [(v + 1) % m for v in range(m)] + [rng.randrange(v) for v in range(m, m + hung)]
-
-
-def _branch_maps(rng):
-    maps = []
-    # two a-maps with different nu-series, side by side: every cycle carries
-    # one tree all round, but not every cycle the same tree
-    for (a1, n1), (a2, n2) in (((2, 12), (3, 18)), ((2, 8), (1, 5)), ((6, 72), (10, 50)),
-                               ((2, 24), (3, 27)), ((4, 40), (9, 81))):
-        union = [a1 * v % n1 for v in range(n1)] + [n1 + a2 * v % n2 for v in range(n2)]
-        maps.append(_relabelled(rng, union))
-    for _ in range(40):
-        m = rng.randrange(2, 12)
-        # leaves on some cycle nodes only
-        some = [(v + 1) % m for v in range(m)]
-        some += [rng.randrange(m // 2 + 1) for _ in range(rng.randrange(1, 2 * m))]
-        maps.append(_relabelled(rng, some))
-        # trees of depth 2 or more at the cycle nodes
-        maps.append(_relabelled(rng, _hung_on_a_cycle(rng, m, rng.randrange(m, 6 * m))))
-    maps.append([max(v - 1, 0) for v in range(8000)])  # a path into a fixed point
-    maps.append([0] * (10**5 + 1))  # a star of 10^5 leaves on a fixed point
-    return maps
-
-
 def test_decomposition_matches_reference_walk():
-    for succ in random_maps(random.Random(11)) + _branch_maps(random.Random(17)):
+    for succ in random_maps(random.Random(11)) + branch_maps(random.Random(17)):
         got = list(decompose_successors(succ))
         want = _least_node_first(reference_decompose(succ))
         assert [c for c, _ in got] == [c for c, _ in want], succ
         words = [[t.key for t in ts] for _, ts in got]
         assert words == [[t.key for t in ts] for _, ts in want], succ
-        if len(succ) < 1000:  # a deep tree's code costs O(depth^2)
-            assert brute_graph(len(succ), succ).code == reference_code(succ)
         # one object per distinct tree, among the hanging trees and below
         assert _sharing(id(t) for _, ts in got for t in ts) == \
             _sharing(key for word in words for key in word), succ
@@ -271,7 +233,7 @@ def test_decomposition_reads_every_table_type_alike():
     # the library passes lists and GF.code_array arrays; tuples read alike
     kinds = (list, tuple, lambda succ: array("I", succ), lambda succ: array("l", succ))
     rng = random.Random(19)
-    maps = random_maps(rng)[::4] + _branch_maps(rng)
+    maps = random_maps(rng)[::4] + branch_maps(rng)
     for succ in maps:
         want = [(c, [t.key for t in ts]) for c, ts in decompose_successors(succ)]
         for kind in kinds[1:]:

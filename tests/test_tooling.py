@@ -310,6 +310,27 @@ def test_no_test_module_imports_another_test_module():
     assert not found, found
 
 
+def _spells_a_component_code(node):
+    """A string constant holding the %-format of a component code, or an
+    f-string whose text starts with C and a replacement field."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and re.search(r"C%d\[", node.value) is not None
+    return (isinstance(node, ast.JoinedStr) and len(node.values) > 1
+            and isinstance(node.values[0], ast.Constant) and node.values[0].value == "C"
+            and isinstance(node.values[1], ast.FormattedValue))
+
+
+def test_only_the_references_spell_the_component_code():
+    # the component code C<len>[...] is spelled on the test side once, in
+    # references.component_text, so a change of the code rewrites one text
+    # referee: another test module that spells it fails this check
+    found = [f"{path.name}:{node.lineno}" for path in sorted(Path(__file__).parent.glob("*.py"))
+             if path.name != "references.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if _spells_a_component_code(node)]
+    assert not found, found
+
+
 DERIVED_OPERATIONS = {"element_in_ideal", "mul_mod", "ideal_pow", "euler_phi", "local_rows",
                       "gcd_chain", "a_decomposition", "congruence_solution_count"}
 EVERY_ENTRY = ast.dump(ast.parse("ENTRIES.values()", mode="eval").body)
