@@ -225,7 +225,7 @@ class Poly:
 
 # ---- packed prime-field arithmetic ----
 
-_MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+_MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (3, 5, 7, 11, 13)}
 
 
 def _slot_width(terms: int, p: int) -> int:

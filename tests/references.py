@@ -1,8 +1,16 @@
 """The test-side referees and helpers that more than one test module uses:
 one referee per library operation.  A test module imports from here and
-from `domains`, never from another test module (a tooling test checks it).
+from `domains`, never from another test module, and defines no function
+under a name defined here or there (tooling tests check both).
 
-Here are the prime-field list loops (`list_mul`, `list_divmod`) on the
+The factorization law is stated once, by `check_factorization`, which judges
+each prime by a referee of its kind: `trial_factor` (trial division, the
+earlier body of `base.factor_int`) in Z, `rabin_is_irreducible` (Rabin's
+test, the earlier body of `polynomials.is_irreducible`) in F_q[x], and in a
+quadratic order `scan_splitting` (the earlier body of
+`QuadOrder.rational_prime_splitting`, which scans every residue mod p).
+
+Here are also the prime-field list loops (`list_mul`, `list_divmod`) on the
 primes of every slot width, the residue products of the order search
 (`assert_products_agree`), the counting laws over listed residues, the
 prediction read off every divisor (`walk_prediction`), the graph operands
@@ -27,16 +35,17 @@ from collections import Counter
 from amap.base import power
 from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                          brute_graph, materialize)
-from amap.polynomials import Poly
-from amap.quadorder import QuadInt
+from amap.polynomials import Poly, PolyDomain
+from amap.quadorder import QuadInt, QuadOrder, SplitType
 from amap.trees import LEAF, RootedTree, _partials, _validated, elementary_tree
 from domains import divisor_table, divisors, generators
 
 # ---- prime-field polynomial arithmetic ----
 
 SLOT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 1009, 65537, 2**32 + 15)
-"""Every row of `polynomials._MOD_BYTES` (one-byte slots, p <= 13 at low
-degree), then two-byte (17), four-byte (1009), eight-byte (65537) and wider
+"""F_2, whose slots are bits under XOR and which never reads the byte table;
+every row of `polynomials._MOD_BYTES` (one-byte slots, 3 <= p <= 13 at low
+degree); then two-byte (17), four-byte (1009), eight-byte (65537) and wider
 slots (2^32 + 15)."""
 
 
@@ -70,6 +79,96 @@ def list_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
             for j, dj in enumerate(dv, i - dd):
                 rem[j] -= q * dj
     return Poly(F, quot), Poly(F, [c % p for c in rem])
+
+
+# ---- the factorization law ----
+
+def trial_factor(n: int) -> list[tuple[int, int]]:
+    """Trial-division factorization of a positive integer, by 2, 3 and
+    every 6k +- 1 up to the square root."""
+    out = []
+    for p in (2, 3):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                out.append((p, e))
+        f += 6
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def rabin_is_irreducible(f: Poly) -> bool:
+    """Rabin's irreducibility test over F_q: f of degree n divides
+    x^(q^n) - x and is coprime to x^(q^(n/r)) - x for each prime r | n."""
+    if f.degree < 1:
+        return False
+    F = f.field
+    n = f.degree
+    x = Poly.x(F)
+    for r, _ in trial_factor(n):
+        h = x.pow_mod(F.q ** (n // r), f)
+        if f.gcd(h - x).degree != 0:
+            return False
+    return x.pow_mod(F.q**n, f) == x % f
+
+
+def scan_splitting(order: QuadOrder, p: int):
+    """Primes above the rational prime p, classified by the roots of w's
+    minimal polynomial among all residues mod p."""
+    roots = [r for r in range(p) if (r * r - order._t * r - order._s) % p == 0]
+    if not roots:
+        return SplitType.INERT, [order.principal(QuadInt(p, 0))]
+    primes = [order.ideal_from_generators([QuadInt(p, 0), QuadInt(-r, 1)])
+              for r in roots]
+    primes.sort(key=order._ideal_key)
+    if len(roots) == 2:
+        return SplitType.SPLIT, primes
+    return SplitType.RAMIFIED, primes
+
+
+def is_prime_ideal(dom, ideal) -> bool:
+    """Whether `ideal` is a prime of dom in normalized form, by the referee
+    of the domain's kind: a positive int that trial division leaves whole; a
+    monic polynomial over the domain's field that Rabin's test passes; or a
+    prime that `scan_splitting` lists above the one rational prime under the
+    norm."""
+    if isinstance(dom, PolyDomain):
+        return ideal.field == dom.field and ideal.is_monic and rabin_is_irreducible(ideal)
+    if isinstance(dom, QuadOrder):
+        under = trial_factor(ideal.norm)
+        return len(under) == 1 and ideal in scan_splitting(dom, under[0][0])[1]
+    return type(ideal) is int and trial_factor(ideal) == [(ideal, 1)]
+
+
+def check_factorization(dom, n, factors) -> None:
+    """The factorization law, stated once: `factors`, what `dom.factor(n)`
+    returned, is a list of distinct primes in `_ideal_key` order, each
+    normalized and judged prime by `is_prime_ideal`, with positive int
+    exponents; their powers multiply back to n (to monic n in F_q[x], where
+    n may be any nonzero polynomial) and their norms to N(n).  A sorted list
+    of distinct primes whose product is n is the one factorization."""
+    assert isinstance(factors, list), n
+    keys = [dom._ideal_key(prime) for prime, _ in factors]
+    assert keys == sorted(keys) and len(set(map(repr, keys))) == len(keys), (n, factors)
+    product = dom.unit_ideal
+    for prime, e in factors:
+        assert type(e) is int and e >= 1, (n, prime, e)
+        assert is_prime_ideal(dom, prime), (n, prime)
+        product = dom.ideal_mul(product, dom.ideal_pow(prime, e))
+    assert product == (n.monic() if isinstance(dom, PolyDomain) else n), (n, factors)
+    assert dom.norm(n) == math.prod(dom.norm(prime) ** e for prime, e in factors), (n, factors)
 
 
 # ---- domain laws over listed residues ----

@@ -1,24 +1,24 @@
-"""The arithmetic layer against the code it replaced, and its contracts.
+"""Extension-field arithmetic against the code it replaced, and the
+arithmetic layer's contracts.
 
 `digit_mul` is the product of extension fields by the test-only list loops
 over F_p (`references.list_mul` and `list_divmod`): it multiplies the two
 base-p digit vectors and reduces them by the monic modulus, with no library
-product.  `full_scan` keeps the earlier body of `polynomials.irreducibles`,
-which also tests every multiple of x.
+product; it is the one referee of `GF.mul` and the log tables.  The
+factorization law is `test_domain_contract.test_factorization_law`, and the
+lists of `polynomials.irreducibles` are refereed by Rabin's test in
+`test_hnf_and_irreducibility`.
 """
 
 import dataclasses
-import itertools
-import math
 import random
 import time
 
 import pytest
 
 from amap.finitefield import GF, field
-from amap.polynomials import Poly, irreducibles, is_irreducible
+from amap.polynomials import Poly, irreducibles
 from amap.quadorder import QuadInt, QuadOrder
-from domains import ENTRIES
 from references import list_divmod, list_mul
 
 
@@ -34,12 +34,6 @@ def digit_pow(F: GF, a: int, e: int) -> int:
     for _ in range(e):
         out = digit_mul(F, out, a)
     return out
-
-
-def full_scan(F: GF, degree: int) -> list[Poly]:
-    return [f for f in (Poly(F, list(tail) + [1])
-                        for tail in itertools.product(range(F.q), repeat=degree))
-            if is_irreducible(f)]
 
 
 def held(F: GF) -> dict:
@@ -147,28 +141,6 @@ class TestLogTables:
         assert all(digit_mul(F, x, inv[x]) == 1 for x in range(1, F.q))
 
 
-@pytest.mark.parametrize("entry", ENTRIES.values(), ids=lambda entry: repr(entry.dom))
-def test_factor_contract(entry):
-    dom = entry.dom
-    ideals = list(dict.fromkeys(n for _, n in entry.instances()))
-    ideals += [dom.ideal_mul(m, n) for others in (ideals[1:], ideals[::-1])
-               for m, n in zip(ideals, others)]
-    assert len(ideals) >= (40 if entry.full else 20)
-    for n in ideals:
-        fac = dom.factor(n)
-        assert isinstance(fac, list)
-        for prime, e in fac:
-            assert type(e) is int and e >= 1
-            assert dom.factor(prime) == [(prime, 1)]
-        keys = [dom._ideal_key(prime) for prime, _ in fac]
-        assert keys == sorted(keys) and len(set(map(repr, keys))) == len(keys)
-        product = dom.unit_ideal
-        for prime, e in fac:
-            product = dom.ideal_mul(product, dom.ideal_pow(prime, e))
-        assert product == n
-        assert dom.norm(n) == math.prod(dom.norm(prime) ** e for prime, e in fac)
-
-
 def test_quad_ideal_is_frozen():
     ZS5 = QuadOrder(-5)
     ideal = ZS5.principal(QuadInt(2, 1))
@@ -176,16 +148,6 @@ def test_quad_ideal_is_frozen():
         ideal.a = 3
     assert ideal == ZS5.principal(QuadInt(2, 1))
     assert len({ideal, ZS5.principal(QuadInt(2, 1))}) == 1
-
-
-@pytest.mark.parametrize("F,degrees", [(field(2), range(1, 9)), (field(3), range(1, 6)),
-                                       (field(5), range(1, 4)), (field(2, 2), range(1, 4))],
-                         ids=repr)
-def test_irreducibles_match_full_scan(F, degrees):
-    for d in degrees:
-        assert list(irreducibles(F, d)) == full_scan(F, d), d
-    assert next(irreducibles(F, 1)) == Poly.x(F)
-    assert list(irreducibles(F, 0)) == full_scan(F, 0) == []
 
 
 def test_irreducibles_degree_20_is_fast():

@@ -1,15 +1,16 @@
 """The domain laws, each stated once and run on every entry of
-`domains.ENTRIES`: here the norm, gcd and division, `reduce`, `decode`, the
-residue classes, congruence counts, Euler phi, the local rings D/p^alpha and
-`ideal_pow`, listing residues only for moduli of norm at most `CAP`; in
-`test_arithmetic_layer` `factor`; in `test_gcd_chain` the gcd chain, the
-a-decomposition and `element_in_ideal`; in `test_orders` the order search
-and `local_rows`; in `test_successor_table` `successors` and `residues`; in
-`test_base` the unit ideal, domain equality and the `--domain` spec.  The
-residue-class and congruence laws (`check_residue_classes`,
-`check_congruences`) and the products of the order search
-(`assert_products_agree`) are helpers of `references`, which the acceptance
-criteria call too.
+`domains.ENTRIES`: here `factor`, the norm, gcd and division, `reduce`,
+`decode`, the residue classes, congruence counts, Euler phi, the local
+rings D/p^alpha and `ideal_pow`, listing residues only for moduli of norm at
+most `CAP`; in `test_gcd_chain` the gcd chain, the a-decomposition and
+`element_in_ideal`; in `test_orders` the order search and `local_rows`; in
+`test_successor_table` `successors` and `residues`; in `test_base` the unit
+ideal, domain equality and the `--domain` spec.  The factorization law
+(`check_factorization`, which judges each prime by `trial_factor`,
+`rabin_is_irreducible` or `scan_splitting`), the residue-class and
+congruence laws (`check_residue_classes`, `check_congruences`) and the
+products of the order search (`assert_products_agree`) are helpers of
+`references`, which other modules and the acceptance criteria call too.
 """
 
 import functools
@@ -19,10 +20,23 @@ import pytest
 
 from amap.base import power
 from domains import ENTRIES, divisors, generators, reference
-from references import (CAP, assert_products_agree, check_congruences, check_residue_classes,
-                        counted_moduli, small_moduli)
+from references import (CAP, assert_products_agree, check_congruences, check_factorization,
+                        check_residue_classes, counted_moduli, small_moduli)
 
 every_entry = pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
+
+
+@every_entry
+def test_factorization_law(entry):
+    # on the instances' ideals and products of two of them
+    dom = entry.dom
+    ideals = list(dict.fromkeys(n for _, n in entry.instances()))
+    ideals += [dom.ideal_mul(m, n) for others in (ideals[1:], ideals[::-1])
+               for m, n in zip(ideals, others)]
+    assert len(ideals) >= (40 if entry.full else 20)
+    for n in ideals:
+        check_factorization(dom, n, dom.factor(n))
+
 
 @every_entry
 def test_norm_is_multiplicative(entry):

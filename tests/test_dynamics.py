@@ -1,19 +1,26 @@
 """The nu-series, predicted and brute-force graphs and `verify` on worked
-instances; the tensor identities of extended trees are acceptance
-criterion 4 (`test_acceptance`).
+instances, and the report JSON; the tensor identities of extended trees
+are acceptance criterion 4 (`test_acceptance`).
+
+`reference_as_dict` keeps the earlier `JsonReport.as_dict` over `asdict`
+(with a graph field written as its code, or as the name of the first field
+with the same code), as a test-only reference, the one referee of the
+report dict.
 """
 
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
+from amap.applications import chebyshev_check, ec_generic_trees, linearized_check, redei_check
 from amap.dynamics import (brute_amap_graph, nu_series, predicted_graph, verify)
 from amap.graphs import GraphSizeError, disjoint_sum
 from amap.integers import IntegerDomain
 from amap.polynomials import PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import LEAF, elementary_tree
+from amap.trees import LEAF, Keyed, elementary_tree
 from domains import ENTRIES
 from references import cyc, extended_tree
 
@@ -25,6 +32,22 @@ ZI = QuadOrder(-1)
 def sec3_instance():
     """The worked instance in Z[sqrt(-5)]: a = 1 + w, n = <6>."""
     return Z5, QuadInt(1, 1), Z5.principal(QuadInt(6, 0))
+
+
+def reference_as_dict(report):
+    out = {"family": report.family} if report.family is not None else {}
+    written = []  # (graph, field name) of every code written so far
+    for k, v in asdict(report).items():
+        if isinstance(v, Keyed):  # a graph field is written as its code once
+            same = [name for graph, name in written if graph.code == v.code]
+            if same:
+                out[f"{k}_same_as"] = same[0]
+            else:
+                out[f"{k}_code"] = v.code
+                written.append((v, k))
+        elif v is not None:
+            out[k] = v
+    return out
 
 
 class TestNuSeries:
@@ -211,3 +234,37 @@ class TestVerify:
             if isinstance(entry.dom, QuadOrder):
                 for a, n in entry.sample(12, 19, cap=300):
                     assert verify(entry.dom, a, n).isomorphic, (entry, a, n)
+
+
+# ---- JsonReport: the same JSON without a deep copy ----
+
+def _reports():
+    yield verify(Z, 2, 24)
+    yield verify(Z, 2, 24, corrupt_cycle=True)
+    yield verify(*sec3_instance())
+    yield redei_check(7, 2, 3)
+    yield chebyshev_check(7, 3)
+    yield linearized_check(2, 4, [1, 1])
+    yield ec_generic_trees(-1, QuadInt(3, -1), QuadInt(-3, 8), 1)
+
+
+def test_report_json_is_unchanged_and_the_dict_is_shallow():
+    graph_fields = 0
+    for report in _reports():
+        ref = reference_as_dict(report)
+        got = report.as_dict()
+        assert list(got) == list(ref)
+        assert json.dumps(got) == json.dumps(ref)
+        assert report.to_json(indent=2) == json.dumps(ref, indent=2)
+        for key, value in got.items():
+            graph = getattr(report, key.removesuffix("_code"), None)
+            same = getattr(report, key.removesuffix("_same_as"), None)
+            if key.endswith("_code") and isinstance(graph, Keyed):
+                assert value == graph.code
+                graph_fields += 1
+            elif key.endswith("_same_as") and isinstance(same, Keyed):
+                assert same == getattr(report, value)
+            elif key != "family":
+                assert value is getattr(report, key)
+    # one code for each passing check, two for the corrupt verify
+    assert graph_fields == 1 + 2 + 1 + 1 + 1 + 1

@@ -3,12 +3,14 @@ code they replaced.
 
 `pivot_hnf_from_vectors` (with `xgcd`) keeps the earlier body of
 `quadorder._hnf_from_vectors`, a pivot combined with each vector by an
-extended gcd and a list of x-axis vectors, and `rabin_is_irreducible` the
-earlier body of `polynomials.is_irreducible` (Rabin's test), as test-only
-references.  Both HNFs and both verdicts are unique, so the new kernels
-must match the references exactly.  `irreducibles` lists its candidates
-lazily, and the equal-degree split gives up after a bounded number of
-draws.
+extended gcd and a list of x-axis vectors, as a test-only reference, the
+one referee of the HNF.  `references.rabin_is_irreducible` (Rabin's test)
+is the one referee of `polynomials.is_irreducible`, of the lists of
+`irreducibles` and of the default field moduli.  Both HNFs and both
+verdicts are unique, so the new kernels must match the references exactly.
+`irreducibles` lists its candidates lazily, and the equal-degree split
+gives up after a bounded number of draws.  Seeded products with repeated
+factors run the factorization law, `references.check_factorization`.
 """
 
 import itertools
@@ -17,10 +19,11 @@ import random
 
 import pytest
 
-from amap.base import ZeroIdealError, factor_int
+from amap.base import ZeroIdealError
 from amap.finitefield import GF, field
-from amap.polynomials import Poly, _equal_degree, factor_poly, irreducibles, is_irreducible
+from amap.polynomials import Poly, PolyDomain, _equal_degree, irreducibles, is_irreducible
 from amap.quadorder import _hnf_from_vectors
+from references import check_factorization, rabin_is_irreducible
 
 
 def xgcd(a, b):
@@ -67,20 +70,6 @@ def pivot_hnf_from_vectors(vectors):
     if a == 0:
         raise ZeroIdealError("vectors span a rank-deficient lattice")
     return a, px % a, py
-
-
-def rabin_is_irreducible(f):
-    """Rabin irreducibility test over F_q."""
-    if f.degree < 1:
-        return False
-    F = f.field
-    n = f.degree
-    x = Poly.x(F)
-    for r, _ in factor_int(n):
-        h = x.pow_mod(F.q ** (n // r), f)
-        if f.gcd(h - x).degree != 0:
-            return False
-    return x.pow_mod(F.q**n, f) == x % f
 
 
 def _hnf_or_error(hnf, vectors):
@@ -159,10 +148,12 @@ def test_ben_or_matches_rabin_on_every_small_polynomial(p, k, top):
 @pytest.mark.parametrize("p, k, top", [(2, 1, 10), (3, 1, 6), (2, 2, 4), (5, 1, 4),
                                        (3, 2, 3), (7, 1, 3)])
 def test_irreducibles_lists_match_rabin_filter(p, k, top):
+    # degree 0 lists nothing, and the first of degree 1 is x
     F = field(p, k)
-    for degree in range(1, top + 1):
+    for degree in range(top + 1):
         want = [f for f in _polys(F, degree, 1) if rabin_is_irreducible(f)]
         assert list(irreducibles(F, degree)) == want, degree
+    assert next(irreducibles(F, 1)) == Poly.x(F)
 
 
 @pytest.mark.parametrize("p, ks", [(2, list(range(2, 13)) + [18, 20]), (3, range(2, 9)),
@@ -189,19 +180,12 @@ def test_an_equal_degree_split_that_never_comes_raises():
         _equal_degree(Poly(field(3), (1, 0, 1)), 1)
 
 
-def _product(F, factors):
-    out = Poly.one(F)
-    for f, e in factors:
-        for _ in range(e):
-            out = out * f
-    return out
-
-
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)])
 def test_seeded_factorizations_are_the_unique_one(p, k):
-    # a sorted list of distinct monic Rabin-irreducibles whose product is the
-    # monic input is the one factorization, and so what Rabin gave before
+    # products of seeded monic factors with multiplicities 1, 2, 3, p and
+    # 2p, times a unit: the p-th-power path of the squarefree split
     F = field(p, k)
+    D = PolyDomain(F)
     rng = random.Random(p * 10 + k)
     for _ in range(150):
         built = []
@@ -209,8 +193,6 @@ def test_seeded_factorizations_are_the_unique_one(p, k):
             g = Poly(F, [rng.randrange(F.q) for _ in range(rng.randint(1, 4))] + [1])
             built.append((g, rng.choice((1, 1, 2, 3, p, 2 * p))))
         unit = rng.randrange(1, F.q)
-        f = Poly(F, [F.mul(unit, c) for c in _product(F, built).coeffs])
-        got = factor_poly(f)
-        assert [g for g, _ in got] == sorted({g for g, _ in got}, key=Poly.sort_key), f
-        assert all(g.coeffs[-1] == 1 and rabin_is_irreducible(g) for g, _ in got), f
-        assert _product(F, got) == f.monic(), f
+        product = math.prod((g**e for g, e in built), start=Poly.one(F))
+        f = Poly(F, [F.mul(unit, c) for c in product.coeffs])
+        check_factorization(D, f, D.factor(f))

@@ -39,12 +39,20 @@ CASES = [
      ValueError("5 does not divide 12")),
     ("integer norm of a str", lambda: IntegerDomain().norm("3"),
      TypeError("ideal must be an int, got str")),
+    ("integer norm of 0", lambda: IntegerDomain().norm(0),
+     ZeroIdealError("the zero ideal is not allowed")),
+    ("integer factor of 0", lambda: IntegerDomain().factor(0),
+     ZeroIdealError("the zero ideal is not allowed")),
+    ("a-decomposition by 0", lambda: IntegerDomain().a_decomposition(0, 10),
+     ValueError("the element a must be nonzero")),
     ("leading term of 0", lambda: ZERO.leading,
      ValueError("zero polynomial has no leading coefficient")),
     ("monic 0", lambda: ZERO.monic(), ZeroIdealError("cannot normalize the zero polynomial")),
     ("polynomial % 0", lambda: X1 % ZERO, ZeroDivisionError("polynomial division by zero")),
     ("sum over two fields", lambda: Poly(F3, [1]) + Poly(field(5), [1]),
      ValueError("mixed coefficient fields")),
+    ("polynomial norm of 0", lambda: PolyDomain(F3).norm(ZERO),
+     ZeroIdealError("the zero ideal has no norm")),
     ("principal ideal of 0", lambda: PolyDomain(F3).principal(ZERO),
      ZeroIdealError("the zero ideal is not allowed")),
     ("residues mod 0", lambda: PolyDomain(F3).residues(ZERO),

@@ -1,9 +1,11 @@
 """Multiplicative orders by prime stripping against the linear search they replaced.
 
 The references, `LinearOrderReference` and the divisor walk among them, live
-in `domains`, and `is_principal` in `references`.  `scan_splitting` keeps
-the earlier body of `QuadOrder.rational_prime_splitting`, which scans all
-residues mod p.  The prediction by prime powers is refereed by
+in `domains`, and `is_principal`, `rabin_is_irreducible` and
+`scan_splitting` in `references`.  `scan_splitting`, the earlier body of
+`QuadOrder.rational_prime_splitting`, which scans all residues mod p, is
+its one referee, and it judges the primes of the factorization law in
+`test_domain_contract` too.  The prediction by prime powers is refereed by
 `references.walk_prediction`, the earlier body of `predicted_graph` over
 the divisor walk, read here as one counted graph, its summands and, up to
 `DEFAULT_MAX_NODES` nodes, the eager text of the graph and of its
@@ -21,23 +23,11 @@ from amap.dynamics import _corrupt, predicted_graph
 from amap.finitefield import field
 from amap.graphs import DEFAULT_MAX_NODES, Component, FunctionalGraph
 from amap.integers import IntegerDomain
-from amap.polynomials import Poly, PolyDomain, irreducibles, is_irreducible
+from amap.polynomials import Poly, PolyDomain, irreducibles
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from domains import ENTRIES, divisor_table, divisors, mult_order, reference
-from references import is_principal, ref_component_code, ref_graph_code, walk_prediction
-
-
-def scan_splitting(order: QuadOrder, p: int):
-    """Primes above p, classified by the roots of w's minimal polynomial."""
-    roots = [r for r in range(p) if (r * r - order._t * r - order._s) % p == 0]
-    if not roots:
-        return SplitType.INERT, [order.principal(QuadInt(p, 0))]
-    primes = [order.ideal_from_generators([QuadInt(p, 0), QuadInt(-r, 1)])
-              for r in roots]
-    primes.sort(key=order._ideal_key)
-    if len(roots) == 2:
-        return SplitType.SPLIT, primes
-    return SplitType.RAMIFIED, primes
+from references import (is_principal, rabin_is_irreducible, ref_component_code,
+                        ref_graph_code, scan_splitting, walk_prediction)
 
 
 ORDER_CASES = 240  # of an entry's grid: the most the hand-written cases had
@@ -237,7 +227,7 @@ def test_order_search_products_are_bounded(monkeypatch):
     x20 = Poly(F2, (1, 0, 0, 1) + (0,) * 16 + (1,))  # x^20 + x^3 + 1
     x16 = Poly(F2, (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,))  # x^16 + x^5 + x^3 + x^2 + 1
     x7 = Poly(F3, (1, 0, 0, 0, 0, 1, 2, 1))
-    assert all(is_irreducible(f) for f in (x20, x16, x7))
+    assert all(rabin_is_irreducible(f) for f in (x20, x16, x7))
     ZI, Z5 = QuadOrder(-1), QuadOrder(-5)
     cases = [
         (IntegerDomain(), [(2, 1000003), (1, 65537), (3, 65537), (65536, 65537),

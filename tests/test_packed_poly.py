@@ -7,10 +7,12 @@ test-only references, and `list_gcd` runs Euclid's loop over `list_divmod`
 as the packed gcd's; `pow_mod_distinct_degree` keeps the distinct-degree
 loop with one gcd per degree and x^(q^d) powered by `Poly.pow_mod` modulo
 each cofactor, the referee of the batched loop on Barrett residues.  The
-primes, `references.SLOT_PRIMES`, use every slot width: one
-byte (p <= 13 at low degree, every row of the byte table), two (p = 17,
-and p = 2, 3 past the byte bound), four (p = 1009), eight (p = 65537) and
-the general width past eight bytes (p = 2^32 + 15).
+factorizations of the seeded inputs run the factorization law,
+`references.check_factorization`, whose referee of each factor is Rabin's
+test.  The primes, `references.SLOT_PRIMES`, use every slot width: bits
+under XOR (p = 2), one byte (3 <= p <= 13 at low degree, every row of the
+byte table), two (p = 17, and p = 3 past the byte bound), four (p = 1009),
+eight (p = 65537) and the general width past eight bytes (p = 2^32 + 15).
 """
 
 import collections
@@ -26,9 +28,9 @@ from amap import polynomials
 from amap.base import ZeroIdealError, power
 from amap.dynamics import predicted_graph
 from amap.finitefield import field
-from amap.polynomials import (Poly, PolyDomain, _distinct_degree, factor_poly, irreducibles,
-                              is_irreducible)
-from references import SLOT_PRIMES, list_divmod, list_mul
+from amap.polynomials import Poly, PolyDomain, _distinct_degree, factor_poly, irreducibles
+from references import (SLOT_PRIMES, check_factorization, list_divmod, list_mul,
+                        rabin_is_irreducible)
 
 # degrees at and around the byte bounds (p = 3: 62, p = 2: 254) and up to 300
 DEGREES = (-1, 0, 1, 2, 5, 13, 31, 32, 62, 63, 100, 127, 128, 254, 255, 300)
@@ -162,11 +164,7 @@ def test_degree_400_factorization_round_trips_in_under_a_second():
     start = time.process_time()
     factors = factor_poly(f)
     elapsed = time.process_time() - start
-    product = Poly.one(F)
-    for g, e in factors:
-        product = product * g**e
-    assert product == f
-    assert all(is_irreducible(g) for g, _ in factors)
+    check_factorization(PolyDomain(F), f, factors)
     assert elapsed < 1.0, elapsed
 
 
@@ -207,7 +205,8 @@ def _factoring_inputs(p):
         if p < 2**20:
             irr = list(itertools.islice(irreducibles(F, d), 12))
         else:  # `irreducibles` would list every digit of every position up front
-            irr = [g for g in (_poly(rng, F, d, monic=True) for _ in range(40)) if is_irreducible(g)]
+            irr = [g for g in (_poly(rng, F, d, monic=True) for _ in range(40))
+                   if rabin_is_irreducible(g)]
         picked = rng.sample(irr, min(3, len(irr)))
         inputs += picked + [picked[0] ** 3, functools.reduce(operator.mul, picked)]
         if d * len(irr) <= top:
@@ -227,20 +226,13 @@ def test_distinct_degree_equals_the_pow_mod_loop(p):
 
 @pytest.mark.parametrize("p", SLOT_PRIMES)
 def test_factorizations_round_trip(p):
-    # monic irreducible factors, sorted, whose product with exponents is
-    # monic f; and of a seeded f that is not monic
+    # the seeded inputs, and seeded f that are not monic
     F = field(p)
+    D = PolyDomain(F)
     rng = random.Random(p + 5)
     for f in _factoring_inputs(p) + [_poly(rng, F, d) for d in (1, 9, 30)]:
-        if f.degree < 1:
-            continue
-        factors = factor_poly(f)
-        assert [g for g, _ in factors] == sorted({g for g, _ in factors}, key=Poly.sort_key)
-        assert all(g.is_monic and is_irreducible(g) and e > 0 for g, e in factors), f
-        product = Poly.one(F)
-        for g, e in factors:
-            product = product * g**e
-        assert product == f.monic(), f
+        if f.degree >= 1:
+            check_factorization(D, f, D.factor(f))
 
 
 def test_f2_path_stays_off_the_byte_table(monkeypatch):

@@ -1,17 +1,24 @@
+"""Field construction, polynomial arithmetic and factorization on pinned
+examples: the refusals of a bad modulus, the arithmetic that a broken field
+or a bad digit must stop, and factorizations written out by hand.  Each
+operation's referee is elsewhere: the factorization law in
+`test_domain_contract` (`references.check_factorization`), the default
+moduli and `irreducibles` against Rabin's test in
+`test_hnf_and_irreducibility`, and the packed prime-field arithmetic
+against the list loops in `test_packed_poly`.
+"""
+
 import contextlib
 import random
 import signal
-import time
 
 import pytest
 
 from amap import finitefield, polynomials
-from amap.base import NotCoprimeError, ZeroIdealError
+from amap.base import ZeroIdealError
 from amap.dynamics import predicted_graph
 from amap.finitefield import GF, field
-from amap.polynomials import (Poly, PolyDomain, factor_poly, irreducibles,
-                              is_irreducible)
-from domains import divisors, mult_order
+from amap.polynomials import Poly, PolyDomain, factor_poly
 
 F2 = field(2)
 F3 = field(3)
@@ -38,51 +45,7 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-def trial_division_factor(f: Poly, max_irreducible_degree: int = 4) -> list[tuple[Poly, int]]:
-    """Factor by dividing out low-degree irreducibles; valid for deg <= 9.
-
-    After removing every irreducible factor of degree at most
-    `max_irreducible_degree`, a nontrivial remainder of degree at most
-    2*max_irreducible_degree + 1 must itself be irreducible.
-    """
-    if f.is_zero:
-        raise ZeroIdealError("cannot factor the zero polynomial")
-    if f.degree > 2 * max_irreducible_degree + 1:
-        raise ValueError("degree too large for the trial-division fallback")
-    g = f.monic()
-    found: dict[Poly, int] = {}
-    for d in range(1, max_irreducible_degree + 1):
-        if g.degree < d:
-            break
-        for p in irreducibles(f.field, d):
-            e = 0
-            while True:
-                q, r = divmod(g, p)
-                if not r.is_zero:
-                    break
-                g = q
-                e += 1
-            if e:
-                found[p] = e
-    if g.degree > 0:
-        found[g] = found.get(g, 0) + 1
-    return sorted(found.items(), key=lambda pe: pe[0].sort_key())
-
-
 class TestFieldConstruction:
-    def test_default_modulus_is_first_irreducible(self):
-        assert GF(2, 2).modulus == (1, 1, 1)
-        assert GF(3, 2).modulus == (1, 0, 1)
-
-    def test_modulus_search_skips_multiples_of_x(self):
-        for p, ks in ((2, range(2, 11)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3))):
-            for k in ks:
-                first = next(irreducibles(field(p), k))
-                assert GF(p, k).modulus == first.coeffs, (p, k)
-        start = time.perf_counter()
-        GF(2, 18)
-        assert time.perf_counter() - start < 1.0
-
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
             GF(2, 2, (1, 0, 1))  # (x+1)^2
@@ -199,28 +162,6 @@ class TestFactorization:
         with pytest.raises(ZeroIdealError):
             factor_poly(Poly(F2))
 
-    def test_matches_trial_division(self):
-        rng = random.Random(17)
-        for F in (F2, F3, field(2, 2), field(5)):
-            for _ in range(60):
-                deg = rng.randint(1, 8)
-                coeffs = [rng.randrange(F.q) for _ in range(deg)]
-                coeffs.append(rng.randrange(1, F.q))
-                f = Poly(F, coeffs)
-                assert factor_poly(f) == trial_division_factor(f), f
-
-    def test_reconstructs_product(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            deg = rng.randint(1, 10)
-            coeffs = [rng.randrange(3) for _ in range(deg)] + [rng.randrange(1, 3)]
-            f = Poly(F3, coeffs)
-            prod = Poly.one(F3)
-            for p, e in factor_poly(f):
-                assert is_irreducible(p)
-                prod = prod * p**e
-            assert prod == f.monic()
-
     @pytest.mark.parametrize("p, k, coeffs, expected", [
         (2, 2, [1, 0, 0, 0, 0, 1], [((1, 1), 1), ((1, 2, 1), 1), ((1, 3, 1), 1)]),
         (3, 2, [2, 0, 0, 0, 1], [((1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((6, 1), 1)]),
@@ -238,36 +179,3 @@ class TestFactorization:
         f = poly(D2, 1, 1) ** 4
         assert factor_poly(f) == [(poly(D2, 1, 1), 4)]
 
-    def test_irreducibles_enumeration(self):
-        quadratics = list(irreducibles(F2, 2))
-        assert quadratics == [poly(D2, 1, 1, 1)]
-        assert len(list(irreducibles(F3, 2))) == 3
-
-
-class TestPolyDomain:
-    def test_norms(self):
-        assert D3.norm(poly(D3, 1, 0, 1)) == 9
-        assert D2.norm(poly(D2, 1)) == 1
-        with pytest.raises(ZeroIdealError):
-            D2.norm(Poly(F2))
-
-    def test_mult_order(self):
-        assert mult_order(D2, poly(D2, 0, 1), poly(D2, 1, 1, 1)) == 3
-        with pytest.raises(NotCoprimeError):
-            mult_order(D2, poly(D2, 0, 1), poly(D2, 0, 0, 1))
-
-    def test_divisors(self):
-        divs = divisors(D2, poly(D2, 1, 0, 0, 1))
-        assert divs == [poly(D2, 1), poly(D2, 1, 1),
-                        poly(D2, 1, 1, 1), poly(D2, 1, 0, 0, 1)]
-        assert divisors(D2, poly(D2, 1)) == [poly(D2, 1)]
-
-    def test_a_decomposition(self):
-        n0, n1 = D2.a_decomposition(poly(D2, 0, 1), poly(D2, 0, 0, 0, 1, 1))
-        assert n0 == poly(D2, 0, 0, 0, 1)
-        assert n1 == poly(D2, 1, 1)
-
-    def test_congruence_count_example(self):
-        # x * g = 0 (mod x^2) has 2 solutions
-        assert D2.congruence_solution_count(
-            poly(D2, 0, 1), Poly(F2), poly(D2, 0, 0, 1)) == 2

@@ -3,6 +3,11 @@
 `power_search_factor` keeps the earlier body of `QuadOrder.factor`, as a
 test-only reference: it finds each prime's exponent by building the powers
 of the prime with `ideal_mul` until one no longer contains the ideal.
+`reference_ideal_mul` keeps the earlier eight-vector body of
+`QuadOrder.ideal_mul` (the four products of the HNF bases and their
+w-multiples).  Each is the one referee of its operation.
+`references.scan_splitting` referees `rational_prime_splitting` (in
+`test_orders`) and the primes of the factorization law, and
 `references.is_principal` decides principality by search.
 """
 
@@ -12,7 +17,7 @@ import re
 import pytest
 
 from amap.base import ZeroIdealError, factor_int
-from amap.quadorder import QuadInt, QuadOrder, SplitType
+from amap.quadorder import QuadInt, QuadOrder, SplitType, _hnf_from_vectors
 from domains import ENTRIES
 from references import is_principal
 
@@ -37,6 +42,20 @@ def power_search_factor(order, n):
                 pairs.append((prime, e))
     pairs.sort(key=lambda pe: order._ideal_key(pe[0]))
     return pairs
+
+
+def reference_ideal_mul(order, m, n):
+    order._check_pair(m, n)
+    basis_m = [QuadInt(m.a, 0), QuadInt(m.b, m.c)]
+    basis_n = [QuadInt(n.a, 0), QuadInt(n.b, n.c)]
+    vectors = []
+    for u in basis_m:
+        for v in basis_n:
+            uv = order.mul(u, v)
+            wuv = order.mul(QuadInt(0, 1), uv)
+            vectors.append((uv.x, uv.y))
+            vectors.append((wuv.x, wuv.y))
+    return order._make_ideal(*_hnf_from_vectors(vectors))
 
 
 class TestConstruction:
@@ -121,6 +140,26 @@ class TestIdealOps:
             for ideal in dict.fromkeys(n for _, n in entry.instances()):
                 for basis in (QuadInt(ideal.a, 0), QuadInt(ideal.b, ideal.c)):
                     assert ideal.contains(order.mul(w, basis)), (entry, ideal)
+
+
+@pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -10, -11, -15, -23])
+def test_ideal_mul_matches_the_eight_vector_product(d):
+    order = QuadOrder(d)
+    rng = random.Random(105 - d)
+
+    def ideal():
+        gens = [QuadInt(rng.randint(-15, 15), rng.randint(-15, 15))
+                for _ in range(rng.randint(1, 2))]
+        if all(g.is_zero for g in gens):
+            gens.append(QuadInt(1, 1))
+        return order.ideal_from_generators(gens)
+
+    for _ in range(120):
+        m, n = ideal(), ideal()
+        got = order.ideal_mul(m, n)
+        assert got == reference_ideal_mul(order, m, n)
+        assert got.norm == m.norm * n.norm
+        assert got == order.ideal_mul(n, m)
 
 
 class TestSplitting:

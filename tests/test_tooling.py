@@ -310,6 +310,23 @@ def test_no_test_module_imports_another_test_module():
     assert not found, found
 
 
+def test_no_test_module_redefines_a_shared_referee_or_helper():
+    # a referee or helper that two modules use is defined once, at module
+    # level in references.py or domains.py: a function of the same name in
+    # any other test module, at any depth, is a second copy and fails this
+    # check by name
+    here = Path(__file__).parent
+    shared = {node.name for name in ("references.py", "domains.py")
+              for node in ast.parse((here / name).read_text()).body
+              if isinstance(node, ast.FunctionDef)}
+    assert {"check_factorization", "trial_factor", "scan_splitting", "divisors"} <= shared
+    found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(here.glob("*.py"))
+             if path.name not in ("references.py", "domains.py")
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared]
+    assert not found, found
+
+
 def _spells_a_component_code(node):
     """A string constant holding the %-format of a component code, or an
     f-string whose text starts with C and a replacement field."""
