@@ -13,11 +13,20 @@ quadratic order `scan_splitting` (the earlier body of
 Here are also the prime-field list loops (`list_mul`, `list_divmod`) on the
 primes of every slot width, the residue products of the order search
 (`assert_products_agree`), the counting laws over listed residues, the
-prediction read off every divisor (`walk_prediction`), the graph operands
-(`cyc`, `extended_tree`, `partial_tree`) and the tensor products, the
-first walk of `graphs.decompose_successors`, the seeded maps the graph
+prediction read off every divisor (`walk_prediction`, which
+`assert_prediction_matches_the_walk` holds a prediction to), the graph
+operands (`cyc`, `extended_tree`, `partial_tree`) and the tensor products,
+the first walk of `graphs.decompose_successors`, the seeded maps the graph
 tests run on (`random_maps`, `branch_maps`), Booth's least rotation and a
 principality search.
+
+The family layer has one referee per table: the per-point bodies
+`reference_redei_successors`, `reference_chebyshev_successors` and
+`reference_linearized_successors` at small degree, and at large degree the
+scalar powers `redei_by_powers` (`base.power` over pairs) and
+`chebyshev_by_powers` (over the matrix [[x, -1], [1, 0]]), which use no
+doubling identity.  The Chebyshev fold is refereed by `brute_fold`, the
+brute-force graph of x -> n*x on Z/m taken modulo negation.
 
 The canonical code as eager text is the one referee of the graph layer:
 `ref_tree_code` wraps a node's sorted child codes, `ref_component_code`
@@ -33,8 +42,10 @@ import random
 from collections import Counter
 
 from amap.base import power
+from amap.dynamics import _corrupt, predicted_graph
 from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                          brute_graph, materialize)
+from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from amap.trees import LEAF, RootedTree, _partials, _validated, elementary_tree
@@ -257,6 +268,117 @@ def walk_prediction(dom, a, n):
     caller turns into its own graph form."""
     nu, n1 = dom.gcd_chain(a, n)
     return elementary_tree(nu), divisor_table(dom, a, n1)
+
+
+def assert_prediction_matches_the_walk(dom, a, n):
+    """The prediction by prime powers against `walk_prediction`: equal graphs,
+    and the summands are the walk's rows at the unit ideal and prime powers.
+    Up to `DEFAULT_MAX_NODES` nodes the codes are compared as text too, and
+    the corrupted control's code is the walk's with the first component in
+    code order replaced by its cycle one node longer."""
+    got = predicted_graph(dom, a, n)
+    tree, table = walk_prediction(dom, a, n)
+    graph = FunctionalGraph((Component(r, (tree,)), phi // r) for _, phi, r in table)
+    summands = tuple({"divisor": dom.describe_ideal(m), "cycle_len": r,
+                      "multiplicity": phi // r} for m, phi, r in table)
+    assert got.graph == graph, (dom, a, n)
+    n1 = dom.a_decomposition(a, n)[1]
+    local = [row for m, row in zip(divisors(dom, n1), summands) if len(dom.factor(m)) <= 1]
+    assert got.summands == tuple(local), (dom, a, n)
+    if got.graph.node_count <= DEFAULT_MAX_NODES:
+        rows = sorted((ref_component_code(r, [tree.code]), r, phi // r) for _, phi, r in table)
+        codes = [code for code, _, count in rows for _ in range(count)]
+        assert got.graph.code == ref_graph_code(codes), (dom, a, n)
+        longer = ref_component_code(rows[0][1] + 1, [tree.code])
+        assert _corrupt(got.graph).code == ref_graph_code([longer] + codes[1:]), (dom, a, n)
+
+
+# ---- the family maps ----
+
+def redei_points(F, a_code) -> list:
+    """The points of the Redei tables in their numbering: None (infinity)
+    first, then every finite point but the roots of a, in code order."""
+    return [None] + [x for x in F.elements() if F.mul(x, x) != a_code]
+
+
+def reference_redei_successors(F, n, a_code):
+    """The Redei map through the pair recurrence, n - 1 steps a point: the
+    earlier per-point body of `redei_check`."""
+    points = redei_points(F, a_code)
+    index = {pt: i for i, pt in enumerate(points)}
+
+    def step(x):
+        num, den = x, F.one  # (x + sqrt(a))^1
+        for _ in range(n - 1):
+            num, den = (F.add(F.mul(num, x), F.mul(den, a_code)),
+                        F.add(num, F.mul(den, x)))
+        if den == 0:
+            return None
+        return F.mul(num, F.inv(den))
+
+    return [index[None if pt is None else step(pt)] for pt in points]
+
+
+def reference_chebyshev_successors(F, n):
+    """T_n at every code by T_(k+1) = x*T_k - T_(k-1), n - 1 steps a point:
+    the earlier per-point body of `chebyshev_check`."""
+    two = F.add(F.one, F.one)
+
+    def cheb(c):
+        prev, cur = two, c  # T_0, T_1
+        for _ in range(n - 1):
+            prev, cur = cur, F.sub(F.mul(c, cur), prev)
+        return cur
+
+    return [cheb(c) for c in F.elements()]
+
+
+def reference_linearized_successors(E, frob, coeffs):
+    """sum_i coeffs[i] * x^(q^i) at every code, one scalar product a point
+    and coefficient, with frob the table of x -> x^q: the earlier per-point
+    body of `linearized_check`."""
+    succ = []
+    for c in E.elements():
+        acc = 0
+        x = c
+        for i, ai in enumerate(coeffs):
+            if i:
+                x = frob[x]
+            if ai:
+                acc = E.add(acc, E.mul(ai, x))
+        succ.append(acc)
+    return succ
+
+
+def redei_by_powers(F, n, a_code, x):
+    """R_n(x), None at a pole: (x + sqrt(a))^n = num + den*sqrt(a) by
+    `base.power` over pairs, O(log n) products."""
+    def pair_mul(s, t):
+        return (F.add(F.mul(s[0], t[0]), F.mul(a_code, F.mul(s[1], t[1]))),
+                F.add(F.mul(s[0], t[1]), F.mul(s[1], t[0])))
+
+    num, den = power((x, F.one), n, pair_mul, (F.one, 0))
+    return F.mul(num, F.inv(den)) if den else None
+
+
+def chebyshev_by_powers(F, n, x):
+    """T_n(x) from M^(n-1), M = [[x, -1], [1, 0]], by `base.power`:
+    (T_n, T_(n-1)) = M^(n-1) (T_1, T_0), O(log n) products."""
+    def mat_mul(s, t):
+        return tuple(tuple(F.add(F.mul(s[i][0], t[0][j]), F.mul(s[i][1], t[1][j]))
+                           for j in range(2)) for i in range(2))
+
+    m = power(((x, F.neg(F.one)), (F.one, 0)), n - 1, mat_mul, ((F.one, 0), (0, F.one)))
+    return F.add(F.mul(m[0][0], x), F.mul(m[0][1], F.add(F.one, F.one)))
+
+
+def brute_fold(n, m):
+    """brute_graph of x -> n*x on (Z/m)/+-1, on the orbit names 0..m/2."""
+    Z = IntegerDomain()
+    succ, neg = Z.successors(n, m), Z.successors(-1, m)
+    half = m // 2
+    assert all(min(x, neg[x]) == x for x in range(half + 1))
+    return brute_graph(half + 1, [min(succ[x], neg[succ[x]]) for x in range(half + 1)])
 
 
 # ---- graph operands and the tensor products ----

@@ -16,7 +16,7 @@ from amap.applications import (chebyshev_check, ec_generic_trees,
                                linearized_check, redei_check)
 from amap.cli import main as cli_main
 from amap.dynamics import nu_series, verify
-from amap.finitefield import field
+from amap.finitefield import field, quadratic_character
 from amap.graphs import disjoint_sum
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
@@ -175,9 +175,11 @@ def test_criterion_6_redei_suite():
     with _Timer("criterion 6: Redei functions", 60.0):
         for q in _odd_primes(49):
             for a in range(1, q):
+                chi = quadratic_character(field(q), a)
                 for n in range(2, 13):
                     rep = redei_check(q, n, a)
                     assert rep.isomorphic, (q, a, n)
+                    assert rep.node_count == q - chi, (q, a, n)
 
 
 def test_criterion_7_chebyshev_suite():

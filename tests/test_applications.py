@@ -1,5 +1,9 @@
-"""The family checks on small worked fields; the expected graphs are built
-with `references.cyc` and `domains.divisor_table`.
+"""The family checks on small worked fields, with expected graphs built by
+`references.cyc`; the sweeps over many fields and degrees are acceptance
+criteria 6 (Redei, with the node count q - chi), 7 (Chebyshev) and 8
+(linearized, three-way).  The prediction `linearized_check` makes on
+F_q[x]/(x^n - 1) is refereed by `references.walk_prediction`, through
+`assert_prediction_matches_the_walk`, as every prediction is.
 """
 
 import json
@@ -12,17 +16,13 @@ from amap.applications import (chebyshev_check, ec_generic_trees,
                                linearized_check, redei_check)
 from amap.base import factor_int
 from amap.cli import main
-from amap.dynamics import nu_series, predicted_graph
-from amap.finitefield import field, quadratic_character
+from amap.dynamics import nu_series
+from amap.finitefield import field
 from amap.graphs import Component, FunctionalGraph
-from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
 from amap.trees import LEAF, elementary_tree
-from domains import divisor_table
-from references import cyc
-
-Z = IntegerDomain()
+from references import assert_prediction_matches_the_walk, cyc
 
 
 @pytest.mark.parametrize("q", [-7, -2, 0, 1])
@@ -62,17 +62,6 @@ class TestRedei:
                 assert rep.isomorphic
                 assert all(c.startswith("C1[()]")
                            for c in rep.brute.code.split(";"))
-
-    def test_node_count_matches_character(self):
-        rng = random.Random(21)
-        for _ in range(25):
-            q = rng.choice([5, 7, 11, 13, 17])
-            a = rng.randrange(1, q)
-            n = rng.randint(1, 8)
-            rep = redei_check(q, n, a)
-            chi = quadratic_character(field(q), a)
-            assert rep.node_count == q - chi
-            assert rep.isomorphic
 
     def test_prime_power_field(self):
         rep = redei_check(9, 2, 2)
@@ -135,12 +124,6 @@ class TestChebyshev:
             assert all(comp.root == (LEAF,) for comp, _ in rep.predicted.counted)
             assert rep.periodic_checked == q
 
-    def test_small_sweep(self):
-        for q in (3, 5, 7, 11, 13):
-            for n in range(2, 7):
-                rep = chebyshev_check(q, n)
-                assert rep.ok and rep.skipped == [], (q, n)
-
     def test_planted_corrupt_summand_fails(self, monkeypatch, capsys):
         # the first row of the Z/(q-1) fold gets a cycle one node longer, as
         # dynamics._corrupt does to a prediction
@@ -189,22 +172,6 @@ class TestLinearized:
         assert rep.isomorphic
         assert rep.predicted.code == ";".join(["C1[()]"] * 8)
 
-    def test_three_way_agreement_small_random(self):
-        rng = random.Random(22)
-        cases = 0
-        while cases < 25:
-            q = rng.choice([2, 3, 4, 5])
-            n = rng.randint(1, 6)
-            if q**n > 1024:
-                continue
-            deg = rng.randint(0, n + 2)
-            coeffs = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
-            rep = linearized_check(q, n, coeffs)
-            assert rep.isomorphic, (q, n, coeffs)
-            assert rep.predicted.code == rep.brute_field.code
-            assert rep.predicted.code == rep.brute_quotient.code
-            cases += 1
-
     def test_char_divides_n(self):
         # the regime where x^n - 1 is not squarefree
         for q, n in ((2, 4), (2, 6), (3, 3), (3, 6), (4, 2), (5, 5)):
@@ -221,33 +188,14 @@ class TestLinearized:
             linearized_check(2, 11, [0, 1], max_nodes=1000)
 
 
-# ---- the linearized prediction against the earlier closed-form split ----
-
-def reference_linearized_split(F, f, n):
-    """The earlier closed form of linearized_check, kept as a test-only
-    reference: with n = p^t * u and h = gcd(f, x^u - 1), the a-decomposition
-    of x^n - 1 against f is n0 = h^(p^t), n1 = ((x^u - 1)/h)^(p^t).  Returns
-    the graph, tree and summands that the structure theorem reads off it,
-    the summands at the unit ideal and the prime powers only."""
-    D = PolyDomain(F)
-    pt, u = Z.a_decomposition(F.p, n)
-    xu1 = Poly.x_pow_minus_one(F, u)
-    h = f.gcd(xu1)
-    tree = elementary_tree(nu_series(D, f, h**pt))
-    rows, summands = [], []
-    for m, phi, r in divisor_table(D, f, (xu1 // h)**pt):
-        if len(D.factor(m)) <= 1:  # a prediction's summands: the unit ideal and prime powers
-            summands.append({"divisor": D.describe_ideal(m), "cycle_len": r,
-                             "multiplicity": phi // r})
-        rows.append((Component(r, (tree,)), phi // r))
-    return FunctionalGraph(rows), tree, tuple(summands)
-
+# ---- the linearized prediction against the divisor walk ----
 
 # 36 cases a field; the n range is trimmed on F_9 and F_25, where x^n - 1
-# factors into primes of large norm, so the whole test takes under 2 s
+# factors into primes of large norm, so each field takes under a second
 @pytest.mark.parametrize("q, max_n", [(2, 12), (3, 12), (4, 12), (5, 12), (7, 12),
                                       (8, 12), (9, 8), (25, 6)])
-def test_linearized_prediction_matches_the_closed_form_split(q, max_n):
+def test_linearized_prediction_matches_the_walk(q, max_n):
+    # the prediction `linearized_check` makes on F_q[x]/(x^n - 1)
     rng = random.Random(q)
     F = field(*factor_int(q)[0])
     D = PolyDomain(F)
@@ -255,10 +203,7 @@ def test_linearized_prediction_matches_the_closed_form_split(q, max_n):
         n = rng.randint(1, max_n)
         deg = rng.randint(0, n + 2)
         f = Poly(F, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
-        got = predicted_graph(D, f, Poly.x_pow_minus_one(F, n))
-        graph, tree, summands = reference_linearized_split(F, f, n)
-        assert got.graph.key == graph.key, (q, n, f)
-        assert got.tree == tree and got.summands == summands, (q, n, f)
+        assert_prediction_matches_the_walk(D, f, Poly.x_pow_minus_one(F, n))
 
 
 class TestECTrees:

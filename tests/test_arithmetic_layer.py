@@ -4,9 +4,10 @@ arithmetic layer's contracts.
 `digit_mul` is the product of extension fields by the test-only list loops
 over F_p (`references.list_mul` and `list_divmod`): it multiplies the two
 base-p digit vectors and reduces them by the monic modulus, with no library
-product; it is the one referee of `GF.mul` and the log tables.  The
-factorization law is `test_domain_contract.test_factorization_law`, and the
-lists of `polynomials.irreducibles` are refereed by Rabin's test in
+product; it is the one referee of `GF.mul` and the log tables.  Over prime
+fields the list ops are held to plain `% p`.  The factorization law is
+`test_domain_contract.test_factorization_law`, and the lists of
+`polynomials.irreducibles` are refereed by Rabin's test in
 `test_hnf_and_irreducibility`.
 """
 
@@ -73,11 +74,13 @@ def digit_sum(F: GF, a: int, b: int, sign: int = 1) -> int:
 
 
 class TestLogTables:
-    """The table-backed list ops of extension fields against `digit_mul` and
-    digitwise sums; never against a scalar op that reads the same tables."""
+    """The list ops against `digit_mul` and digitwise sums over extension
+    fields, where they read the tables, and against plain `% p` over prime
+    fields; never against a scalar op of the library."""
 
     ALL_PAIRS = [(2, 3), (2, 7), (3, 2), (3, 5), (5, 3), (7, 2)]
     SEEDED = [(2, 10), (3, 7), (5, 4)]
+    PRIME = [(7, 1), (1009, 1)]
 
     @staticmethod
     def pairs(F: GF) -> list[tuple[int, int]]:
@@ -86,13 +89,17 @@ class TestLogTables:
         rng = random.Random(F.q)
         return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(3000)]
 
-    @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED)
+    @pytest.mark.parametrize("p,k", ALL_PAIRS + SEEDED + PRIME)
     def test_list_ops_match_references(self, p, k):
         F = GF(p, k)
         pairs = self.pairs(F)
         xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
-        products = F.mul_all(xs, ys)
-        assert products == [digit_mul(F, a, b) for a, b in pairs]
+        if k == 1:
+            assert F.mul_all(xs, ys) == [a * b % p for a, b in pairs]
+            assert F.add_all(xs, ys) == [(a + b) % p for a, b in pairs]
+            assert F.sub_all(xs, ys) == [(a - b) % p for a, b in pairs]
+            return
+        assert F.mul_all(xs, ys) == [digit_mul(F, a, b) for a, b in pairs]
         assert F.add_all(xs, ys) == [digit_sum(F, a, b) for a, b in pairs]
         assert F.sub_all(xs, ys) == [digit_sum(F, a, b, -1) for a, b in pairs]
 

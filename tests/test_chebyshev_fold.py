@@ -1,17 +1,13 @@
 """The fold behind the Chebyshev prediction, one torus at a time.
 
 `applications._folded_torus` predicts x -> n*x on Z/m, m even, folded by
-negation, from the divisor rows; `trees.folded_tree` gives the tree at the
-points negation fixes.  The referee is a test-only brute force: the quotient
-of `successors(n, m)` by the negation table `successors(-1, m)`, each orbit
-{x, -x} named by min(x, m - x), decomposed by `brute_graph`.  All 40,198
-cases with m < 400 even and 1 <= n <= m + 2 agreed in a one-off run; the
-test keeps a seeded sample of them, so that it takes about a second.
-
-`walk_folded_torus` keeps the earlier body of `_folded_torus`, which read the
-fold off every divisor row of the divisor walk (`domains.divisor_table`);
-the fold by prime powers and `base.cycle_type` is tested against it on every
-case with m < 1200 even and 1 <= n < min(m + 3, 60).
+negation, from the prime-power rows; `trees.folded_tree` gives the tree at
+the points negation fixes.  The one referee is `references.brute_fold`: the
+quotient of `successors(n, m)` by the negation table `successors(-1, m)`,
+each orbit {x, -x} named by min(x, m - x), decomposed by `brute_graph`.
+All 40,198 cases with m < 400 even and 1 <= n <= m + 2 agreed in a one-off
+run; the test keeps a seeded sample over every even m < 1200, so that it
+takes about a second.
 """
 
 import random
@@ -19,20 +15,9 @@ import random
 import pytest
 
 from amap.applications import _folded_torus
-from amap.graphs import Component, FunctionalGraph, brute_graph
-from amap.integers import IntegerDomain
+from amap.graphs import Component, FunctionalGraph
 from amap.trees import LEAF, RootedTree, elementary_tree, folded_tree
-from domains import divisor_table
-
-Z = IntegerDomain()
-
-
-def brute_fold(n, m):
-    """brute_graph of x -> n*x on (Z/m)/+-1, on the orbit names 0..m/2."""
-    succ, neg = Z.successors(n, m), Z.successors(-1, m)
-    half = m // 2
-    assert all(min(x, neg[x]) == x for x in range(half + 1))
-    return brute_graph(half + 1, [min(succ[x], neg[succ[x]]) for x in range(half + 1)])
+from references import brute_fold
 
 
 def predicted_fold(n, m):
@@ -40,53 +25,26 @@ def predicted_fold(n, m):
     return FunctionalGraph(rows + [(Component(1, (folded_tree([nu]),)), fixed)])
 
 
-def walk_folded_torus(n, m):
-    """x -> n*x on Z/m, m even, folded by x ~ -x: its nu-series, the
-    (component, count) pairs of the divisor rows d > 2, and how many rows have
-    d | 2.  A cycle folds onto itself when -1 is in <n mod d>, else it meets
-    its negative; off d | 2 a point and its negative keep disjoint trees T(nu).
-    """
-    nu, m1 = Z.gcd_chain(n, m)
-    tree = (elementary_tree(nu),)
-    rows = []
-    fixed = 0
-    for d, phi, o in divisor_table(Z, n, m1):
-        if d <= 2:
-            fixed += 1
-        elif o % 2 == 0 and pow(n, o // 2, d) == d - 1:
-            rows.append((Component(o // 2, tree), phi // o))
-        else:
-            rows.append((Component(o, tree), phi // (2 * o)))
-    return nu, rows, fixed
-
-
-def test_fold_matches_the_divisor_walk():
-    cases = [(n, m) for m in range(2, 1200, 2) for n in range(1, min(m + 3, 60))]
-    assert len(cases) == 34_557
-    for n, m in cases:
-        nu, rows, fixed = _folded_torus(n, m)
-        want_nu, want_rows, want_fixed = walk_folded_torus(n, m)
-        assert (nu, fixed) == (want_nu, want_fixed), (n, m)
-        assert FunctionalGraph(rows) == FunctionalGraph(want_rows), (n, m)
+SMALL_CASES = [(4, 2), (4, 4), (2, 24), (6, 72), (3, 54), (5, 50)]
 
 
 def _cases():
-    rng = random.Random(400)
-    for m in range(2, 400, 2):
-        picks = {1, 2, m - 1, m + 1} | {rng.randint(1, m + 2) for _ in range(12)}
+    # every even m, so both classes mod 4; n = m -+ 1 (n = -+1 mod m, both
+    # odd), an even n and an n below 60, where the old walk ran, and one more
+    # n up to m + 2
+    rng = random.Random(1200)
+    for m in range(2, 1200, 2):
+        picks = {m - 1, m + 1, rng.randrange(2, m + 3, 2), rng.randrange(1, 60),
+                 rng.randint(1, m + 2)}
         yield from ((n, m) for n in sorted(picks))
 
 
 def test_fold_matches_the_brute_quotient():
-    cases = list(_cases())
+    cases = SMALL_CASES + list(_cases())
     assert len(cases) > 2500
+    assert {m % 4 for _, m in cases} == {0, 2} and {n % 2 for n, _ in cases} == {0, 1}
     for n, m in cases:
         assert predicted_fold(n, m) == brute_fold(n, m), (n, m)
-
-
-@pytest.mark.parametrize("n, m", [(4, 2), (4, 4), (2, 24), (6, 72), (3, 54), (5, 50)])
-def test_fold_of_small_cases(n, m):
-    assert predicted_fold(n, m) == brute_fold(n, m)
 
 
 def test_folded_tree_by_hand():

@@ -7,10 +7,12 @@ in `domains`, and `is_principal`, `rabin_is_irreducible` and
 its one referee, and it judges the primes of the factorization law in
 `test_domain_contract` too.  The prediction by prime powers is refereed by
 `references.walk_prediction`, the earlier body of `predicted_graph` over
-the divisor walk, read here as one counted graph, its summands and, up to
-`DEFAULT_MAX_NODES` nodes, the eager text of the graph and of its
-corrupted control (`dynamics._corrupt`): this is the one prediction
-referee.
+the divisor walk, which `references.assert_prediction_matches_the_walk`
+reads as one counted graph, its summands and, up to `DEFAULT_MAX_NODES`
+nodes, the eager text of the graph and of its corrupted control
+(`dynamics._corrupt`): this is the one prediction referee, and the
+linearized check's predictions on x^n - 1 run through it in
+`test_applications`.
 """
 
 import math
@@ -19,15 +21,14 @@ import random
 import pytest
 
 from amap.base import NotCoprimeError, factor_int
-from amap.dynamics import _corrupt, predicted_graph
+from amap.dynamics import predicted_graph
 from amap.finitefield import field
-from amap.graphs import DEFAULT_MAX_NODES, Component, FunctionalGraph
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, irreducibles
 from amap.quadorder import QuadInt, QuadOrder, SplitType
 from domains import ENTRIES, divisor_table, divisors, mult_order, reference
-from references import (is_principal, rabin_is_irreducible, ref_component_code,
-                        ref_graph_code, scan_splitting, walk_prediction)
+from references import (assert_prediction_matches_the_walk, is_principal, rabin_is_irreducible,
+                        scan_splitting)
 
 
 ORDER_CASES = 240  # of an entry's grid: the most the hand-written cases had
@@ -95,29 +96,6 @@ class TestAgainstLinearReference:
         for a, n in entry.instances(entry.cap, ORDER_CASES):
             if not entry.dom.is_zero(a):
                 assert_prediction_matches_the_walk(entry.dom, a, n)
-
-
-def assert_prediction_matches_the_walk(dom, a, n):
-    """The prediction by prime powers against `walk_prediction`: equal graphs,
-    and the summands are the walk's rows at the unit ideal and prime powers.
-    Up to `DEFAULT_MAX_NODES` nodes the codes are compared as text too, and
-    the corrupted control's code is the walk's with the first component in
-    code order replaced by its cycle one node longer."""
-    got = predicted_graph(dom, a, n)
-    tree, table = walk_prediction(dom, a, n)
-    graph = FunctionalGraph((Component(r, (tree,)), phi // r) for _, phi, r in table)
-    summands = tuple({"divisor": dom.describe_ideal(m), "cycle_len": r,
-                      "multiplicity": phi // r} for m, phi, r in table)
-    assert got.graph == graph, (dom, a, n)
-    n1 = dom.a_decomposition(a, n)[1]
-    local = [row for m, row in zip(divisors(dom, n1), summands) if len(dom.factor(m)) <= 1]
-    assert got.summands == tuple(local), (dom, a, n)
-    if got.graph.node_count <= DEFAULT_MAX_NODES:
-        rows = sorted((ref_component_code(r, [tree.code]), r, phi // r) for _, phi, r in table)
-        codes = [code for code, _, count in rows for _ in range(count)]
-        assert got.graph.code == ref_graph_code(codes), (dom, a, n)
-        longer = ref_component_code(rows[0][1] + 1, [tree.code])
-        assert _corrupt(got.graph).code == ref_graph_code([longer] + codes[1:]), (dom, a, n)
 
 
 def test_prediction_matches_the_divisor_walk_below_2000():

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import amap
+from amap import applications
 from amap.dynamics import predicted_graph
 from amap.graphs import Component, brute_graph
 from amap.integers import IntegerDomain
@@ -319,11 +320,45 @@ def test_no_test_module_redefines_a_shared_referee_or_helper():
     shared = {node.name for name in ("references.py", "domains.py")
               for node in ast.parse((here / name).read_text()).body
               if isinstance(node, ast.FunctionDef)}
-    assert {"check_factorization", "trial_factor", "scan_splitting", "divisors"} <= shared
+    assert {"check_factorization", "trial_factor", "scan_splitting", "divisors",
+            "reference_redei_successors", "reference_chebyshev_successors",
+            "reference_linearized_successors", "redei_by_powers", "chebyshev_by_powers",
+            "brute_fold", "assert_prediction_matches_the_walk"} <= shared
     found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(here.glob("*.py"))
              if path.name not in ("references.py", "domains.py")
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared]
+    assert not found, found
+
+
+TABLE_PATH = re.compile(r"_(redei|chebyshev)_(prime|field)_successors")
+
+
+def _spelled_names(node):
+    """The identifiers a node spells: a name, an attribute, an imported name
+    or its alias, or a string constant (as `getattr` would take it)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname or ""]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def test_no_test_module_names_one_table_path_of_two():
+    # the Redei and Chebyshev tables each have a prime-field path and a
+    # list-op path; tests reach them only through `_redei_successors` and
+    # `_chebyshev_successors`, so no test judges one path by the other, and
+    # a test module that names either path fails this check
+    paths = [name for name in vars(applications) if TABLE_PATH.fullmatch(name)]
+    assert len(paths) == 4, paths
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(Path(__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             for name in _spelled_names(node) if TABLE_PATH.fullmatch(name)]
     assert not found, found
 
 
