@@ -4,7 +4,8 @@
 are held at small degree to the per-point references of `references`
 (`reference_redei_successors`, `reference_chebyshev_successors`,
 `reference_linearized_successors`: the earlier per-point bodies of the
-three checks), and the Redei and Chebyshev tables at degrees of a thousand
+three checks; `_assert_tables_match` states the law once for the Redei and
+Chebyshev tests), and the Redei and Chebyshev tables at degrees of a thousand
 and more to the scalar powers `redei_by_powers` and `chebyshev_by_powers`,
 O(log n) products a point.  A prime field takes its own path, which
 evaluates x <= (p - 1) / 2 and mirrors the rest; tests reach it only
@@ -49,6 +50,7 @@ T = "T"  # the Chebyshev table; an int a stands for the Redei table with paramet
 BLOCK = applications._BLOCK
 PRIMES = [p for p in range(3, 60) if is_prime(p)]
 POWER_Q = (9, 25, 27, 49, 81, 121, 125, 243, 343)
+FIELD_Q = (3, 5, 7, 11, 13, 1009) + POWER_Q  # prime, table and odd-p Poly fields
 SMALL_N = tuple(range(1, 14))  # both parities, one and many bits, both second bits
 
 
@@ -66,11 +68,6 @@ TABLE_CASES = [
     # of 4, which put block edges inside the evaluated half and the mirror
     *(pytest.param(p, SMALL_N + (31, 64, 65, 97, 100, 128), (T, *_parameters(field(p))), (4,),
                    id=f"{p}-block4") for p in PRIMES),
-    *_parity_cases(1009, SMALL_N + (31, 64, 97, 128)),
-    # table fields (q <= 64) and odd-p Poly fields, where the reference takes
-    # n Poly products a point beyond the table size
-    *(case for q in POWER_Q
-      for case in _parity_cases(q, SMALL_N + ((31, 64, 97, 128) if q <= 64 else ()))),
     # block sizes down to one point, and q = one block plus one
     *(pytest.param(q, (1, 2, 6, 13), (T, _redei_params(_field_for(q))[1]), (q - 1, 4, 1),
                    id=f"{q}-blocks") for q in (13, 25, 243)),
@@ -85,9 +82,10 @@ TABLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("q, degrees, maps, blocks", TABLE_CASES)
-def test_tables_match_per_point_references(q, degrees, maps, blocks, monkeypatch):
-    # each map is T, the Chebyshev table, or a, the Redei table with parameter a
+def _assert_tables_match(q, degrees, maps, blocks, monkeypatch):
+    """The per-point law: each map is T, the Chebyshev table, or a, the
+    Redei table with parameter a, and at each degree and block size it is
+    the per-point reference."""
     F = _field_for(q)
     for n in degrees:
         for a in maps:
@@ -99,8 +97,33 @@ def test_tables_match_per_point_references(q, degrees, maps, blocks, monkeypatch
                 assert list(got) == want, (q, a, n, block)
 
 
+def _degrees(q):
+    """n = 1..13, and 31, 64, 97, 128 but in odd-p Poly fields beyond the
+    table size, where the reference takes n Poly products a point."""
+    return SMALL_N + (() if q > 64 and not is_prime(q) else (31, 64, 97, 128))
+
+
+@pytest.mark.parametrize("q", FIELD_Q)
+def test_redei_table_matches_per_point_reference(q, monkeypatch):
+    # odd n with a square a, so the roots of a are dropped; even n with a nonsquare
+    square, nonsquare = _redei_params(_field_for(q))
+    for parity, a in ((1, square), (0, nonsquare)):
+        _assert_tables_match(q, [n for n in _degrees(q) if n % 2 == parity], (a,), (BLOCK,),
+                             monkeypatch)
+
+
+@pytest.mark.parametrize("q", FIELD_Q)
+def test_chebyshev_table_matches_per_point_reference(q, monkeypatch):
+    _assert_tables_match(q, _degrees(q), (T,), (BLOCK,), monkeypatch)
+
+
+@pytest.mark.parametrize("q, degrees, maps, blocks", TABLE_CASES)
+def test_tables_match_per_point_references(q, degrees, maps, blocks, monkeypatch):
+    _assert_tables_match(q, degrees, maps, blocks, monkeypatch)
+
+
 # GF(2^7..2^10) take the bitwise path
-@pytest.mark.parametrize("q", (3, 5, 7, 11, 13, 1009) + POWER_Q + (128, 256, 512, 1024))
+@pytest.mark.parametrize("q", FIELD_Q + (128, 256, 512, 1024))
 def test_linearized_table_matches_per_point_reference(q):
     E = _field_for(q)
     rng = random.Random(q)
