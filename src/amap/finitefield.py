@@ -15,7 +15,7 @@ fields compute with ``% p``.  ``check_codes`` states the one rule for a code
 that enters from outside: an int in [0, q).
 Beyond q = 64 a scalar extension product reads no table: it takes bit
 operations when p = 2 and a packed ``Poly`` product reduced by the modulus
-when p is odd, and so referees the tables.
+when p is odd, so no scalar operation builds a table of q entries.
 
 The whole-table operations ``add_all``, ``sub_all``, ``mul_all`` and
 ``inverse_table`` evaluate an operation at every element in one list pass.

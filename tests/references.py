@@ -10,11 +10,16 @@ test, the earlier body of `polynomials.is_irreducible`) in F_q[x], and in a
 quadratic order `scan_splitting` (the earlier body of
 `QuadOrder.rational_prime_splitting`, which scans every residue mod p).
 
+The dynamics layer has two laws, each stated once.  The oracle law,
+`assert_prediction_is_the_brute_graph`: the structure theorem's prediction
+is the brute-force graph, with N(n) nodes.  The formula law,
+`assert_prediction_matches_the_walk`: the prediction is the graph read off
+every divisor (`walk_prediction`).  The CLI's refusal rule is stated once
+too, by `assert_one_line_error`: exit 2, one `error:` line, empty stdout.
+
 Here are also the prime-field list loops (`list_mul`, `list_divmod`) on the
 primes of every slot width, the residue products of the order search
 (`assert_products_agree`), the counting laws over listed residues, the
-prediction read off every divisor (`walk_prediction`, which
-`assert_prediction_matches_the_walk` holds a prediction to), the graph
 operands (`cyc`, `extended_tree`, `partial_tree`) and the tensor products,
 the first walk of `graphs.decompose_successors`, the seeded maps the graph
 tests run on (`random_maps`, `branch_maps`), Booth's least rotation and a
@@ -42,7 +47,8 @@ import random
 from collections import Counter
 
 from amap.base import power
-from amap.dynamics import _corrupt, predicted_graph
+from amap.cli import main as cli_main
+from amap.dynamics import _corrupt, predicted_graph, verify
 from amap.graphs import (DEFAULT_MAX_NODES, Component, FunctionalGraph, GraphSizeError,
                          brute_graph, materialize)
 from amap.integers import IntegerDomain
@@ -259,7 +265,15 @@ def check_congruences(dom, n, elements, rng) -> None:
             assert dom.congruence_solution_count(a, b, n) == images[dom.reduce(b, n)], (a, b, n)
 
 
-# ---- the prediction read off every divisor ----
+# ---- the structure theorem: its oracle law and its formula law ----
+
+def assert_prediction_is_the_brute_graph(dom, a, n):
+    """The oracle law: the prediction of x -> a*x on D/n is isomorphic to
+    the brute-force graph, which has N(n) nodes."""
+    report = verify(dom, a, n)
+    assert report.isomorphic, (dom, a, n)
+    assert report.node_count == dom.norm(n), (dom, a, n)
+
 
 def walk_prediction(dom, a, n):
     """The tree of x -> a*x on D/n and the cycle rows (m, phi(m), ord_m(a))
@@ -660,3 +674,16 @@ def is_principal(order, ideal):
     r = 2 * math.isqrt(ideal.norm) + 2
     return any(order.norm_element(z) == ideal.norm and ideal.contains(z)
                for z in (QuadInt(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)))
+
+
+# ---- the CLI ----
+
+def assert_one_line_error(capsys, argv):
+    """The CLI's refusal rule: exit 2, one `error:` line on stderr and
+    nothing on stdout.  Returns the captured output."""
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+    assert captured.out == "", argv
+    return captured

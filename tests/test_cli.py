@@ -7,7 +7,7 @@ from amap import cli, dynamics
 from amap.cli import main
 from amap.finitefield import field
 from amap.polynomials import Poly
-from references import rabin_is_irreducible
+from references import assert_one_line_error, rabin_is_irreducible
 
 
 def run_cli(capsys, *argv):
@@ -26,12 +26,6 @@ def test_verify_sec3_example(capsys):
     assert data["domain"] == {"kind": "quad", "d": -5}
 
 
-def test_verify_integer_instance(capsys):
-    code, out = run_cli(capsys, "verify", "--domain", "Z", "--a", "2", "--n", "24")
-    assert code == 0
-    assert json.loads(out)["isomorphic"] is True
-
-
 def test_verify_poly_domain(capsys):
     code, out = run_cli(capsys, "verify", "--domain", "poly:2",
                         "--a", "0,1", "--n", "1,0,0,1")
@@ -41,22 +35,12 @@ def test_verify_poly_domain(capsys):
     assert data["node_count"] == 8
 
 
-def test_corrupted_prediction_exits_one(capsys):
-    code, out = run_cli(capsys, "verify", "--domain", "Z", "--a", "2",
-                        "--n", "24", "--corrupt-cycle")
-    assert code == 1
-    assert json.loads(out)["isomorphic"] is False
-
-
 def test_parse_error_exits_two(capsys):
-    code, _ = run_cli(capsys, "verify", "--domain", "Z", "--a", "xx", "--n", "24")
-    assert code == 2
-    code, _ = run_cli(capsys, "verify", "--domain", "nope:1", "--a", "1", "--n", "2")
-    assert code == 2
-    code, _ = run_cli(capsys, "verify", "--domain", "Z", "--a", "1", "--n", "0")
-    assert code == 2
-    # coefficients outside [0, q) are not field element codes
-    for argv in (["predict", "--domain", "poly:2:2", "--a", "7", "--n", "1,1"],
+    for argv in (["verify", "--domain", "Z", "--a", "xx", "--n", "24"],
+                 ["verify", "--domain", "nope:1", "--a", "1", "--n", "2"],
+                 ["verify", "--domain", "Z", "--a", "1", "--n", "0"],
+                 # coefficients outside [0, q) are not field element codes
+                 ["predict", "--domain", "poly:2:2", "--a", "7", "--n", "1,1"],
                  ["predict", "--domain", "poly:2:2", "--a", "1", "--n", "5,1"],
                  ["predict", "--domain", "poly:3", "--a", "7", "--n", "1,1"],
                  ["verify", "--domain", "poly:3", "--a", "-1", "--n", "1,1"],
@@ -67,18 +51,7 @@ def test_parse_error_exits_two(capsys):
                  ["predict", "--domain", "Z", "--a", "2", "--n", "5", "--modulus", "1,1,1"],
                  ["predict", "--domain", "quad:-1", "--a", "1,1", "--n", "5,0",
                   "--n-gens", "2,0"]):
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 2, argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-
-
-def assert_one_line_error(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2, argv
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
-    return captured
+        assert_one_line_error(capsys, argv)
 
 
 def test_predict_refuses_a_zero_element(capsys):
@@ -99,10 +72,8 @@ def test_checkers_reject_q_below_two(capsys):
 def test_unwritable_dot_path_exits_two(tmp_path, capsys):
     for target in (tmp_path, tmp_path / "missing" / "graph.dot"):
         for cmd in ("predict", "verify"):
-            captured = assert_one_line_error(
-                capsys, [cmd, "--domain", "Z", "--a", "2", "--n", "24",
-                         "--dot", str(target)])
-            assert captured.out == "", (cmd, target)
+            assert_one_line_error(capsys, [cmd, "--domain", "Z", "--a", "2", "--n", "24",
+                                           "--dot", str(target)])
 
 
 def test_ectrees_parses_quadratic_elements(capsys):
@@ -123,7 +94,6 @@ def test_integer_lists_refuse_empty_entries(capsys):
                      ["tree", bad]):
             captured = assert_one_line_error(capsys, argv)
             assert captured.err.startswith("error: bad integer list "), argv
-            assert captured.out == "", argv
     code, out = run_cli(capsys, "tree", "")
     assert code == 0
     assert json.loads(out) == {"series": [], "code": "()", "node_count": 1}
@@ -138,14 +108,6 @@ def test_max_nodes_only_on_enumerating_commands(capsys):
                                    "--n", "24", "--max-nodes", "10"])
     assert_one_line_error(capsys, ["verify", "--domain", "Z", "--a", "2",
                                    "--n", "24", "--max-nodes", "10"])
-
-
-def test_tree_subcommand(capsys):
-    code, out = run_cli(capsys, "tree", "6,2")
-    assert code == 0
-    data = json.loads(out)
-    assert data["node_count"] == 12
-    assert data["code"].startswith("(")
 
 
 def test_predict_and_brute_agree(capsys):
@@ -194,22 +156,6 @@ def test_dot_export(tmp_path, capsys):
     assert len(edge_lines) == 24
 
 
-def test_application_subcommands(capsys):
-    code, out = run_cli(capsys, "redei", "--q", "7", "--a", "3", "--n", "2")
-    assert code == 0 and json.loads(out)["isomorphic"] is True
-
-    code, out = run_cli(capsys, "chebyshev", "--q", "7", "--n", "2")
-    assert code == 0 and json.loads(out)["ok"] is True
-
-    code, out = run_cli(capsys, "linpoly", "--q", "2", "--n", "3", "--f", "0,1")
-    assert code == 0 and json.loads(out)["isomorphic"] is True
-
-    code, out = run_cli(capsys, "ectrees", "--d", "-1", "--a", "3,-1",
-                        "--pi=-3,8", "--n", "1")
-    assert code == 0
-    assert json.loads(out)["nu_minus"] == [2, 2]
-
-
 def test_quad_ideal_as_json(capsys):
     spec = json.dumps({"d": -5, "gens": [[6, 0]]})
     code, out = run_cli(capsys, "verify", "--domain", "quad:-5",
@@ -218,9 +164,8 @@ def test_quad_ideal_as_json(capsys):
     assert json.loads(out)["node_count"] == 36
     # mismatched d is a parse failure
     bad = json.dumps({"d": -1, "gens": [[6, 0]]})
-    code, _ = run_cli(capsys, "verify", "--domain", "quad:-5",
-                      "--a", "1,1", "--n-gens", bad)
-    assert code == 2
+    assert_one_line_error(capsys, ["verify", "--domain", "quad:-5", "--a", "1,1",
+                                   "--n-gens", bad])
 
 
 def test_quad_ideal_json_with_non_int_entries_exits_two(capsys):
@@ -229,7 +174,7 @@ def test_quad_ideal_json_with_non_int_entries_exits_two(capsys):
                  '{"d":-1,"gens":[[1,2,3]]}', '{"d":-1,"gens":{"a":1}}'):
         captured = assert_one_line_error(capsys, ["predict", "--domain", "quad:-1",
                                                   "--a", "1,1", "--n-gens", spec])
-        assert "ideal JSON" in captured.err and captured.out == "", spec
+        assert "ideal JSON" in captured.err, spec
 
 
 def test_domain_spec_with_non_integer_part_names_the_spec(capsys):

@@ -7,8 +7,9 @@ import pytest
 
 from amap.applications import chebyshev_check, ec_generic_trees, linearized_check, redei_check
 from amap.base import ZeroIdealError
+from amap.dynamics import brute_amap_graph, nu_series, predicted_graph
 from amap.finitefield import GF, field, quadratic_character
-from amap.graphs import brute_graph
+from amap.graphs import GraphSizeError, brute_graph
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
@@ -45,6 +46,12 @@ CASES = [
      ZeroIdealError("the zero ideal is not allowed")),
     ("a-decomposition by 0", lambda: IntegerDomain().a_decomposition(0, 10),
      ValueError("the element a must be nonzero")),
+    ("nu-series of 0", lambda: nu_series(IntegerDomain(), 0, 4),
+     ValueError("the element a must be nonzero")),
+    ("prediction for 0", lambda: predicted_graph(IntegerDomain(), 0, 5),
+     ValueError("the element a must be nonzero")),
+    ("brute graph over the cap", lambda: brute_amap_graph(IntegerDomain(), 2, 100, max_nodes=50),
+     GraphSizeError("100 nodes exceeds the cap of 50")),
     ("leading term of 0", lambda: ZERO.leading,
      ValueError("zero polynomial has no leading coefficient")),
     ("monic 0", lambda: ZERO.monic(), ZeroIdealError("cannot normalize the zero polynomial")),

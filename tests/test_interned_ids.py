@@ -32,8 +32,8 @@ from amap.graphs import (DEFAULT_MAX_CODE_BYTES, Component, FunctionalGraph, Gra
                          materialize, render, to_dot)
 from amap.integers import IntegerDomain
 from amap.trees import LEAF, Keyed, RootedTree, elementary_tree
-from references import (cyc, partial_tree, ref_component_code, ref_graph_code, ref_tree_code,
-                        reference_code)
+from references import (assert_one_line_error, cyc, partial_tree, ref_component_code,
+                        ref_graph_code, ref_tree_code, reference_code)
 
 Z = IntegerDomain()
 # seeded like the rest of the suite: the same examples on every run
@@ -385,9 +385,9 @@ def test_cli_prints_a_compact_graph_above_the_cap(capsys):
 
 def test_cli_dot_of_a_huge_prediction_exits_two(tmp_path, capsys):
     out = tmp_path / "g.dot"
-    assert main(["predict", "--domain", "Z", "--a", "1", "--n", str(10**18),
-                 "--dot", str(out)]) == 2
-    assert "exceeds the cap" in capsys.readouterr().err
+    captured = assert_one_line_error(capsys, ["predict", "--domain", "Z", "--a", "1",
+                                              "--n", str(10**18), "--dot", str(out)])
+    assert "exceeds the cap" in captured.err
     assert not out.exists()
 
 

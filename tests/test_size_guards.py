@@ -2,11 +2,11 @@
 
 `graphs._check_size` is the one node guard and `graphs.render` the one text
 guard; these tests pin down that the Redei and elliptic-curve checkers
-reach them before any field table or code text exists.
+reach them before any field table or code text exists, and that the CLI
+turns their refusal into its one-line error.  The Redei tests patch the
+successor table to raise, so a lost cap fails at once instead of scanning
+the field.
 """
-
-import subprocess
-import sys
 
 import pytest
 
@@ -15,6 +15,7 @@ from amap.applications import ec_generic_trees, redei_check
 from amap.finitefield import field, quadratic_character
 from amap.graphs import GraphSizeError
 from amap.quadorder import QuadInt
+from references import assert_one_line_error
 
 
 def _no_scan(*args):
@@ -46,21 +47,14 @@ def test_ec_trees_refuse_an_oversized_code():
         ec_generic_trees(-1, QuadInt(2**31, 0), QuadInt(2**31 + 1, 0), 1)
 
 
-def _run(*argv):
-    return subprocess.run([sys.executable, "-m", "amap.cli", *argv],
-                          capture_output=True, text=True, timeout=20)
+def test_cli_redei_over_the_cap_exits_two(monkeypatch, capsys):
+    monkeypatch.setattr(applications, "_redei_successors", _no_scan)
+    captured = assert_one_line_error(capsys, ["redei", "--q", "1000000007", "--a", "3",
+                                              "--n", "2"])
+    assert "exceeds the cap" in captured.err
 
 
-def test_cli_redei_over_the_cap_exits_two():
-    proc = _run("redei", "--q", "1000000007", "--a", "3", "--n", "2")
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert proc.stdout == ""
-
-
-def test_cli_ec_trees_over_the_text_cap_exits_two():
-    proc = _run("ectrees", "--d", "-1", "--a=2147483648,0", "--pi=2147483649,0", "--n", "1")
-    assert proc.returncode == 2
-    assert "exceeds the cap" in proc.stderr
-    assert proc.stderr.startswith("error:")
+def test_cli_ec_trees_over_the_text_cap_exits_two(capsys):
+    captured = assert_one_line_error(capsys, ["ectrees", "--d", "-1", "--a=2147483648,0",
+                                              "--pi=2147483649,0", "--n", "1"])
+    assert "exceeds the cap" in captured.err

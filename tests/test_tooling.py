@@ -323,7 +323,8 @@ def test_no_test_module_redefines_a_shared_referee_or_helper():
     assert {"check_factorization", "trial_factor", "scan_splitting", "divisors",
             "reference_redei_successors", "reference_chebyshev_successors",
             "reference_linearized_successors", "redei_by_powers", "chebyshev_by_powers",
-            "brute_fold", "assert_prediction_matches_the_walk"} <= shared
+            "brute_fold", "assert_prediction_matches_the_walk",
+            "assert_prediction_is_the_brute_graph", "assert_one_line_error"} <= shared
     found = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(here.glob("*.py"))
              if path.name not in ("references.py", "domains.py")
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
