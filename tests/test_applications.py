@@ -18,10 +18,10 @@ from amap.base import factor_int
 from amap.cli import main
 from amap.dynamics import nu_series
 from amap.finitefield import field
-from amap.graphs import Component, FunctionalGraph
+from amap.graphs import Component, FunctionalGraph, disjoint_sum
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt
-from amap.trees import LEAF, elementary_tree
+from amap.trees import LEAF, RootedTree, elementary_tree
 from references import assert_prediction_matches_the_walk, cyc
 
 
@@ -46,22 +46,21 @@ class TestRedei:
         rep = redei_check(7, 2, 3)
         assert rep.isomorphic
         assert rep.node_count == 8  # chi(3) = -1 over F_7
-        assert rep.predicted.code == cyc(1, elementary_tree((2, 2, 2))).code
+        assert rep.predicted == cyc(1, elementary_tree((2, 2, 2)))
 
     def test_q5_residue_permutation(self):
         rep = redei_check(5, 3, 4)
         assert rep.isomorphic
         assert rep.node_count == 4  # two excluded square roots
         # permutation: 2 fixed points and one 2-cycle
-        assert rep.brute.code == "C1[()];C1[()];C2[(),()]"
+        assert rep.brute == disjoint_sum([cyc(1), cyc(1), cyc(2)])
 
     def test_degree_one_is_identity(self):
         for q in (5, 7, 11):
             for a in (1, 2, 3):
                 rep = redei_check(q, 1, a)
                 assert rep.isomorphic
-                assert all(c.startswith("C1[()]")
-                           for c in rep.brute.code.split(";"))
+                assert rep.brute == disjoint_sum([cyc(1)] * rep.node_count)
 
     def test_prime_power_field(self):
         rep = redei_check(9, 2, 2)
@@ -92,22 +91,21 @@ class TestChebyshev:
         assert rep.ok and rep.predicted == rep.brute
         # -1 is a generic fixed point and carries T(2), the unfolded tree of
         # the torus Z/6; 2 carries the folds of Z/6 and Z/8 glued at 0
-        generic = Component(1, (elementary_tree((2,)),))
-        assert (generic, 1) in rep.brute.counted
-        assert rep.brute.code == "C1[(((()())))];" + generic.code
+        generic = cyc(1, elementary_tree((2,)))
+        assert rep.brute == disjoint_sum([cyc(1, RootedTree([elementary_tree((2, 2))])), generic])
         assert rep.periodic_checked == 2 and rep.skipped == []
 
     def test_q5_n2_trees(self):
         rep = chebyshev_check(5, 2)
         assert rep.ok and rep.predicted == rep.brute
-        assert (Component(1, (elementary_tree((2,)),)), 1) in rep.brute.counted
-        assert rep.brute.code == "C1[((()))];C1[(())]"
+        generic = cyc(1, elementary_tree((2,)))
+        assert rep.brute == disjoint_sum([cyc(1, RootedTree([elementary_tree((2,))])), generic])
 
     def test_glued_minus_two_is_a_leaf(self):
         # T_4 on F_3: -2 = 1 is the glued 2-torsion child of 2 and has no children
         rep = chebyshev_check(3, 4)
         assert rep.ok
-        assert rep.brute.code == rep.predicted.code == "C1[(()())]"
+        assert rep.brute == rep.predicted == cyc(1, RootedTree([LEAF, LEAF]))
 
     def test_degree_one_is_the_identity(self):
         for q in (3, 7, 25):
@@ -117,10 +115,9 @@ class TestChebyshev:
 
     def test_permutation_case_leaf_trees(self):
         # n coprime to q^2 - 1 and to p: T_n permutes F_q, every tree a leaf
-        for q, n, code in ((7, 5, "C1[()];" * 5 + "C2[(),()]"),
-                           (11, 7, "C1[()];" * 5 + ";".join(["C2[(),()]"] * 3))):
+        for q, n, pairs in ((7, 5, 1), (11, 7, 3)):
             rep = chebyshev_check(q, n)
-            assert rep.ok and rep.brute.code == code
+            assert rep.ok and rep.brute == disjoint_sum([cyc(1)] * 5 + [cyc(2)] * pairs)
             assert all(comp.root == (LEAF,) for comp, _ in rep.predicted.counted)
             assert rep.periodic_checked == q
 
@@ -158,19 +155,17 @@ class TestLinearized:
     def test_frobenius_on_f8(self):
         rep = linearized_check(2, 3, [0, 1])
         assert rep.isomorphic
-        codes = rep.predicted.code.split(";")
-        assert codes.count("C1[()]") == 2
-        assert codes.count("C3[(),(),()]") == 2
+        assert rep.predicted == disjoint_sum([cyc(1)] * 2 + [cyc(3)] * 2)
 
     def test_x_plus_one_on_f4(self):
         rep = linearized_check(2, 2, [1, 1])
         assert rep.isomorphic
-        assert rep.predicted.code == cyc(1, elementary_tree((2, 2))).code
+        assert rep.predicted == cyc(1, elementary_tree((2, 2)))
 
     def test_constant_one_is_identity(self):
         rep = linearized_check(2, 3, [1])
         assert rep.isomorphic
-        assert rep.predicted.code == ";".join(["C1[()]"] * 8)
+        assert rep.predicted == disjoint_sum([cyc(1)] * 8)
 
     def test_char_divides_n(self):
         # the regime where x^n - 1 is not squarefree

@@ -53,12 +53,11 @@ def test_folded_tree_by_hand():
     # Z/8 under x -> 2x: 0 <- 4 <- {2, 6} <- {1, 3, 5, 7}.  Folded, 4 is the
     # 2-torsion child, {2, 6} one node under it, {1, 7} and {3, 5} its leaves
     assert folded_tree([(2, 2, 2)]) == RootedTree([elementary_tree((2, 2))])
-    assert folded_tree([(2, 2, 2)]).code == "(((()())))"
     # Z/3 under x -> 3x: 1 and 2 are one node
-    assert folded_tree([(3,)]).code == "(())"
+    assert folded_tree([(3,)]) == RootedTree([LEAF])
     assert folded_tree([]) == folded_tree([()]) == LEAF
     # T_4 on F_3: Z/2 and Z/4 glued at 0; their 2-torsion points glue into
     # one leaf (x = -2), beside the pair {1, 3} of Z/4
-    assert folded_tree([(2,), (4,)]).code == "(()())"
+    assert folded_tree([(2,), (4,)]) == RootedTree([LEAF, LEAF])
     with pytest.raises(ValueError, match="pair off"):
         folded_tree([(4, 3, 2)])

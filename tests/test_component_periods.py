@@ -11,7 +11,7 @@ import pytest
 from amap.dynamics import predicted_graph
 from amap.graphs import Component
 from amap.integers import IntegerDomain
-from amap.trees import LEAF, elementary_tree
+from amap.trees import LEAF, RootedTree, elementary_tree
 from domains import ENTRIES
 from references import cyc, ref_component_code
 
@@ -27,6 +27,9 @@ def test_a_list_period_is_stored_as_a_tuple():
     assert comp.hanging == (u, t, u, t)
     assert comp.code == "C4[(()),(),(()),()]"
     assert comp.node_count == 6
+    # an unequal tree turns the cycle to its least rotation in code order
+    w = RootedTree([LEAF, LEAF])
+    assert Component(4, (w, w, LEAF, w)).code == "C4[(()()),(()()),(()()),()]"
 
 
 @pytest.mark.parametrize("cycle_len, hanging", [

@@ -11,7 +11,7 @@ law (`references.assert_prediction_matches_the_walk`) runs in
 
 `reference_as_dict` keeps the earlier `JsonReport.as_dict` over `asdict`
 (with a graph field written as its code, or as the name of the first field
-with the same code), as a test-only reference, the one referee of the
+with an equal graph), as a test-only reference, the one referee of the
 report dict.
 """
 
@@ -25,6 +25,7 @@ from amap.applications import chebyshev_check, ec_generic_trees, linearized_chec
 from amap.dynamics import (brute_amap_graph, nu_series, predicted_graph, verify)
 from amap.graphs import disjoint_sum
 from amap.integers import IntegerDomain
+from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import LEAF, Keyed, elementary_tree
 from domains import ENTRIES
@@ -44,7 +45,7 @@ def reference_as_dict(report):
     written = []  # (graph, field name) of every code written so far
     for k, v in asdict(report).items():
         if isinstance(v, Keyed):  # a graph field is written as its code once
-            same = [name for graph, name in written if graph.code == v.code]
+            same = [name for graph, name in written if graph == v]
             if same:
                 out[f"{k}_same_as"] = same[0]
             else:
@@ -161,9 +162,14 @@ class TestBruteGraph:
 
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=repr)
 def test_prediction_is_the_brute_force_graph(entry):
-    count, seed = (12, 19) if isinstance(entry.dom, QuadOrder) else (20, 18)
-    for a, n in entry.sample(count, seed, cap=300):
-        assert_prediction_is_the_brute_graph(entry.dom, a, n)
+    # the seeded sample, and the least prime element a (x in F_q[x], else 2)
+    # with n = <a>^2, whose nu-series has two steps on every entry
+    dom = entry.dom
+    count, seed = (12, 19) if isinstance(dom, QuadOrder) else (20, 18)
+    least = Poly.x(dom.field) if isinstance(dom, PolyDomain) else dom.one_element + dom.one_element
+    squared = dom.ideal_pow(dom.principal(least), 2)
+    for a, n in entry.sample(count, seed, cap=300) + [(least, squared)]:
+        assert_prediction_is_the_brute_graph(dom, a, n)
 
 
 # ---- JsonReport: the same JSON without a deep copy ----

@@ -12,7 +12,7 @@ from amap.finitefield import field
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain
 from amap.quadorder import QuadInt, QuadOrder
-from amap.trees import elementary_tree, folded_tree
+from amap.trees import LEAF, RootedTree, elementary_tree, folded_tree
 from domains import ENTRIES, divisors, reference, reference_nu_series
 
 
@@ -144,7 +144,8 @@ def test_no_factorization_on_the_chain_paths(monkeypatch):
     # the trees of the Chebyshev prediction come from chains alone: here the
     # fixed point 2 of T_2 on F_13, the folds of Z/12 and Z/14 glued; its cycle
     # rows read a divisor table, which factors, as every prediction's does
-    assert folded_tree([Z.gcd_chain(2, 12)[0], Z.gcd_chain(2, 14)[0]]).code == "((()))"
+    assert folded_tree([Z.gcd_chain(2, 12)[0], Z.gcd_chain(2, 14)[0]]) == \
+        RootedTree([RootedTree([LEAF])])
 
 
 def test_zero_polynomial_ideal_raises_zero_ideal_error():

@@ -22,13 +22,13 @@ from amap import finitefield
 from amap.base import Domain
 from amap.dynamics import brute_amap_graph
 from amap.finitefield import GF, field
-from amap.graphs import brute_graph, decompose_successors
+from amap.graphs import FunctionalGraph, brute_graph, decompose_successors
 from amap.integers import IntegerDomain
 from amap.polynomials import Poly, PolyDomain, _digit_sums, _fp_linear_table
 from amap.quadorder import QuadInt, QuadOrder
 from amap.trees import RootedTree
 from domains import ENTRIES, reference_successors
-from references import branch_maps, random_maps, reference_code, reference_decompose
+from references import branch_maps, cyc, random_maps, reference_code, reference_decompose
 
 
 # ---- seeded instances: each entry's, small and few ----
@@ -99,7 +99,7 @@ def test_unit_ideal_has_one_residue():
         assert dom.residues(dom.unit_ideal) == [dom.reduce(dom.one_element, dom.unit_ideal)]
         for a in entry.elements:
             assert dom.successors(a, dom.unit_ideal) == [0]
-            assert brute_amap_graph(dom, a, dom.unit_ideal).code == "C1[()]"
+            assert brute_amap_graph(dom, a, dom.unit_ideal) == cyc(1)
 
 
 def test_domain_without_successor_table_raises():
@@ -220,7 +220,7 @@ def test_out_of_range_successor_names_first_offender():
                           ([3, 2, 1, 4], r"successor\(3\) = 4 out")):
         with pytest.raises(ValueError, match=message):
             brute_graph(4, succ)
-    assert brute_graph(0, []).code == ""
+    assert brute_graph(0, []) == FunctionalGraph()
     # the decomposition checks too: a negative entry read as an index from
     # the end made [-1, 0] a cycle [0, -1], and [1, -2] a walk with no end
     for succ, message in (([-1, 0], r"successor\(0\) = -1 out"),

@@ -363,24 +363,32 @@ def test_no_test_module_names_one_table_path_of_two():
     assert not found, found
 
 
-def _spells_a_component_code(node):
-    """A string constant holding the %-format of a component code, or an
-    f-string whose text starts with C and a replacement field."""
+CODE_TEXT_MODULES = {"references.py", "test_trees.py", "test_graphs.py",
+                     "test_component_periods.py", "test_interned_ids.py", "test_cli.py"}
+"""The text referee and the tests of the code format itself."""
+
+
+def _spells_code_text(node):
+    """A string constant holding a component code C<len>[ or its %-format,
+    or made only of two or more parentheses (a tree code), or an f-string
+    whose text starts with C and a replacement field."""
     if isinstance(node, ast.Constant):
-        return isinstance(node.value, str) and re.search(r"C%d\[", node.value) is not None
+        return isinstance(node.value, str) and bool(re.search(r"C(%d|[0-9]+)\[", node.value)
+                                                    or re.fullmatch(r"[()]{2,}", node.value))
     return (isinstance(node, ast.JoinedStr) and len(node.values) > 1
             and isinstance(node.values[0], ast.Constant) and node.values[0].value == "C"
             and isinstance(node.values[1], ast.FormattedValue))
 
 
 def test_only_the_references_spell_the_component_code():
-    # the component code C<len>[...] is spelled on the test side once, in
-    # references.component_text, so a change of the code rewrites one text
-    # referee: another test module that spells it fails this check
+    # the code text is spelled on the test side by the text referee in
+    # references.py and by the format's own tests, so a change of the format
+    # rewrites those alone; every other test module compares trees and
+    # graphs by key, and one that spells a code fails this check
     found = [f"{path.name}:{node.lineno}" for path in sorted(Path(__file__).parent.glob("*.py"))
-             if path.name != "references.py"
+             if path.name not in CODE_TEXT_MODULES
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if _spells_a_component_code(node)]
+             if _spells_code_text(node)]
     assert not found, found
 
 
