@@ -16,6 +16,10 @@ only the points x <= (p - 1) / 2 are evaluated: the maps have a parity,
 R_n(-x) = -R_n(x) (a pole mirrors to a pole) and T_n(-x) = (-1)^n T_n(x),
 so the rest of the table is the evaluated half reversed.  Over an extension
 field every point is evaluated, one ``GF`` list operation per arithmetic step.
+Both Redei paths number P^1(F_q) less the roots r1 < r2 of a (r1 = r2 = q for
+a non-square a) by one rule: code c is the point c + 1 - [c > r1] - [c > r2]
+and infinity the point 0, so over F_p negation is y -> m + 1 - y on the points
+y > 1, for m = p - chi(a) points.
 A linearized map is F_p-linear: it is evaluated at an F_p basis only, and
 ``polynomials._fp_linear_table`` fills in its table, as it does the
 quotient-ring successor table.
@@ -90,10 +94,10 @@ def _redei_pairs(F: GF, xs: list[int], squares: list[int], n: int,
 def _redei_successors(F: GF, n: int, a: int) -> Sequence[int]:
     """Successor table of the Redei map on P^1(F_q) less the roots of a.
 
-    Point 0 is infinity and point i > 0 the i-th finite non-root.  A pole
-    goes to infinity; the roots of a are fixed points that nothing else
-    reaches, so dropping them leaves a closed map.  A prime field computes on
-    ints mod p, any other field by `GF` list operations.
+    Point 0 is infinity and code c the point c + 1 - [c > r1] - [c > r2],
+    for r1 < r2 the roots of a.  A pole goes to infinity; the roots are fixed
+    points that nothing else reaches, so dropping them leaves a closed map.
+    A prime field computes on ints mod p, any other by `GF` list operations.
     """
     if F.k == 1:
         return _redei_prime_successors(F, n, a)
@@ -101,50 +105,39 @@ def _redei_successors(F: GF, n: int, a: int) -> Sequence[int]:
 
 
 def _redei_field_successors(F: GF, n: int, a: int) -> Sequence[int]:
-    """`_redei_successors` by `GF` list operations, over any field."""
+    """`_redei_successors` by `GF` list operations, over any field: for a
+    square a a pass over the squares finds a root r, and -r is the other,
+    then the ladder runs on the rest."""
+    q = r1 = r2 = F.q
     inv = F.inverse_table()
-    succ = F.code_array([0])  # infinity is absorbing; x is at x + 1 for now
-    roots = []
-    for xs in _blocks(range(F.q)):
-        squares = F.mul_all(xs, xs)
-        if a in squares:
-            roots.extend(x for x, y in zip(xs, squares) if y == a)
-        num, den = _redei_pairs(F, xs, squares, n, a)
+    if quadratic_character(F, a) == 1:
+        r = next(x for xs in _blocks(range(q)) for x, y in zip(xs, F.mul_all(xs, xs)) if y == a)
+        r1, r2 = sorted((r, F.neg(r)))
+    succ = F.code_array([0])  # infinity is absorbing
+    for xs in _blocks(chain(range(r1), range(r1 + 1, r2), range(r2 + 1, q))):
+        num, den = _redei_pairs(F, xs, F.mul_all(xs, xs), n, a)
         ratio = F.mul_all(num, [inv[d] for d in den])
-        succ.extend([y + 1 if d else 0 for y, d in zip(ratio, den)])
-    if not roots:
-        return succ
-    i, j = sorted(r + 1 for r in roots)
-    del succ[j], succ[i]
-    out = F.code_array()
-    for block in _blocks(succ):
-        out.extend([s - (s > i) - (s > j) for s in block])
-    return out
+        succ.extend([c + 1 - (c > r1) - (c > r2) if d else 0 for c, d in zip(ratio, den)])
+    return succ
 
 
 def _redei_prime_successors(F: GF, n: int, a: int) -> Sequence[int]:
     """`_redei_successors` over F_p, on ints mod p.
 
-    The ladder runs on x <= (p - 1) / 2, one comprehension per coordinate
-    and step, and one last pass per block numbers the ratio u/v through
-    `index`, which steps over the roots of a (from Tonelli-Shanks).  The
-    lower root is left out of the points, and its negative, the upper root,
-    out of the mirror: R_n(-x) = -R_n(x), so the upper half is the lower one
-    reversed through `negated`.
+    The ladder runs on x <= (p - 1) / 2 but the lower root r1 of a (from
+    Tonelli-Shanks), one comprehension per coordinate and step, and one last
+    pass per block numbers each ratio.  R_n(-x) = -R_n(x), and negation
+    reverses the points y > 1, so the upper half is the lower one reversed
+    through y -> m + 1 - y, for m = p - chi(a) points.
     """
     p, h = F.p, (F.p - 1) // 2
     inv = F.inverse_table()
     root = _sqrt_mod(a, p)
-    if root is None:
-        points, index = range(h + 1), range(1, p + 1)
-    else:  # no point maps to a root, so the roots' index entries are never read
-        r1, r2 = sorted((root, p - root))
-        points = chain(range(r1), range(r1 + 1, h + 1))
-        index = chain(range(1, r1 + 1), [0], range(r1 + 1, r2), [0], range(r2, p - 1))
-    index = F.code_array(index)
+    r1, r2 = (p, p) if root is None else sorted((root, p - root))
+    m1 = p + 2 if root is None else p  # m + 1, for m = p - chi(a)
     bits, a2 = bin(n)[3:], 2 * a
     succ = F.code_array([0])  # infinity is absorbing
-    for xs in _blocks(points):
+    for xs in _blocks(chain(range(min(r1, h + 1)), range(r1 + 1, h + 1))):
         if not bits:
             u, v = xs, [1] * len(xs)
         elif bits[0] == "0":  # (x + sqrt(a))^2 = (x^2 + a) + 2x*sqrt(a)
@@ -158,14 +151,10 @@ def _redei_prime_successors(F: GF, n: int, a: int) -> Sequence[int]:
             else:
                 u, v = ([(s * s + a * t * t) % p for s, t in zip(u, v)],
                         [2 * s * t % p for s, t in zip(u, v)])
-        succ.extend([index[s * inv[t] % p] if t else 0 for s, t in zip(u, v)])
-    # negated[j] is the number of -y, for j the number of y
-    negated = index[:1] + index[p - 1:0:-1]  # index[-y] at y
-    if root is not None:  # the roots have no number
-        del negated[r2], negated[r1]
-    negated.insert(0, 0)  # infinity
+        succ.extend([(c := s * inv[t] % p) + 1 - (c > r1) - (c > r2) if t else 0
+                     for s, t in zip(u, v)])
     for j in range(len(succ) - 1, 1, -_BLOCK):  # x = h..1 gives -x = p - h..p - 1
-        succ.fromlist([negated[y] for y in succ[j:max(j - _BLOCK, 1):-1]])
+        succ.fromlist([m1 - y if y > 1 else y for y in succ[j:max(j - _BLOCK, 1):-1]])
     return succ
 
 

@@ -6,9 +6,10 @@ arithmetic; for the brute-force oracle it also gives the successor table
 of x -> a*x, from the images of the additive generators of D/n.
 ``factor(n)`` returns a list of (prime, exponent) pairs, primes normalized
 and sorted by the ideal order, whose product is n; ``factor_int`` keeps the
-same contract for positive integers, by trial division, Miller-Rabin and
-Pollard-Brent rho.  Everything derivable from
-those primitives is computed here once and shared by all implementations:
+same contract for positive integers, by trial division, Miller-Rabin (and
+a strong Lucas test from psi_13 up) and Pollard-Brent rho.  Everything
+derivable from those primitives is computed here once and shared by all
+implementations:
 
 * the unit ideal, domain equality and hashing, the ideal order;
 * membership (a reduces to zero), modular products and ideal powers;
@@ -316,17 +317,22 @@ def check_positive_int(n: int, what: str = "ideal") -> int:
 # (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 are not enough
 # below 3.3e24, as psi_12 = 318665857834031151167461 passes 2..37
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES, 1287836182261 * 2575672364521
+_PSI_13 = 3317044064679887385961981
 # trial division runs over the divisors below this bound, so it alone
 # factors every n below _TRIAL_LIMIT**2 = 2^24
 _TRIAL_LIMIT = 1 << 12
 
 
 def is_prime(n: int) -> bool:
-    """Strong-probable-prime test to the bases 2..41 (Miller-Rabin).
+    """Strong-probable-prime test to the bases 2..41 (Miller-Rabin), and
+    from psi_13 up a strong Lucas test as well.
 
-    Exact below psi_13 = 3317044064679887385961981, the least strong
-    pseudoprime to all 13 bases; from psi_13 up such a composite would
-    pass, so there the answer is probabilistic.  A prime always passes.
+    The 13 bases are exact below psi_13 = 3317044064679887385961981, the
+    least strong pseudoprime to all of them, so the Lucas test runs only
+    from psi_13 up.  There base 2 and the Lucas test make Baillie-PSW
+    (Baillie and Wagstaff, Math. Comp. 35, 1980), which no known composite
+    passes.  A prime always passes.
     """
     if n < 2:
         return False
@@ -349,7 +355,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n), for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether an odd n > 1 with no factor below 43 is a strong Lucas
+    probable prime with Selfridge's parameters; a square is refused first.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d*2^s, d odd, n passes when U_d = 0 or
+    V_(d*2^r) = 0 mod n for some r < s (Baillie and Wagstaff, Math. Comp.
+    35, 1980).  U, V and Q^k climb the bits of d by U_2k = U_k V_k,
+    V_2k = V_k^2 - 2Q^k, and U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2.
+    """
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # 1/2 mod n
+    U, V, Qk = 1, 1, Q % n  # k = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0:
+        return True
+    for _ in range(s):
+        if V == 0:
+            return True
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+    return False
 
 
 def factor_int(n: int) -> list[tuple[int, int]]:

@@ -184,6 +184,19 @@ def test_domain_spec_with_non_integer_part_names_the_spec(capsys):
         assert f"bad domain {spec!r}" in captured.err, spec
 
 
+def test_strong_pseudoprime_psi_13_is_no_prime(capsys):
+    # psi_13 passes Miller-Rabin to all 13 bases 2..41; the strong Lucas test
+    # behind them refuses it as a field order and lets rho split it in Z
+    small, large = 1287836182261, 2575672364521
+    psi_13 = small * large
+    captured = assert_one_line_error(capsys, ["predict", "--domain", f"poly:{psi_13}",
+                                              "--a", "1", "--n", "1,1"])
+    assert captured.err == f"error: {psi_13} is not prime\n"
+    code, out = run_cli(capsys, "predict", "--domain", "Z", "--a", "43", "--n", str(psi_13))
+    assert code == 0
+    assert {small, large} <= {row["divisor"] for row in json.loads(out)["summands"]}
+
+
 def test_poly_extension_field_domain(capsys):
     code, out = run_cli(capsys, "verify", "--domain", "poly:2:2",
                         "--a", "2,1", "--n", "1,1,1")

@@ -5,14 +5,18 @@ division by 2, 3 and every 6k +- 1 up to the square root, as the one
 test-side referee of integer factoring; it also judges the primes of the
 factorization law in `test_domain_contract`.
 `base.factor_int` still trial-divides below its bound (2^12) and hands a
-larger cofactor to `is_prime` (Miller-Rabin to the 13 prime bases 2..41) and
-to Pollard-Brent rho, so the differential tests below reach all three paths.
+larger cofactor to `is_prime` and to Pollard-Brent rho, so the differential
+tests below reach all three paths.  `is_prime` is Miller-Rabin to the 13
+prime bases 2..41, exact below psi_13, and from psi_13 up also the strong
+Lucas test with Selfridge's parameters (`_strong_lucas`), which with base 2
+makes Baillie-PSW.  Below 10^5 that Lucas test is held to trial division,
+whose only disagreements must be the listed strong Lucas pseudoprimes.
 """
 
 import random
 
 from amap import base
-from amap.base import _pollard_brent, factor_int, is_prime
+from amap.base import _pollard_brent, _strong_lucas, factor_int, is_prime
 from references import trial_factor
 
 # the least strong pseudoprimes to the first 12 and the first 13 prime bases
@@ -66,22 +70,52 @@ def test_twelve_bases_are_not_enough_below_3_3e24():
 
 
 def test_psi_13_bounds_the_exact_range():
-    # psi_13 is composite and passes all 13 bases: from it up, is_prime is
-    # probabilistic, as its docstring says
+    # psi_13 is composite and passes all 13 bases: from it up, is_prime runs
+    # the strong Lucas test as well, which rejects it
     assert PSI_13 == 1287836182261 * 2575672364521
     assert all(strong_probable_prime(PSI_13, b) for b in BASES)
-    assert is_prime(PSI_13)
+    assert not is_prime(PSI_13)
     assert is_prime(1287836182261) and is_prime(2575672364521)
 
 
 def test_psi_times_small_primes():
-    # rho splits psi_12 in 0.2-0.3 s, so it is split twice; psi_13 is kept
-    # whole, the documented answer from psi_13 up
+    # rho splits psi_12 in 0.2-0.3 s and psi_13 in about 0.8 s
     for m in (1, 4093):
         assert factor_int(PSI_12 * m) == sorted(
             trial_factor(m) + [(399165290221, 1), (798330580441, 1)]), m
     for m in (1, 2, 3 * 5**2, 4093, 2 * 4099):
-        assert factor_int(PSI_13 * m) == trial_factor(m) + [(PSI_13, 1)], m
+        assert factor_int(PSI_13 * m) == sorted(
+            trial_factor(m) + [(1287836182261, 1), (2575672364521, 1)]), m
+
+
+# the strong Lucas pseudoprimes (Selfridge's parameters) below 10^5, OEIS A217255
+LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                      58519, 75077, 97439)
+
+
+def test_strong_lucas_matches_trial_division_but_at_its_pseudoprimes():
+    # every odd n in [43^2, 10^5) with no factor below 43, squares too, for
+    # which no Selfridge D exists
+    wrong = [n for n in range(43 * 43, 10**5, 2) if all(n % b for b in BASES)
+             and _strong_lucas(n) != (trial_factor(n) == [(n, 1)])]
+    assert wrong == list(LUCAS_PSEUDOPRIMES)
+    assert not any(is_prime(n) for n in LUCAS_PSEUDOPRIMES)
+
+
+def test_strong_lucas_runs_only_from_psi_13_up(monkeypatch):
+    calls = []
+    real = base._strong_lucas
+    monkeypatch.setattr(base, "_strong_lucas", lambda n: calls.append(n) or real(n))
+    rng = random.Random(13)
+    below = [PSI_12, PSI_13 - 2, 2**61 - 1, 10**24 + 7] + [rng.randrange(PSI_13) | 1
+                                                         for _ in range(200)]
+    for n in below:
+        is_prime(n)
+    assert not calls
+    # Mersenne primes above psi_13 pass both tests; psi_13 fails the second
+    above = [2**89 - 1, 2**107 - 1, 2**127 - 1]
+    assert all(is_prime(n) for n in above) and not is_prime(PSI_13)
+    assert calls == above + [PSI_13]
 
 
 def test_factor_int_splits_seeded_40_bit_semiprimes():

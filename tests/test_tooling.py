@@ -92,6 +92,19 @@ def test_graph_size_errors_are_raised_only_in_graphs():
     assert not found, found
 
 
+def test_no_family_table_is_built_by_deletion_or_insertion():
+    # the Redei tables number P^1(F_q) less the roots of a by arithmetic on
+    # the code, so no table is patched afterwards: no `del` of a subscript
+    # and no `.insert(` call in applications.py
+    module = ast.parse((SRC / "applications.py").read_text())
+    found = [node.lineno for node in ast.walk(module)
+             if isinstance(node, ast.Delete)
+             and any(isinstance(t, ast.Subscript) for t in ast.walk(node))
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "insert"]
+    assert not found, found
+
+
 def test_field_element_codes_are_checked_only_in_finitefield():
     # GF.check_codes states the rule for an element code; a hand copy of
     # the check elsewhere would fail this check
